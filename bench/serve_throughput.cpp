@@ -80,14 +80,11 @@ int main(int argc, char** argv) {
 
   const obs::MetricsSnapshot metrics = context.metrics().Snapshot();
   const serve::ServiceStats stats = service.stats();
-  // Mean latency per observation, in milliseconds (histogram or sketch).
+  // Mean latency per observation, in milliseconds.
   const auto mean_ms = [&](obs::Metric metric) {
     const obs::MetricsSnapshot::Entry* entry =
         metrics.Find(obs::MetricName(metric));
-    if (entry == nullptr) return 0.0;
-    return (entry->kind == obs::MetricKind::kSketch ? entry->sketch.mean()
-                                                    : entry->hist.mean()) /
-           1e6;
+    return entry == nullptr ? 0.0 : entry->sketch.mean() / 1e6;
   };
   const double per_epoch = mean_ms(obs::Metric::kServeIngestNs);
   const double per_publish = mean_ms(obs::Metric::kServePublishNs);

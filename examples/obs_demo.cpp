@@ -1,11 +1,12 @@
 // Observability tour: run the HUG-scenario pipeline with a fully wired
 // ObsContext, print the metrics registry as an aligned text report, and
-// export the flight recorder as Chrome trace_event JSON. Open the trace
+// export the event journal as Chrome trace_event JSON. Open the trace
 // in chrome://tracing or https://ui.perfetto.dev to see the per-miner
 // spans nested under the pipeline run.
 //
 //   ./obs_demo [--scale=0.1] [--days=1] [--seed=7] [--trace=trace.json]
 
+#include <fstream>
 #include <iostream>
 
 #include "core/pipeline.h"
@@ -66,18 +67,23 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  // 4. The text report: every non-zero counter, gauge and histogram.
+  // 4. The text report: every non-zero counter, gauge and sketch.
   std::cout << result.value().metrics->ToText();
 
-  // 5. The trace: one complete ("X") event per span.
+  // 5. The trace, read off the journal: one complete ("X") event per
+  // event carrying dur_ns, an instant for every other boundary.
   const std::string trace_path = flags.GetString("trace", "trace.json");
-  if (Status s = context.trace().WriteChromeTrace(trace_path); !s.ok()) {
-    std::cerr << s << "\n";
+  const std::vector<std::string> lines =
+      context.journal().Tail(context.journal().options().tail_capacity);
+  std::string jsonl;
+  for (const std::string& line : lines) jsonl += line + "\n";
+  std::ofstream trace_out(trace_path, std::ios::trunc);
+  trace_out << obs::JournalToChromeTrace(jsonl);
+  if (!trace_out) {
+    std::cerr << "cannot write " << trace_path << "\n";
     return 1;
   }
-  std::cout << "\nwrote " << trace_path << " ("
-            << context.trace().Events().size() << " spans, "
-            << context.trace().dropped()
-            << " dropped) - load it in chrome://tracing\n";
+  std::cout << "\nwrote " << trace_path << " (" << lines.size()
+            << " journal events) - load it in chrome://tracing\n";
   return 0;
 }

@@ -44,8 +44,8 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
   // always record into the global context.
   obs::ObsContext* ctx = obs::Effective(obs_context);
   obs::Count(ctx, obs::Metric::kPipelineRuns);
-  // One journal root span per run; miner boundaries hang off it as
-  // "<run>/<miner>" children.
+  // One journal root span per run; each miner's boundary is one
+  // "<run>/<miner>" miner_done event carrying its duration.
   std::string run_span;
   if (ctx != nullptr) {
     run_span = ctx->journal().BeginRootSpan("pipeline");
@@ -72,7 +72,6 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
   std::vector<const char*> names;
   if (config_.run_l1) {
     tasks.push_back([&]() -> Status {
-      LOGMINE_SPAN(ctx, "pipeline/l1");
       L1ActivityMiner miner(config_.l1);
       auto result = miner.Mine(store, begin, end);
       if (!result.ok()) return result.status();
@@ -84,7 +83,6 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
   }
   if (config_.run_l2) {
     tasks.push_back([&]() -> Status {
-      LOGMINE_SPAN(ctx, "pipeline/l2");
       L2CooccurrenceMiner miner(config_.l2);
       // L2 is the one miner with cancellable inner loops: give it
       // whatever is left of the pipeline budget so a late-starting L2
@@ -107,7 +105,6 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
   }
   if (config_.run_l3) {
     tasks.push_back([&]() -> Status {
-      LOGMINE_SPAN(ctx, "pipeline/l3");
       L3TextMiner miner(vocabulary_, config_.l3);
       auto result = miner.Mine(store, begin, end);
       if (!result.ok()) return result.status();
@@ -119,7 +116,6 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
   }
   if (config_.run_agrawal) {
     tasks.push_back([&]() -> Status {
-      LOGMINE_SPAN(ctx, "pipeline/agrawal");
       AgrawalDelayMiner miner(config_.agrawal);
       auto result = miner.Mine(store, begin, end);
       if (!result.ok()) return result.status();
@@ -141,39 +137,42 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
     Executor::Shared().ParallelFor(
         tasks.size(),
         [&](size_t i) {
+          const int64_t start_ns = ctx != nullptr ? obs::MonotonicNowNs() : 0;
           if (cancel != nullptr && cancel->cancelled()) {
             *slots[i] = Status::Cancelled("miner skipped: run cancelled");
-            return;
-          }
-          if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
+          } else if (has_deadline &&
+                     std::chrono::steady_clock::now() >= deadline) {
             *slots[i] =
                 Status::DeadlineExceeded("miner skipped: run deadline expired");
-            return;
+          } else {
+            // Where the machine went, per miner: CPU vs wall vs RSS (the
+            // miner_done event below answers only "how long").
+            obs::ResourceProbe::ScopedStage stage(
+                ctx != nullptr ? &ctx->probe() : nullptr,
+                std::string("pipeline/") + names[i]);
+            *slots[i] = RunContained(tasks[i]);
           }
-          // Where the machine went, per miner: CPU vs wall vs RSS (the
-          // trace span above it answers only "how long").
-          obs::ResourceProbe::ScopedStage stage(
-              ctx != nullptr ? &ctx->probe() : nullptr,
-              std::string("pipeline/") + names[i]);
-          *slots[i] = RunContained(tasks[i]);
+          if (ctx == nullptr) return;
+          // Emitted as the miner ends, so [ts_ns - dur_ns, ts_ns] is the
+          // miner's own interval inside the run span.
+          const Status& status = *slots[i];
+          std::vector<obs::JournalField> fields = {
+              obs::JournalField::Str("miner", names[i]),
+              obs::JournalField::Flag("ok", status.ok()),
+              obs::JournalField::Num("dur_ns",
+                                     obs::MonotonicNowNs() - start_ns)};
+          if (!status.ok()) {
+            fields.push_back(
+                obs::JournalField::Str("code", StatusCodeName(status.code())));
+            fields.push_back(obs::JournalField::Str("error", status.message()));
+          }
+          ctx->journal().Emit(run_span + "/" + names[i], "miner_done", fields);
         },
         options);
   }
-  for (size_t i = 0; i < slots.size(); ++i) {
-    const Status* slot = slots[i];
+  for (const Status* slot : slots) {
     obs::Count(ctx, slot->ok() ? obs::Metric::kPipelineMinersOk
                                : obs::Metric::kPipelineMinersFailed);
-    if (ctx != nullptr) {
-      std::vector<obs::JournalField> fields = {
-          obs::JournalField::Str("miner", names[i]),
-          obs::JournalField::Flag("ok", slot->ok())};
-      if (!slot->ok()) {
-        fields.push_back(
-            obs::JournalField::Str("code", StatusCodeName(slot->code())));
-        fields.push_back(obs::JournalField::Str("error", slot->message()));
-      }
-      ctx->journal().Emit(run_span + "/" + names[i], "miner_done", fields);
-    }
   }
   // Snapshot after the run span closed, so the snapshot sees it.
   if (obs_context != nullptr) {

@@ -173,8 +173,10 @@ Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
   }
   obs::Count(config.obs, obs::Metric::kShardAttempts);
   const Clock::time_point start = Clock::now();
-  LOGMINE_SPAN(config.obs, "sweep/shard_attempt");
-  // Per-attempt journal span: "<sweep>/d<day>.r<range>/a<attempt>".
+  // Per-attempt journal span: "<sweep>/d<day>.r<range>/a<attempt>". The
+  // attempt opens with shard_attempt and, unless it was settled
+  // elsewhere, closes with shard_attempt_failed or shard_attempt_done,
+  // which carry its duration.
   const std::string attempt_span =
       ShardSpan(*sup, *state) + "/a" + std::to_string(attempt_no);
   JournalEmit(*sup, attempt_span, "shard_attempt",
@@ -203,7 +205,8 @@ Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
     if (tripped) obs::Count(config.obs, obs::Metric::kShardBreakerTrips);
     JournalEmit(*sup, attempt_span, "shard_attempt_failed",
                 {obs::JournalField::Str("code", StatusCodeName(status.code())),
-                 obs::JournalField::Str("error", status.message())});
+                 obs::JournalField::Str("error", status.message()),
+                 obs::JournalField::Num("dur_ns", ElapsedNs(start))});
     return status;
   };
 
@@ -301,6 +304,8 @@ Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
   }
 
   *out_model = std::move(parsed).value().model;
+  JournalEmit(*sup, attempt_span, "shard_attempt_done",
+              {obs::JournalField::Num("dur_ns", ElapsedNs(start))});
   return Status::OK();
 }
 
@@ -462,7 +467,7 @@ Result<ShardedSweepResult> RunShardedSweep(
   if (config.breaker_threshold < 1) {
     return Status::InvalidArgument("breaker_threshold must be >= 1");
   }
-  LOGMINE_SPAN(config.obs, "sweep/run");
+  const Clock::time_point sweep_start = Clock::now();
   obs::ResourceProbe::ScopedStage sweep_stage(
       config.obs != nullptr ? &config.obs->probe() : nullptr, "eval/sweep");
 
@@ -552,7 +557,8 @@ Result<ShardedSweepResult> RunShardedSweep(
     JournalEmit(sup, sup.span, "sweep_end",
                 {obs::JournalField::Str("outcome", "failed"),
                  obs::JournalField::Num("shards_poisoned",
-                                        sup.stats.shards_poisoned)});
+                                        sup.stats.shards_poisoned),
+                 obs::JournalField::Num("dur_ns", ElapsedNs(sweep_start))});
     if (config.obs != nullptr) {
       // Best-effort: the sweep's failure status stands regardless of
       // whether the bundle made it to disk.
@@ -584,7 +590,8 @@ Result<ShardedSweepResult> RunShardedSweep(
          obs::JournalField::Num(
              "coverage_permille",
              static_cast<int64_t>(result.merged.coverage.fraction() *
-                                  1000.0))});
+                                  1000.0)),
+         obs::JournalField::Num("dur_ns", ElapsedNs(sweep_start))});
     if (result.outcome == SweepOutcome::kDegraded) {
       (void)obs::CapturePostmortem(config.postmortem, config.obs,
                                    "sweep_degraded", sup.span, state_hash);

@@ -61,30 +61,6 @@ std::string ToOpenMetrics(const MetricsSnapshot& snapshot,
         AppendSeries(name, "", "", std::to_string(entry.value), &out);
         break;
       }
-      case MetricKind::kHistogram: {
-        if (!options.include_zero && entry.hist.count == 0) continue;
-        out += "# TYPE " + name + " histogram\n";
-        // Classic Prometheus histogram: cumulative buckets by upper
-        // bound, the last one always le="+Inf" with the total count.
-        int64_t cumulative = 0;
-        for (size_t b = 0; b < HistogramSnapshot::kNumBuckets; ++b) {
-          cumulative += entry.hist.buckets[b];
-          if (entry.hist.buckets[b] == 0 &&
-              b + 1 < HistogramSnapshot::kNumBuckets) {
-            continue;  // sparse render; cumulative series stays correct
-          }
-          const std::string le =
-              b + 1 < HistogramSnapshot::kNumBuckets
-                  ? std::to_string(HistogramSnapshot::BucketUpperBound(b))
-                  : "+Inf";
-          AppendSeries(name, "_bucket", "{le=\"" + le + "\"}",
-                       std::to_string(cumulative), &out);
-        }
-        AppendSeries(name, "_sum", "", std::to_string(entry.hist.sum), &out);
-        AppendSeries(name, "_count", "", std::to_string(entry.hist.count),
-                     &out);
-        break;
-      }
       case MetricKind::kSketch: {
         if (!options.include_zero && entry.sketch.count() == 0) continue;
         out += "# TYPE " + name + " summary\n";

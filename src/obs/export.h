@@ -28,8 +28,6 @@ std::string MangleMetricName(std::string_view name);
 /// OpenMetrics scraper):
 ///  - counters as `<name>_total`,
 ///  - gauges plain,
-///  - log2 histograms as classic histograms (`_bucket{le="..."}`
-///    cumulative series, `_sum`, `_count`),
 ///  - latency sketches as summaries (`{quantile="0.5|0.9|0.99|0.999"}`
 ///    plus `_sum`/`_count`) — quantiles carry the sketch's alpha bound.
 std::string ToOpenMetrics(const MetricsSnapshot& snapshot,

@@ -9,12 +9,17 @@
 #include <sstream>
 
 #include "obs/metrics.h"
-#include "obs/trace.h"
 
 namespace logmine::obs {
 namespace {
 
 std::atomic<uint64_t> g_next_journal{1};
+
+std::chrono::steady_clock::time_point ProcessEpoch() {
+  static const std::chrono::steady_clock::time_point epoch =
+      std::chrono::steady_clock::now();
+  return epoch;
+}
 
 void AppendEscaped(std::string_view s, std::string* out) {
   *out += '"';
@@ -122,6 +127,19 @@ bool ExtractString(std::string_view line, std::string_view key,
 }
 
 }  // namespace
+
+int64_t MonotonicNowNs() {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(
+             std::chrono::steady_clock::now() - ProcessEpoch())
+      .count();
+}
+
+uint32_t CurrentTraceThreadId() {
+  static std::atomic<uint32_t> next{1};
+  thread_local const uint32_t tid =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return tid;
+}
 
 JournalField JournalField::Str(std::string_view key, std::string_view value) {
   JournalField field;
@@ -265,10 +283,16 @@ std::string JournalToChromeTrace(std::string_view jsonl) {
     first = false;
     std::string name;
     AppendEscaped(span + " " + event, &name);
+    // An event is stamped when its scope closes: a span starts dur_ns
+    // before its own timestamp. Both ends are rounded to microseconds
+    // separately, so nesting in nanoseconds stays nesting in the trace.
+    const int64_t end_us = ts_ns / 1000;
+    const int64_t start_us = complete ? (ts_ns - dur_ns) / 1000 : end_us;
     out += "{\"name\":" + name + ",\"pid\":1,\"tid\":" +
-           std::to_string(tid) + ",\"ts\":" + std::to_string(ts_ns / 1000);
+           std::to_string(tid) + ",\"ts\":" + std::to_string(start_us);
     if (complete) {
-      out += ",\"ph\":\"X\",\"dur\":" + std::to_string(dur_ns / 1000) + "}";
+      out += ",\"ph\":\"X\",\"dur\":" + std::to_string(end_us - start_us) +
+             "}";
     } else {
       out += ",\"ph\":\"i\",\"s\":\"t\"}";
     }

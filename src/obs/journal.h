@@ -16,6 +16,14 @@ namespace logmine::obs {
 
 class MetricsRegistry;
 
+/// Nanoseconds on the process-wide steady clock, relative to the first
+/// call (so journal timestamps are small and monotonic). Thread-safe.
+int64_t MonotonicNowNs();
+
+/// Small dense id of the calling thread (assigned on first use, stable
+/// for the thread's lifetime) — the `tid` of every span event.
+uint32_t CurrentTraceThreadId();
+
 /// One typed key/value of a journal event. Values are pre-rendered JSON
 /// fragments so emission is a single concatenation; build them through
 /// the factories, never by hand.
@@ -43,14 +51,15 @@ struct JournalOptions {
   size_t tail_capacity = 256;
 };
 
-/// Crash-safe structured event journal: every stage / shard / epoch /
-/// publish / quarantine / retry / breaker / health boundary appends one
-/// wide JSONL event carrying the process-unique `run_id` and a
-/// hierarchical span id ("sweep-1/d0.r2/a1"), flushed line-by-line so
-/// the file is truthful up to the last boundary even after SIGKILL.
-/// The trace ring answers "what was hot"; the journal answers "what
-/// happened, in which attempt of which shard of which run" — and, being
-/// on disk, survives the process.
+/// Crash-safe structured event journal, the library's one event model:
+/// every stage / shard / epoch / publish / quarantine / retry / breaker
+/// / health boundary appends one wide JSONL event carrying the
+/// process-unique `run_id` and a hierarchical span id
+/// ("sweep-1/d0.r2/a1"), flushed line-by-line so the file is truthful
+/// up to the last boundary even after SIGKILL. An event that closes a
+/// timed scope carries `dur_ns` (its `ts_ns` is the scope's end), so the
+/// same stream answers both "what happened, in which attempt of which
+/// shard of which run" and "what was hot" (JournalToChromeTrace).
 ///
 /// Thread-safe: one short mutex per event; events are boundary-granular
 /// (per stage/epoch, never per log line), so the lock is cold.
@@ -105,9 +114,10 @@ class Journal {
 
 /// Converts journal JSONL (one run's worth) into Chrome/Perfetto
 /// `trace_event` JSON: events carrying a `dur_ns` field become complete
-/// "X" spans, all others instant events, named "span event" and grouped
-/// by root span. Lines that do not parse are skipped (a torn final line
-/// after a crash is expected, not an error).
+/// "X" spans covering [ts_ns - dur_ns, ts_ns], all others instant
+/// events, named "span event" and grouped by root span. Lines that do
+/// not parse are skipped (a torn final line after a crash is expected,
+/// not an error).
 std::string JournalToChromeTrace(std::string_view jsonl);
 
 /// Reads `journal_path` and writes the converted trace to `trace_path`.

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/snapshot.h"
-
 namespace logmine::obs {
 
 LatencySketch::LatencySketch(double alpha) : alpha_(alpha) {
@@ -107,50 +105,6 @@ int64_t LatencySketch::Quantile(double q) const {
 void LatencySketch::Clear() {
   count_ = sum_ = min_ = max_ = zero_count_ = 0;
   buckets_.clear();
-}
-
-void LatencySketch::Encode(SnapshotWriter* writer) const {
-  writer->PutDouble(alpha_);
-  writer->PutI64(count_);
-  writer->PutI64(sum_);
-  writer->PutI64(min_);
-  writer->PutI64(max_);
-  writer->PutI64(zero_count_);
-  writer->PutU64(buckets_.size());
-  for (const auto& [index, bucket_count] : buckets_) {
-    writer->PutI64(index);
-    writer->PutI64(bucket_count);
-  }
-}
-
-bool LatencySketch::Decode(SectionCursor* cursor, LatencySketch* out) {
-  auto alpha = cursor->ReadDouble();
-  if (!alpha.ok()) return false;
-  LatencySketch sketch(alpha.value());
-  auto read = [&](int64_t* slot) {
-    auto v = cursor->ReadI64();
-    if (!v.ok()) return false;
-    *slot = v.value();
-    return true;
-  };
-  if (!read(&sketch.count_) || !read(&sketch.sum_) || !read(&sketch.min_) ||
-      !read(&sketch.max_) || !read(&sketch.zero_count_)) {
-    return false;
-  }
-  auto n = cursor->ReadU64();
-  if (!n.ok()) return false;
-  sketch.buckets_.reserve(n.value());
-  int32_t previous_index = INT32_MIN;
-  for (uint64_t i = 0; i < n.value(); ++i) {
-    int64_t index = 0, bucket_count = 0;
-    if (!read(&index) || !read(&bucket_count)) return false;
-    if (index <= previous_index || bucket_count < 0) return false;  // corrupt
-    previous_index = static_cast<int32_t>(index);
-    sketch.buckets_.push_back(
-        {static_cast<int32_t>(index), bucket_count});
-  }
-  *out = std::move(sketch);
-  return true;
 }
 
 }  // namespace logmine::obs

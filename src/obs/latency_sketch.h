@@ -5,11 +5,6 @@
 #include <string>
 #include <vector>
 
-namespace logmine {
-class SnapshotWriter;
-class SectionCursor;
-}  // namespace logmine
-
 namespace logmine::obs {
 
 /// Mergeable bounded-relative-error quantile sketch (the DDSketch
@@ -17,12 +12,11 @@ namespace logmine::obs {
 /// gamma = (1 + alpha) / (1 - alpha), so any quantile estimate is
 /// within `alpha` *relative* error of some actually-observed value —
 /// p999 of a microsecond-to-minutes latency distribution is as accurate
-/// as p50, which the log2 histograms (one power of two ≈ 100% error)
-/// cannot offer.
+/// as p50, which log2 histograms (one power of two ≈ 100% error) cannot
+/// offer.
 ///
 /// Merge is bucket-wise integer addition: exact, associative and
-/// commutative, so per-thread registry shards, per-shard sweep
-/// durations and cross-process partials all combine into the same
+/// commutative, so per-thread registry shards combine into the same
 /// sketch regardless of merge order or thread count — the same
 /// contract `MergePartialModels` keeps for models.
 ///
@@ -66,11 +60,6 @@ class LatencySketch {
   size_t num_buckets() const { return buckets_.size(); }
 
   void Clear();
-
-  /// Snapshot-container round-trip (util/snapshot.h), so sketches ride
-  /// postmortem bundles and shipped partials.
-  void Encode(SnapshotWriter* writer) const;
-  static bool Decode(SectionCursor* cursor, LatencySketch* out);
 
  private:
   /// Bucket index of a positive value: ceil(log(v) / log(gamma)),

@@ -1,9 +1,8 @@
 #include "obs/metrics.h"
 
 #include <algorithm>
-#include <bit>
+#include <array>
 #include <cassert>
-#include <cmath>
 #include <sstream>
 
 #include "util/table_printer.h"
@@ -29,58 +28,58 @@ constexpr MetricDef kMetricDefs[] = {
     {"ingest.quarantined.bad_severity", MetricKind::kCounter},
     {"ingest.quarantined.empty_source", MetricKind::kCounter},
     {"ingest.quarantined.truncated_line", MetricKind::kCounter},
-    {"ingest.decode_ns", MetricKind::kHistogram},
+    {"ingest.decode_ns", MetricKind::kSketch},
     {"ingest.parallel_decodes", MetricKind::kCounter},
     {"ingest.chunks_decoded", MetricKind::kCounter},
     {"ingest.columnar_reads", MetricKind::kCounter},
     {"ingest.columnar_writes", MetricKind::kCounter},
     {"ingest.columnar_bytes_read", MetricKind::kCounter},
-    {"ingest.columnar_read_ns", MetricKind::kHistogram},
-    {"ingest.columnar_write_ns", MetricKind::kHistogram},
+    {"ingest.columnar_read_ns", MetricKind::kSketch},
+    {"ingest.columnar_write_ns", MetricKind::kSketch},
     {"store.index_builds", MetricKind::kCounter},
     {"store.records_indexed", MetricKind::kCounter},
-    {"store.index_build_ns", MetricKind::kHistogram},
+    {"store.index_build_ns", MetricKind::kSketch},
     {"store.range_queries", MetricKind::kCounter},
     {"l1.runs", MetricKind::kCounter},
     {"l1.slots_total", MetricKind::kCounter},
     {"l1.slot_tests", MetricKind::kCounter},
     {"l1.pairs_tested", MetricKind::kCounter},
     {"l1.pairs_pruned", MetricKind::kCounter},
-    {"l1.mine_ns", MetricKind::kHistogram},
+    {"l1.mine_ns", MetricKind::kSketch},
     {"l2.runs", MetricKind::kCounter},
     {"l2.sessions_built", MetricKind::kCounter},
     {"l2.session_logs_assigned", MetricKind::kCounter},
     {"l2.bigrams_counted", MetricKind::kCounter},
     {"l2.pairs_scored", MetricKind::kCounter},
-    {"l2.session_build_ns", MetricKind::kHistogram},
-    {"l2.mine_ns", MetricKind::kHistogram},
+    {"l2.session_build_ns", MetricKind::kSketch},
+    {"l2.mine_ns", MetricKind::kSketch},
     {"l3.runs", MetricKind::kCounter},
     {"l3.logs_scanned", MetricKind::kCounter},
     {"l3.logs_stopped", MetricKind::kCounter},
     {"l3.citations_counted", MetricKind::kCounter},
-    {"l3.mine_ns", MetricKind::kHistogram},
+    {"l3.mine_ns", MetricKind::kSketch},
     {"agrawal.runs", MetricKind::kCounter},
-    {"agrawal.mine_ns", MetricKind::kHistogram},
+    {"agrawal.mine_ns", MetricKind::kSketch},
     {"executor.tasks_submitted", MetricKind::kCounter},
     {"executor.tasks_completed", MetricKind::kCounter},
     {"executor.parallel_loops", MetricKind::kCounter},
     {"executor.indices_skipped", MetricKind::kCounter},
     {"executor.queue_depth", MetricKind::kGauge},
     {"executor.saturation", MetricKind::kCounter},
-    {"executor.task_ns", MetricKind::kHistogram},
+    {"executor.task_ns", MetricKind::kSketch},
     {"executor.queue_wait_ns", MetricKind::kSketch},
     {"pipeline.runs", MetricKind::kCounter},
     {"pipeline.miners_ok", MetricKind::kCounter},
     {"pipeline.miners_failed", MetricKind::kCounter},
-    {"pipeline.run_ns", MetricKind::kHistogram},
+    {"pipeline.run_ns", MetricKind::kSketch},
     {"eval.days_mined", MetricKind::kCounter},
-    {"eval.day_ns", MetricKind::kHistogram},
+    {"eval.day_ns", MetricKind::kSketch},
     {"checkpoint.snapshots_written", MetricKind::kCounter},
     {"checkpoint.bytes_written", MetricKind::kCounter},
-    {"checkpoint.write_ns", MetricKind::kHistogram},
+    {"checkpoint.write_ns", MetricKind::kSketch},
     {"checkpoint.snapshots_read", MetricKind::kCounter},
     {"checkpoint.bytes_read", MetricKind::kCounter},
-    {"checkpoint.read_ns", MetricKind::kHistogram},
+    {"checkpoint.read_ns", MetricKind::kSketch},
     {"checkpoint.generations_discarded", MetricKind::kCounter},
     {"retry.attempts", MetricKind::kCounter},
     {"retry.backoff_ms_total", MetricKind::kCounter},
@@ -107,7 +106,7 @@ constexpr MetricDef kMetricDefs[] = {
     {"serve.recoveries", MetricKind::kCounter},
     {"serve.clock_regressions", MetricKind::kCounter},
     {"serve.health_transitions", MetricKind::kCounter},
-    {"serve.ingest_ns", MetricKind::kHistogram},
+    {"serve.ingest_ns", MetricKind::kSketch},
     {"serve.publish_ns", MetricKind::kSketch},
     {"serve.query_ns", MetricKind::kSketch},
     {"journal.events_emitted", MetricKind::kCounter},
@@ -130,27 +129,16 @@ constexpr MetricsRegistry::MetricId EncodeId(MetricKind kind, size_t slot) {
          static_cast<uint32_t>(slot);
 }
 
-// Precomputed enum -> encoded id table: scalar, histogram and sketch
-// slots each count up in enum order.
+// Precomputed enum -> encoded id table: scalar and sketch slots each
+// count up in enum order.
 constexpr auto kWellKnownIds = [] {
   std::array<MetricsRegistry::MetricId, kNumWellKnownMetrics> ids{};
   size_t scalars = 0;
-  size_t histograms = 0;
   size_t sketches = 0;
   for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
     const MetricKind kind = kMetricDefs[i].kind;
-    size_t slot = 0;
-    switch (kind) {
-      case MetricKind::kHistogram:
-        slot = histograms++;
-        break;
-      case MetricKind::kSketch:
-        slot = sketches++;
-        break;
-      default:
-        slot = scalars++;
-    }
-    ids[i] = EncodeId(kind, slot);
+    ids[i] = EncodeId(kind,
+                      kind == MetricKind::kSketch ? sketches++ : scalars++);
   }
   return ids;
 }();
@@ -163,14 +151,11 @@ constexpr size_t CountOfKind(MetricKind kind) {
   return n;
 }
 
-constexpr size_t kWellKnownHistograms = CountOfKind(MetricKind::kHistogram);
 constexpr size_t kWellKnownSketches = CountOfKind(MetricKind::kSketch);
-constexpr size_t kWellKnownScalars =
-    kNumWellKnownMetrics - kWellKnownHistograms - kWellKnownSketches;
+constexpr size_t kWellKnownScalars = kNumWellKnownMetrics - kWellKnownSketches;
 
 // The default capacities must fit every built-in metric with headroom.
 static_assert(kWellKnownScalars <= MetricsOptions{}.max_scalars);
-static_assert(kWellKnownHistograms <= MetricsOptions{}.max_histograms);
 static_assert(kWellKnownSketches <= MetricsOptions{}.max_sketches);
 
 std::atomic<uint64_t> g_next_registry_id{1};
@@ -217,8 +202,6 @@ std::string_view MetricKindName(MetricKind kind) {
       return "counter";
     case MetricKind::kGauge:
       return "gauge";
-    case MetricKind::kHistogram:
-      return "histogram";
     case MetricKind::kSketch:
       return "sketch";
   }
@@ -237,36 +220,6 @@ MetricsRegistry::MetricId WellKnownId(Metric metric) {
   return kWellKnownIds[static_cast<size_t>(metric)];
 }
 
-size_t HistogramSnapshot::BucketOf(int64_t value) {
-  if (value <= 1) return 0;
-  const auto width =
-      static_cast<size_t>(std::bit_width(static_cast<uint64_t>(value - 1)));
-  return std::min(width, kNumBuckets - 1);
-}
-
-int64_t HistogramSnapshot::BucketUpperBound(size_t i) {
-  if (i + 1 >= kNumBuckets) return INT64_MAX;
-  return int64_t{1} << i;
-}
-
-int64_t HistogramSnapshot::QuantileUpperBound(double q) const {
-  if (count == 0) return 0;
-  // Nearest-rank: the first bucket whose cumulative count covers
-  // ceil(q * count) observations (clamped to [1, count]). Clamping the
-  // bucket bound to the recorded max keeps single-observation (and
-  // top-bucket) estimates at the observed value instead of the bucket's
-  // nominal bound — the top bucket would otherwise export INT64_MAX.
-  const auto rank = std::clamp<int64_t>(
-      static_cast<int64_t>(std::ceil(q * static_cast<double>(count))), 1,
-      count);
-  int64_t seen = 0;
-  for (size_t i = 0; i < kNumBuckets; ++i) {
-    seen += buckets[i];
-    if (seen >= rank) return std::min(BucketUpperBound(i), max);
-  }
-  return std::min(BucketUpperBound(kNumBuckets - 1), max);
-}
-
 const MetricsSnapshot::Entry* MetricsSnapshot::Find(
     std::string_view name) const {
   for (const Entry& entry : entries) {
@@ -278,26 +231,14 @@ const MetricsSnapshot::Entry* MetricsSnapshot::Find(
 int64_t MetricsSnapshot::Value(std::string_view name) const {
   const Entry* entry = Find(name);
   if (entry == nullptr) return 0;
-  switch (entry->kind) {
-    case MetricKind::kHistogram:
-      return entry->hist.count;
-    case MetricKind::kSketch:
-      return entry->sketch.count();
-    default:
-      return entry->value;
-  }
+  return entry->kind == MetricKind::kSketch ? entry->sketch.count()
+                                            : entry->value;
 }
 
 std::string MetricsSnapshot::ToText(bool include_zero) const {
   TablePrinter table({"metric", "kind", "value", "mean", "p99"});
   for (const Entry& entry : entries) {
-    if (entry.kind == MetricKind::kHistogram) {
-      if (!include_zero && entry.hist.count == 0) continue;
-      table.AddRow({entry.name, std::string(MetricKindName(entry.kind)),
-                    std::to_string(entry.hist.count),
-                    FormatNs(static_cast<int64_t>(entry.hist.mean())),
-                    FormatNs(entry.hist.QuantileUpperBound(0.99))});
-    } else if (entry.kind == MetricKind::kSketch) {
+    if (entry.kind == MetricKind::kSketch) {
       if (!include_zero && entry.sketch.count() == 0) continue;
       table.AddRow({entry.name, std::string(MetricKindName(entry.kind)),
                     std::to_string(entry.sketch.count()),
@@ -320,22 +261,7 @@ std::string MetricsSnapshot::ToJson() const {
     first = false;
     AppendJsonString(entry.name, &out);
     out += ": ";
-    if (entry.kind == MetricKind::kHistogram) {
-      out += "{\"count\": " + std::to_string(entry.hist.count) +
-             ", \"sum\": " + std::to_string(entry.hist.sum) +
-             ", \"mean\": " + std::to_string(entry.hist.mean()) +
-             ", \"max\": " + std::to_string(entry.hist.max) +
-             ", \"p50\": " +
-             std::to_string(entry.hist.QuantileUpperBound(0.5)) +
-             ", \"p99\": " +
-             std::to_string(entry.hist.QuantileUpperBound(0.99)) +
-             ", \"buckets\": [";
-      for (size_t i = 0; i < HistogramSnapshot::kNumBuckets; ++i) {
-        if (i > 0) out += ", ";
-        out += std::to_string(entry.hist.buckets[i]);
-      }
-      out += "]}";
-    } else if (entry.kind == MetricKind::kSketch) {
+    if (entry.kind == MetricKind::kSketch) {
       const LatencySketch& sketch = entry.sketch;
       out += "{\"count\": " + std::to_string(sketch.count()) +
              ", \"sum\": " + std::to_string(sketch.sum()) +
@@ -362,15 +288,6 @@ std::string MetricsSnapshot::ToJson() const {
 // (sparse-table inserts) — which the owning thread holds for nanoseconds
 // and a snapshot holds per-slot while merging.
 struct MetricsRegistry::Shard {
-  struct Hist {
-    std::array<std::atomic<int64_t>, HistogramSnapshot::kNumBuckets>
-        buckets{};
-    std::atomic<int64_t> count{0};
-    std::atomic<int64_t> sum{0};
-    // Running maximum. The owning thread is the only writer, so a
-    // load-compare-store (no CAS) is race-free; snapshots read relaxed.
-    std::atomic<int64_t> max{INT64_MIN};
-  };
   struct SketchSlot {
     std::mutex mu;
     LatencySketch sketch;
@@ -378,7 +295,6 @@ struct MetricsRegistry::Shard {
 
   explicit Shard(const MetricsOptions& options)
       : scalars(new std::atomic<int64_t>[options.max_scalars]),
-        histograms(new Hist[options.max_histograms]),
         sketches(new SketchSlot[options.max_sketches]) {
     for (size_t i = 0; i < options.max_scalars; ++i) {
       scalars[i].store(0, std::memory_order_relaxed);
@@ -389,7 +305,6 @@ struct MetricsRegistry::Shard {
   }
 
   std::unique_ptr<std::atomic<int64_t>[]> scalars;
-  std::unique_ptr<Hist[]> histograms;
   std::unique_ptr<SketchSlot[]> sketches;
 };
 
@@ -398,23 +313,16 @@ MetricsRegistry::MetricsRegistry(const MetricsOptions& options)
                                                 std::memory_order_relaxed)),
       options_(options) {
   assert(options_.max_scalars >= kWellKnownScalars);
-  assert(options_.max_histograms >= kWellKnownHistograms);
   assert(options_.max_sketches >= kWellKnownSketches);
   scalar_names_.reserve(options_.max_scalars);
   scalar_kinds_.reserve(options_.max_scalars);
-  histogram_names_.reserve(options_.max_histograms);
   sketch_names_.reserve(options_.max_sketches);
   for (const MetricDef& def : kMetricDefs) {
-    switch (def.kind) {
-      case MetricKind::kHistogram:
-        histogram_names_.emplace_back(def.name);
-        break;
-      case MetricKind::kSketch:
-        sketch_names_.emplace_back(def.name);
-        break;
-      default:
-        scalar_names_.emplace_back(def.name);
-        scalar_kinds_.push_back(def.kind);
+    if (def.kind == MetricKind::kSketch) {
+      sketch_names_.emplace_back(def.name);
+    } else {
+      scalar_names_.emplace_back(def.name);
+      scalar_kinds_.push_back(def.kind);
     }
   }
 }
@@ -446,7 +354,7 @@ MetricsRegistry::Shard* MetricsRegistry::LocalShard() const {
 Result<MetricsRegistry::MetricId> MetricsRegistry::RegisterNamed(
     std::string_view name, MetricKind kind) {
   std::lock_guard<std::mutex> lock(mu_);
-  // Each name lives in exactly one of the three slot families; a hit in
+  // Each name lives in exactly one of the two slot families; a hit in
   // the right family with the right kind returns the existing id, a hit
   // anywhere else is a kind conflict.
   const auto find_in = [&name](const std::vector<std::string>& names) {
@@ -456,7 +364,6 @@ Result<MetricsRegistry::MetricId> MetricsRegistry::RegisterNamed(
     return int64_t{-1};
   };
   const int64_t in_scalars = find_in(scalar_names_);
-  const int64_t in_histograms = find_in(histogram_names_);
   const int64_t in_sketches = find_in(sketch_names_);
   const auto conflict = [&name]() {
     return Status::AlreadyExists("metric '" + std::string(name) +
@@ -468,45 +375,30 @@ Result<MetricsRegistry::MetricId> MetricsRegistry::RegisterNamed(
         "': " + std::string(family) + " cap " + std::to_string(cap) +
         " is full (raise MetricsOptions)");
   };
-  switch (kind) {
-    case MetricKind::kHistogram: {
-      if (in_histograms >= 0) {
-        return EncodeId(kind, static_cast<size_t>(in_histograms));
-      }
-      if (in_scalars >= 0 || in_sketches >= 0) return conflict();
-      if (histogram_names_.size() >= options_.max_histograms) {
-        return exhausted("histogram", options_.max_histograms);
-      }
-      histogram_names_.emplace_back(name);
-      return EncodeId(kind, histogram_names_.size() - 1);
+  if (kind == MetricKind::kSketch) {
+    if (in_sketches >= 0) {
+      return EncodeId(kind, static_cast<size_t>(in_sketches));
     }
-    case MetricKind::kSketch: {
-      if (in_sketches >= 0) {
-        return EncodeId(kind, static_cast<size_t>(in_sketches));
-      }
-      if (in_scalars >= 0 || in_histograms >= 0) return conflict();
-      if (sketch_names_.size() >= options_.max_sketches) {
-        return exhausted("sketch", options_.max_sketches);
-      }
-      sketch_names_.emplace_back(name);
-      return EncodeId(kind, sketch_names_.size() - 1);
+    if (in_scalars >= 0) return conflict();
+    if (sketch_names_.size() >= options_.max_sketches) {
+      return exhausted("sketch", options_.max_sketches);
     }
-    default: {
-      if (in_scalars >= 0) {
-        return scalar_kinds_[static_cast<size_t>(in_scalars)] == kind
-                   ? Result<MetricId>(
-                         EncodeId(kind, static_cast<size_t>(in_scalars)))
-                   : Result<MetricId>(conflict());
-      }
-      if (in_histograms >= 0 || in_sketches >= 0) return conflict();
-      if (scalar_names_.size() >= options_.max_scalars) {
-        return exhausted("scalar", options_.max_scalars);
-      }
-      scalar_names_.emplace_back(name);
-      scalar_kinds_.push_back(kind);
-      return EncodeId(kind, scalar_names_.size() - 1);
-    }
+    sketch_names_.emplace_back(name);
+    return EncodeId(kind, sketch_names_.size() - 1);
   }
+  if (in_scalars >= 0) {
+    return scalar_kinds_[static_cast<size_t>(in_scalars)] == kind
+               ? Result<MetricId>(
+                     EncodeId(kind, static_cast<size_t>(in_scalars)))
+               : Result<MetricId>(conflict());
+  }
+  if (in_sketches >= 0) return conflict();
+  if (scalar_names_.size() >= options_.max_scalars) {
+    return exhausted("scalar", options_.max_scalars);
+  }
+  scalar_names_.emplace_back(name);
+  scalar_kinds_.push_back(kind);
+  return EncodeId(kind, scalar_names_.size() - 1);
 }
 
 Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterCounter(
@@ -517,11 +409,6 @@ Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterCounter(
 Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterGauge(
     std::string_view name) {
   return RegisterNamed(name, MetricKind::kGauge);
-}
-
-Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterHistogram(
-    std::string_view name) {
-  return RegisterNamed(name, MetricKind::kHistogram);
 }
 
 Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterSketch(
@@ -539,11 +426,6 @@ MetricsRegistry::MetricId MetricsRegistry::RegisterGauge(
   return TryRegisterGauge(name).value_or(kInvalidMetricId);
 }
 
-MetricsRegistry::MetricId MetricsRegistry::RegisterHistogram(
-    std::string_view name) {
-  return TryRegisterHistogram(name).value_or(kInvalidMetricId);
-}
-
 MetricsRegistry::MetricId MetricsRegistry::RegisterSketch(
     std::string_view name) {
   return TryRegisterSketch(name).value_or(kInvalidMetricId);
@@ -553,9 +435,8 @@ void MetricsRegistry::Add(MetricId id, int64_t delta) {
   if (id == kInvalidMetricId) return;
   const size_t slot = id & kSlotMask;
   const MetricKind kind = KindOfId(id);
-  // A histogram/sketch id (or a corrupted slot) must not index the
-  // scalar array; dropping the write is the lock-free path's only safe
-  // option.
+  // A sketch id (or a corrupted slot) must not index the scalar array;
+  // dropping the write is the lock-free path's only safe option.
   assert(kind == MetricKind::kCounter || kind == MetricKind::kGauge);
   if (slot >= options_.max_scalars ||
       (kind != MetricKind::kCounter && kind != MetricKind::kGauge)) {
@@ -572,27 +453,13 @@ void MetricsRegistry::Observe(MetricId id, int64_t value) {
   if (id == kInvalidMetricId) return;
   const size_t slot = id & kSlotMask;
   const MetricKind kind = KindOfId(id);
-  // Observing a counter/gauge id would index the (smaller) distribution
-  // arrays with a scalar slot — drop it instead of corrupting the shard.
-  assert(kind == MetricKind::kHistogram || kind == MetricKind::kSketch);
-  if (kind == MetricKind::kSketch) {
-    if (slot >= options_.max_sketches) return;
-    Shard::SketchSlot& sketch_slot = LocalShard()->sketches[slot];
-    std::lock_guard<std::mutex> lock(sketch_slot.mu);
-    sketch_slot.sketch.Observe(value);
-    return;
-  }
-  if (kind != MetricKind::kHistogram || slot >= options_.max_histograms) {
-    return;
-  }
-  Shard::Hist& hist = LocalShard()->histograms[slot];
-  hist.buckets[HistogramSnapshot::BucketOf(value)].fetch_add(
-      1, std::memory_order_relaxed);
-  hist.count.fetch_add(1, std::memory_order_relaxed);
-  hist.sum.fetch_add(value, std::memory_order_relaxed);
-  if (value > hist.max.load(std::memory_order_relaxed)) {
-    hist.max.store(value, std::memory_order_relaxed);
-  }
+  // Observing a counter/gauge id would index the (smaller) sketch array
+  // with a scalar slot — drop it instead of corrupting the shard.
+  assert(kind == MetricKind::kSketch);
+  if (kind != MetricKind::kSketch || slot >= options_.max_sketches) return;
+  Shard::SketchSlot& sketch_slot = LocalShard()->sketches[slot];
+  std::lock_guard<std::mutex> lock(sketch_slot.mu);
+  sketch_slot.sketch.Observe(value);
 }
 
 void MetricsRegistry::Observe(Metric metric, int64_t value) {
@@ -602,31 +469,13 @@ void MetricsRegistry::Observe(Metric metric, int64_t value) {
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   MetricsSnapshot snapshot;
-  snapshot.entries.reserve(scalar_names_.size() + histogram_names_.size() +
-                           sketch_names_.size());
+  snapshot.entries.reserve(scalar_names_.size() + sketch_names_.size());
   std::vector<int64_t> scalars(scalar_names_.size(), 0);
-  std::vector<HistogramSnapshot> histograms(histogram_names_.size());
   std::vector<LatencySketch> sketches(
       sketch_names_.size(), LatencySketch(options_.sketch_alpha));
   for (const std::unique_ptr<Shard>& shard : shards_) {
     for (size_t i = 0; i < scalars.size(); ++i) {
       scalars[i] += shard->scalars[i].load(std::memory_order_relaxed);
-    }
-    for (size_t i = 0; i < histograms.size(); ++i) {
-      const Shard::Hist& hist = shard->histograms[i];
-      const int64_t shard_count = hist.count.load(std::memory_order_relaxed);
-      if (shard_count > 0) {
-        const int64_t shard_max = hist.max.load(std::memory_order_relaxed);
-        if (histograms[i].count == 0 || shard_max > histograms[i].max) {
-          histograms[i].max = shard_max;
-        }
-      }
-      histograms[i].count += shard_count;
-      histograms[i].sum += hist.sum.load(std::memory_order_relaxed);
-      for (size_t b = 0; b < HistogramSnapshot::kNumBuckets; ++b) {
-        histograms[i].buckets[b] +=
-            hist.buckets[b].load(std::memory_order_relaxed);
-      }
     }
     for (size_t i = 0; i < sketches.size(); ++i) {
       Shard::SketchSlot& slot = shard->sketches[i];
@@ -639,13 +488,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
     entry.name = scalar_names_[i];
     entry.kind = scalar_kinds_[i];
     entry.value = scalars[i];
-    snapshot.entries.push_back(std::move(entry));
-  }
-  for (size_t i = 0; i < histograms.size(); ++i) {
-    MetricsSnapshot::Entry entry;
-    entry.name = histogram_names_[i];
-    entry.kind = MetricKind::kHistogram;
-    entry.hist = histograms[i];
     snapshot.entries.push_back(std::move(entry));
   }
   for (size_t i = 0; i < sketches.size(); ++i) {

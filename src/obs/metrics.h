@@ -1,7 +1,6 @@
 #ifndef LOGMINE_OBS_METRICS_H_
 #define LOGMINE_OBS_METRICS_H_
 
-#include <array>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -16,16 +15,13 @@
 namespace logmine::obs {
 
 /// What a metric measures. Counters are monotonic sums, gauges are
-/// up/down sums (e.g. a queue depth maintained by +1/-1 deltas),
-/// histograms are fixed log2-bucket latency distributions, and sketches
-/// are mergeable bounded-relative-error quantile sketches
-/// (obs/latency_sketch.h) — the tail-accurate replacement the serve
-/// and sweep latency metrics use.
+/// up/down sums (e.g. a queue depth maintained by +1/-1 deltas), and
+/// sketches are mergeable bounded-relative-error quantile sketches
+/// (obs/latency_sketch.h) — every latency distribution in the library.
 enum class MetricKind : uint32_t {
   kCounter = 0,
   kGauge = 1,
-  kHistogram = 2,
-  kSketch = 3,
+  kSketch = 2,
 };
 
 std::string_view MetricKindName(MetricKind kind);
@@ -159,36 +155,6 @@ inline constexpr size_t kNumWellKnownMetrics =
 std::string_view MetricName(Metric metric);
 MetricKind MetricKindOf(Metric metric);
 
-/// One histogram's merged state: log2 buckets (bucket 0 holds values
-/// <= 1, bucket i holds [2^(i-1), 2^i), the last bucket everything
-/// larger), plus exact count and sum, so averages are not bucketed.
-struct HistogramSnapshot {
-  static constexpr size_t kNumBuckets = 32;
-
-  int64_t count = 0;
-  int64_t sum = 0;
-  /// Largest value observed; meaningful only when count > 0. Quantile
-  /// estimates clamp to it, so a lone observation landing in a wide
-  /// bucket (or the open-ended top bucket) reports its own value rather
-  /// than the bucket's nominal bound (INT64_MAX for the top bucket).
-  int64_t max = 0;
-  std::array<int64_t, kNumBuckets> buckets{};
-
-  /// Bucket a value falls into (shared with the live registry).
-  static size_t BucketOf(int64_t value);
-  /// Inclusive upper bound of bucket `i` (INT64_MAX for the last).
-  static int64_t BucketUpperBound(size_t i);
-
-  double mean() const {
-    return count == 0 ? 0.0
-                      : static_cast<double>(sum) / static_cast<double>(count);
-  }
-  /// Upper bound of the bucket holding quantile `q` in [0, 1], clamped
-  /// to the recorded maximum — an upper estimate good to one power of
-  /// two that never exceeds any actually-observed value. 0 when empty.
-  int64_t QuantileUpperBound(double q) const;
-};
-
 /// Point-in-time merged view of a registry, in registration order
 /// (well-known metrics first), so exports are deterministic for any
 /// thread count.
@@ -197,7 +163,6 @@ struct MetricsSnapshot {
     std::string name;
     MetricKind kind = MetricKind::kCounter;
     int64_t value = 0;         ///< counters and gauges
-    HistogramSnapshot hist;    ///< histograms only
     LatencySketch sketch;      ///< sketches only
   };
 
@@ -205,15 +170,13 @@ struct MetricsSnapshot {
 
   /// Entry by export name; nullptr when absent.
   const Entry* Find(std::string_view name) const;
-  /// Scalar value by name; 0 when absent (histograms and sketches: the
-  /// count).
+  /// Scalar value by name; 0 when absent (sketches: the count).
   int64_t Value(std::string_view name) const;
 
   /// Aligned table (util/table_printer) of every non-zero metric:
   /// metric | kind | value | mean_ns | p99_ns.
   std::string ToText(bool include_zero = false) const;
-  /// One JSON object: scalars as numbers, histograms as
-  /// {"count","sum","mean","p50","p99","buckets":[...]}, sketches as
+  /// One JSON object: scalars as numbers, sketches as
   /// {"count","sum","mean","min","max","p50","p90","p99","p999",
   ///  "alpha"}.
   std::string ToJson() const;
@@ -227,8 +190,7 @@ struct MetricsSnapshot {
 /// locks and resize races.
 struct MetricsOptions {
   size_t max_scalars = 160;
-  size_t max_histograms = 48;
-  size_t max_sketches = 16;
+  size_t max_sketches = 48;
   /// Relative accuracy of every sketch metric (see LatencySketch).
   double sketch_alpha = LatencySketch::kDefaultAlpha;
 };
@@ -265,7 +227,6 @@ class MetricsRegistry {
   /// full, kAlreadyExists when the name exists with a different kind.
   Result<MetricId> TryRegisterCounter(std::string_view name);
   Result<MetricId> TryRegisterGauge(std::string_view name);
-  Result<MetricId> TryRegisterHistogram(std::string_view name);
   Result<MetricId> TryRegisterSketch(std::string_view name);
 
   /// Lenient forms: kInvalidMetricId on any failure (writes to an
@@ -273,7 +234,6 @@ class MetricsRegistry {
   /// over failing a run.
   MetricId RegisterCounter(std::string_view name);
   MetricId RegisterGauge(std::string_view name);
-  MetricId RegisterHistogram(std::string_view name);
   MetricId RegisterSketch(std::string_view name);
 
   /// Adds `delta` to a counter or gauge. Lock-free; invalid ids are
@@ -281,9 +241,8 @@ class MetricsRegistry {
   void Add(MetricId id, int64_t delta);
   void Add(Metric metric, int64_t delta = 1);
 
-  /// Records one observation (latencies: nanoseconds) into a histogram
-  /// or sketch id — the kind encoded in the id picks the store, so
-  /// TraceSpan instrumentation is agnostic to which one a metric uses.
+  /// Records one observation (latencies: nanoseconds) into a sketch id;
+  /// counter/gauge ids are dropped.
   void Observe(MetricId id, int64_t value);
   void Observe(Metric metric, int64_t value);
 
@@ -305,7 +264,6 @@ class MetricsRegistry {
   /// Slot -> name/kind tables, pre-filled with the well-known metrics.
   std::vector<std::string> scalar_names_;
   std::vector<MetricKind> scalar_kinds_;
-  std::vector<std::string> histogram_names_;
   std::vector<std::string> sketch_names_;
 };
 

@@ -7,35 +7,30 @@
 #include "obs/journal.h"
 #include "obs/metrics.h"
 #include "obs/resource_probe.h"
-#include "obs/trace.h"
 
 namespace logmine::obs {
 
 /// Knobs of one observability context.
 struct ObsOptions {
-  size_t trace_capacity = TraceRecorder::kDefaultCapacity;
   /// Registry capacities and sketch accuracy.
   MetricsOptions metrics;
   /// Event journal; the default (no path) keeps it memory-only, which
-  /// still feeds the introspection tail and postmortem bundles.
+  /// still feeds the introspection tail, postmortem bundles and the
+  /// Chrome-trace view (JournalToChromeTrace).
   JournalOptions journal;
 };
 
-/// One metrics registry, one trace flight recorder, and one structured
-/// event journal — the unit a pipeline run (or a whole process) records
-/// into. Thread-safe; cheap to pass by pointer, with nullptr meaning
-/// "observability off".
+/// One metrics registry and one structured event journal (plus the
+/// per-stage resource probe) — the unit a pipeline run (or a whole
+/// process) records into. Thread-safe; cheap to pass by pointer, with
+/// nullptr meaning "observability off".
 class ObsContext {
  public:
   explicit ObsContext(const ObsOptions& options = {})
-      : metrics_(options.metrics),
-        trace_(options.trace_capacity),
-        journal_(options.journal, &metrics_) {}
+      : metrics_(options.metrics), journal_(options.journal, &metrics_) {}
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }
-  TraceRecorder& trace() { return trace_; }
-  const TraceRecorder& trace() const { return trace_; }
   Journal& journal() { return journal_; }
   const Journal& journal() const { return journal_; }
   ResourceProbe& probe() { return probe_; }
@@ -43,7 +38,6 @@ class ObsContext {
 
  private:
   MetricsRegistry metrics_;
-  TraceRecorder trace_;
   Journal journal_;
   ResourceProbe probe_;
 };
@@ -105,11 +99,12 @@ inline void Observe(Metric metric, int64_t value) {
   Observe(Global(), metric, value);
 }
 
-/// RAII trace span: starts timing at construction and, at scope exit,
-/// records one TraceEvent into the context's flight recorder — and,
-/// when `latency` names a histogram metric, one latency observation.
-/// A null context makes the whole object a no-op. `name` must be a
-/// string literal (TraceEvent stores the pointer).
+/// RAII span: starts timing at construction and, at scope exit, observes
+/// the duration into `latency` (when given) and journals one event
+/// {"span": name, "event": "span", "dur_ns", "tid"} — stamped at the
+/// scope's end, so it covers [ts_ns - dur_ns, ts_ns]. A null context
+/// makes the whole object a no-op. Call sites that already journal the
+/// same boundary put `dur_ns` on that event instead of opening a span.
 class TraceSpan {
  public:
   TraceSpan(ObsContext* context, const char* name,
@@ -121,15 +116,14 @@ class TraceSpan {
 
   ~TraceSpan() {
     if (context_ == nullptr) return;
-    TraceEvent event;
-    event.name = name_;
-    event.tid = CurrentTraceThreadId();
-    event.start_ns = start_ns_;
-    event.dur_ns = MonotonicNowNs() - start_ns_;
-    context_->trace().Record(event);
+    const int64_t dur_ns = MonotonicNowNs() - start_ns_;
     if (latency_.has_value()) {
-      context_->metrics().Observe(*latency_, event.dur_ns);
+      context_->metrics().Observe(*latency_, dur_ns);
     }
+    context_->journal().Emit(
+        name_, "span",
+        {JournalField::Num("dur_ns", dur_ns),
+         JournalField::Num("tid", CurrentTraceThreadId())});
   }
 
   TraceSpan(const TraceSpan&) = delete;

@@ -13,30 +13,6 @@ namespace {
 
 std::atomic<uint64_t> g_bundle_seq{0};
 
-// Renders the newest `max_events` trace events as Chrome trace JSON —
-// TraceRecorder::ToChromeTraceJson dumps the whole ring; a postmortem
-// wants the tail.
-std::string TraceTailJson(const TraceRecorder& trace, size_t max_events) {
-  const std::vector<TraceEvent> events = trace.Events();
-  const size_t begin =
-      events.size() > max_events ? events.size() - max_events : 0;
-  std::string out = "{\"traceEvents\":[";
-  for (size_t i = begin; i < events.size(); ++i) {
-    if (i > begin) out += ',';
-    const TraceEvent& event = events[i];
-    out += "{\"name\":\"";
-    for (const char* c = event.name; *c != '\0'; ++c) {
-      if (*c == '"' || *c == '\\') out += '\\';
-      out += *c;
-    }
-    out += "\",\"ph\":\"X\",\"pid\":1,\"tid\":" + std::to_string(event.tid) +
-           ",\"ts\":" + std::to_string(event.start_ns / 1000) +
-           ",\"dur\":" + std::to_string(event.dur_ns / 1000) + "}";
-  }
-  out += "]}";
-  return out;
-}
-
 }  // namespace
 
 Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
@@ -60,9 +36,6 @@ Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
   writer.EndSection();
   writer.BeginSection("probe");
   writer.PutString(bundle.probe_json);
-  writer.EndSection();
-  writer.BeginSection("trace");
-  writer.PutString(bundle.trace_json);
   writer.EndSection();
   writer.BeginSection("journal");
   writer.PutU64(bundle.journal_tail.size());
@@ -102,10 +75,15 @@ Result<PostmortemBundle> ReadPostmortemBundle(const std::string& path) {
   LOGMINE_ASSIGN_OR_RETURN(bundle.metrics_json, metrics.ReadString());
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor probe, reader.Section("probe"));
   LOGMINE_ASSIGN_OR_RETURN(bundle.probe_json, probe.ReadString());
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor trace, reader.Section("trace"));
-  LOGMINE_ASSIGN_OR_RETURN(bundle.trace_json, trace.ReadString());
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor journal, reader.Section("journal"));
   LOGMINE_ASSIGN_OR_RETURN(const uint64_t lines, journal.ReadU64());
+  // Every line costs at least one byte, so a count above the bytes left
+  // is damage — refuse it before it sizes an allocation.
+  if (lines > journal.remaining()) {
+    return Status::ParseError("postmortem journal claims " +
+                              std::to_string(lines) + " lines in " +
+                              std::to_string(journal.remaining()) + " bytes");
+  }
   bundle.journal_tail.reserve(lines);
   for (uint64_t i = 0; i < lines; ++i) {
     LOGMINE_ASSIGN_OR_RETURN(std::string line, journal.ReadString());
@@ -132,8 +110,6 @@ Result<std::string> CapturePostmortem(const PostmortemOptions& options,
     bundle.run_id = context->journal().run_id();
     bundle.metrics_json = context->metrics().Snapshot().ToJson();
     bundle.probe_json = context->probe().ToJson();
-    bundle.trace_json =
-        TraceTailJson(context->trace(), options.max_trace_events);
     bundle.journal_tail = context->journal().Tail(options.journal_tail);
   } else {
     bundle.run_id = "no-context";

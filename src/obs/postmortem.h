@@ -17,20 +17,19 @@ struct PostmortemOptions {
   /// Directory bundles are written into (created if absent). Empty
   /// disables bundling — triggers become no-ops.
   std::string dir;
-  /// Most-recent trace events captured (rendered as Chrome trace JSON).
-  size_t max_trace_events = 2048;
   /// Journal tail lines captured.
   size_t journal_tail = 128;
 };
 
 /// Everything needed to debug a failure after the process is gone: the
-/// last-N trace events, the merged metrics snapshot, the journal tail,
+/// journal tail (whose spans carry `dur_ns`, so JournalToChromeTrace
+/// over it is the bundle's timeline view), the merged metrics snapshot,
 /// per-stage resource usage, and the config fingerprint of the run —
 /// one CRC-protected snapshot-container file per trigger.
 struct PostmortemBundle {
   /// Container payload version (bundles, like checkpoints, refuse to
   /// parse across incompatible layouts).
-  static constexpr uint32_t kVersion = 1;
+  static constexpr uint32_t kVersion = 2;
 
   std::string run_id;
   /// Machine-readable trigger, e.g. "sweep_degraded", "sweep_failed",
@@ -45,7 +44,6 @@ struct PostmortemBundle {
 
   std::string metrics_json;           ///< MetricsSnapshot::ToJson
   std::string probe_json;             ///< ResourceProbe::ToJson
-  std::string trace_json;             ///< TraceRecorder::ToChromeTraceJson
   std::vector<std::string> journal_tail;  ///< rendered JSONL lines
 };
 
@@ -58,8 +56,8 @@ Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
 /// Parses a bundle file; CRC or layout damage is a ParseError.
 Result<PostmortemBundle> ReadPostmortemBundle(const std::string& path);
 
-/// Captures a bundle from a live context (metrics, probe, trace,
-/// journal tail) and writes it. The convenience entry point every
+/// Captures a bundle from a live context (metrics, probe, journal tail)
+/// and writes it. The convenience entry point every
 /// trigger site uses; returns the path, or NotFound when bundling is
 /// disabled (empty dir). Also journals a "postmortem" event and bumps
 /// the postmortem.bundles_written counter on success.

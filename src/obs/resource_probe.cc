@@ -7,7 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 
-#include "obs/trace.h"
+#include "obs/journal.h"
 
 namespace logmine::obs {
 namespace {

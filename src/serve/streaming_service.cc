@@ -237,13 +237,10 @@ Result<StepOutcome> StreamingMiningService::Step() {
   if (fault == sim::ServiceFault::kPoisonBatch) return quarantine();
 
   const int64_t aged_before = miner_->epochs_aged_out();
-  {
-    LOGMINE_SPAN(obs_, "serve/ingest", obs::Metric::kServeIngestNs);
-    Status ingested = miner_->IngestEpoch(work.batch);
-    // A malformed batch is quarantined like an injected poison batch:
-    // count it, drop it, keep serving the current generation.
-    if (!ingested.ok()) return quarantine();
-  }
+  const int64_t ingest_start_ns = obs_ != nullptr ? obs::MonotonicNowNs() : 0;
+  // A malformed batch is quarantined like an injected poison batch:
+  // count it, drop it, keep serving the current generation.
+  if (!miner_->IngestEpoch(work.batch).ok()) return quarantine();
   ingest_watermark_ = work.batch.begin;
   ++epochs_since_publish_;
   {
@@ -254,18 +251,22 @@ Result<StepOutcome> StreamingMiningService::Step() {
   const int64_t aged = miner_->epochs_aged_out() - aged_before;
   if (aged > 0) obs::Count(obs_, obs::Metric::kServeEpochsAgedOut, aged);
   if (obs_ != nullptr) {
+    const int64_t ingest_ns = obs::MonotonicNowNs() - ingest_start_ns;
+    obs_->metrics().Observe(obs::Metric::kServeIngestNs, ingest_ns);
     obs_->journal().Emit(
         epoch_span, "epoch_ingested",
         {obs::JournalField::Num("begin_ms", work.batch.begin),
          obs::JournalField::Num("attempts", work.attempts),
-         obs::JournalField::Num("aged_out", aged)});
+         obs::JournalField::Num("aged_out", aged),
+         obs::JournalField::Num("dur_ns", ingest_ns)});
   }
 
   const bool publish_due =
       epochs_since_publish_ >= config_.publish_every_epochs;
   std::shared_ptr<ModelGeneration> generation;
+  const int64_t publish_start_ns =
+      obs_ != nullptr ? obs::MonotonicNowNs() : 0;
   if (publish_due) {
-    LOGMINE_SPAN(obs_, "serve/publish", obs::Metric::kServePublishNs);
     LOGMINE_ASSIGN_OR_RETURN(WindowModelSet models, miner_->MineWindow());
     tracker_.Observe(models.combined);
     generation = std::make_shared<ModelGeneration>();
@@ -283,6 +284,10 @@ Result<StepOutcome> StreamingMiningService::Step() {
     generation->self_crc = Crc32(generation_bytes_);
     ++next_generation_number_;
     epochs_since_publish_ = 0;
+    if (obs_ != nullptr) {
+      obs_->metrics().Observe(obs::Metric::kServePublishNs,
+                              obs::MonotonicNowNs() - publish_start_ns);
+    }
   }
 
   // Persist-then-swap: the snapshot hits disk (atomically) before any
@@ -309,11 +314,15 @@ Result<StepOutcome> StreamingMiningService::Step() {
     }
     obs::Count(obs_, obs::Metric::kServeGenerationsPublished);
     if (obs_ != nullptr) {
+      // The event's span runs from mining the window to the swap, so it
+      // covers the persist that serve.publish_ns leaves out.
       obs_->journal().Emit(
           epoch_span, "generation_published",
           {obs::JournalField::Num("generation", generation->number),
            obs::JournalField::Num("epochs_ingested",
-                                  generation->epochs_ingested)});
+                                  generation->epochs_ingested),
+           obs::JournalField::Num("dur_ns",
+                                  obs::MonotonicNowNs() - publish_start_ns)});
     }
     return StepOutcome::kPublished;
   }
@@ -445,7 +454,19 @@ uint64_t StreamingMiningService::config_fingerprint() const {
 Result<QueryResult> StreamingMiningService::Query(
     const std::string& component, bool transitive,
     const QueryOptions& options) {
-  LOGMINE_SPAN(obs_, "serve/query", obs::Metric::kServeQueryNs);
+  // Latency only: a journal line per query would put a flushed disk
+  // write on the query path.
+  if (obs_ == nullptr) return AnswerQuery(component, transitive, options);
+  const int64_t start_ns = obs::MonotonicNowNs();
+  Result<QueryResult> result = AnswerQuery(component, transitive, options);
+  obs_->metrics().Observe(obs::Metric::kServeQueryNs,
+                          obs::MonotonicNowNs() - start_ns);
+  return result;
+}
+
+Result<QueryResult> StreamingMiningService::AnswerQuery(
+    const std::string& component, bool transitive,
+    const QueryOptions& options) {
   obs::Count(obs_, obs::Metric::kServeQueries);
   int64_t query_index;
   {

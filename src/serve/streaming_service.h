@@ -234,8 +234,11 @@ class StreamingMiningService {
   Status Persist();
   /// Restores state from `bytes`; called by Create.
   Status Recover(const std::string& bytes);
+  /// Times AnswerQuery into serve.query_ns.
   Result<QueryResult> Query(const std::string& component, bool transitive,
                             const QueryOptions& options);
+  Result<QueryResult> AnswerQuery(const std::string& component,
+                                  bool transitive, const QueryOptions& options);
   /// Current health; updates the transition counter under stats_mu_ and
   /// journals the transition.
   HealthState ObserveHealth(int64_t now) const;

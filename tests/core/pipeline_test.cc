@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 namespace logmine::core {
 namespace {
 
@@ -24,6 +27,31 @@ ServiceVocabulary TinyVocab() {
   ServiceVocabulary vocabulary;
   vocabulary.entries.push_back({"SRVX", "http://h/srvx"});
   return vocabulary;
+}
+
+/// Journal lines of one default pipeline run with `context` installed
+/// globally as well as passed explicitly, as the demo and bench
+/// binaries run it.
+std::vector<std::string> JournalOfGlobalRun(obs::ObsContext* context) {
+  const LogStore store = TinyStore();
+  MiningPipeline pipeline(TinyVocab(), PipelineConfig{});
+  obs::ScopedGlobalObs scoped(context);
+  EXPECT_TRUE(pipeline.Run(store, 0, 10000, nullptr, context).ok());
+  return context->journal().Tail(context->journal().options().tail_capacity);
+}
+
+/// Start and duration (us) of the Chrome trace event named `name`.
+bool FindTraceSpan(const std::string& trace, const std::string& name,
+                   int64_t* ts, int64_t* dur) {
+  const size_t at = trace.find("{\"name\":\"" + name + "\"");
+  if (at == std::string::npos) return false;
+  const std::string event = trace.substr(at, trace.find('}', at) - at);
+  const size_t ts_at = event.find("\"ts\":");
+  const size_t dur_at = event.find("\"dur\":");
+  if (ts_at == std::string::npos || dur_at == std::string::npos) return false;
+  *ts = std::stoll(event.substr(ts_at + 5));
+  *dur = std::stoll(event.substr(dur_at + 6));
+  return true;
 }
 
 TEST(PipelineTest, RunsAllThreeTechniques) {
@@ -181,9 +209,51 @@ TEST(PipelineTest, RunAttachesMetricsSnapshotToResult) {
   EXPECT_GT(snap.Value("l3.logs_scanned"), 0);
   const obs::MetricsSnapshot::Entry* run_ns = snap.Find("pipeline.run_ns");
   ASSERT_NE(run_ns, nullptr);
-  EXPECT_EQ(run_ns->hist.count, 1);
-  // The flight recorder saw the run span plus the per-miner spans.
-  EXPECT_GE(context.trace().total_recorded(), 4u);
+  EXPECT_EQ(run_ns->sketch.count(), 1);
+  // The journal saw the run span plus one miner_done per miner.
+  EXPECT_GE(context.journal().events_emitted(), 4u);
+}
+
+// Each miner's boundary is recorded once: exactly one journal event
+// under "<run>/<miner>", and it carries the miner's duration.
+TEST(PipelineTest, GlobalRunJournalsOneDurationEventPerMiner) {
+  obs::ObsContext context;
+  const std::vector<std::string> lines = JournalOfGlobalRun(&context);
+  for (const char* miner : {"l1", "l2", "l3"}) {
+    const std::string needle =
+        std::string("\"span\":\"pipeline-1/") + miner + "\"";
+    int events = 0;
+    for (const std::string& line : lines) {
+      if (line.find(needle) == std::string::npos) continue;
+      ++events;
+      EXPECT_NE(line.find("\"event\":\"miner_done\""), std::string::npos);
+      EXPECT_NE(line.find("\"dur_ns\":"), std::string::npos) << line;
+    }
+    EXPECT_EQ(events, 1) << miner;
+  }
+}
+
+// Span events are stamped at scope exit, so the Chrome view starts each
+// one dur_ns before its timestamp: the run span then encloses every
+// miner's span, as it does in time.
+TEST(PipelineTest, ChromeTraceRunSpanEnclosesEachMinerSpan) {
+  obs::ObsContext context;
+  std::string jsonl;
+  for (const std::string& line : JournalOfGlobalRun(&context)) {
+    jsonl += line + "\n";
+  }
+  const std::string trace = obs::JournalToChromeTrace(jsonl);
+  int64_t run_ts = 0, run_dur = 0;
+  ASSERT_TRUE(FindTraceSpan(trace, "pipeline/run span", &run_ts, &run_dur))
+      << trace;
+  for (const char* miner : {"l1", "l2", "l3"}) {
+    int64_t ts = 0, dur = 0;
+    ASSERT_TRUE(FindTraceSpan(
+        trace, std::string("pipeline-1/") + miner + " miner_done", &ts, &dur))
+        << miner << " in " << trace;
+    EXPECT_GE(ts, run_ts) << miner;
+    EXPECT_LE(ts + dur, run_ts + run_dur) << miner;
+  }
 }
 
 TEST(PipelineTest, ExplicitObsContextWorksWithoutGlobalInstall) {

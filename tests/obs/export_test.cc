@@ -23,14 +23,15 @@ TEST(MangleMetricNameTest, PrefixesLeadingDigit) {
 
 // The golden: a fresh registry with only dynamic metrics touched renders
 // exactly these series (include_zero=false hides the untouched
-// well-known ones). Counter, gauge and histogram values are exact by
-// construction; bucket bounds come from the log2 layout (<=1, then
-// powers of two).
+// well-known ones). Counter and gauge values are exact by construction;
+// the sketch's quantiles are too here, because each lands on a value
+// the sketch clamps to an observed extreme (1 is the minimum, 100 the
+// maximum).
 TEST(ToOpenMetricsTest, GoldenRendering) {
   MetricsRegistry registry;
   const auto requests = registry.RegisterCounter("demo.requests");
   const auto depth = registry.RegisterGauge("demo.depth");
-  const auto latency = registry.RegisterHistogram("demo.latency_ms");
+  const auto latency = registry.RegisterSketch("demo.latency_ms");
   registry.Add(requests, 7);
   registry.Add(depth, 3);
   registry.Observe(latency, 1);
@@ -46,10 +47,11 @@ TEST(ToOpenMetricsTest, GoldenRendering) {
       "logmine_demo_requests_total 7\n"
       "# TYPE logmine_demo_depth gauge\n"
       "logmine_demo_depth 3\n"
-      "# TYPE logmine_demo_latency_ms histogram\n"
-      "logmine_demo_latency_ms_bucket{le=\"1\"} 3\n"
-      "logmine_demo_latency_ms_bucket{le=\"128\"} 4\n"
-      "logmine_demo_latency_ms_bucket{le=\"+Inf\"} 4\n"
+      "# TYPE logmine_demo_latency_ms summary\n"
+      "logmine_demo_latency_ms{quantile=\"0.5\"} 1\n"
+      "logmine_demo_latency_ms{quantile=\"0.9\"} 100\n"
+      "logmine_demo_latency_ms{quantile=\"0.99\"} 100\n"
+      "logmine_demo_latency_ms{quantile=\"0.999\"} 100\n"
       "logmine_demo_latency_ms_sum 103\n"
       "logmine_demo_latency_ms_count 4\n";
   EXPECT_EQ(text, expected);
@@ -89,8 +91,12 @@ TEST(ToOpenMetricsTest, IncludeZeroRendersWellKnownMetrics) {
   EXPECT_NE(text.find("# TYPE logmine_pipeline_runs counter\n"),
             std::string::npos);
   EXPECT_NE(text.find("logmine_pipeline_runs_total 0\n"), std::string::npos);
-  // Untouched histograms still render their +Inf bucket, sum and count.
-  EXPECT_NE(text.find("logmine_serve_ingest_ns_bucket{le=\"+Inf\"} 0\n"),
+  // Untouched sketches still render their quantiles, sum and count.
+  EXPECT_NE(text.find("# TYPE logmine_serve_ingest_ns summary\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("logmine_serve_ingest_ns{quantile=\"0.99\"} 0\n"),
+            std::string::npos);
+  EXPECT_NE(text.find("logmine_serve_ingest_ns_count 0\n"),
             std::string::npos);
 }
 

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "obs/metrics.h"
+#include "obs/obs.h"
 
 namespace logmine::obs {
 namespace {
@@ -158,7 +159,7 @@ TEST(JournalTest, ConcurrentEmittersNeverTearLines) {
 TEST(JournalToChromeTraceTest, ConvertsEventsAndSkipsTornLines) {
   std::string jsonl;
   jsonl +=
-      "{\"ts_ns\":1000000,\"run\":\"run-x\",\"span\":\"sweep-1/d0.r0\","
+      "{\"ts_ns\":3000000,\"run\":\"run-x\",\"span\":\"sweep-1/d0.r0\","
       "\"event\":\"shard_done\",\"dur_ns\":2000000}\n";
   jsonl +=
       "{\"ts_ns\":3000000,\"run\":\"run-x\",\"span\":\"serve-1\","
@@ -166,15 +167,36 @@ TEST(JournalToChromeTraceTest, ConvertsEventsAndSkipsTornLines) {
   jsonl += "{\"ts_ns\":4000000,\"run\":\"run-x\",\"spa";  // torn final line
 
   const std::string trace = JournalToChromeTrace(jsonl);
-  // The complete event became an "X" span with its duration in us.
-  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
-  EXPECT_NE(trace.find("\"dur\":2000"), std::string::npos);
+  // The complete event became an "X" span with its duration in us,
+  // starting dur_ns before its (end-of-scope) timestamp.
+  EXPECT_NE(trace.find("\"ts\":1000,\"ph\":\"X\",\"dur\":2000"),
+            std::string::npos);
   // The durationless event became an instant.
   EXPECT_NE(trace.find("\"ph\":\"i\""), std::string::npos);
   // Two root spans -> two distinct tids; the torn line contributed nothing.
   EXPECT_NE(trace.find("\"tid\":1"), std::string::npos);
   EXPECT_NE(trace.find("\"tid\":2"), std::string::npos);
   EXPECT_EQ(trace.find("4000"), std::string::npos);
+}
+
+TEST(JournalToChromeTraceTest, NestedSpansStayNestedAfterRounding) {
+  // Outer [1999, 10000] ns encloses inner [2000, 10000] ns. Truncating
+  // start and duration separately would end the inner span at 10 us,
+  // past the outer span's 9 us; rounding both ends instead keeps it in.
+  std::string jsonl;
+  jsonl +=
+      "{\"ts_ns\":10000,\"run\":\"r\",\"span\":\"p-1/l1\","
+      "\"event\":\"miner_done\",\"dur_ns\":8000}\n";
+  jsonl +=
+      "{\"ts_ns\":10000,\"run\":\"r\",\"span\":\"p-1\","
+      "\"event\":\"run\",\"dur_ns\":8001}\n";
+  const std::string trace = JournalToChromeTrace(jsonl);
+  EXPECT_NE(trace.find("\"ts\":2,\"ph\":\"X\",\"dur\":8}"),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"ts\":1,\"ph\":\"X\",\"dur\":9}"),
+            std::string::npos)
+      << trace;
 }
 
 TEST(JournalToChromeTraceTest, FileConverterRoundTrips) {
@@ -198,6 +220,49 @@ TEST(JournalToChromeTraceTest, FileConverterRoundTrips) {
   EXPECT_EQ(
       ConvertJournalToChromeTrace(dir + "/absent.jsonl", trace_path).code(),
       StatusCode::kNotFound);
+}
+
+TEST(TraceSpanTest, SpanRecordsDurationAndOptionalHistogram) {
+  ObsContext context;
+  {
+    TraceSpan span(&context, "unit/scope", Metric::kEvalDayNs);
+    // Spin briefly so the duration is visibly non-negative.
+    volatile int sink = 0;
+    for (int i = 0; i < 1000; ++i) sink = sink + i;
+  }
+  // One journal event, stamped at scope exit, carrying the duration and
+  // the thread, plus one latency observation.
+  const std::vector<std::string> tail = context.journal().Tail(10);
+  ASSERT_EQ(tail.size(), 1u);
+  EXPECT_NE(tail[0].find("\"span\":\"unit/scope\",\"event\":\"span\""),
+            std::string::npos)
+      << tail[0];
+  EXPECT_NE(tail[0].find("\"dur_ns\":"), std::string::npos);
+  EXPECT_NE(tail[0].find("\"tid\":" + std::to_string(CurrentTraceThreadId())),
+            std::string::npos);
+  const MetricsSnapshot snap = context.metrics().Snapshot();
+  const MetricsSnapshot::Entry* latency = snap.Find("eval.day_ns");
+  ASSERT_NE(latency, nullptr);
+  EXPECT_EQ(latency->sketch.count(), 1);
+  EXPECT_GE(latency->sketch.min(), 0);
+}
+
+TEST(TraceSpanTest, NullContextSpanIsANoop) {
+  { TraceSpan span(nullptr, "noop"); }
+  { LOGMINE_SPAN(nullptr, "noop/macro"); }
+  SUCCEED();
+}
+
+TEST(MonotonicClockTest, NowIsMonotonicAndThreadIdsAreStable) {
+  const int64_t a = MonotonicNowNs();
+  const int64_t b = MonotonicNowNs();
+  EXPECT_GE(b, a);
+  EXPECT_GE(a, 0);
+  const uint32_t tid = CurrentTraceThreadId();
+  EXPECT_EQ(CurrentTraceThreadId(), tid);
+  uint32_t other = tid;
+  std::thread([&other] { other = CurrentTraceThreadId(); }).join();
+  EXPECT_NE(other, tid);
 }
 
 }  // namespace

@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "util/rng.h"
-#include "util/snapshot.h"
 
 namespace logmine::obs {
 namespace {
@@ -185,33 +184,6 @@ TEST(LatencySketchTest, MergeRefusesMismatchedAlpha) {
   EXPECT_EQ(fine.count(), 0);
   // Merging an *empty* sketch of any alpha is a no-op, not an error.
   EXPECT_TRUE(fine.Merge(LatencySketch(0.2)));
-}
-
-TEST(LatencySketchTest, EncodeDecodeRoundTrip) {
-  Rng rng(11);
-  LatencySketch sketch(0.02);
-  for (int i = 0; i < 2'000; ++i) {
-    sketch.Observe(rng.UniformInt(0, 100'000'000));
-  }
-  SnapshotWriter writer;
-  writer.BeginSection("sketch");
-  sketch.Encode(&writer);
-  writer.EndSection();
-  const std::string bytes = std::move(writer).Finish();
-
-  auto reader = SnapshotReader::Parse(bytes);
-  ASSERT_TRUE(reader.ok());
-  auto cursor = reader.value().Section("sketch");
-  ASSERT_TRUE(cursor.ok());
-  LatencySketch decoded;
-  ASSERT_TRUE(LatencySketch::Decode(&cursor.value(), &decoded));
-  EXPECT_TRUE(cursor.value().ExpectEnd().ok());
-  EXPECT_EQ(decoded.count(), sketch.count());
-  EXPECT_EQ(decoded.sum(), sketch.sum());
-  EXPECT_DOUBLE_EQ(decoded.alpha(), sketch.alpha());
-  for (double q : {0.5, 0.9, 0.99, 0.999}) {
-    EXPECT_EQ(decoded.Quantile(q), sketch.Quantile(q));
-  }
 }
 
 TEST(LatencySketchTest, SparseStorageStaysSmall) {

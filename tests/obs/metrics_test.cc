@@ -41,6 +41,8 @@ TEST(MetricsRegistryTest, EveryWellKnownMetricHasANameAndAnEntry) {
   }
 }
 
+// Every well-known latency metric is a sketch: exact count and sum,
+// quantiles within the sketch's relative error.
 TEST(MetricsRegistryTest, HistogramTracksCountSumAndQuantiles) {
   MetricsRegistry registry;
   for (int64_t v : {1, 2, 4, 100, 1000}) {
@@ -49,13 +51,23 @@ TEST(MetricsRegistryTest, HistogramTracksCountSumAndQuantiles) {
   const MetricsSnapshot snap = registry.Snapshot();
   const MetricsSnapshot::Entry* entry = snap.Find("ingest.decode_ns");
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->kind, MetricKind::kHistogram);
-  EXPECT_EQ(entry->hist.count, 5);
-  EXPECT_EQ(entry->hist.sum, 1107);
-  EXPECT_DOUBLE_EQ(entry->hist.mean(), 1107.0 / 5.0);
-  // The p100 upper bound covers the largest observation.
-  EXPECT_GE(entry->hist.QuantileUpperBound(1.0), 1000);
-  EXPECT_LE(entry->hist.QuantileUpperBound(0.0), 1);
+  EXPECT_EQ(entry->kind, MetricKind::kSketch);
+  EXPECT_EQ(entry->sketch.count(), 5);
+  EXPECT_EQ(entry->sketch.sum(), 1107);
+  EXPECT_DOUBLE_EQ(entry->sketch.mean(), 1107.0 / 5.0);
+  EXPECT_EQ(entry->sketch.Quantile(1.0), 1000);
+  EXPECT_EQ(entry->sketch.Quantile(0.0), 1);
+  EXPECT_NEAR(static_cast<double>(entry->sketch.Quantile(0.8)), 100.0, 1.0);
+}
+
+TEST(MetricsRegistryTest, EveryLatencyMetricIsASketch) {
+  for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+    const Metric metric = static_cast<Metric>(i);
+    const std::string_view name = MetricName(metric);
+    if (name.size() > 3 && name.substr(name.size() - 3) == "_ns") {
+      EXPECT_EQ(MetricKindOf(metric), MetricKind::kSketch) << name;
+    }
+  }
 }
 
 TEST(MetricsRegistryTest, QuantileUsesNearestRankNotInterpolation) {
@@ -67,47 +79,34 @@ TEST(MetricsRegistryTest, QuantileUsesNearestRankNotInterpolation) {
   const MetricsSnapshot snap = registry.Snapshot();
   const MetricsSnapshot::Entry* entry = snap.Find("executor.task_ns");
   ASSERT_NE(entry, nullptr);
-  EXPECT_GE(entry->hist.QuantileUpperBound(0.99), 10'000'000);
-  EXPECT_GE(entry->hist.QuantileUpperBound(0.51), 10'000'000);
-  EXPECT_LE(entry->hist.QuantileUpperBound(0.50), 128);
+  EXPECT_NEAR(static_cast<double>(entry->sketch.Quantile(0.99)), 1e7, 1e5);
+  EXPECT_NEAR(static_cast<double>(entry->sketch.Quantile(0.51)), 1e7, 1e5);
+  EXPECT_NEAR(static_cast<double>(entry->sketch.Quantile(0.50)), 100.0, 1.0);
 }
 
 TEST(MetricsRegistryTest, QuantileClampsToObservedMax) {
-  // Observations in the open-ended top bucket (and single observations
-  // anywhere) must report the recorded max, never the bucket's nominal
-  // INT64_MAX bound.
+  // Observations past the sketch's representable range (and single
+  // observations anywhere) must report the recorded max, never a
+  // bucket's nominal INT64_MAX bound.
   MetricsRegistry registry;
   const int64_t huge = int64_t{1} << 62;
   registry.Observe(Metric::kExecutorTaskNs, huge);
   const MetricsSnapshot snap = registry.Snapshot();
   const MetricsSnapshot::Entry* entry = snap.Find("executor.task_ns");
   ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->hist.max, huge);
-  EXPECT_EQ(entry->hist.QuantileUpperBound(0.5), huge);
-  EXPECT_EQ(entry->hist.QuantileUpperBound(0.99), huge);
-  EXPECT_EQ(entry->hist.QuantileUpperBound(1.0), huge);
+  EXPECT_EQ(entry->sketch.max(), huge);
+  EXPECT_EQ(entry->sketch.Quantile(0.5), huge);
+  EXPECT_EQ(entry->sketch.Quantile(0.99), huge);
+  EXPECT_EQ(entry->sketch.Quantile(1.0), huge);
 
   MetricsRegistry single;
   single.Observe(Metric::kIngestDecodeNs, 3);
   const MetricsSnapshot single_snap = single.Snapshot();
   const MetricsSnapshot::Entry* one = single_snap.Find("ingest.decode_ns");
   ASSERT_NE(one, nullptr);
-  // One observation of 3 lands in the (2, 4] bucket; the clamp reports
-  // the observation itself rather than the bound 4.
-  EXPECT_EQ(one->hist.QuantileUpperBound(0.99), 3);
-}
-
-TEST(MetricsRegistryTest, HistogramBucketsArePowersOfTwo) {
-  EXPECT_EQ(HistogramSnapshot::BucketOf(0), 0u);
-  EXPECT_EQ(HistogramSnapshot::BucketOf(1), 0u);
-  EXPECT_EQ(HistogramSnapshot::BucketOf(2), 1u);
-  EXPECT_EQ(HistogramSnapshot::BucketOf(3), 2u);
-  EXPECT_EQ(HistogramSnapshot::BucketOf(4), 2u);
-  // Every bucket's upper bound contains the bucket of its own value.
-  for (size_t i = 0; i + 1 < HistogramSnapshot::kNumBuckets; ++i) {
-    EXPECT_EQ(HistogramSnapshot::BucketOf(HistogramSnapshot::BucketUpperBound(i)),
-              i);
-  }
+  // The clamp reports the lone observation itself rather than its
+  // bucket's representative value.
+  EXPECT_EQ(one->sketch.Quantile(0.99), 3);
 }
 
 TEST(MetricsRegistryTest, DynamicRegistrationFindsExistingNames) {
@@ -117,7 +116,7 @@ TEST(MetricsRegistryTest, DynamicRegistrationFindsExistingNames) {
   ASSERT_NE(id1, MetricsRegistry::kInvalidMetricId);
   EXPECT_EQ(id1, id2);
   // Same name with a different kind is refused.
-  EXPECT_EQ(registry.RegisterHistogram("custom.widgets"),
+  EXPECT_EQ(registry.RegisterSketch("custom.widgets"),
             MetricsRegistry::kInvalidMetricId);
 
   registry.Add(id1, 42);
@@ -148,20 +147,20 @@ TEST(MetricsRegistryTest, ExhaustedCapacityReportsResourceExhausted) {
 
 TEST(MetricsRegistryTest, CapacityIsConfigurablePerRegistry) {
   MetricsOptions small;
-  small.max_histograms = kNumWellKnownMetrics;  // plenty
+  small.max_sketches = kNumWellKnownMetrics;  // plenty
   MetricsOptions large = small;
-  large.max_histograms = small.max_histograms + 64;
+  large.max_sketches = small.max_sketches + 64;
   MetricsRegistry constrained(small);
   MetricsRegistry roomy(large);
-  // Exhaust `constrained`'s histogram family; `roomy` keeps going.
+  // Exhaust `constrained`'s sketch family; `roomy` keeps going.
   Result<MetricsRegistry::MetricId> last = MetricsRegistry::kInvalidMetricId;
-  for (size_t i = 0; i < small.max_histograms; ++i) {
-    last = constrained.TryRegisterHistogram("dyn." + std::to_string(i));
-    roomy.TryRegisterHistogram("dyn." + std::to_string(i));
+  for (size_t i = 0; i < small.max_sketches; ++i) {
+    last = constrained.TryRegisterSketch("dyn." + std::to_string(i));
+    roomy.TryRegisterSketch("dyn." + std::to_string(i));
   }
   ASSERT_FALSE(last.ok());
   EXPECT_EQ(last.status().code(), StatusCode::kResourceExhausted);
-  const auto fits = roomy.TryRegisterHistogram("dyn.extra");
+  const auto fits = roomy.TryRegisterSketch("dyn.extra");
   ASSERT_TRUE(fits.ok());
   roomy.Observe(fits.value(), 42);
   EXPECT_EQ(roomy.Snapshot().Value("dyn.extra"), 1);
@@ -260,9 +259,10 @@ TEST(MetricsRegistryTest, ConcurrentHammeringSumsExactly) {
   EXPECT_EQ(snap.Value("ingest.lines_total"),
             static_cast<int64_t>(kThreads) * kIterations);
   EXPECT_EQ(snap.Value("executor.queue_depth"), 0);
-  const MetricsSnapshot::Entry* hist = snap.Find("ingest.decode_ns");
-  ASSERT_NE(hist, nullptr);
-  EXPECT_EQ(hist->hist.count, static_cast<int64_t>(kThreads) * kIterations);
+  const MetricsSnapshot::Entry* decode = snap.Find("ingest.decode_ns");
+  ASSERT_NE(decode, nullptr);
+  EXPECT_EQ(decode->sketch.count(),
+            static_cast<int64_t>(kThreads) * kIterations);
 }
 
 // Merging is a sum over shards, so the snapshot must be identical no
@@ -333,10 +333,10 @@ TEST(ObsContextTest, NullSafeHelpersAndScopedGlobal) {
 
   const MetricsSnapshot snap = context.metrics().Snapshot();
   EXPECT_EQ(snap.Value("l1.runs"), 1);
-  const MetricsSnapshot::Entry* span_hist = snap.Find("l1.mine_ns");
-  ASSERT_NE(span_hist, nullptr);
-  EXPECT_EQ(span_hist->hist.count, 1);
-  EXPECT_EQ(context.trace().total_recorded(), 1u);
+  const MetricsSnapshot::Entry* span_latency = snap.Find("l1.mine_ns");
+  ASSERT_NE(span_latency, nullptr);
+  EXPECT_EQ(span_latency->sketch.count(), 1);
+  EXPECT_EQ(context.journal().events_emitted(), 1u);
 }
 
 }  // namespace

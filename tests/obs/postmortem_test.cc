@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/snapshot.h"
 
 namespace logmine::obs {
 namespace {
@@ -34,7 +35,6 @@ TEST(PostmortemBundleTest, WriteReadRoundTrip) {
   bundle.captured_at_ns = 12345;
   bundle.metrics_json = "{\"metrics\":[]}";
   bundle.probe_json = "{\"stages\":[]}";
-  bundle.trace_json = "{\"traceEvents\":[]}";
   bundle.journal_tail = {"{\"event\":\"a\"}", "{\"event\":\"b\"}"};
 
   Result<std::string> path = WritePostmortemBundle(options, bundle);
@@ -50,7 +50,6 @@ TEST(PostmortemBundleTest, WriteReadRoundTrip) {
   EXPECT_EQ(read.value().captured_at_ns, bundle.captured_at_ns);
   EXPECT_EQ(read.value().metrics_json, bundle.metrics_json);
   EXPECT_EQ(read.value().probe_json, bundle.probe_json);
-  EXPECT_EQ(read.value().trace_json, bundle.trace_json);
   EXPECT_EQ(read.value().journal_tail, bundle.journal_tail);
 }
 
@@ -92,6 +91,37 @@ TEST(PostmortemBundleTest, CorruptFileIsParseError) {
             StatusCode::kParseError);
 }
 
+// A CRC-valid bundle whose journal section claims more lines than it has
+// bytes must be refused before the count sizes an allocation.
+TEST(PostmortemBundleTest, HugeJournalLineCountIsParseError) {
+  const std::string dir = TempDir("logmine_pm_hostile");
+  SnapshotWriter writer;
+  writer.BeginSection("meta");
+  writer.PutU32(PostmortemBundle::kVersion);
+  writer.PutString("run-hostile");
+  writer.PutString("reason");
+  writer.PutString("span");
+  writer.PutU64(0);
+  writer.PutI64(0);
+  writer.EndSection();
+  writer.BeginSection("metrics");
+  writer.PutString("{}");
+  writer.EndSection();
+  writer.BeginSection("probe");
+  writer.PutString("{}");
+  writer.EndSection();
+  writer.BeginSection("journal");
+  writer.PutU64(uint64_t{1} << 62);
+  writer.PutString("{\"event\":\"only\"}");
+  writer.EndSection();
+  const std::string path = dir + "/hostile.lmpm";
+  ASSERT_TRUE(WriteSnapshotFile(path, std::move(writer).Finish()).ok());
+
+  const Result<PostmortemBundle> read = ReadPostmortemBundle(path);
+  ASSERT_FALSE(read.ok());
+  EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+}
+
 TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
   const std::string dir = TempDir("logmine_pm_capture");
   PostmortemOptions options;
@@ -125,11 +155,18 @@ TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
   EXPECT_EQ(bundle.config_fingerprint, 42u);
   EXPECT_NE(bundle.metrics_json.find("pipeline.runs"), std::string::npos);
   EXPECT_NE(bundle.probe_json.find("unit/stage"), std::string::npos);
-  EXPECT_NE(bundle.trace_json.find("unit/stage"), std::string::npos);
-  // The tail is capped at the configured depth and holds the newest lines.
+  // The tail is capped at the configured depth and holds the newest
+  // lines: the last epochs, then the span, which closed last.
   ASSERT_EQ(bundle.journal_tail.size(), 4u);
-  EXPECT_NE(bundle.journal_tail.back().find("\"epoch\":9"),
+  EXPECT_NE(bundle.journal_tail[2].find("\"epoch\":9"), std::string::npos);
+  EXPECT_NE(bundle.journal_tail.back().find("\"span\":\"unit/stage\""),
             std::string::npos);
+  // The bundle's timeline view is the journal tail, converted.
+  std::string jsonl;
+  for (const std::string& line : bundle.journal_tail) jsonl += line + "\n";
+  const std::string trace = JournalToChromeTrace(jsonl);
+  EXPECT_NE(trace.find("\"name\":\"unit/stage span\""), std::string::npos);
+  EXPECT_NE(trace.find("\"ph\":\"X\""), std::string::npos);
 
   // The capture itself journaled a "postmortem" event naming the bundle
   // and bumped the counter.

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/obs.h"
 #include "simulation/service_faults.h"
 #include "util/snapshot.h"
 
@@ -275,6 +276,31 @@ TEST(StreamingServiceTest, QueriesWalkThePublishedGraph) {
   EXPECT_TRUE(unknown.value().components.empty());
   // Four queries hit the service, counting the refused early one.
   EXPECT_EQ(service.stats().queries_served, 4);
+}
+
+// Queries are timed into serve.query_ns but never journaled: a flushed
+// journal line per query would put disk writes on the query path.
+TEST(StreamingServiceTest, QueriesObserveLatencyButAddNoJournalLines) {
+  auto clock = std::make_shared<int64_t>(0);
+  obs::ObsContext context;
+  ServiceConfig config = QueryConfig(clock);
+  config.obs = &context;
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  StreamingMiningService& service = *created.value();
+  service.SubmitBatch(Batch(0, CitingRecords(0)));
+  ASSERT_TRUE(service.Drain().ok());
+  ASSERT_EQ(service.Health().state, HealthState::kHealthy);
+
+  const uint64_t journaled = context.journal().events_emitted();
+  constexpr int kQueries = 25;
+  for (int i = 0; i < kQueries; ++i) {
+    ASSERT_TRUE((i % 2 == 0 ? service.ImpactOf("appB")
+                            : service.WhatDependsOn("appB"))
+                    .ok());
+  }
+  EXPECT_EQ(context.journal().events_emitted(), journaled);
+  EXPECT_EQ(context.metrics().Snapshot().Value("serve.query_ns"), kQueries);
 }
 
 TEST(StreamingServiceTest, QueryDeadlineTripsOnASlowConsumer) {
