@@ -431,12 +431,7 @@ int main(int argc, char** argv) {
   std::string obs_metrics_json;
   {
     obs::ScopedGlobalObs scoped(&obs_context);
-    std::vector<LogRecord> records;
-    records.reserve(dataset.store.size());
-    for (size_t i = 0; i < dataset.store.size(); ++i) {
-      records.push_back(dataset.store.GetRecord(i));
-    }
-    const std::string text = LineCodec::EncodeAll(records);
+    const std::string text = LineCodec::EncodeAll(dataset.store.Records());
     if (!LineCodec::DecodeAll(text).ok()) std::abort();
 
     auto run = obs_pipeline.Run(dataset.store, begin, end, nullptr,
@@ -473,16 +468,10 @@ int main(int argc, char** argv) {
   // Ingest path: serial text decode vs the chunked parallel decoder,
   // and the binary columnar format, all on the same corpus. The
   // correctness booleans matter as much as the timings — a fast decode
-  // that produces different records must fail CI.
-  std::string corpus_text;
-  {
-    std::vector<LogRecord> records;
-    records.reserve(dataset.store.size());
-    for (size_t i = 0; i < dataset.store.size(); ++i) {
-      records.push_back(dataset.store.GetRecord(i));
-    }
-    corpus_text = LineCodec::EncodeAll(records);
-  }
+  // that produces a different store (records, dictionaries or ids) must
+  // fail CI.
+  const std::string corpus_text =
+      LineCodec::EncodeAll(dataset.store.Records());
   const double corpus_mb = static_cast<double>(corpus_text.size()) / 1e6;
   const int64_t corpus_logs = static_cast<int64_t>(dataset.store.size());
   size_t ingest_sink = 0;  // consumed so decode work is not optimized away
@@ -506,9 +495,7 @@ int main(int argc, char** argv) {
     auto serial = LineCodec::DecodeAll(corpus_text, serial_options, nullptr);
     auto chunked = LineCodec::DecodeAll(corpus_text, chunked_options, nullptr);
     parallel_matches_serial =
-        serial.ok() && chunked.ok() &&
-        LineCodec::EncodeAll(serial.value()) ==
-            LineCodec::EncodeAll(chunked.value());
+        serial.ok() && chunked.ok() && serial.value() == chunked.value();
   }
 
   const std::string columnar_bytes = EncodeColumnar(dataset.store);
@@ -524,12 +511,8 @@ int main(int argc, char** argv) {
   {
     auto loaded = DecodeColumnar(columnar_bytes);
     if (loaded.ok()) {
-      std::vector<LogRecord> back;
-      back.reserve(loaded.value().size());
-      for (size_t i = 0; i < loaded.value().size(); ++i) {
-        back.push_back(loaded.value().GetRecord(i));
-      }
-      columnar_roundtrip_ok = LineCodec::EncodeAll(back) == corpus_text;
+      columnar_roundtrip_ok =
+          LineCodec::EncodeAll(loaded.value().Records()) == corpus_text;
     }
   }
 

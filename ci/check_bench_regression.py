@@ -32,8 +32,14 @@ chunked-decode + columnar corpus bench), four more guards apply:
   ``columnar_roundtrip_ok`` and ``autodetect_ok`` must all be true —
   a fast decode that produces different records must never pass;
 * the columnar re-read must beat the serial text decode of the same
-  corpus by ``--min-columnar-read-speedup`` (default 20x). Both sides
-  are measured in the same run, so the ratio is machine independent;
+  corpus by ``--min-columnar-read-speedup`` (default 2x). Both sides
+  are measured in the same run, so the ratio is machine independent.
+  The floor sits at about 5/8 of the ratio the checked-in baseline
+  measured (3.65x), the margin the chunked floor below leaves under
+  its 8-core ideal. A same-run ratio against text decode stands in
+  for a columnar regression only as long as text decode is steady;
+  the reference-normalized ``columnar_read`` cost guard below catches
+  that regression directly;
 * the chunked decode must beat serial by ``--min-chunked-speedup``
   (default 5x) — but only when the report's
   ``hardware_concurrency`` is at least ``--multicore-threshold``
@@ -45,7 +51,7 @@ chunked-decode + columnar corpus bench), four more guards apply:
 
 Usage: check_bench_regression.py --current BENCH_pipeline.json \
            [--baseline ci/bench_baseline.json] [--tolerance 0.20] \
-           [--obs-budget 0.03] [--min-columnar-read-speedup 20] \
+           [--obs-budget 0.03] [--min-columnar-read-speedup 2] \
            [--min-chunked-speedup 5] [--multicore-threshold 8]
 """
 
@@ -85,7 +91,7 @@ def main() -> int:
     parser.add_argument("--baseline", default="ci/bench_baseline.json")
     parser.add_argument("--tolerance", type=float, default=0.20)
     parser.add_argument("--obs-budget", type=float, default=0.03)
-    parser.add_argument("--min-columnar-read-speedup", type=float, default=20.0)
+    parser.add_argument("--min-columnar-read-speedup", type=float, default=2.0)
     parser.add_argument("--min-chunked-speedup", type=float, default=5.0)
     parser.add_argument("--multicore-threshold", type=int, default=8)
     args = parser.parse_args()

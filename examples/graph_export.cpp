@@ -76,8 +76,7 @@ int main(int argc, char** argv) {
     std::cerr << "round-trip failed: " << decoded.status() << "\n";
     return 1;
   }
-  if (decoded.value().size() != sample.size() ||
-      !(decoded.value() == sample)) {
+  if (decoded.value().Records() != sample) {
     std::cerr << "round-trip mismatch\n";
     return 1;
   }

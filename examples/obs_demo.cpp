@@ -46,12 +46,8 @@ int main(int argc, char** argv) {
   std::cout << "Mining " << dataset.store.size() << " logs from "
             << dataset.store.num_sources() << " applications ...\n\n";
 
-  std::vector<LogRecord> records;
-  records.reserve(dataset.store.size());
-  for (size_t i = 0; i < dataset.store.size(); ++i) {
-    records.push_back(dataset.store.GetRecord(i));
-  }
-  if (auto decoded = LineCodec::DecodeAll(LineCodec::EncodeAll(records));
+  if (auto decoded =
+          LineCodec::DecodeAll(LineCodec::EncodeAll(dataset.store.Records()));
       !decoded.ok()) {
     std::cerr << decoded.status() << "\n";
     return 1;

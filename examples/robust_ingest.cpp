@@ -65,13 +65,7 @@ int main(int argc, char** argv) {
     std::cerr << "ingest refused the corpus: " << decoded.status() << "\n";
     return 1;
   }
-  LogStore store;
-  for (const LogRecord& record : decoded.value()) {
-    if (Status s = store.Append(record); !s.ok()) {
-      std::cerr << s << "\n";
-      return 1;
-    }
-  }
+  LogStore store = std::move(decoded).value();
   store.BuildIndex();
 
   // 4. Mine the surviving records; report per-miner outcomes.

@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <array>
-#include <iterator>
+#include <cstring>
+#include <functional>
+#include <unordered_map>
 
 #include "obs/obs.h"
 #include "util/executor.h"
@@ -29,10 +31,47 @@ void AppendEscaped(std::string_view field, std::string* out) {
   }
 }
 
-// Splits a line on unescaped '|' and unescapes each field.
-Result<std::vector<std::string>> SplitEscaped(std::string_view line) {
-  std::vector<std::string> fields;
-  std::string current;
+// A line split on unescaped '|'. A line with no backslash is split into
+// views of itself; a line with one is unescaped into the caller's
+// scratch buffer, reserved to the line's length first so that appends
+// never move the views taken earlier.
+struct LineFields {
+  std::array<std::string_view, 7> field;
+  size_t count = 0;  ///< fields on the line, including any past the 7th
+};
+
+Status ScanFields(std::string_view line, std::string* scratch,
+                  LineFields* out) {
+  out->count = 0;
+  auto emit = [out](std::string_view field) {
+    if (out->count < out->field.size()) out->field[out->count] = field;
+    ++out->count;
+  };
+  if (line.empty()) {
+    emit(line);
+    return Status::OK();
+  }
+  const char* p = line.data();
+  const char* const end = p + line.size();
+  if (std::memchr(p, '\\', line.size()) == nullptr) {
+    for (;;) {
+      const auto* bar =
+          static_cast<const char*>(std::memchr(p, '|', end - p));
+      if (bar == nullptr) {
+        emit(std::string_view(p, end - p));
+        return Status::OK();
+      }
+      emit(std::string_view(p, bar - p));
+      p = bar + 1;
+    }
+  }
+  scratch->clear();
+  scratch->reserve(line.size());
+  size_t field_begin = 0;
+  auto emit_scratch = [&] {
+    emit(std::string_view(*scratch).substr(field_begin));
+    field_begin = scratch->size();
+  };
   for (size_t i = 0; i < line.size(); ++i) {
     const char c = line[i];
     if (c == '\\') {
@@ -42,26 +81,25 @@ Result<std::vector<std::string>> SplitEscaped(std::string_view line) {
       const char next = line[++i];
       switch (next) {
         case '|':
-          current += '|';
+          *scratch += '|';
           break;
         case '\\':
-          current += '\\';
+          *scratch += '\\';
           break;
         case 'n':
-          current += '\n';
+          *scratch += '\n';
           break;
         default:
           return Status::ParseError(std::string("unknown escape: \\") + next);
       }
     } else if (c == '|') {
-      fields.push_back(std::move(current));
-      current.clear();
+      emit_scratch();
     } else {
-      current += c;
+      *scratch += c;
     }
   }
-  fields.push_back(std::move(current));
-  return fields;
+  emit_scratch();
+  return Status::OK();
 }
 
 Result<Severity> ParseSeverity(std::string_view name) {
@@ -74,8 +112,61 @@ Result<Severity> ParseSeverity(std::string_view name) {
   return Status::ParseError("unknown severity: " + std::string(name));
 }
 
-void SetClass(IngestErrorClass* out, IngestErrorClass value) {
-  if (out != nullptr) *out = value;
+// One line decoded into views of the line or of the scratch buffer;
+// nothing is copied until the caller keeps it.
+struct DecodedLine {
+  TimeMs client_ts = 0;
+  TimeMs server_ts = 0;
+  Severity severity = Severity::kInfo;
+  std::string_view source;
+  std::string_view host;
+  std::string_view user;
+  std::string_view message;
+};
+
+// The single-line decoder behind both `LineCodec::Decode` and the bulk
+// decode. Checks run in a fixed order — escapes, field count, client and
+// server timestamp, severity, empty source — and the first failure sets
+// `*error_class` and is returned.
+Status DecodeLine(std::string_view line, std::string* scratch,
+                  DecodedLine* out, IngestErrorClass* error_class) {
+  LineFields fields;
+  if (Status s = ScanFields(line, scratch, &fields); !s.ok()) {
+    *error_class = IngestErrorClass::kBadEscape;
+    return s;
+  }
+  if (fields.count != 7) {
+    *error_class = IngestErrorClass::kFieldCount;
+    return Status::ParseError("expected 7 fields, got " +
+                              std::to_string(fields.count));
+  }
+  auto client = ParseTime(fields.field[0]);
+  if (!client.ok()) {
+    *error_class = IngestErrorClass::kBadTimestamp;
+    return client.status();
+  }
+  auto server = ParseTime(fields.field[1]);
+  if (!server.ok()) {
+    *error_class = IngestErrorClass::kBadTimestamp;
+    return server.status();
+  }
+  auto severity = ParseSeverity(fields.field[2]);
+  if (!severity.ok()) {
+    *error_class = IngestErrorClass::kBadSeverity;
+    return severity.status();
+  }
+  if (fields.field[3].empty()) {
+    *error_class = IngestErrorClass::kEmptySource;
+    return Status::ParseError("empty source field");
+  }
+  out->client_ts = client.value();
+  out->server_ts = server.value();
+  out->severity = severity.value();
+  out->source = fields.field[3];
+  out->host = fields.field[4];
+  out->user = fields.field[5];
+  out->message = fields.field[6];
+  return Status::OK();
 }
 
 // The per-class quarantine metrics sit adjacent in the Metric enum, in
@@ -198,45 +289,17 @@ Result<LogRecord> LineCodec::Decode(std::string_view line) {
 
 Result<LogRecord> LineCodec::Decode(std::string_view line,
                                     IngestErrorClass* error_class) {
-  auto fields_or = SplitEscaped(line);
-  if (!fields_or.ok()) {
-    SetClass(error_class, IngestErrorClass::kBadEscape);
-    return fields_or.status();
+  std::string scratch;
+  DecodedLine decoded;
+  IngestErrorClass line_class = IngestErrorClass::kFieldCount;
+  if (Status s = DecodeLine(line, &scratch, &decoded, &line_class); !s.ok()) {
+    if (error_class != nullptr) *error_class = line_class;
+    return s;
   }
-  const std::vector<std::string>& fields = fields_or.value();
-  if (fields.size() != 7) {
-    SetClass(error_class, IngestErrorClass::kFieldCount);
-    return Status::ParseError("expected 7 fields, got " +
-                              std::to_string(fields.size()));
-  }
-  LogRecord record;
-  auto client = ParseTime(fields[0]);
-  if (!client.ok()) {
-    SetClass(error_class, IngestErrorClass::kBadTimestamp);
-    return client.status();
-  }
-  record.client_ts = client.value();
-  auto server = ParseTime(fields[1]);
-  if (!server.ok()) {
-    SetClass(error_class, IngestErrorClass::kBadTimestamp);
-    return server.status();
-  }
-  record.server_ts = server.value();
-  auto severity = ParseSeverity(fields[2]);
-  if (!severity.ok()) {
-    SetClass(error_class, IngestErrorClass::kBadSeverity);
-    return severity.status();
-  }
-  record.severity = severity.value();
-  record.source = fields[3];
-  record.host = fields[4];
-  record.user = fields[5];
-  record.message = fields[6];
-  if (record.source.empty()) {
-    SetClass(error_class, IngestErrorClass::kEmptySource);
-    return Status::ParseError("empty source field");
-  }
-  return record;
+  return LogRecord{decoded.client_ts,           decoded.server_ts,
+                   decoded.severity,            std::string(decoded.source),
+                   std::string(decoded.host),   std::string(decoded.user),
+                   std::string(decoded.message)};
 }
 
 std::string LineCodec::EncodeAll(const std::vector<LogRecord>& records) {
@@ -248,19 +311,46 @@ std::string LineCodec::EncodeAll(const std::vector<LogRecord>& records) {
   return out;
 }
 
-Result<std::vector<LogRecord>> LineCodec::DecodeAll(std::string_view text) {
+Result<LogStore> LineCodec::DecodeAll(std::string_view text) {
   return DecodeAll(text, DecodeOptions{}, nullptr);
 }
 
 namespace {
 
-// One chunk's decode output, with chunk-local line numbers and byte
-// offsets; the merge below rebases them into global coordinates. Keeping
-// everything per-chunk (including the fail-fast failure, recorded rather
-// than returned early) is what makes the merged result byte-identical to
-// the serial decode for any chunk count.
+// Interns names into one dictionary of a LogStore::Columns, handing out
+// dense ids in first-seen order. Lookups take the field's view as is; a
+// name is copied only the first time it is seen.
+class Interner {
+ public:
+  explicit Interner(std::vector<std::string>* names) : names_(names) {}
+
+  uint32_t Intern(std::string_view name) {
+    if (auto it = ids_.find(name); it != ids_.end()) return it->second;
+    const auto id = static_cast<uint32_t>(names_->size());
+    names_->emplace_back(name);
+    ids_.emplace(name, id);
+    return id;
+  }
+
+ private:
+  struct Hash {
+    using is_transparent = void;
+    size_t operator()(std::string_view name) const {
+      return std::hash<std::string_view>{}(name);
+    }
+  };
+  std::vector<std::string>* names_;
+  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> ids_;
+};
+
+// One chunk's decode output: store columns with chunk-local dictionary
+// ids, plus chunk-local line numbers and byte offsets; the merge below
+// rebases both into global coordinates. Keeping everything per-chunk
+// (including the fail-fast failure, recorded rather than returned early)
+// is what makes the merged result byte-identical to the serial decode
+// for any chunk count.
 struct ChunkOutcome {
-  std::vector<LogRecord> records;
+  LogStore::Columns columns;
   IngestStats tally;
   /// Physical lines the chunk spans (newline-terminated lines, plus an
   /// unterminated final line) — the rebase amount for the next chunk's
@@ -272,20 +362,37 @@ struct ChunkOutcome {
   std::string fail_message;  ///< the per-line decode error
 };
 
-// The decode loop proper over one chunk. `allow_truncated_tail` is the
-// lenient-tail option scoped to the chunk holding the buffer's final
-// bytes — interior chunks always end at a newline so the condition could
-// not fire there anyway, but scoping it keeps that an invariant rather
-// than a coincidence. No budget judgement here: the budget is a
+// The decode loop proper over one chunk: one pass per line that finds
+// the fields, parses the timestamps and severity, and interns source,
+// host and user straight into the chunk's columns. `allow_truncated_tail`
+// is the lenient-tail option scoped to the chunk holding the buffer's
+// final bytes — interior chunks always end at a newline so the condition
+// could not fire there anyway, but scoping it keeps that an invariant
+// rather than a coincidence. No budget judgement here: the budget is a
 // whole-buffer property, applied once after the merge.
 void DecodeChunk(std::string_view text, const DecodeOptions& options,
                  bool allow_truncated_tail, ChunkOutcome* out) {
+  LogStore::Columns& columns = out->columns;
+  // Messages are a subset of the chunk's bytes; the reservation costs
+  // address space only, pages are touched as messages land.
+  columns.message_data.reserve(text.size());
+  Interner sources(&columns.source_names);
+  Interner hosts(&columns.host_names);
+  Interner users(&columns.user_names);
+  std::string scratch;
   IngestStats* tally = &out->tally;
   size_t line_no = 0;
   size_t start = 0;
   while (start <= text.size()) {
-    size_t end = text.find('\n', start);
-    if (end == std::string_view::npos) end = text.size();
+    const void* newline =
+        start < text.size()
+            ? std::memchr(text.data() + start, '\n', text.size() - start)
+            : nullptr;
+    const size_t end =
+        newline == nullptr
+            ? text.size()
+            : static_cast<size_t>(static_cast<const char*>(newline) -
+                                  text.data());
     std::string_view line = text.substr(start, end - start);
     // The empty view after a trailing newline is an artifact of the
     // scan, not a physical line; it must not shift later chunks' line
@@ -295,10 +402,22 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
     if (!Trim(line).empty()) {
       ++tally->lines_total;
       IngestErrorClass error_class = IngestErrorClass::kFieldCount;
-      auto record = LineCodec::Decode(line, &error_class);
-      if (record.ok()) {
+      DecodedLine decoded;
+      Status status = DecodeLine(line, &scratch, &decoded, &error_class);
+      if (status.ok()) {
         ++tally->records_decoded;
-        out->records.push_back(std::move(record).value());
+        columns.client_ts.push_back(decoded.client_ts);
+        columns.server_ts.push_back(decoded.server_ts);
+        columns.severity.push_back(decoded.severity);
+        columns.source_ids.push_back(sources.Intern(decoded.source));
+        columns.host_ids.push_back(decoded.host.empty()
+                                       ? LogStore::kNoHost
+                                       : hosts.Intern(decoded.host));
+        columns.user_ids.push_back(decoded.user.empty()
+                                       ? LogStore::kNoUser
+                                       : users.Intern(decoded.user));
+        columns.message_data.append(decoded.message);
+        columns.message_ends.push_back(columns.message_data.size());
       } else {
         // A malformed line that runs to the end of the buffer with no
         // terminating newline is, under the lenient-tail option,
@@ -311,14 +430,13 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
         ++tally->by_class[static_cast<size_t>(error_class)];
         if (tally->samples.size() < options.max_samples) {
           tally->samples.push_back({line_no, start, error_class,
-                                    record.status().message(),
-                                    std::string(line)});
+                                    status.message(), std::string(line)});
         }
         if (options.policy == DecodePolicy::kFailFast && !truncated_tail) {
           out->failed = true;
           out->fail_line = line_no;
           out->fail_offset = start;
-          out->fail_message = record.status().message();
+          out->fail_message = status.message();
           return;
         }
       }
@@ -326,6 +444,71 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
     if (end == text.size()) break;
     start = end + 1;
   }
+}
+
+// Concatenates the chunks' columns in index order, remapping ids to
+// global ones. A name gets its global id the first time the merge meets
+// it, walking chunks in index order and each chunk's dictionary in its
+// own first-seen order — the order a serial scan first sees the names,
+// so ids and dictionaries come out identical to a one-chunk decode. Each
+// chunk's columns are freed once copied, so the merge holds little more
+// than one copy of the corpus.
+LogStore::Columns MergeColumns(std::vector<ChunkOutcome>* outcomes) {
+  if (outcomes->size() == 1) return std::move((*outcomes)[0].columns);
+  LogStore::Columns merged;
+  size_t records = 0;
+  size_t message_bytes = 0;
+  for (const ChunkOutcome& outcome : *outcomes) {
+    records += outcome.columns.client_ts.size();
+    message_bytes += outcome.columns.message_data.size();
+  }
+  merged.client_ts.reserve(records);
+  merged.server_ts.reserve(records);
+  merged.severity.reserve(records);
+  merged.source_ids.reserve(records);
+  merged.host_ids.reserve(records);
+  merged.user_ids.reserve(records);
+  merged.message_ends.reserve(records);
+  merged.message_data.reserve(message_bytes);
+  Interner sources(&merged.source_names);
+  Interner hosts(&merged.host_names);
+  Interner users(&merged.user_names);
+  // kNoHost and kNoUser pass through; no source id ever equals them.
+  static_assert(LogStore::kNoHost == LogStore::kNoUser);
+  auto append_remapped = [](Interner* interner,
+                            const std::vector<std::string>& names,
+                            const std::vector<uint32_t>& ids,
+                            std::vector<uint32_t>* out) {
+    std::vector<uint32_t> global;
+    global.reserve(names.size());
+    for (const std::string& name : names) {
+      global.push_back(interner->Intern(name));
+    }
+    for (uint32_t id : ids) {
+      out->push_back(id == LogStore::kNoHost ? id : global[id]);
+    }
+  };
+  for (ChunkOutcome& outcome : *outcomes) {
+    LogStore::Columns chunk = std::move(outcome.columns);
+    merged.client_ts.insert(merged.client_ts.end(), chunk.client_ts.begin(),
+                            chunk.client_ts.end());
+    merged.server_ts.insert(merged.server_ts.end(), chunk.server_ts.begin(),
+                            chunk.server_ts.end());
+    merged.severity.insert(merged.severity.end(), chunk.severity.begin(),
+                           chunk.severity.end());
+    append_remapped(&sources, chunk.source_names, chunk.source_ids,
+                    &merged.source_ids);
+    append_remapped(&hosts, chunk.host_names, chunk.host_ids,
+                    &merged.host_ids);
+    append_remapped(&users, chunk.user_names, chunk.user_ids,
+                    &merged.user_ids);
+    const size_t arena_base = merged.message_data.size();
+    merged.message_data += chunk.message_data;
+    for (size_t end : chunk.message_ends) {
+      merged.message_ends.push_back(arena_base + end);
+    }
+  }
+  return merged;
 }
 
 // Splits `text` into at most `target` pieces whose boundaries sit just
@@ -362,15 +545,15 @@ size_t EffectiveChunks(const DecodeOptions& options, size_t text_size) {
 }
 
 // Splits, decodes every chunk (concurrently when more than one), and
-// merges outcomes in index order into `tally` / the returned records.
-// The merged records, stats, samples (with rebased line numbers and byte
+// merges outcomes in index order into `tally` / the returned store.
+// The merged store, stats, samples (with rebased line numbers and byte
 // offsets), budget judgement and fail-fast error are identical to a
 // single-chunk decode of the same buffer: in fail-fast mode every chunk
 // before the first failed one is clean, so merging clean chunks in order
 // and stopping at the failure reproduces the serial scan's stats exactly.
-Result<std::vector<LogRecord>> DecodeAllImpl(std::string_view text,
-                                             const DecodeOptions& options,
-                                             IngestStats* tally) {
+Result<LogStore> DecodeAllImpl(std::string_view text,
+                               const DecodeOptions& options,
+                               IngestStats* tally) {
   const size_t target = EffectiveChunks(options, text.size());
   const std::vector<std::string_view> chunks =
       SplitAtLineBoundaries(text, target);
@@ -389,12 +572,6 @@ Result<std::vector<LogRecord>> DecodeAllImpl(std::string_view text,
   obs::Count(obs::Metric::kIngestChunksDecoded,
              static_cast<int64_t>(chunks.size()));
 
-  std::vector<LogRecord> out;
-  size_t total_records = 0;
-  for (const ChunkOutcome& outcome : outcomes) {
-    total_records += outcome.records.size();
-  }
-  out.reserve(total_records);
   size_t line_base = 0;
   for (size_t i = 0; i < outcomes.size(); ++i) {
     ChunkOutcome& outcome = outcomes[i];
@@ -405,8 +582,6 @@ Result<std::vector<LogRecord>> DecodeAllImpl(std::string_view text,
       sample.byte_offset += byte_base;
     }
     tally->MergeFrom(outcome.tally, options.max_samples);
-    out.insert(out.end(), std::make_move_iterator(outcome.records.begin()),
-               std::make_move_iterator(outcome.records.end()));
     if (outcome.failed) {
       // Later chunks' work (if any ran) is discarded unmerged, exactly
       // as if the serial scan had stopped at this line.
@@ -436,13 +611,14 @@ Result<std::vector<LogRecord>> DecodeAllImpl(std::string_view text,
         " lines; bad fraction exceeds budget " +
         std::to_string(options.max_bad_fraction));
   }
-  return out;
+  return LogStore::FromColumns(MergeColumns(&outcomes));
 }
 
 }  // namespace
 
-Result<std::vector<LogRecord>> LineCodec::DecodeAll(
-    std::string_view text, const DecodeOptions& options, IngestStats* stats) {
+Result<LogStore> LineCodec::DecodeAll(std::string_view text,
+                                      const DecodeOptions& options,
+                                      IngestStats* stats) {
   LOGMINE_SPAN_GLOBAL("ingest/decode_all", obs::Metric::kIngestDecodeNs);
   IngestStats local;
   auto result = DecodeAllImpl(text, options, &local);

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "log/record.h"
+#include "log/store.h"
 #include "util/result.h"
 
 namespace logmine {
@@ -62,10 +63,11 @@ struct DecodeOptions {
   /// 0 (the default) = one chunk per pool thread, floored so every chunk
   /// spans at least ~64 KiB — small buffers stay serial; 1 = strictly
   /// serial on the caller; n = exactly n chunks regardless of size.
-  /// The decoded records, `IngestStats` (counts, per-class tallies,
-  /// first-K samples with their line numbers and byte offsets), error
-  /// budget judgement, and any fail-fast error are byte-identical for
-  /// every chunk count: per-chunk results merge in index order, the same
+  /// The decoded store (records, dictionaries and their ids),
+  /// `IngestStats` (counts, per-class tallies, first-K samples with
+  /// their line numbers and byte offsets), error budget judgement, and
+  /// any fail-fast error are byte-identical for every chunk count:
+  /// per-chunk results merge in index order, the same
   /// deterministic-merge discipline as the sharded miner counters.
   int num_chunks = 0;
 };
@@ -119,17 +121,20 @@ class LineCodec {
   static Result<LogRecord> Decode(std::string_view line);
 
   /// As `Decode`, but on failure also reports which error class the line
-  /// falls into (when `error_class` is non-null).
+  /// falls into (when `error_class` is non-null). The bulk decode below
+  /// runs the same line decoder, so the two always agree on a line.
   static Result<LogRecord> Decode(std::string_view line,
                                   IngestErrorClass* error_class);
 
   /// Encodes many records, one line each, with trailing newline per line.
   static std::string EncodeAll(const std::vector<LogRecord>& records);
 
-  /// Decodes a whole text buffer; empty lines are skipped. Fails on the
-  /// first malformed line, reporting its 1-based line number and byte
-  /// offset (fail-fast policy).
-  static Result<std::vector<LogRecord>> DecodeAll(std::string_view text);
+  /// Decodes a whole text buffer straight into a `LogStore` (index not
+  /// built); empty lines are skipped. Source, host and user are interned
+  /// in first-seen order, so ids match a loop of `LogStore::Append` over
+  /// the lines. Fails on the first malformed line, reporting its 1-based
+  /// line number and byte offset (fail-fast policy).
+  static Result<LogStore> DecodeAll(std::string_view text);
 
   /// Policy-driven variant. Under kFailFast it behaves exactly like the
   /// overload above; under kQuarantine malformed lines are skipped and
@@ -137,9 +142,9 @@ class LineCodec {
   /// exceeds `options.max_bad_fraction` (judged on this call's lines
   /// alone). `stats`, when non-null, is *accumulated into* under both
   /// policies (under kFailFast up to the failure) — see IngestStats.
-  static Result<std::vector<LogRecord>> DecodeAll(std::string_view text,
-                                                  const DecodeOptions& options,
-                                                  IngestStats* stats);
+  static Result<LogStore> DecodeAll(std::string_view text,
+                                    const DecodeOptions& options,
+                                    IngestStats* stats);
 };
 
 }  // namespace logmine

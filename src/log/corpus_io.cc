@@ -42,10 +42,8 @@ Result<LogStore> ReadCorpusFile(const std::string& path,
   // via DecodeAll keep the strict default.
   DecodeOptions file_options = options;
   file_options.lenient_truncated_tail = true;
-  auto records = LineCodec::DecodeAll(text, file_options, stats);
-  if (!records.ok()) return records.status();
-  LogStore store;
-  LOGMINE_RETURN_IF_ERROR(store.AppendBatch(records.value()));
+  LOGMINE_ASSIGN_OR_RETURN(LogStore store,
+                           LineCodec::DecodeAll(text, file_options, stats));
   store.BuildIndex();
   return store;
 }

@@ -166,6 +166,23 @@ LogRecord LogStore::GetRecord(size_t i) const {
   return record;
 }
 
+std::vector<LogRecord> LogStore::Records() const {
+  std::vector<LogRecord> records;
+  records.reserve(size());
+  for (size_t i = 0; i < size(); ++i) records.push_back(GetRecord(i));
+  return records;
+}
+
+bool operator==(const LogStore& a, const LogStore& b) {
+  return a.client_ts_ == b.client_ts_ && a.server_ts_ == b.server_ts_ &&
+         a.severity_ == b.severity_ && a.source_ids_ == b.source_ids_ &&
+         a.host_ids_ == b.host_ids_ && a.user_ids_ == b.user_ids_ &&
+         a.message_data_ == b.message_data_ &&
+         a.message_ends_ == b.message_ends_ &&
+         a.source_names_ == b.source_names_ &&
+         a.host_names_ == b.host_names_ && a.user_names_ == b.user_names_;
+}
+
 Result<LogStore::SourceId> LogStore::FindSource(std::string_view name) const {
   auto it = source_index_.find(name);
   if (it == source_index_.end()) {

@@ -105,6 +105,13 @@ class LogStore {
   /// Reassembles a full record (copying strings).
   LogRecord GetRecord(size_t i) const;
 
+  /// Every record in insertion order, reassembled as by `GetRecord`.
+  std::vector<LogRecord> Records() const;
+
+  /// Equal when the record columns, the message arena and the
+  /// dictionaries (names in id order) are; indexes are not compared.
+  friend bool operator==(const LogStore& a, const LogStore& b);
+
   // --- dictionaries ---
   size_t num_sources() const { return source_names_.size(); }
   size_t num_hosts() const { return host_names_.size(); }

@@ -1,16 +1,16 @@
 #include "util/time_util.h"
 
+#include <algorithm>
 #include <cstdio>
-
-#include "util/string_util.h"
 
 namespace logmine {
 
 int64_t DaysFromCivil(int year, int month, int day) {
   // Howard Hinnant, "chrono-Compatible Low-Level Date Algorithms".
-  year -= month <= 2;
-  const int64_t era = (year >= 0 ? year : year - 399) / 400;
-  const unsigned yoe = static_cast<unsigned>(year - era * 400);  // [0, 399]
+  // Widened first so that INT_MIN in January or February cannot overflow.
+  const int64_t y = static_cast<int64_t>(year) - (month <= 2);
+  const int64_t era = (y >= 0 ? y : y - 399) / 400;
+  const unsigned yoe = static_cast<unsigned>(y - era * 400);  // [0, 399]
   const unsigned doy =
       (153u * static_cast<unsigned>(month + (month > 2 ? -3 : 9)) + 2) / 5 +
       static_cast<unsigned>(day) - 1;                            // [0, 365]
@@ -95,21 +95,82 @@ std::string FormatDate(TimeMs t) {
   return buf;
 }
 
+namespace {
+
+// Every digit run saturates here: no field may reach it (the largest
+// legal year is ~2.9e8), so a saturated run is out of range rather than
+// an overflowed int.
+constexpr int64_t kDigitRunCap = 1'000'000'000;
+
+// Consumes the digit run at text[*pos], saturating at kDigitRunCap.
+// False (and *pos untouched) when there is no digit there.
+bool ReadDigits(std::string_view text, size_t* pos, int64_t* value) {
+  size_t i = *pos;
+  int64_t v = 0;
+  while (i < text.size() && text[i] >= '0' && text[i] <= '9') {
+    v = std::min(v * 10 + (text[i] - '0'), kDigitRunCap);
+    ++i;
+  }
+  if (i == *pos) return false;
+  *pos = i;
+  *value = v;
+  return true;
+}
+
+}  // namespace
+
 Result<TimeMs> ParseTime(std::string_view text) {
-  CivilTime c;
-  int fields = std::sscanf(std::string(text).c_str(),
-                           "%d-%d-%d %d:%d:%d.%d", &c.year, &c.month, &c.day,
-                           &c.hour, &c.minute, &c.second, &c.millisecond);
-  if (fields != 3 && fields != 6 && fields != 7) {
+  // Grammar: -?Y-M-D[ h:m:s[.ms]]. Fields are matched left to right. A
+  // date alone, a date with h:m:s, or all seven fields are accepted;
+  // any other count is unrecognized. Range checks run before leftover
+  // bytes are judged, so "2005-13-01x" reads as out of range, as it
+  // always has.
+  static constexpr char kSeparators[7] = {'\0', '-', '-', ' ', ':', ':', '.'};
+  int64_t field[7] = {0, 0, 0, 0, 0, 0, 0};
+  size_t pos = 0;
+  const bool negative_year = !text.empty() && text[0] == '-';
+  if (negative_year) pos = 1;
+  int matched = 0;
+  while (matched < 7) {
+    size_t next = pos;
+    if (matched > 0) {
+      if (next >= text.size() || text[next] != kSeparators[matched]) break;
+      ++next;
+    }
+    if (!ReadDigits(text, &next, &field[matched])) break;
+    pos = next;
+    ++matched;
+  }
+  if (matched != 3 && matched != 6 && matched != 7) {
     return Status::ParseError("unrecognized timestamp: " + std::string(text));
   }
-  if (c.month < 1 || c.month > 12 || c.day < 1 || c.day > 31 || c.hour > 23 ||
-      c.minute > 59 || c.second > 59 || c.millisecond > 999 || c.hour < 0 ||
-      c.minute < 0 || c.second < 0 || c.millisecond < 0) {
+  const int64_t year = negative_year ? -field[0] : field[0];
+  const int64_t month = field[1], day = field[2], hour = field[3],
+                minute = field[4], second = field[5], millis = field[6];
+  // The date-to-millisecond products are overflow-checked: a year whose
+  // milliseconds TimeMs cannot hold is out of range like any month 13.
+  TimeMs t = 0;
+  const bool in_range =
+      month >= 1 && month <= 12 && day >= 1 && day <= 31 && hour <= 23 &&
+      minute <= 59 && second <= 59 && millis <= 999 &&
+      year > -kDigitRunCap && year < kDigitRunCap &&
+      !__builtin_mul_overflow(
+          DaysFromCivil(static_cast<int>(year), static_cast<int>(month),
+                        static_cast<int>(day)),
+          kMillisPerDay, &t) &&
+      !__builtin_add_overflow(
+          t,
+          hour * kMillisPerHour + minute * kMillisPerMinute +
+              second * kMillisPerSecond + millis,
+          &t);
+  if (!in_range) {
     return Status::ParseError("timestamp field out of range: " +
                               std::string(text));
   }
-  return TimeFromCivil(c);
+  if (pos != text.size()) {
+    return Status::ParseError("unrecognized timestamp: " + std::string(text));
+  }
+  return t;
 }
 
 }  // namespace logmine

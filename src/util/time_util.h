@@ -60,7 +60,11 @@ std::string FormatTime(TimeMs t);
 std::string FormatDate(TimeMs t);
 
 /// Parses the output of `FormatTime`. Also accepts a bare date
-/// ("YYYY-MM-DD") and a timestamp without milliseconds.
+/// ("YYYY-MM-DD") and a timestamp without milliseconds. Fields are ASCII
+/// digit runs (the year may carry a leading '-'), separated by exactly
+/// the characters `FormatTime` writes; blanks, '+' signs and trailing
+/// bytes are rejected. A field outside its range, including a year whose
+/// milliseconds do not fit `TimeMs`, is "timestamp field out of range".
 Result<TimeMs> ParseTime(std::string_view text);
 
 }  // namespace logmine

@@ -4,6 +4,7 @@
 #include <fstream>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "log/codec.h"
 
@@ -80,9 +81,10 @@ TEST_F(DatasetTest, StoreIsIndexedAndPopulated) {
 class DatasetCacheTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // Keyed by pid: ctest starts each test as its own process, often
+    // within the millisecond gtest's time-based random seed resolves.
     dir_ = std::filesystem::temp_directory_path() /
-           ("logmine_dataset_cache_" +
-            std::to_string(::testing::UnitTest::GetInstance()->random_seed()));
+           ("logmine_dataset_cache_" + std::to_string(::getpid()));
     std::filesystem::create_directories(dir_);
     config_.simulation.num_days = 1;
     config_.simulation.scale = 0.02;

@@ -107,10 +107,7 @@ class CorruptionRobustnessTest : public ::testing::Test {
       EXPECT_EQ(stats.by_class[c], report.expected_by_class[c]) << c;
     }
 
-    LogStore store;
-    for (const LogRecord& record : records.value()) {
-      EXPECT_TRUE(store.Append(record).ok());
-    }
+    LogStore store = std::move(records).value();
     store.BuildIndex();
     return store;
   }
@@ -159,8 +156,8 @@ TEST_F(CorruptionRobustnessTest, ZeroCorruptionQuarantineMatchesFailFast) {
   ASSERT_TRUE(quarantine.ok()) << quarantine.status();
   EXPECT_EQ(stats.lines_quarantined, 0u);
   // Byte-identical round trip: the lenient path decoded the same records.
-  EXPECT_EQ(LineCodec::EncodeAll(quarantine.value()),
-            LineCodec::EncodeAll(strict.value()));
+  EXPECT_EQ(LineCodec::EncodeAll(quarantine.value().Records()),
+            LineCodec::EncodeAll(strict.value().Records()));
 }
 
 TEST_F(CorruptionRobustnessTest, OnePercentCorruptionBarelyDents) {

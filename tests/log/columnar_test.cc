@@ -72,8 +72,7 @@ TEST(ColumnarTest, TextAndColumnarConvertLosslesslyBothWays) {
   // text -> store -> columnar -> store -> text
   auto from_text = LineCodec::DecodeAll(text);
   ASSERT_TRUE(from_text.ok());
-  LogStore text_store;
-  ASSERT_TRUE(text_store.AppendBatch(from_text.value()).ok());
+  const LogStore text_store = std::move(from_text).value();
   auto from_columnar = DecodeColumnar(EncodeColumnar(text_store));
   ASSERT_TRUE(from_columnar.ok()) << from_columnar.status();
   std::vector<LogRecord> back;
@@ -132,11 +131,10 @@ TEST(ColumnarTest, QuarantinedCorpusSurvivesTheColumnarHop) {
   options.policy = DecodePolicy::kQuarantine;
   options.max_bad_fraction = 0.5;
   IngestStats stats;
-  auto records = LineCodec::DecodeAll(text, options, &stats);
-  ASSERT_TRUE(records.ok());
+  auto decoded = LineCodec::DecodeAll(text, options, &stats);
+  ASSERT_TRUE(decoded.ok());
   EXPECT_EQ(stats.lines_quarantined, 1u);
-  LogStore survivors;
-  ASSERT_TRUE(survivors.AppendBatch(records.value()).ok());
+  const LogStore survivors = std::move(decoded).value();
   auto loaded = DecodeColumnar(EncodeColumnar(survivors));
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ExpectStoresEqual(survivors, loaded.value());

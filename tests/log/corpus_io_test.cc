@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 namespace logmine {
 namespace {
@@ -13,11 +14,11 @@ namespace {
 class CorpusIoTest : public ::testing::Test {
  protected:
   void SetUp() override {
+    // ctest runs every test in its own process, often in the same
+    // millisecond, so the path is keyed by pid rather than by gtest's
+    // time-based random seed.
     path_ = std::filesystem::temp_directory_path() /
-            ("logmine_corpus_io_test_" +
-             std::to_string(::testing::UnitTest::GetInstance()
-                                ->random_seed()) +
-             ".log");
+            ("logmine_corpus_io_test_" + std::to_string(::getpid()) + ".log");
   }
   void TearDown() override {
     std::error_code ec;

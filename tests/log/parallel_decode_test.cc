@@ -4,7 +4,9 @@
 #include <gtest/gtest.h>
 
 #include "log/codec.h"
+#include "log/store.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace logmine {
 namespace {
@@ -42,7 +44,7 @@ DecodeOutcome DecodeWith(std::string_view text, DecodeOptions options,
   auto result = LineCodec::DecodeAll(text, options, &outcome.stats);
   outcome.ok = result.ok();
   if (result.ok()) {
-    outcome.encoded_records = LineCodec::EncodeAll(result.value());
+    outcome.encoded_records = LineCodec::EncodeAll(result.value().Records());
   } else {
     outcome.error = result.status().message();
   }
@@ -201,6 +203,90 @@ TEST(ParallelDecodeTest, RandomizedCorporaAreChunkCountInvariant) {
     options.max_samples = static_cast<size_t>(rng.UniformInt(0, 8));
     SCOPED_TRACE("round " + std::to_string(round));
     ExpectChunkCountInvariant(text, options);
+  }
+}
+
+// Store-level determinism: the decoded store — dictionaries in id order,
+// per-record ids with kNoHost/kNoUser for empty fields, and the message
+// arena — equals a serial LogStore::Append loop over the good lines, at
+// every chunk count.
+void ExpectSameStore(const LogStore& expected, const LogStore& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  ASSERT_EQ(expected.num_sources(), actual.num_sources());
+  for (uint32_t id = 0; id < expected.num_sources(); ++id) {
+    EXPECT_EQ(expected.source_name(id), actual.source_name(id)) << id;
+  }
+  ASSERT_EQ(expected.num_hosts(), actual.num_hosts());
+  for (uint32_t id = 0; id < expected.num_hosts(); ++id) {
+    EXPECT_EQ(expected.host_name(id), actual.host_name(id)) << id;
+  }
+  ASSERT_EQ(expected.num_users(), actual.num_users());
+  for (uint32_t id = 0; id < expected.num_users(); ++id) {
+    EXPECT_EQ(expected.user_name(id), actual.user_name(id)) << id;
+  }
+  for (size_t i = 0; i < expected.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    EXPECT_EQ(expected.client_ts(i), actual.client_ts(i));
+    EXPECT_EQ(expected.server_ts(i), actual.server_ts(i));
+    EXPECT_EQ(expected.severity(i), actual.severity(i));
+    EXPECT_EQ(expected.source_id(i), actual.source_id(i));
+    EXPECT_EQ(expected.host_id(i), actual.host_id(i));
+    EXPECT_EQ(expected.user_id(i), actual.user_id(i));
+    EXPECT_EQ(expected.message(i), actual.message(i));
+  }
+  // Everything at once, the message arena and its offsets included.
+  EXPECT_TRUE(expected == actual);
+}
+
+TEST(ParallelDecodeTest, StoresMatchASerialAppendLoopAtEveryChunkCount) {
+  // Sources, hosts and users that first appear late (in a later chunk
+  // at every chunk count above 1), names that need unescaping, empty
+  // host and user fields, and quarantined lines whose names must not
+  // reach any dictionary.
+  std::vector<LogRecord> good;
+  std::string text;
+  for (int i = 0; i < 240; ++i) {
+    LogRecord record;
+    record.client_ts = 5000 + (i * 37) % 1000;
+    record.server_ts = record.client_ts + i % 4;
+    record.severity = static_cast<Severity>(i % 4);
+    record.source = i >= 200   ? "late|" + std::to_string(i % 3)
+                    : i >= 120 ? "mid" + std::to_string(i % 2)
+                               : "early" + std::to_string(i % 5);
+    record.host = i % 6 == 0 ? "" : "host" + std::to_string((i * 7) % 11);
+    record.user = i % 4 == 1 ? "" : "u\\" + std::to_string(i / 30);
+    record.message = i % 9 == 0 ? "pipe | and\nnewline"
+                                : "message " + std::to_string(i);
+    if (i % 23 == 5) {
+      LogRecord ghost = record;
+      ghost.severity = Severity::kInfo;
+      ghost.source = "ghost" + std::to_string(i);
+      ghost.host = "ghost-host" + std::to_string(i);
+      text += ReplaceAll(LineCodec::Encode(ghost), "|INFO|", "|LOUD|") +
+              "\n";
+      text += "not a log line\n";
+    }
+    good.push_back(record);
+    text += LineCodec::Encode(record) + "\n";
+  }
+  LogStore expected;
+  for (const LogRecord& record : good) {
+    ASSERT_TRUE(expected.Append(record).ok());
+  }
+  ASSERT_EQ(expected.num_sources(), 10u);
+
+  DecodeOptions options;
+  options.policy = DecodePolicy::kQuarantine;
+  options.max_bad_fraction = 0.2;
+  for (int num_chunks : kChunkCounts) {
+    SCOPED_TRACE("num_chunks=" + std::to_string(num_chunks));
+    options.num_chunks = num_chunks;
+    IngestStats stats;
+    auto decoded = LineCodec::DecodeAll(text, options, &stats);
+    ASSERT_TRUE(decoded.ok()) << decoded.status();
+    EXPECT_EQ(stats.records_decoded, good.size());
+    EXPECT_GT(stats.lines_quarantined, 0u);
+    ExpectSameStore(expected, decoded.value());
   }
 }
 

@@ -140,17 +140,18 @@ TEST(CorruptorTest, ClockJumpShiftsBothTimestampsWithinTheBound) {
   CorruptionReport report;
   const std::string corrupted = CorruptCorpusText(clean, config, &rng, &report);
   EXPECT_EQ(report.lines_corrupted, 40u);
-  auto records = LineCodec::DecodeAll(corrupted);
-  ASSERT_TRUE(records.ok()) << records.status();
-  ASSERT_EQ(records.value().size(), originals.size());
+  auto decoded = LineCodec::DecodeAll(corrupted);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const std::vector<LogRecord> records = decoded.value().Records();
+  ASSERT_EQ(records.size(), originals.size());
   for (size_t i = 0; i < originals.size(); ++i) {
     const TimeMs jump =
-        records.value()[i].client_ts - originals[i].client_ts;
+        records[i].client_ts - originals[i].client_ts;
     EXPECT_NE(jump, 0) << i;
     EXPECT_LE(std::abs(jump), 5000) << i;
     // Client and server clocks jump together: the record's skew survives.
-    EXPECT_EQ(records.value()[i].server_ts - originals[i].server_ts, jump);
-    EXPECT_EQ(records.value()[i].message, originals[i].message);
+    EXPECT_EQ(records[i].server_ts - originals[i].server_ts, jump);
+    EXPECT_EQ(records[i].message, originals[i].message);
   }
 }
 
@@ -167,14 +168,15 @@ TEST(CorruptorTest, BlankContextClearsHostAndUserOnly) {
   config.clock_jump_weight = 0.0;
   Rng rng(17);
   const std::string corrupted = CorruptCorpusText(clean, config, &rng);
-  auto records = LineCodec::DecodeAll(corrupted);
-  ASSERT_TRUE(records.ok()) << records.status();
-  ASSERT_EQ(records.value().size(), originals.size());
+  auto decoded = LineCodec::DecodeAll(corrupted);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  const std::vector<LogRecord> records = decoded.value().Records();
+  ASSERT_EQ(records.size(), originals.size());
   for (size_t i = 0; i < originals.size(); ++i) {
-    EXPECT_TRUE(records.value()[i].host.empty()) << i;
-    EXPECT_TRUE(records.value()[i].user.empty()) << i;
-    EXPECT_EQ(records.value()[i].source, originals[i].source);
-    EXPECT_EQ(records.value()[i].client_ts, originals[i].client_ts);
+    EXPECT_TRUE(records[i].host.empty()) << i;
+    EXPECT_TRUE(records[i].user.empty()) << i;
+    EXPECT_EQ(records[i].source, originals[i].source);
+    EXPECT_EQ(records[i].client_ts, originals[i].client_ts);
   }
 }
 

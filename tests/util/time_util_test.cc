@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <string>
+
 namespace logmine {
 namespace {
 
@@ -108,6 +111,54 @@ TEST(ParseTest, AcceptsBareDateAndNoMillis) {
   auto no_ms = ParseTime("2005-12-06 08:00:05");
   ASSERT_TRUE(no_ms.ok());
   EXPECT_EQ(HourOfDay(no_ms.value()), 8);
+}
+
+TEST(ParseTest, FractionDigitsAreMilliseconds) {
+  // The digits after the dot are a millisecond count, not a fraction:
+  // ".5" is 5 ms, as the format's writers and readers always had it.
+  auto parsed = ParseTime("2005-12-06 08:00:01.5");
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(),
+            TimeFromCivil({.year = 2005, .month = 12, .day = 6, .hour = 8,
+                           .second = 1, .millisecond = 5}));
+}
+
+TEST(ParseTest, RoundTripsNegativeYears) {
+  const TimeMs t = TimeFromCivil({.year = -1, .month = 3, .day = 1});
+  EXPECT_EQ(FormatTime(t), "-001-03-01 00:00:00.000");
+  auto parsed = ParseTime(FormatTime(t));
+  ASSERT_TRUE(parsed.ok());
+  EXPECT_EQ(parsed.value(), t);
+}
+
+TEST(ParseTest, HostileYearsAreOutOfRangeNotOverflow) {
+  // Regression: both overflowed signed integers (INT_MIN - 1 in
+  // DaysFromCivil; days * kMillisPerDay past int64) before the year was
+  // bounded. Run under the asan preset, which traps on the overflow.
+  for (const std::string text : {"-2147483648-01-01 00:00:00.000",
+                                 "999999999-06-01 00:00:00.000",
+                                 "99999999999999999999-06-01",
+                                 "2005-12-99999999999999999999"}) {
+    auto parsed = ParseTime(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(),
+              "timestamp field out of range: " + text);
+  }
+  // The last representable instant still parses.
+  auto parsed = ParseTime(FormatTime(INT64_MAX));
+  ASSERT_TRUE(parsed.ok()) << FormatTime(INT64_MAX);
+  EXPECT_EQ(parsed.value(), INT64_MAX);
+}
+
+TEST(ParseTest, RejectsBlanksSignsAndTrailingBytes) {
+  for (const std::string text :
+       {" 2005-12-06", "+2005-12-06", "2005-12-06  08:00:05",
+        "2005-12-06 08:00:05.123xyz", "2005-12-06 08:00:05.", "2005-12-06 ",
+        "2005--12-06", "", "-"}) {
+    auto parsed = ParseTime(text);
+    ASSERT_FALSE(parsed.ok()) << text;
+    EXPECT_EQ(parsed.status().message(), "unrecognized timestamp: " + text);
+  }
 }
 
 TEST(ParseTest, RejectsGarbage) {
