@@ -8,8 +8,9 @@
 // revision.
 //
 // Also reports the cost of the checkpoint/recovery layer: the same
-// L2+L3 daily sweep with checkpointing off vs snapshotting after every
-// day, as absolute ms and as a fraction of the uncheckpointed run.
+// L2+L3 daily sweep (eval::RunSweep) without a partial dir vs one
+// persisted partial per (day, technique) cell, as absolute ms and as a
+// fraction of the run without.
 //
 // Finally, the observability tax: the same end-to-end run with a fully
 // wired ObsContext vs none, measured as interleaved best-of-N pairs and
@@ -47,7 +48,7 @@
 #include "bench/bench_common.h"
 #include "core/l2_session_builder.h"
 #include "core/pipeline.h"
-#include "eval/resumable_runner.h"
+#include "eval/daily_runner.h"
 #include "eval/shard_supervisor.h"
 #include "log/codec.h"
 #include "log/columnar.h"
@@ -360,24 +361,25 @@ int main(int argc, char** argv) {
             << (sweep_matches_unsharded ? "matches" : "DIFFERS from")
             << " the unsliced mine\n";
 
-  // Checkpoint overhead: the L2+L3 daily sweep (the resumable runner's
-  // unit of work) with checkpointing disabled vs one snapshot generation
-  // per day. L1 is excluded so the denominator is the two fast miners —
-  // the conservative (largest) overhead fraction.
+  // Checkpoint overhead: the L2+L3 daily sweep (eval::RunSweep) without
+  // a partial dir vs one persisted partial per (day, technique) cell. L1
+  // is excluded so the denominator is the two fast miners — the
+  // conservative (largest) overhead fraction.
   eval::SweepConfig sweep_config;
   sweep_config.run_l1 = false;
+  eval::ShardSupervisorConfig ckpt_off_supervisor;
+  ckpt_off_supervisor.poll_ms = 1;
   const double ckpt_off_ms = MeasureMs(reps, [&] {
-    auto result =
-        eval::RunSweepResumable(dataset, sweep_config, eval::ResumableOptions{});
+    auto result = eval::RunSweep(dataset, sweep_config, ckpt_off_supervisor);
     if (!result.ok()) std::abort();
   });
   const std::string ckpt_dir =
       (std::filesystem::temp_directory_path() / "logmine_bench_ckpt").string();
-  eval::ResumableOptions ckpt_options;
-  ckpt_options.checkpoint.dir = ckpt_dir;
+  eval::ShardSupervisorConfig ckpt_supervisor = ckpt_off_supervisor;
+  ckpt_supervisor.partial_dir = ckpt_dir;
   const double ckpt_on_ms = MeasureMs(reps, [&] {
     std::filesystem::remove_all(ckpt_dir);  // every rep runs fresh
-    auto result = eval::RunSweepResumable(dataset, sweep_config, ckpt_options);
+    auto result = eval::RunSweep(dataset, sweep_config, ckpt_supervisor);
     if (!result.ok()) std::abort();
   });
   std::filesystem::remove_all(ckpt_dir);
@@ -439,10 +441,9 @@ int main(int argc, char** argv) {
     if (!run.ok() || !run.value().all_ok()) std::abort();
 
     std::filesystem::remove_all(ckpt_dir);
-    eval::ResumableOptions obs_ckpt_options = ckpt_options;
-    obs_ckpt_options.obs = &obs_context;
-    auto sweep =
-        eval::RunSweepResumable(dataset, sweep_config, obs_ckpt_options);
+    eval::ShardSupervisorConfig obs_ckpt_supervisor = ckpt_supervisor;
+    obs_ckpt_supervisor.obs = &obs_context;
+    auto sweep = eval::RunSweep(dataset, sweep_config, obs_ckpt_supervisor);
     if (!sweep.ok()) std::abort();
     std::filesystem::remove_all(ckpt_dir);
 

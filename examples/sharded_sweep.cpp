@@ -1,19 +1,27 @@
 // Sharded sweep supervisor demo: partition a multi-day L1 sweep into
 // (day × pair-range) shards, run them concurrently under seeded chaos,
-// and show the three outcomes the supervisor distinguishes:
+// and show the outcomes the supervisor distinguishes:
 //
-//   1. a fault-free run (the baseline bytes),
-//   2. a recoverable-chaos run — injected kills, hangs, corrupt partial
+//   1. a fault-free run (the baseline bytes), persisting one partial per
+//      cell,
+//   2. a resume after a simulated crash — one partial torn, another
+//      missing — which must load every other cell, discard the torn one,
+//      re-mine both and produce byte-identical merged output,
+//   3. a recoverable-chaos run — injected kills, hangs, corrupt partial
 //      models and slowdowns, all retried or hedged away — which must
 //      produce byte-identical merged output, and
-//   3. a degraded run with one permanently poisoned shard, which still
+//   4. a degraded run with one permanently poisoned shard, which still
 //      delivers a usable model annotated with exactly what is missing.
 //
 // Flags: --seed=1 --days=2 --scale=0.1 --ranges=3 --chaos (enable the
 // recoverable-chaos pass) --coverage-out=coverage.json (write the
-// degraded run's coverage report, e.g. as a CI artifact).
+// degraded run's coverage report, e.g. as a CI artifact). Passes 1-2 keep
+// their partials in a fresh temp dir, removed after pass 2.
 // Exits non-zero if any of the invariants above fails to hold.
 
+#include <unistd.h>
+
+#include <filesystem>
 #include <fstream>
 #include <iostream>
 
@@ -73,8 +81,19 @@ int main(int argc, char** argv) {
               << run.stats.breaker_trips << " breaker trips\n";
   };
 
-  // 1. Fault-free baseline.
-  auto clean = eval::RunL1ShardedSweep(dataset, l1, supervisor);
+  // 1. Fault-free baseline, persisting one partial per cell.
+  const int cells = dataset.num_days() * num_ranges;
+  if (cells < 2) {
+    std::cerr << "the resume pass needs at least 2 cells\n";
+    return 1;
+  }
+  const std::filesystem::path partial_dir =
+      std::filesystem::temp_directory_path() /
+      ("logmine_sharded_sweep_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(partial_dir);
+  eval::ShardSupervisorConfig resumable = supervisor;
+  resumable.partial_dir = partial_dir.string();
+  auto clean = eval::RunL1ShardedSweep(dataset, l1, resumable);
   if (!clean.ok()) {
     std::cerr << "clean sweep failed: " << clean.status() << "\n";
     return 1;
@@ -82,7 +101,36 @@ int main(int argc, char** argv) {
   describe("clean   ", clean.value());
   const std::string reference = core::MergedModelBytes(clean.value().merged);
 
-  // 2. Recoverable chaos: same sweep, seeded transient faults. Must
+  // 2. Resume after a simulated crash: tear one partial, delete another.
+  //    The re-run must load every other cell, discard the torn file, and
+  //    re-mine both cells to the same bytes.
+  const std::filesystem::path torn = partial_dir / "partial-d0-r0.snap";
+  const std::filesystem::path lost =
+      partial_dir / ("partial-d" + std::to_string(dataset.num_days() - 1) +
+                     "-r" + std::to_string(num_ranges - 1) + ".snap");
+  std::filesystem::resize_file(torn, std::filesystem::file_size(torn) / 2);
+  std::filesystem::remove(lost);
+  auto resumed = eval::RunL1ShardedSweep(dataset, l1, resumable);
+  std::filesystem::remove_all(partial_dir);
+  if (!resumed.ok()) {
+    std::cerr << "resumed sweep failed: " << resumed.status() << "\n";
+    return 1;
+  }
+  describe("resumed ", resumed.value());
+  std::cout << "  " << resumed.value().stats.shards_loaded
+            << " cells loaded from partials, "
+            << resumed.value().stats.partials_discarded
+            << " torn partial discarded\n";
+  if (resumed.value().stats.shards_loaded != cells - 2 ||
+      resumed.value().stats.partials_discarded != 1 ||
+      core::MergedModelBytes(resumed.value().merged) != reference) {
+    std::cerr << "INVARIANT VIOLATED: the resume did not load exactly the "
+                 "intact cells and converge to the clean run's bytes\n";
+    return 1;
+  }
+  std::cout << "  resumed run is byte-identical to the clean run\n";
+
+  // 3. Recoverable chaos: same sweep, seeded transient faults. Must
   //    converge to the exact same bytes.
   if (flags.GetBool("chaos", true)) {
     Rng rng(seed);
@@ -114,7 +162,7 @@ int main(int argc, char** argv) {
     std::cout << "  chaos run is byte-identical to the clean run\n";
   }
 
-  // 3. Degraded run: one shard permanently broken. The sweep must
+  // 4. Degraded run: one shard permanently broken. The sweep must
   //    degrade gracefully and account for the loss exactly.
   sim::ShardFaultPlan poison_plan;
   poison_plan.faults.push_back({/*day=*/0, /*range_index=*/num_ranges - 1,

@@ -30,14 +30,19 @@ inline bool operator<(const ShardId& a, const ShardId& b) {
 /// The dependency model one shard task mined, plus enough provenance to
 /// refuse merging pieces of different sweeps: grid dimensions and the
 /// sweep's state hash (config × dataset × grid fingerprint). This is
-/// the unit a sharded sweep persists, retries and finally merges —
-/// losing some of them must degrade the merged model, never corrupt it.
+/// the unit a sharded sweep persists, retries, resumes from and finally
+/// merges — losing some of them must degrade the merged model, never
+/// corrupt it.
 struct PartialModel {
   ShardId shard;
   int32_t num_days = 0;
   int32_t num_ranges = 0;
   uint64_t state_hash = 0;
   DependencyModel model;
+  /// Opaque per-cell bytes the shard's miner attached (L2: the day's
+  /// encoded SessionBuildStats; empty otherwise). Persisted with the
+  /// model, never merged.
+  std::string payload;
 };
 
 /// Which cells of the shard grid made it into a merged model. Cells are

@@ -1,5 +1,6 @@
 #include "core/serialization.h"
 
+#include <cstdint>
 #include <cstring>
 #include <map>
 #include <set>
@@ -63,21 +64,6 @@ void EncodeDailySeries(const DailySeries& series, SnapshotWriter* w) {
     w->PutString(i < series.day_labels.size() ? series.day_labels[i] : "");
     EncodeConfusionCounts(series.days[i], w);
   }
-}
-
-Result<DailySeries> DecodeDailySeries(SectionCursor* c) {
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t count, c->ReadU64());
-  LOGMINE_RETURN_IF_ERROR(CheckCount(count, 1u << 22, "daily series row"));
-  DailySeries series;
-  series.day_labels.reserve(count);
-  series.days.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string label, c->ReadString());
-    LOGMINE_ASSIGN_OR_RETURN(ConfusionCounts counts, DecodeConfusionCounts(c));
-    series.day_labels.push_back(std::move(label));
-    series.days.push_back(counts);
-  }
-  return series;
 }
 
 void EncodeSessionBuildStats(const SessionBuildStats& stats,
@@ -159,6 +145,11 @@ Result<CoverageReport> DecodeCoverageReport(SectionCursor* c) {
   LOGMINE_ASSIGN_OR_RETURN(uint32_t num_ranges, c->ReadU32());
   LOGMINE_ASSIGN_OR_RETURN(uint64_t cells, c->ReadU64());
   LOGMINE_RETURN_IF_ERROR(CheckCount(cells, 1u << 26, "coverage cell"));
+  if (num_days > INT32_MAX || num_ranges > INT32_MAX) {
+    return Status::ParseError("coverage grid " + std::to_string(num_days) +
+                              " x " + std::to_string(num_ranges) +
+                              " has a negative dimension");
+  }
   report.num_days = static_cast<int32_t>(num_days);
   report.num_ranges = static_cast<int32_t>(num_ranges);
   if (cells != static_cast<uint64_t>(num_days) * num_ranges) {
@@ -182,6 +173,7 @@ void EncodePartialModel(const PartialModel& partial, SnapshotWriter* w) {
   w->PutU32(static_cast<uint32_t>(partial.num_ranges));
   w->PutU64(partial.state_hash);
   EncodeDependencyModel(partial.model, w);
+  w->PutString(partial.payload);
 }
 
 Result<PartialModel> DecodePartialModel(SectionCursor* c) {
@@ -195,7 +187,11 @@ Result<PartialModel> DecodePartialModel(SectionCursor* c) {
   partial.shard.range_index = static_cast<int32_t>(range_index);
   partial.num_days = static_cast<int32_t>(num_days);
   partial.num_ranges = static_cast<int32_t>(num_ranges);
-  if (partial.num_ranges < 1 || partial.shard.day >= partial.num_days ||
+  // Fields travel as u32; anything above INT32_MAX is a negative id or
+  // dimension once cast, and no grid has one.
+  if (partial.shard.day < 0 || partial.shard.range_index < 0 ||
+      partial.num_days < 1 || partial.num_ranges < 1 ||
+      partial.shard.day >= partial.num_days ||
       partial.shard.range_index >= partial.num_ranges) {
     return Status::ParseError(
         "partial model claims shard (" + std::to_string(day) + ", " +
@@ -203,6 +199,7 @@ Result<PartialModel> DecodePartialModel(SectionCursor* c) {
         " x " + std::to_string(num_ranges) + " grid");
   }
   LOGMINE_ASSIGN_OR_RETURN(partial.model, DecodeDependencyModel(c));
+  LOGMINE_ASSIGN_OR_RETURN(partial.payload, c->ReadString());
   return partial;
 }
 

@@ -17,12 +17,12 @@
 
 namespace logmine::core {
 
-/// Binary serialization of the resumable mining state — everything a
-/// long-horizon sweep accumulates per day (models, evaluation rows,
-/// tracker bookkeeping) plus the miner configs it ran under. Encoders
-/// append to an open SnapshotWriter section; decoders consume from a
-/// SectionCursor and fail with ParseError on any malformed payload, so
-/// a corrupt checkpoint can never load as silently wrong state.
+/// Binary serialization of persisted mining state — the per-cell partial
+/// models a sweep resumes from, the streaming service's tracker and
+/// models, and the miner configs they ran under. Encoders append to an
+/// open SnapshotWriter section; decoders consume from a SectionCursor
+/// and fail with ParseError on any malformed payload, so a corrupt file
+/// can never load as silently wrong state.
 ///
 /// Every Decode(Encode(x)) round-trips to an equal value — the property
 /// the crash-recovery tests build their byte-identity assertion on.
@@ -33,8 +33,10 @@ Result<DependencyModel> DecodeDependencyModel(SectionCursor* c);
 void EncodeConfusionCounts(const ConfusionCounts& counts, SnapshotWriter* w);
 Result<ConfusionCounts> DecodeConfusionCounts(SectionCursor* c);
 
+/// Encode-only: a sweep recomputes its series from the merged per-day
+/// models, so this is a fingerprint (the byte string the crash-recovery
+/// tests compare), never a persisted state.
 void EncodeDailySeries(const DailySeries& series, SnapshotWriter* w);
-Result<DailySeries> DecodeDailySeries(SectionCursor* c);
 
 void EncodeSessionBuildStats(const SessionBuildStats& stats,
                              SnapshotWriter* w);

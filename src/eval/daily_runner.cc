@@ -1,62 +1,104 @@
 #include "eval/daily_runner.h"
 
-#include <chrono>
+#include <algorithm>
+#include <filesystem>
+#include <string>
+#include <utility>
 
-#include "obs/obs.h"
+#include "core/serialization.h"
 #include "util/time_util.h"
 
 namespace logmine::eval {
 namespace {
 
-std::string DayLabel(TimeMs day_begin) { return FormatDate(day_begin); }
-
-Status CheckDay(const Dataset& dataset, int day) {
-  if (day < 0 || day >= dataset.num_days()) {
-    return Status::OutOfRange("day " + std::to_string(day) +
-                              " outside [0, " +
-                              std::to_string(dataset.num_days()) + ")");
-  }
-  return Status::OK();
+/// The supervisor behind RunL{1,2,3}Daily: one day at a time (each miner
+/// keeps its own num_threads parallelism), no partials and no hedging —
+/// an in-process run has no stragglers, only days queued behind others.
+ShardSupervisorConfig PlainSupervisor() {
+  ShardSupervisorConfig config;
+  config.max_in_flight = 1;
+  config.max_hedges_per_shard = 0;
+  return config;
 }
 
-/// Shared sweep loop: runs `day_fn` for every day under the options'
-/// cancel/deadline budget and accumulates the outcomes.
-template <typename DayFn>
-Result<DailyRunResult> RunDaily(
-    const Dataset& dataset, const DailyRunOptions& options,
-    std::vector<core::SessionBuildStats>* session_stats,
-    const DayFn& day_fn) {
-  const auto start = std::chrono::steady_clock::now();
-  if (session_stats != nullptr) session_stats->clear();
+/// Runs one technique as a sharded sweep and folds the merged per-day
+/// models, in day order, into the daily result. An error unless the
+/// sweep covered every cell.
+Result<DailyRunResult> RunTechnique(const Dataset& dataset,
+                                    Technique technique,
+                                    uint64_t config_fingerprint,
+                                    int num_ranges, const ShardMineFn& mine,
+                                    const ShardSupervisorConfig& supervisor) {
+  const ShardGrid grid{dataset.num_days(), num_ranges};
+  LOGMINE_ASSIGN_OR_RETURN(
+      ShardedSweepResult swept,
+      RunShardedSweep(grid, mine, supervisor,
+                      SweepStateHash(dataset, technique, config_fingerprint,
+                                     num_ranges)));
+  if (swept.outcome != SweepOutcome::kComplete) {
+    const auto poisoned =
+        std::find_if(swept.shards.begin(), swept.shards.end(),
+                     [](const ShardReport& r) { return r.poisoned; });
+    std::string first_error;
+    if (poisoned != swept.shards.end()) {
+      first_error = " (day " + std::to_string(poisoned->shard.day) +
+                    " range " + std::to_string(poisoned->shard.range_index) +
+                    ": " + poisoned->last_error + ")";
+    }
+    return Status::Internal(
+        std::string(TechniqueName(technique)) + " sweep incomplete: " +
+        std::to_string(swept.merged.coverage.total_cells() -
+                       swept.merged.coverage.covered_cells()) +
+        " of " + std::to_string(grid.cells()) + " cells missing" +
+        first_error);
+  }
+
   DailyRunResult out;
+  out.sweep = swept.stats;
+  out.merged = std::move(swept.merged);
   for (int day = 0; day < dataset.num_days(); ++day) {
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return Status::Cancelled("daily sweep cancelled after " +
-                               std::to_string(day) + " of " +
-                               std::to_string(dataset.num_days()) + " days");
+    const core::DependencyModel& model = out.merged.daily[day];
+    out.series.day_labels.push_back(FormatDate(dataset.day_begin(day)));
+    out.series.days.push_back(
+        technique == Technique::kL3
+            ? core::Evaluate(model, dataset.reference_services,
+                             dataset.universe_services)
+            : core::Evaluate(model, dataset.reference_pairs,
+                             dataset.universe_pairs));
+  }
+  if (technique == Technique::kL2) {
+    // One range per day, reports in day order.
+    for (ShardReport& report : swept.shards) {
+      LOGMINE_ASSIGN_OR_RETURN(core::SessionBuildStats stats,
+                               L2SessionStats(std::move(report.payload)));
+      out.session_stats.push_back(stats);
     }
-    if (options.deadline_ms != 0) {
-      const auto elapsed =
-          std::chrono::duration_cast<std::chrono::milliseconds>(
-              std::chrono::steady_clock::now() - start)
-              .count();
-      if (options.deadline_ms < 0 || elapsed >= options.deadline_ms) {
-        return Status::DeadlineExceeded(
-            "daily sweep deadline expired after " + std::to_string(day) +
-            " of " + std::to_string(dataset.num_days()) + " days");
-      }
-    }
-    auto outcome = day_fn(day);
-    if (!outcome.ok()) return outcome.status();
-    DayOutcome& value = outcome.value();
-    if (session_stats != nullptr) {
-      session_stats->push_back(value.session_stats);
-    }
-    out.series.day_labels.push_back(std::move(value.label));
-    out.series.days.push_back(value.counts);
-    out.daily_models.push_back(std::move(value.model));
   }
   return out;
+}
+
+Result<DailyRunResult> RunL1(const Dataset& dataset,
+                             const core::L1Config& config,
+                             const ShardSupervisorConfig& supervisor) {
+  const int num_ranges = std::max(supervisor.num_ranges, 1);
+  return RunTechnique(dataset, Technique::kL1, core::ConfigFingerprint(config),
+                      num_ranges,
+                      MakeL1ShardMiner(dataset, config, num_ranges),
+                      supervisor);
+}
+
+Result<DailyRunResult> RunL2(const Dataset& dataset,
+                             const core::L2Config& config,
+                             const ShardSupervisorConfig& supervisor) {
+  return RunTechnique(dataset, Technique::kL2, core::ConfigFingerprint(config),
+                      1, MakeL2ShardMiner(dataset, config), supervisor);
+}
+
+Result<DailyRunResult> RunL3(const Dataset& dataset,
+                             const core::L3Config& config,
+                             const ShardSupervisorConfig& supervisor) {
+  return RunTechnique(dataset, Technique::kL3, core::ConfigFingerprint(config),
+                      1, MakeL3ShardMiner(dataset, config), supervisor);
 }
 
 }  // namespace
@@ -65,89 +107,61 @@ Result<stats::MedianCi> DailyRunResult::TpRatioCi(double level) const {
   return stats::MedianConfidenceInterval(series.TpRatios(), level);
 }
 
-core::DependencyModel DailyRunResult::UnionModel() const {
-  core::DependencyModel out;
-  for (const core::DependencyModel& model : daily_models) {
-    out = out.Union(model);
+core::ModelTracker DailyRunResult::Track(
+    const core::ModelTrackerConfig& config) const {
+  core::ModelTracker tracker(config);
+  for (const core::DependencyModel& model : merged.daily) {
+    tracker.Observe(model);
   }
-  return out;
-}
-
-Result<DayOutcome> RunL1Day(const Dataset& dataset,
-                            const core::L1Config& config, int day) {
-  LOGMINE_RETURN_IF_ERROR(CheckDay(dataset, day));
-  LOGMINE_SPAN_GLOBAL("eval/l1_day", obs::Metric::kEvalDayNs);
-  obs::Count(obs::Metric::kEvalDaysMined);
-  core::L1ActivityMiner miner(config);
-  auto mined =
-      miner.Mine(dataset.store, dataset.day_begin(day), dataset.day_end(day));
-  if (!mined.ok()) return mined.status();
-  DayOutcome out;
-  out.model = mined.value().Dependencies(dataset.store);
-  out.label = DayLabel(dataset.day_begin(day));
-  out.counts = core::Evaluate(out.model, dataset.reference_pairs,
-                              dataset.universe_pairs);
-  return out;
-}
-
-Result<DayOutcome> RunL2Day(const Dataset& dataset,
-                            const core::L2Config& config, int day) {
-  LOGMINE_RETURN_IF_ERROR(CheckDay(dataset, day));
-  LOGMINE_SPAN_GLOBAL("eval/l2_day", obs::Metric::kEvalDayNs);
-  obs::Count(obs::Metric::kEvalDaysMined);
-  core::L2CooccurrenceMiner miner(config);
-  auto mined =
-      miner.Mine(dataset.store, dataset.day_begin(day), dataset.day_end(day));
-  if (!mined.ok()) return mined.status();
-  DayOutcome out;
-  out.session_stats = mined.value().session_stats;
-  out.model = mined.value().Dependencies(dataset.store);
-  out.label = DayLabel(dataset.day_begin(day));
-  out.counts = core::Evaluate(out.model, dataset.reference_pairs,
-                              dataset.universe_pairs);
-  return out;
-}
-
-Result<DayOutcome> RunL3Day(const Dataset& dataset,
-                            const core::L3Config& config, int day) {
-  LOGMINE_RETURN_IF_ERROR(CheckDay(dataset, day));
-  LOGMINE_SPAN_GLOBAL("eval/l3_day", obs::Metric::kEvalDayNs);
-  obs::Count(obs::Metric::kEvalDaysMined);
-  core::L3TextMiner miner(dataset.vocabulary, config);
-  auto mined =
-      miner.Mine(dataset.store, dataset.day_begin(day), dataset.day_end(day));
-  if (!mined.ok()) return mined.status();
-  DayOutcome out;
-  out.model = mined.value().Dependencies(dataset.store, dataset.vocabulary);
-  out.label = DayLabel(dataset.day_begin(day));
-  out.counts = core::Evaluate(out.model, dataset.reference_services,
-                              dataset.universe_services);
-  return out;
+  return tracker;
 }
 
 Result<DailyRunResult> RunL1Daily(const Dataset& dataset,
-                                  const core::L1Config& config,
-                                  const DailyRunOptions& options) {
-  return RunDaily(dataset, options, nullptr, [&](int day) {
-    return RunL1Day(dataset, config, day);
-  });
+                                  const core::L1Config& config) {
+  return RunL1(dataset, config, PlainSupervisor());
 }
 
 Result<DailyRunResult> RunL2Daily(
     const Dataset& dataset, const core::L2Config& config,
-    std::vector<core::SessionBuildStats>* session_stats,
-    const DailyRunOptions& options) {
-  return RunDaily(dataset, options, session_stats, [&](int day) {
-    return RunL2Day(dataset, config, day);
-  });
+    std::vector<core::SessionBuildStats>* session_stats) {
+  auto run = RunL2(dataset, config, PlainSupervisor());
+  if (session_stats != nullptr) {
+    session_stats->clear();
+    if (run.ok()) *session_stats = run.value().session_stats;
+  }
+  return run;
 }
 
 Result<DailyRunResult> RunL3Daily(const Dataset& dataset,
-                                  const core::L3Config& config,
-                                  const DailyRunOptions& options) {
-  return RunDaily(dataset, options, nullptr, [&](int day) {
-    return RunL3Day(dataset, config, day);
-  });
+                                  const core::L3Config& config) {
+  return RunL3(dataset, config, PlainSupervisor());
+}
+
+Result<SweepResult> RunSweep(const Dataset& dataset, const SweepConfig& config,
+                             const ShardSupervisorConfig& supervisor) {
+  const auto for_technique = [&](Technique technique) {
+    ShardSupervisorConfig sub = supervisor;
+    if (!sub.partial_dir.empty()) {
+      sub.partial_dir = (std::filesystem::path(supervisor.partial_dir) /
+                         TechniqueName(technique))
+                            .string();
+    }
+    return sub;
+  };
+  SweepResult out;
+  if (config.run_l1) {
+    LOGMINE_ASSIGN_OR_RETURN(
+        out.l1, RunL1(dataset, config.l1, for_technique(Technique::kL1)));
+  }
+  if (config.run_l2) {
+    LOGMINE_ASSIGN_OR_RETURN(
+        out.l2, RunL2(dataset, config.l2, for_technique(Technique::kL2)));
+  }
+  if (config.run_l3) {
+    LOGMINE_ASSIGN_OR_RETURN(
+        out.l3, RunL3(dataset, config.l3, for_technique(Technique::kL3)));
+  }
+  return out;
 }
 
 }  // namespace logmine::eval

@@ -1,17 +1,17 @@
 #ifndef LOGMINE_EVAL_DAILY_RUNNER_H_
 #define LOGMINE_EVAL_DAILY_RUNNER_H_
 
-#include <cstdint>
-#include <string>
+#include <optional>
 #include <vector>
 
 #include "core/evaluation.h"
 #include "core/l1_activity_miner.h"
 #include "core/l2_cooccurrence_miner.h"
 #include "core/l3_text_miner.h"
+#include "core/model_tracker.h"
 #include "eval/dataset.h"
+#include "eval/shard_supervisor.h"
 #include "stats/order_stats_ci.h"
-#include "util/executor.h"
 #include "util/result.h"
 
 namespace logmine::eval {
@@ -20,64 +20,71 @@ namespace logmine::eval {
 /// machinery behind figures 5, 6 and 8: apply the technique to each day
 /// independently, compare to the reference model, and quantify accuracy
 /// with the 0.984-level order-statistics CI for the median TP ratio.
+///
+/// Everything here is a fold over the sweep's merged per-day models in
+/// day order, so nothing but the per-cell partials is ever persisted.
 struct DailyRunResult {
   core::DailySeries series;
-  std::vector<core::DependencyModel> daily_models;
+  /// The sweep's merged model: the union, one model per day
+  /// (`merged.daily`) and the (complete) coverage.
+  core::MergedPartialModel merged;
+  /// One entry per day for L2 (from the partials' payloads); empty for
+  /// L1 and L3.
+  std::vector<core::SessionBuildStats> session_stats;
+  /// Tallies of the sweep that produced the models: cells mined, loaded
+  /// from partials, discarded.
+  ShardedSweepStats sweep;
 
   /// Median CI of the per-day TP ratios at `level` (paper: 0.98 requested,
   /// 0.984 achieved with 7 days).
   Result<stats::MedianCi> TpRatioCi(double level) const;
 
   /// Union of the daily models (the basis of §4.8's error taxonomy).
-  core::DependencyModel UnionModel() const;
-};
+  const core::DependencyModel& UnionModel() const { return merged.model; }
 
-/// Optional controls of a multi-day sweep. Checks run at day
-/// granularity (the cooperative unit of the sweep): once `cancel` fires
-/// or the wall-clock budget is spent, no further day starts and the
-/// sweep returns Cancelled / DeadlineExceeded naming how far it got. A
-/// day already mining finishes — no state is ever torn mid-day.
-struct DailyRunOptions {
-  const CancelToken* cancel = nullptr;
-  /// Wall-clock budget in milliseconds, measured from the call; 0 =
-  /// none, and a negative budget has already expired when the sweep
-  /// starts (matching PipelineConfig::deadline_ms).
-  int64_t deadline_ms = 0;
+  /// The moving-landscape tracker after observing every day's model in
+  /// day order.
+  core::ModelTracker Track(const core::ModelTrackerConfig& config) const;
 };
-
-/// One day's worth of a technique sweep — the checkpointable unit the
-/// resumable runner (eval/resumable_runner.h) persists.
-struct DayOutcome {
-  std::string label;
-  core::ConfusionCounts counts;
-  core::DependencyModel model;
-  core::SessionBuildStats session_stats;  ///< L2 only; default elsewhere
-};
-
-/// Mines a single day with each technique. Pre-condition:
-/// 0 <= day < dataset.num_days().
-Result<DayOutcome> RunL1Day(const Dataset& dataset,
-                            const core::L1Config& config, int day);
-Result<DayOutcome> RunL2Day(const Dataset& dataset,
-                            const core::L2Config& config, int day);
-Result<DayOutcome> RunL3Day(const Dataset& dataset,
-                            const core::L3Config& config, int day);
 
 /// Runs L1 per day against the app-pair reference.
 Result<DailyRunResult> RunL1Daily(const Dataset& dataset,
-                                  const core::L1Config& config,
-                                  const DailyRunOptions& options = {});
+                                  const core::L1Config& config);
 
 /// Runs L2 per day; `session_stats` (optional) receives one entry per day.
 Result<DailyRunResult> RunL2Daily(
     const Dataset& dataset, const core::L2Config& config,
-    std::vector<core::SessionBuildStats>* session_stats,
-    const DailyRunOptions& options = {});
+    std::vector<core::SessionBuildStats>* session_stats);
 
 /// Runs L3 per day against the app-service reference.
 Result<DailyRunResult> RunL3Daily(const Dataset& dataset,
-                                  const core::L3Config& config,
-                                  const DailyRunOptions& options = {});
+                                  const core::L3Config& config);
+
+/// The techniques of a multi-technique sweep and their configs.
+struct SweepConfig {
+  bool run_l1 = true;
+  bool run_l2 = true;
+  bool run_l3 = true;
+  core::L1Config l1;
+  core::L2Config l2;
+  core::L3Config l3;
+};
+
+struct SweepResult {
+  std::optional<DailyRunResult> l1;
+  std::optional<DailyRunResult> l2;
+  std::optional<DailyRunResult> l3;
+};
+
+/// Runs the enabled techniques in L1, L2, L3 order, each as one sharded
+/// sweep (eval/shard_supervisor.h) under `supervisor`. L1 is sliced into
+/// `supervisor.num_ranges` pair ranges per day, L2 and L3 into one. With
+/// a `partial_dir`, each technique keeps its partials in
+/// `<partial_dir>/<l1|l2|l3>`, so a re-run after a crash loads every
+/// finished cell of every technique and mines only the rest. Returns an
+/// error unless every technique's sweep is kComplete.
+Result<SweepResult> RunSweep(const Dataset& dataset, const SweepConfig& config,
+                             const ShardSupervisorConfig& supervisor);
 
 }  // namespace logmine::eval
 

@@ -4,6 +4,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <deque>
+#include <filesystem>
 #include <future>
 #include <mutex>
 #include <string>
@@ -12,7 +13,6 @@
 #include <vector>
 
 #include "core/serialization.h"
-#include "eval/resumable_runner.h"
 #include "util/snapshot.h"
 
 namespace logmine::eval {
@@ -53,7 +53,7 @@ struct ShardState {
   int hedges = 0;    ///< duplicate launches past the straggler bar
   int in_flight = 0;
   Clock::time_point first_launch;
-  core::DependencyModel model;  ///< valid once phase == kDone
+  ShardOutput output;  ///< valid once phase == kDone
   std::string last_error;
   /// Cancelled when the shard reaches a terminal phase, so a losing
   /// hedge twin (or a hung attempt) stops cooperatively.
@@ -64,8 +64,8 @@ struct Completion {
   size_t index = 0;  ///< into Supervisor::states
   Status status = Status::OK();
   bool hedged = false;
-  core::DependencyModel model;  ///< valid when status.ok()
-  int64_t elapsed_ms = 0;       ///< of the winning attempt
+  ShardOutput output;      ///< valid when status.ok()
+  int64_t elapsed_ms = 0;  ///< of the winning attempt
 };
 
 struct Supervisor {
@@ -91,6 +91,20 @@ struct Supervisor {
   int remaining = 0;  ///< shards not yet terminal
   int in_flight_total = 0;
 };
+
+/// Where cell `shard`'s partial lives under `dir`.
+std::string PartialPath(const std::string& dir, core::ShardId shard) {
+  return dir + "/partial-d" + std::to_string(shard.day) + "-r" +
+         std::to_string(shard.range_index) + ".snap";
+}
+
+/// Partial-file I/O keeps the strict kInternal-only retry class: a parse
+/// or deadline failure is not transient I/O.
+RetryPolicy PartialIoPolicy(const ShardSupervisorConfig& config) {
+  RetryPolicy policy = config.retry;
+  policy.retryable = nullptr;
+  return policy;
+}
 
 /// Journal span of one shard cell under the sweep's root span.
 std::string ShardSpan(const Supervisor& sup, const ShardState& state) {
@@ -155,9 +169,9 @@ Status CooperativeWait(const ShardState& state, Clock::time_point start,
 /// One attempt of one shard: chaos injection, the mine itself, then the
 /// serialize → (maybe corrupt) → parse validation round-trip every
 /// surviving model must pass before it may merge. On success stores the
-/// validated model into *out_model.
+/// validated model and payload into *out.
 Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
-                    core::DependencyModel* out_model) {
+                    ShardOutput* out) {
   const ShardSupervisorConfig& config = *sup->config;
   int attempt_no = 0;
   {
@@ -261,7 +275,7 @@ Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
   context.deadline_ms = config.shard_deadline_ms;
   context.attempt = attempt_no;
   context.hedged = hedged;
-  Result<core::DependencyModel> mined = (*sup->mine)(state->shard, context);
+  Result<ShardOutput> mined = (*sup->mine)(state->shard, context);
   obs::Observe(config.obs, obs::Metric::kShardAttemptNs, ElapsedNs(start));
   if (!mined.ok()) {
     if (mined.status().code() == StatusCode::kCancelled) {
@@ -279,7 +293,8 @@ Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
   part.num_days = sup->grid.num_days;
   part.num_ranges = sup->grid.num_ranges;
   part.state_hash = sup->state_hash;
-  part.model = std::move(mined).value();
+  part.model = std::move(mined.value().model);
+  part.payload = std::move(mined.value().payload);
   std::string bytes = core::PartialModelBytes(part);
   if (fault == sim::ShardFault::kCorruptModel) {
     bytes[bytes.size() / 2] ^= 0x5A;  // deterministic torn-write stand-in
@@ -289,21 +304,16 @@ Status AttemptShard(Supervisor* sup, ShardState* state, bool hedged,
   if (!parsed.ok()) return fail(parsed.status());
 
   if (!config.partial_dir.empty()) {
-    // Persistence keeps the strict kInternal-only retry class: a parse
-    // or deadline failure of the *write* path is not transient I/O.
-    RetryPolicy io_policy = config.retry;
-    io_policy.retryable = nullptr;
-    const std::string path =
-        config.partial_dir + "/partial-d" + std::to_string(state->shard.day) +
-        "-r" + std::to_string(state->shard.range_index) + ".snap";
+    const std::string path = PartialPath(config.partial_dir, state->shard);
     const std::string persist_bytes = core::PartialModelBytes(parsed.value());
     const Status written = RetryWithBackoff(
-        io_policy, "shard-partial-write",
+        PartialIoPolicy(config), "shard-partial-write",
         [&] { return WriteSnapshotFile(path, persist_bytes); });
     if (!written.ok()) return fail(written);
   }
 
-  *out_model = std::move(parsed).value().model;
+  out->model = std::move(parsed.value().model);
+  out->payload = std::move(parsed.value().payload);
   JournalEmit(*sup, attempt_span, "shard_attempt_done",
               {obs::JournalField::Num("dur_ns", ElapsedNs(start))});
   return Status::OK();
@@ -322,16 +332,16 @@ void RunSubmission(Supervisor* sup, size_t index, bool hedged) {
   if (!policy.retryable) policy.retryable = sup->retryable;
 
   const Clock::time_point start = Clock::now();
-  core::DependencyModel model;
+  ShardOutput output;
   const Status final = RetryWithBackoff(
-      policy, op_name, [&] { return AttemptShard(sup, state, hedged, &model); });
+      policy, op_name, [&] { return AttemptShard(sup, state, hedged, &output); });
 
   Completion done;
   done.index = index;
   done.status = final;
   done.hedged = hedged;
   done.elapsed_ms = ElapsedMs(start);
-  if (final.ok()) done.model = std::move(model);
+  if (final.ok()) done.output = std::move(output);
   {
     std::lock_guard<std::mutex> lock(sup->mu);
     --state->in_flight;
@@ -376,7 +386,7 @@ void ProcessCompletionLocked(Supervisor* sup, Completion* done) {
   ShardState* state = &sup->states[done->index];
   if (done->status.ok()) {
     if (state->phase == ShardState::Phase::kRunning) {
-      state->model = std::move(done->model);
+      state->output = std::move(done->output);
       sup->latencies_ms.push_back(done->elapsed_ms);
       if (done->hedged) {
         ++sup->stats.hedges_won;
@@ -412,6 +422,69 @@ void ProcessCompletionLocked(Supervisor* sup, Completion* done) {
   // counted in AttemptShard, where the breaker lives.)
   state->last_error = done->status.message();
   FinishLocked(sup, state, ShardState::Phase::kPoisoned);
+}
+
+/// The resume: loads every cell whose partial under `partial_dir` parses
+/// with this sweep's grid and state hash, marking it done so it is never
+/// launched. A torn or corrupt file is deleted and its cell left pending
+/// (mined again); a valid partial of another sweep refuses the whole run
+/// with FailedPrecondition. Runs before any launch, so unlocked.
+Status LoadPartials(Supervisor* sup) {
+  const ShardSupervisorConfig& config = *sup->config;
+  for (ShardState& state : sup->states) {
+    const std::string path = PartialPath(config.partial_dir, state.shard);
+    std::error_code ec;
+    if (!std::filesystem::exists(path, ec)) continue;
+    const int64_t read_start_ns = obs::MonotonicNowNs();
+    std::string bytes;
+    const Status read = RetryWithBackoff(
+        PartialIoPolicy(config), "shard-partial-read", [&]() -> Status {
+          LOGMINE_ASSIGN_OR_RETURN(bytes, ReadFileToString(path));
+          return Status::OK();
+        });
+    obs::Observe(config.obs, obs::Metric::kCheckpointReadNs,
+                 obs::MonotonicNowNs() - read_start_ns);
+    obs::Count(config.obs, obs::Metric::kCheckpointBytesRead,
+               static_cast<int64_t>(bytes.size()));
+    Result<core::PartialModel> parsed =
+        read.ok() ? core::ParsePartialModelBytes(std::move(bytes))
+                  : Result<core::PartialModel>(read);
+    if (parsed.ok() && (parsed.value().state_hash != sup->state_hash ||
+                        parsed.value().num_days != sup->grid.num_days ||
+                        parsed.value().num_ranges != sup->grid.num_ranges)) {
+      return Status::FailedPrecondition(
+          path + " belongs to another sweep (state hash " +
+          std::to_string(parsed.value().state_hash) + " over a " +
+          std::to_string(parsed.value().num_days) + " x " +
+          std::to_string(parsed.value().num_ranges) + " grid, this sweep is " +
+          std::to_string(sup->state_hash) + " over " +
+          std::to_string(sup->grid.num_days) + " x " +
+          std::to_string(sup->grid.num_ranges) +
+          "); refusing to resume — use a fresh partial_dir or restore the "
+          "original config and corpus");
+    }
+    if (parsed.ok() && !(parsed.value().shard == state.shard)) {
+      parsed = Status::ParseError(
+          "holds shard (" + std::to_string(parsed.value().shard.day) + ", " +
+          std::to_string(parsed.value().shard.range_index) + ")");
+    }
+    if (!parsed.ok()) {
+      std::filesystem::remove(path, ec);  // best-effort; re-mined anyway
+      ++sup->stats.partials_discarded;
+      obs::Count(config.obs, obs::Metric::kCheckpointPartialsDiscarded);
+      JournalEmit(*sup, ShardSpan(*sup, state), "partial_discarded",
+                  {obs::JournalField::Str("error", parsed.status().message())});
+      continue;
+    }
+    state.output.model = std::move(parsed.value().model);
+    state.output.payload = std::move(parsed.value().payload);
+    state.phase = ShardState::Phase::kDone;
+    --sup->remaining;
+    ++sup->stats.shards_loaded;
+    obs::Count(config.obs, obs::Metric::kCheckpointSnapshotsRead);
+    JournalEmit(*sup, ShardSpan(*sup, state), "shard_loaded");
+  }
+  return Status::OK();
 }
 
 /// Launches hedge twins for stragglers. Caller holds the mutex.
@@ -493,6 +566,15 @@ Result<ShardedSweepResult> RunShardedSweep(
     }
   }
   sup.remaining = grid.cells();
+  if (!config.partial_dir.empty()) {
+    std::error_code ec;
+    std::filesystem::create_directories(config.partial_dir, ec);
+    if (ec) {
+      return Status::Internal("cannot create partial dir " +
+                              config.partial_dir + ": " + ec.message());
+    }
+    LOGMINE_RETURN_IF_ERROR(LoadPartials(&sup));
+  }
 
   {
     std::unique_lock<std::mutex> lock(sup.mu);
@@ -500,9 +582,14 @@ Result<ShardedSweepResult> RunShardedSweep(
     while (sup.remaining > 0) {
       // First launches, throttled by max_in_flight (retries and hedges
       // are not throttled: they replace capacity a failure released).
+      // Cells loaded from their partials are already done.
       while (next < sup.states.size() &&
              (config.max_in_flight <= 0 ||
               sup.in_flight_total < config.max_in_flight)) {
+        if (sup.states[next].phase != ShardState::Phase::kPending) {
+          ++next;
+          continue;
+        }
         Launch(&sup, next++, /*hedged=*/false);
       }
       sup.cv.wait_for(
@@ -541,15 +628,17 @@ Result<ShardedSweepResult> RunShardedSweep(
     report.failures = state.failures;
     report.hedges = state.hedges;
     report.last_error = state.last_error;
+    if (state.phase == ShardState::Phase::kDone) {
+      report.payload = std::move(state.output.payload);
+      core::PartialModel part;
+      part.shard = state.shard;
+      part.num_days = grid.num_days;
+      part.num_ranges = grid.num_ranges;
+      part.state_hash = state_hash;
+      part.model = std::move(state.output.model);
+      parts.push_back(std::move(part));
+    }
     result.shards.push_back(std::move(report));
-    if (state.phase != ShardState::Phase::kDone) continue;
-    core::PartialModel part;
-    part.shard = state.shard;
-    part.num_days = grid.num_days;
-    part.num_ranges = grid.num_ranges;
-    part.state_hash = state_hash;
-    part.model = std::move(state.model);
-    parts.push_back(std::move(part));
   }
   result.stats = sup.stats;
 
@@ -587,6 +676,7 @@ Result<ShardedSweepResult> RunShardedSweep(
          obs::JournalField::Num("shards_completed",
                                 sup.stats.shards_completed),
          obs::JournalField::Num("shards_poisoned", sup.stats.shards_poisoned),
+         obs::JournalField::Num("shards_loaded", sup.stats.shards_loaded),
          obs::JournalField::Num(
              "coverage_permille",
              static_cast<int64_t>(result.merged.coverage.fraction() *
@@ -600,18 +690,42 @@ Result<ShardedSweepResult> RunShardedSweep(
   return result;
 }
 
+std::string_view TechniqueName(Technique technique) {
+  switch (technique) {
+    case Technique::kL1:
+      return "l1";
+    case Technique::kL2:
+      return "l2";
+    case Technique::kL3:
+      return "l3";
+  }
+  return "unknown";
+}
+
+namespace {
+
+/// Shared front of every binding: a settled shard does not mine, and a
+/// shard outside the dataset is a caller bug, not a transient.
+Status CheckShard(const Dataset& dataset, core::ShardId shard,
+                  const ShardContext& context) {
+  if (context.cancel != nullptr && context.cancel->cancelled()) {
+    return Status::Cancelled("shard cancelled before mining");
+  }
+  if (shard.day < 0 || shard.day >= dataset.num_days()) {
+    return Status::InvalidArgument("shard day " + std::to_string(shard.day) +
+                                   " outside the dataset");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 ShardMineFn MakeL1ShardMiner(const Dataset& dataset,
                              const core::L1Config& config, int num_ranges) {
   return [&dataset, config, num_ranges](
              core::ShardId shard,
-             const ShardContext& context) -> Result<core::DependencyModel> {
-    if (context.cancel != nullptr && context.cancel->cancelled()) {
-      return Status::Cancelled("shard cancelled before mining");
-    }
-    if (shard.day < 0 || shard.day >= dataset.num_days()) {
-      return Status::InvalidArgument("shard day " + std::to_string(shard.day) +
-                                     " outside the dataset");
-    }
+             const ShardContext& context) -> Result<ShardOutput> {
+    LOGMINE_RETURN_IF_ERROR(CheckShard(dataset, shard, context));
     core::L1ActivityMiner miner(config);
     LOGMINE_ASSIGN_OR_RETURN(
         core::L1Result result,
@@ -619,18 +733,71 @@ ShardMineFn MakeL1ShardMiner(const Dataset& dataset,
                    dataset.day_end(shard.day),
                    core::PairRange{static_cast<uint32_t>(shard.range_index),
                                    static_cast<uint32_t>(num_ranges)}));
-    return result.Dependencies(dataset.store);
+    return ShardOutput{result.Dependencies(dataset.store), {}};
   };
 }
 
-uint64_t L1SweepStateHash(const Dataset& dataset, const core::L1Config& config,
-                          int num_ranges) {
-  uint64_t hash = CheckpointStateHash(core::ConfigFingerprint(config), dataset,
-                                      core::ModelTrackerConfig{});
-  // Mix in the grid: partials sliced differently must not merge.
-  hash ^= 0x9E3779B97F4A7C15ULL + static_cast<uint64_t>(num_ranges) +
-          (hash << 6) + (hash >> 2);
-  return hash;
+ShardMineFn MakeL2ShardMiner(const Dataset& dataset,
+                             const core::L2Config& config) {
+  return [&dataset, config](core::ShardId shard,
+                            const ShardContext& context) -> Result<ShardOutput> {
+    LOGMINE_RETURN_IF_ERROR(CheckShard(dataset, shard, context));
+    core::L2CooccurrenceMiner miner(config);
+    LOGMINE_ASSIGN_OR_RETURN(
+        core::L2Result result,
+        miner.Mine(dataset.store, dataset.day_begin(shard.day),
+                   dataset.day_end(shard.day)));
+    SnapshotWriter w;
+    w.BeginSection("sessions");
+    core::EncodeSessionBuildStats(result.session_stats, &w);
+    w.EndSection();
+    return ShardOutput{result.Dependencies(dataset.store),
+                       std::move(w).Finish()};
+  };
+}
+
+ShardMineFn MakeL3ShardMiner(const Dataset& dataset,
+                             const core::L3Config& config) {
+  return [&dataset, config](core::ShardId shard,
+                            const ShardContext& context) -> Result<ShardOutput> {
+    LOGMINE_RETURN_IF_ERROR(CheckShard(dataset, shard, context));
+    core::L3TextMiner miner(dataset.vocabulary, config);
+    LOGMINE_ASSIGN_OR_RETURN(
+        core::L3Result result,
+        miner.Mine(dataset.store, dataset.day_begin(shard.day),
+                   dataset.day_end(shard.day)));
+    return ShardOutput{result.Dependencies(dataset.store, dataset.vocabulary),
+                       {}};
+  };
+}
+
+Result<core::SessionBuildStats> L2SessionStats(std::string payload) {
+  LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
+                           SnapshotReader::Parse(std::move(payload)));
+  LOGMINE_ASSIGN_OR_RETURN(SectionCursor cursor, reader.Section("sessions"));
+  LOGMINE_ASSIGN_OR_RETURN(core::SessionBuildStats stats,
+                           core::DecodeSessionBuildStats(&cursor));
+  LOGMINE_RETURN_IF_ERROR(cursor.ExpectEnd());
+  return stats;
+}
+
+uint64_t SweepStateHash(const Dataset& dataset, Technique technique,
+                        uint64_t config_fingerprint, int num_ranges) {
+  core::Fingerprinter fp;
+  fp.MixU64(static_cast<uint64_t>(technique));
+  fp.MixU64(config_fingerprint);
+  fp.MixU64(dataset.simulation.seed);
+  fp.MixI64(dataset.simulation.num_days);
+  fp.MixDouble(dataset.simulation.scale);
+  fp.MixI64(dataset.simulation.start);
+  fp.MixU64(dataset.store.size());
+  fp.MixI64(dataset.universe_pairs);
+  fp.MixI64(dataset.universe_services);
+  fp.MixU64(dataset.reference_pairs.size());
+  fp.MixU64(dataset.reference_services.size());
+  // The grid: partials sliced differently must not merge.
+  fp.MixI64(num_ranges);
+  return fp.digest();
 }
 
 Result<ShardedSweepResult> RunL1ShardedSweep(
@@ -639,7 +806,8 @@ Result<ShardedSweepResult> RunL1ShardedSweep(
   const ShardGrid grid{dataset.num_days(), std::max(supervisor.num_ranges, 1)};
   return RunShardedSweep(
       grid, MakeL1ShardMiner(dataset, config, grid.num_ranges), supervisor,
-      L1SweepStateHash(dataset, config, grid.num_ranges));
+      SweepStateHash(dataset, Technique::kL1, core::ConfigFingerprint(config),
+                     grid.num_ranges));
 }
 
 }  // namespace logmine::eval

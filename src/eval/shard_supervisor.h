@@ -8,6 +8,8 @@
 #include <vector>
 
 #include "core/l1_activity_miner.h"
+#include "core/l2_cooccurrence_miner.h"
+#include "core/l3_text_miner.h"
 #include "core/partial_model.h"
 #include "eval/dataset.h"
 #include "obs/obs.h"
@@ -20,7 +22,7 @@
 namespace logmine::eval {
 
 /// The shard axes of a sweep: every (day, pair-range) cell is one
-/// independently minable, retryable, mergeable task (DESIGN.md §12).
+/// independently minable, retryable, mergeable task (DESIGN.md §9).
 struct ShardGrid {
   int num_days = 1;
   int num_ranges = 1;
@@ -40,11 +42,18 @@ struct ShardContext {
   bool hedged = false;
 };
 
+/// What one shard attempt mined: the cell's model plus opaque bytes
+/// that ride with it in the cell's partial (L2: that day's
+/// SessionBuildStats; empty for L1 and L3).
+struct ShardOutput {
+  core::DependencyModel model;
+  std::string payload;
+};
+
 /// One shard's mining function: the supervisor is generic over what a
-/// shard actually computes (the L1 binding below is the first user).
+/// shard actually computes (the L1/L2/L3 bindings below).
 using ShardMineFn =
-    std::function<Result<core::DependencyModel>(core::ShardId,
-                                                const ShardContext&)>;
+    std::function<Result<ShardOutput>(core::ShardId, const ShardContext&)>;
 
 /// Knobs of one sharded sweep. The defaults favor the paper-scale
 /// workloads: retry transients a couple of times with jittered backoff,
@@ -84,9 +93,11 @@ struct ShardSupervisorConfig {
   int max_in_flight = 0;
   /// Supervisor wake-up period for hedge checks, in milliseconds.
   int64_t poll_ms = 2;
-  /// When non-empty, every surviving partial model is also persisted
-  /// here as `partial-d<day>-r<range>.snap` (atomic tmp+rename with
-  /// kInternal-only retries).
+  /// When non-empty, the sweep is resumable: the directory is created
+  /// at start, every cell whose `partial-d<day>-r<range>.snap` parses
+  /// with this sweep's grid and state hash is loaded instead of mined,
+  /// and every newly mined partial is persisted there (atomic
+  /// tmp+rename). Reads and writes share the kInternal-only retry.
   std::string partial_dir;
   /// Pool to run shard attempts on; nullptr = Executor::Shared().
   Executor* executor = nullptr;
@@ -113,7 +124,8 @@ enum class SweepOutcome : uint32_t {
 
 std::string_view SweepOutcomeName(SweepOutcome outcome);
 
-/// Per-shard postmortem.
+/// Per-shard postmortem. A cell loaded from its partial is covered with
+/// zero attempts.
 struct ShardReport {
   core::ShardId shard;
   bool covered = false;
@@ -122,9 +134,11 @@ struct ShardReport {
   int failures = 0;
   int hedges = 0;
   std::string last_error;  ///< empty when the shard never failed
+  std::string payload;     ///< the covered cell's ShardOutput::payload
 };
 
-/// Whole-sweep tallies (mirrored into the shard.* metrics).
+/// Whole-sweep tallies (mirrored into the shard.* metrics, the resume
+/// counts into checkpoint.snapshots_read / checkpoint.partials_discarded).
 struct ShardedSweepStats {
   int64_t attempts = 0;
   int64_t failures = 0;
@@ -134,6 +148,8 @@ struct ShardedSweepStats {
   int64_t breaker_trips = 0;
   int64_t shards_completed = 0;
   int64_t shards_poisoned = 0;
+  int64_t shards_loaded = 0;       ///< cells resumed from partial_dir
+  int64_t partials_discarded = 0;  ///< torn or corrupt partials re-mined
 };
 
 struct ShardedSweepResult {
@@ -159,12 +175,26 @@ struct ShardedSweepResult {
 /// the missing cells and the merged model is exactly the union of the
 /// survivors.
 ///
+/// Resume: with a `partial_dir`, cells whose persisted partial is valid
+/// are loaded, not mined, so a sweep killed at any instant and run again
+/// converges to the same merged bytes. A torn or corrupt partial is
+/// discarded and its cell mined again; a valid partial written under a
+/// different state hash or grid fails the sweep with FailedPrecondition
+/// before anything is mined.
+///
 /// Returns OK with outcome kComplete or kDegraded; an error Status when
-/// no shard survived (kFailed) or the grid is invalid.
+/// no shard survived (kFailed), the grid is invalid, `partial_dir`
+/// cannot be created (Internal) or holds another sweep's partials.
 Result<ShardedSweepResult> RunShardedSweep(const ShardGrid& grid,
                                            const ShardMineFn& mine,
                                            const ShardSupervisorConfig& config,
                                            uint64_t state_hash);
+
+/// The techniques a sweep can shard; the name is the per-technique
+/// subdirectory of a multi-technique sweep's partial_dir.
+enum class Technique : uint32_t { kL1 = 1, kL2 = 2, kL3 = 3 };
+
+std::string_view TechniqueName(Technique technique);
 
 /// L1 binding: shard (day, range) mines `dataset`'s day with
 /// L1ActivityMiner over PairRange{range, num_ranges}. Pure in the shard
@@ -174,11 +204,22 @@ Result<ShardedSweepResult> RunShardedSweep(const ShardGrid& grid,
 ShardMineFn MakeL1ShardMiner(const Dataset& dataset,
                              const core::L1Config& config, int num_ranges);
 
-/// Fingerprint binding a sharded L1 sweep's partials together: config ×
-/// dataset × grid. Partials of a different config, corpus or slicing
-/// refuse to merge.
-uint64_t L1SweepStateHash(const Dataset& dataset, const core::L1Config& config,
-                          int num_ranges);
+/// L2 and L3 bindings: one pair range per day (grid = days x 1). L2's
+/// payload is the day's SessionBuildStats (see L2SessionStats).
+ShardMineFn MakeL2ShardMiner(const Dataset& dataset,
+                             const core::L2Config& config);
+ShardMineFn MakeL3ShardMiner(const Dataset& dataset,
+                             const core::L3Config& config);
+
+/// Decodes the payload an L2 shard attached to its partial.
+Result<core::SessionBuildStats> L2SessionStats(std::string payload);
+
+/// Fingerprint binding a sweep's partials together: technique × miner
+/// config (core::ConfigFingerprint) × dataset × grid. Partials of a
+/// different technique, config, corpus or slicing refuse to load or
+/// merge.
+uint64_t SweepStateHash(const Dataset& dataset, Technique technique,
+                        uint64_t config_fingerprint, int num_ranges);
 
 /// Convenience wrapper: grid = dataset days × config.num_ranges, L1
 /// miner, L1 state hash.

@@ -72,15 +72,13 @@ constexpr MetricDef kMetricDefs[] = {
     {"pipeline.miners_ok", MetricKind::kCounter},
     {"pipeline.miners_failed", MetricKind::kCounter},
     {"pipeline.run_ns", MetricKind::kSketch},
-    {"eval.days_mined", MetricKind::kCounter},
-    {"eval.day_ns", MetricKind::kSketch},
     {"checkpoint.snapshots_written", MetricKind::kCounter},
     {"checkpoint.bytes_written", MetricKind::kCounter},
     {"checkpoint.write_ns", MetricKind::kSketch},
     {"checkpoint.snapshots_read", MetricKind::kCounter},
     {"checkpoint.bytes_read", MetricKind::kCounter},
     {"checkpoint.read_ns", MetricKind::kSketch},
-    {"checkpoint.generations_discarded", MetricKind::kCounter},
+    {"checkpoint.partials_discarded", MetricKind::kCounter},
     {"retry.attempts", MetricKind::kCounter},
     {"retry.backoff_ms_total", MetricKind::kCounter},
     {"shard.attempts", MetricKind::kCounter},

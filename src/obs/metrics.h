@@ -97,17 +97,15 @@ enum class Metric : uint32_t {
   kPipelineMinersOk,
   kPipelineMinersFailed,
   kPipelineRunNs,
-  // --- daily / resumable runners (eval/) ---
-  kEvalDaysMined,
-  kEvalDayNs,
-  // --- checkpoint I/O (util/snapshot.cc, eval/resumable_runner.cc) ---
+  // --- checkpoint I/O (util/snapshot.cc; reads are the sweep resume in
+  // eval/shard_supervisor.cc) ---
   kCheckpointSnapshotsWritten,
   kCheckpointBytesWritten,
   kCheckpointWriteNs,
   kCheckpointSnapshotsRead,
   kCheckpointBytesRead,
   kCheckpointReadNs,
-  kCheckpointGenerationsDiscarded,
+  kCheckpointPartialsDiscarded,
   // --- retry (util/retry.cc) ---
   kRetryAttempts,
   kRetryBackoffMsTotal,

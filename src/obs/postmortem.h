@@ -37,7 +37,7 @@ struct PostmortemBundle {
   std::string reason;
   /// Hierarchical span id of the failing unit ("sweep-1/d0.r2/a3").
   std::string trigger_span;
-  /// Hash of the run's configuration (e.g. L1SweepStateHash), so a
+  /// Hash of the run's configuration (e.g. SweepStateHash), so a
   /// bundle can be matched to the exact config that produced it.
   uint64_t config_fingerprint = 0;
   int64_t captured_at_ns = 0;

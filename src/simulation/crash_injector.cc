@@ -4,72 +4,6 @@
 
 namespace logmine::sim {
 
-std::string_view KillPointName(KillPoint point) {
-  switch (point) {
-    case KillPoint::kNone:
-      return "none";
-    case KillPoint::kAfterDayMined:
-      return "after-day-mined";
-    case KillPoint::kMidSnapshotWrite:
-      return "mid-snapshot-write";
-    case KillPoint::kAfterCheckpoint:
-      return "after-checkpoint";
-    case KillPoint::kBetweenMiners:
-      return "between-miners";
-  }
-  return "unknown";
-}
-
-Result<KillPoint> KillPointFromName(std::string_view name) {
-  for (KillPoint point :
-       {KillPoint::kNone, KillPoint::kAfterDayMined,
-        KillPoint::kMidSnapshotWrite, KillPoint::kAfterCheckpoint,
-        KillPoint::kBetweenMiners}) {
-    if (KillPointName(point) == name) return point;
-  }
-  return Status::InvalidArgument("unknown kill point: " + std::string(name));
-}
-
-CrashPlan RandomCrashPlan(Rng* rng, int num_days, int num_techniques) {
-  CrashPlan plan;
-  // kBetweenMiners only exists when a second technique follows the first.
-  const bool boundaries = num_techniques > 1;
-  const int64_t kinds = boundaries ? 4 : 3;
-  switch (rng->UniformInt(0, kinds - 1)) {
-    case 0:
-      plan.point = KillPoint::kAfterDayMined;
-      break;
-    case 1:
-      plan.point = KillPoint::kMidSnapshotWrite;
-      break;
-    case 2:
-      plan.point = KillPoint::kAfterCheckpoint;
-      break;
-    default:
-      plan.point = KillPoint::kBetweenMiners;
-      break;
-  }
-  if (plan.point == KillPoint::kBetweenMiners) {
-    plan.index = static_cast<int>(rng->UniformInt(0, num_techniques - 2));
-  } else {
-    plan.index =
-        static_cast<int>(rng->UniformInt(0, std::max(0, num_days - 1)));
-  }
-  return plan;
-}
-
-bool CrashInjector::ShouldKill(KillPoint point, int index) {
-  if (fired_ || plan_.point != point || plan_.index != index) return false;
-  fired_ = true;
-  return true;
-}
-
-Status CrashInjector::KilledStatus(KillPoint point, int index) {
-  return Status::Internal("simulated crash at " +
-                          std::string(KillPointName(point)) + " #" +
-                          std::to_string(index));
-}
-
 std::string_view ShardFaultName(ShardFault fault) {
   switch (fault) {
     case ShardFault::kNone:

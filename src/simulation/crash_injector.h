@@ -13,77 +13,12 @@
 
 namespace logmine::sim {
 
-/// The named instants at which the kill-point harness can terminate a
-/// resumable mining run — chosen to cover every distinct durability
-/// state a real crash can leave behind.
-enum class KillPoint : uint32_t {
-  kNone = 0,
-  /// A day is mined but its snapshot was never written: the resumed run
-  /// must re-mine that day and still converge to the same bytes.
-  kAfterDayMined,
-  /// The process dies while the snapshot bytes are leaving the buffer:
-  /// the harness leaves a *truncated* file at the final checkpoint path
-  /// (simulating torn I/O / on-disk corruption), so recovery must
-  /// discard the newest generation and fall back.
-  kMidSnapshotWrite,
-  /// The snapshot is durable but the next day never starts — the
-  /// cleanest crash; recovery should mine only the remaining days.
-  kAfterCheckpoint,
-  /// Between two techniques of a multi-miner sweep (after L1 completes,
-  /// before L2 starts, and so on).
-  kBetweenMiners,
-};
-
-/// Stable name used in flags, logs and test output (e.g.
-/// "mid-snapshot-write").
-std::string_view KillPointName(KillPoint point);
-
-/// Parses the result of KillPointName back; InvalidArgument otherwise.
-Result<KillPoint> KillPointFromName(std::string_view name);
-
-/// Where to kill: a point plus its occurrence index — the day number
-/// for day-scoped points, or the number of completed techniques for
-/// kBetweenMiners (0 = after the first technique).
-struct CrashPlan {
-  KillPoint point = KillPoint::kNone;
-  int index = 0;
-};
-
-/// Draws a uniformly random plan over every kill point a sweep of
-/// `num_days` days and `num_techniques` techniques exposes — all
-/// randomness from the caller's seeded Rng, so a fuzzing sweep over
-/// seeds is exactly reproducible.
-CrashPlan RandomCrashPlan(Rng* rng, int num_days, int num_techniques);
-
-/// Arms one crash plan. The runner under test asks `ShouldKill` at each
-/// named point; the injector fires exactly once, when the armed
-/// (point, index) comes up. A fired injector reports `fired()` so tests
-/// can assert the plan was actually reachable.
-class CrashInjector {
- public:
-  explicit CrashInjector(CrashPlan plan) : plan_(plan) {}
-
-  /// True exactly once, when (point, index) matches the armed plan.
-  bool ShouldKill(KillPoint point, int index);
-
-  bool fired() const { return fired_; }
-  const CrashPlan& plan() const { return plan_; }
-
-  /// The status a killed run returns — Internal, carrying the kill
-  /// point's name, so tests can tell a simulated death from a real bug.
-  static Status KilledStatus(KillPoint point, int index);
-
- private:
-  CrashPlan plan_;
-  bool fired_ = false;
-};
-
-// ---------------------------------------------------------------------------
-// Shard fault plans: the chaos axis of the sharded sweep supervisor.
-// Where the kill-point harness above terminates a *process*, a shard
-// fault plan misbehaves individual (day × pair-range) shard attempts —
-// fail, hang, corrupt, or slow them — so the supervisor's retry, hedge
-// and circuit-breaker machinery can be driven deterministically.
+// Shard fault plans: the chaos axis of the sharded sweep supervisor. A
+// plan misbehaves individual (day × pair-range) shard attempts — fail,
+// hang, corrupt, or slow them — so the supervisor's retry, hedge and
+// circuit-breaker machinery can be driven deterministically. (A crash
+// of the whole sweep needs no injector: it leaves some subset of the
+// cells' partials on disk, which tests build directly.)
 
 /// What a faulted shard attempt does.
 enum class ShardFault : uint32_t {
@@ -147,8 +82,8 @@ struct ShardFaultPlanOptions {
 ShardFaultPlan RandomShardFaultPlan(Rng* rng, int num_days, int num_ranges,
                                     const ShardFaultPlanOptions& options);
 
-/// Evaluates a plan. A pure function of (plan, shard, attempt): unlike
-/// CrashInjector it keeps no fired-state, so concurrent shard attempts
+/// Evaluates a plan. A pure function of (plan, shard, attempt): it keeps
+/// no fired-state, so concurrent shard attempts
 /// can consult it without synchronization and a rerun of the same plan
 /// sees the same faults.
 class ShardFaultInjector {

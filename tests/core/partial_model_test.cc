@@ -162,6 +162,7 @@ TEST(PartialModelSerializationTest, PartialModelBytesRoundTrip) {
   part.num_ranges = 4;
   part.state_hash = 0xDEADBEEFCAFEF00DULL;
   part.model = RandomModel(&rng, 10);
+  part.payload = std::string("per-cell\0bytes", 14);
 
   auto parsed = ParsePartialModelBytes(PartialModelBytes(part));
   ASSERT_TRUE(parsed.ok()) << parsed.status();
@@ -170,6 +171,45 @@ TEST(PartialModelSerializationTest, PartialModelBytesRoundTrip) {
   EXPECT_EQ(parsed.value().num_ranges, part.num_ranges);
   EXPECT_EQ(parsed.value().state_hash, part.state_hash);
   EXPECT_EQ(parsed.value().model.pairs(), part.model.pairs());
+  EXPECT_EQ(parsed.value().payload, part.payload);
+}
+
+TEST(PartialModelSerializationTest, NegativeShardIdsAndGridSizesAreParseErrors) {
+  // Fields travel as u32 and are cast back to int32: a partial read from
+  // disk must not smuggle a negative day, range or dimension past the
+  // upper-bound checks.
+  const auto parse_code = [](ShardId shard, int32_t num_days,
+                             int32_t num_ranges) {
+    PartialModel part;
+    part.shard = shard;
+    part.num_days = num_days;
+    part.num_ranges = num_ranges;
+    part.model.Insert(MakeUnorderedPair("a", "b"));
+    return ParsePartialModelBytes(PartialModelBytes(part)).status().code();
+  };
+  EXPECT_EQ(parse_code({0, 0}, 2, 2), StatusCode::kOk);
+  EXPECT_EQ(parse_code({-1, 0}, 7, 1), StatusCode::kParseError);
+  EXPECT_EQ(parse_code({0, -1}, 7, 2), StatusCode::kParseError);
+  EXPECT_EQ(parse_code({-5, 0}, -1, 1), StatusCode::kParseError);
+  EXPECT_EQ(parse_code({0, 0}, 1, -3), StatusCode::kParseError);
+  EXPECT_EQ(parse_code({0, 0}, 0, 1), StatusCode::kParseError);
+}
+
+TEST(PartialModelSerializationTest, CoverageGridAboveInt32MaxIsParseError) {
+  // A 0x80000000 x 0 grid has an empty bitmap, so the cell-count check
+  // alone would accept it with num_days == INT32_MIN.
+  SnapshotWriter w;
+  w.BeginSection("coverage");
+  w.PutU32(0x80000000u);
+  w.PutU32(0);
+  w.PutU64(0);
+  w.EndSection();
+  auto reader = SnapshotReader::Parse(std::move(w).Finish());
+  ASSERT_TRUE(reader.ok()) << reader.status();
+  auto cursor = reader.value().Section("coverage");
+  ASSERT_TRUE(cursor.ok()) << cursor.status();
+  EXPECT_EQ(DecodeCoverageReport(&cursor.value()).status().code(),
+            StatusCode::kParseError);
 }
 
 TEST(PartialModelSerializationTest, CorruptPartialBytesFailToParse) {

@@ -83,9 +83,23 @@ TEST(SerializationTest, ConfusionCountsAndDailySeriesRoundTrip) {
       series.day_labels.push_back("2005-12-" + std::to_string(6 + d));
       series.days.push_back(RandomCounts(&rng));
     }
+    // The series is encode-only (a fingerprint, never reloaded), so the
+    // layout — a row count, then label + counts per row — is read back
+    // by hand through the counts decoder.
     const DailySeries decoded = RoundTrip<DailySeries>(
         [&](SnapshotWriter* w) { EncodeDailySeries(series, w); },
-        [](SectionCursor* c) { return DecodeDailySeries(c); });
+        [](SectionCursor* c) -> Result<DailySeries> {
+          LOGMINE_ASSIGN_OR_RETURN(uint64_t rows, c->ReadU64());
+          DailySeries out;
+          for (uint64_t i = 0; i < rows; ++i) {
+            LOGMINE_ASSIGN_OR_RETURN(std::string label, c->ReadString());
+            LOGMINE_ASSIGN_OR_RETURN(ConfusionCounts counts,
+                                     DecodeConfusionCounts(c));
+            out.day_labels.push_back(std::move(label));
+            out.days.push_back(counts);
+          }
+          return out;
+        });
     EXPECT_EQ(decoded.day_labels, series.day_labels);
     ASSERT_EQ(decoded.days.size(), series.days.size());
     for (size_t d = 0; d < series.days.size(); ++d) {

@@ -1,12 +1,20 @@
 // Unit tests of the sharded sweep supervisor over synthetic mine
 // functions: each scenario scripts exactly which shard attempts fail,
 // hang or dawdle, so the retry / hedge / circuit-breaker machinery can
-// be asserted deterministically without a real corpus.
+// be asserted deterministically without a real corpus. The resume
+// (loading a cell's partial instead of mining it) is tested both on
+// synthetic cells and, through RunSweep, on a small real corpus; the
+// exhaustive post-crash states live in
+// tests/integration/crash_recovery_test.cc.
 
 #include "eval/shard_supervisor.h"
 
+#include <unistd.h>
+
 #include <atomic>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -18,9 +26,13 @@
 #include <gtest/gtest.h>
 
 #include "core/serialization.h"
+#include "eval/daily_runner.h"
+#include "eval/dataset.h"
 
 namespace logmine::eval {
 namespace {
+
+namespace fs = std::filesystem;
 
 using core::DependencyModel;
 using core::MakeUnorderedPair;
@@ -36,9 +48,17 @@ DependencyModel CellModel(ShardId shard) {
   return model;
 }
 
+/// The cell's model plus a payload naming the cell, so a resume that
+/// loses or swaps payloads shows.
+ShardOutput CellOutput(ShardId shard) {
+  return ShardOutput{CellModel(shard),
+                     "payload-" + std::to_string(shard.day) + "-" +
+                         std::to_string(shard.range_index)};
+}
+
 ShardMineFn CleanMiner() {
-  return [](ShardId shard, const ShardContext&) -> Result<DependencyModel> {
-    return CellModel(shard);
+  return [](ShardId shard, const ShardContext&) -> Result<ShardOutput> {
+    return CellOutput(shard);
   };
 }
 
@@ -58,6 +78,29 @@ class AttemptLog {
   std::mutex mu_;
   std::map<std::pair<int, int>, int> counts_;
 };
+
+/// A CleanMiner that also counts its attempts in `log`.
+ShardMineFn CountingMiner(std::shared_ptr<AttemptLog> log) {
+  return [log](ShardId shard, const ShardContext&) -> Result<ShardOutput> {
+    log->Record(shard);
+    return CellOutput(shard);
+  };
+}
+
+/// A fresh path under the test tmpdir, pid-suffixed because ctest runs
+/// every case as its own parallel process. The directory itself is not
+/// created: the sweep must do that.
+std::string FreshPath(const std::string& name) {
+  const fs::path dir = fs::path(::testing::TempDir()) /
+                       (name + "_" + std::to_string(::getpid()));
+  fs::remove_all(dir);
+  return dir.string();
+}
+
+std::string CellPath(const std::string& dir, ShardId shard) {
+  return dir + "/partial-d" + std::to_string(shard.day) + "-r" +
+         std::to_string(shard.range_index) + ".snap";
+}
 
 ShardSupervisorConfig FastConfig() {
   ShardSupervisorConfig config;
@@ -102,12 +145,12 @@ TEST(ShardSupervisorTest, TransientFailuresRetryToByteIdenticalBytes) {
 
   auto log = std::make_shared<AttemptLog>();
   ShardMineFn flaky = [log](ShardId shard,
-                            const ShardContext&) -> Result<DependencyModel> {
+                            const ShardContext&) -> Result<ShardOutput> {
     // Shard (1, 0) fails its first two attempts, then recovers.
     if (shard == ShardId{1, 0} && log->Record(shard) <= 2) {
       return Status::Internal("flaky worker");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   auto retried = RunShardedSweep(grid, flaky, FastConfig(), 7);
   ASSERT_TRUE(retried.ok()) << retried.status();
@@ -126,12 +169,12 @@ TEST(ShardSupervisorTest, BreakerPoisonsAfterExactlyThresholdFailures) {
   const ShardGrid grid{2, 1};
   auto log = std::make_shared<AttemptLog>();
   ShardMineFn doomed = [log](ShardId shard,
-                             const ShardContext&) -> Result<DependencyModel> {
+                             const ShardContext&) -> Result<ShardOutput> {
     if (shard.day == 1) {
       log->Record(shard);
       return Status::Internal("permanently broken");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   ShardSupervisorConfig config = FastConfig();
   config.breaker_threshold = 4;
@@ -162,12 +205,12 @@ TEST(ShardSupervisorTest, NonRetryableFailurePoisonsImmediately) {
   const ShardGrid grid{2, 1};
   auto log = std::make_shared<AttemptLog>();
   ShardMineFn broken = [log](ShardId shard,
-                             const ShardContext&) -> Result<DependencyModel> {
+                             const ShardContext&) -> Result<ShardOutput> {
     if (shard.day == 0) {
       log->Record(shard);
       return Status::InvalidArgument("config rejects this shard");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   auto result = RunShardedSweep(grid, broken, FastConfig(), 7);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -181,7 +224,7 @@ TEST(ShardSupervisorTest, NonRetryableFailurePoisonsImmediately) {
 
 TEST(ShardSupervisorTest, AllShardsPoisonedIsAFailedSweep) {
   ShardMineFn hopeless = [](ShardId,
-                            const ShardContext&) -> Result<DependencyModel> {
+                            const ShardContext&) -> Result<ShardOutput> {
     return Status::InvalidArgument("nothing works");
   };
   auto result = RunShardedSweep(ShardGrid{2, 2}, hopeless, FastConfig(), 7);
@@ -196,12 +239,12 @@ TEST(ShardSupervisorTest, DeadlineExceededIsRetryableByDefault) {
   auto log = std::make_shared<AttemptLog>();
   ShardMineFn slow_start = [log](
                                ShardId shard,
-                               const ShardContext&) -> Result<DependencyModel> {
+                               const ShardContext&) -> Result<ShardOutput> {
     // First attempt of (0, 1) trips its deadline; the retry succeeds.
     if (shard == ShardId{0, 1} && log->Record(shard) == 1) {
       return Status::DeadlineExceeded("shard deadline tripped");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   auto result = RunShardedSweep(grid, slow_start, FastConfig(), 7);
   ASSERT_TRUE(result.ok()) << result.status();
@@ -214,11 +257,11 @@ TEST(ShardSupervisorTest, CustomRetryPredicateNarrowsTheDefault) {
   // With a kInternal-only predicate installed, a deadline trip is fatal.
   const ShardGrid grid{1, 2};
   ShardMineFn trips = [](ShardId shard,
-                         const ShardContext&) -> Result<DependencyModel> {
+                         const ShardContext&) -> Result<ShardOutput> {
     if (shard.range_index == 1) {
       return Status::DeadlineExceeded("always late");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   ShardSupervisorConfig config = FastConfig();
   config.retry.retryable = IsRetryable;  // kInternal only
@@ -237,14 +280,14 @@ TEST(ShardSupervisorTest, HedgeRescuesAStuckShard) {
   auto log = std::make_shared<AttemptLog>();
   ShardMineFn sticky = [log](ShardId shard,
                              const ShardContext& context)
-      -> Result<DependencyModel> {
+      -> Result<ShardOutput> {
     if (shard == ShardId{0, 2} && log->Record(shard) == 1) {
       while (context.cancel != nullptr && !context.cancel->cancelled()) {
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
       return Status::Cancelled("first attempt lost the hedge race");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   // A private pool with enough workers that the hedge can run while the
   // stuck attempt occupies a thread.
@@ -269,14 +312,14 @@ TEST(ShardSupervisorTest, MaxInFlightThrottlesFirstLaunches) {
   auto running = std::make_shared<std::atomic<int>>(0);
   ShardMineFn tracked = [peak, running](
                             ShardId shard,
-                            const ShardContext&) -> Result<DependencyModel> {
+                            const ShardContext&) -> Result<ShardOutput> {
     const int now = running->fetch_add(1) + 1;
     int seen = peak->load();
     while (now > seen && !peak->compare_exchange_weak(seen, now)) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     running->fetch_sub(1);
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   Executor executor(8);
   ShardSupervisorConfig config = FastConfig();
@@ -307,11 +350,11 @@ TEST(ShardSupervisorTest, MetricsMirrorTheSweepStats) {
   obs::ObsContext obs;
   auto log = std::make_shared<AttemptLog>();
   ShardMineFn flaky = [log](ShardId shard,
-                            const ShardContext&) -> Result<DependencyModel> {
+                            const ShardContext&) -> Result<ShardOutput> {
     if (shard == ShardId{0, 0} && log->Record(shard) == 1) {
       return Status::Internal("one flake");
     }
-    return CellModel(shard);
+    return CellOutput(shard);
   };
   ShardSupervisorConfig config = FastConfig();
   config.obs = &obs;
@@ -323,6 +366,314 @@ TEST(ShardSupervisorTest, MetricsMirrorTheSweepStats) {
   EXPECT_EQ(snapshot.Value("shard.completed"), 2);
   EXPECT_EQ(snapshot.Value("shard.poisoned"), 0);
   EXPECT_EQ(snapshot.Value("sweep.coverage_permille"), 1000);
+}
+
+TEST(ShardSupervisorTest, CreatesAMissingPartialDirAtStart) {
+  ShardSupervisorConfig config = FastConfig();
+  config.partial_dir = FreshPath("partials_missing") + "/nested/dir";
+  auto result = RunShardedSweep(ShardGrid{1, 2}, CleanMiner(), config, 7);
+  ASSERT_TRUE(result.ok()) << result.status();
+  EXPECT_EQ(result.value().outcome, SweepOutcome::kComplete);
+  EXPECT_TRUE(fs::exists(CellPath(config.partial_dir, {0, 0})));
+  EXPECT_TRUE(fs::exists(CellPath(config.partial_dir, {0, 1})));
+}
+
+TEST(ShardSupervisorTest, UncreatablePartialDirFailsBeforeMining) {
+  const std::string blocker = FreshPath("partials_blocker");
+  { std::ofstream(blocker) << "a file, not a directory"; }
+  auto log = std::make_shared<AttemptLog>();
+  ShardSupervisorConfig config = FastConfig();
+  config.partial_dir = blocker + "/sub";
+  auto result = RunShardedSweep(ShardGrid{1, 2}, CountingMiner(log), config, 7);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kInternal);
+  EXPECT_NE(result.status().message().find("cannot create partial dir"),
+            std::string::npos)
+      << result.status();
+  EXPECT_EQ(log->count({0, 0}), 0);
+}
+
+TEST(ShardSupervisorTest, TornOrGarbagePartialIsDiscardedAndMinedAgain) {
+  const ShardGrid grid{3, 2};
+  ShardSupervisorConfig config = FastConfig();
+  config.partial_dir = FreshPath("partials_torn");
+  auto reference = RunShardedSweep(grid, CleanMiner(), config, 7);
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  const std::string torn = CellPath(config.partial_dir, {0, 1});
+  fs::resize_file(torn, fs::file_size(torn) / 2);
+  { std::ofstream(CellPath(config.partial_dir, {1, 0})) << "not a snapshot"; }
+  fs::remove(CellPath(config.partial_dir, {2, 1}));
+
+  auto log = std::make_shared<AttemptLog>();
+  auto recovered = RunShardedSweep(grid, CountingMiner(log), config, 7);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered.value().outcome, SweepOutcome::kComplete);
+  EXPECT_EQ(recovered.value().stats.partials_discarded, 2);
+  EXPECT_EQ(recovered.value().stats.shards_loaded, grid.cells() - 3);
+  EXPECT_EQ(log->count({0, 1}), 1);
+  EXPECT_EQ(log->count({1, 0}), 1);
+  EXPECT_EQ(log->count({2, 1}), 1);
+  EXPECT_EQ(log->count({0, 0}), 0);
+  EXPECT_EQ(core::MergedModelBytes(recovered.value().merged),
+            core::MergedModelBytes(reference.value().merged));
+  // The re-mined cells were persisted again, so a third run loads every
+  // cell, payloads included, and mines none.
+  auto third = RunShardedSweep(grid, CountingMiner(log), config, 7);
+  ASSERT_TRUE(third.ok()) << third.status();
+  EXPECT_EQ(third.value().stats.shards_loaded, grid.cells());
+  EXPECT_EQ(third.value().stats.partials_discarded, 0);
+  EXPECT_EQ(third.value().stats.attempts, 0);
+  for (const ShardReport& report : third.value().shards) {
+    EXPECT_TRUE(report.covered);
+    EXPECT_EQ(report.payload, CellOutput(report.shard).payload);
+  }
+  EXPECT_EQ(core::MergedModelBytes(third.value().merged),
+            core::MergedModelBytes(reference.value().merged));
+}
+
+TEST(ShardSupervisorTest, AnotherSweepsPartialRefusesWithFailedPrecondition) {
+  ShardSupervisorConfig config = FastConfig();
+  config.partial_dir = FreshPath("partials_foreign");
+  ASSERT_TRUE(RunShardedSweep(ShardGrid{2, 2}, CleanMiner(), config, 7).ok());
+
+  auto log = std::make_shared<AttemptLog>();
+  // Another state hash (config or corpus) over the same grid...
+  auto other_hash =
+      RunShardedSweep(ShardGrid{2, 2}, CountingMiner(log), config, 8);
+  ASSERT_FALSE(other_hash.ok());
+  EXPECT_EQ(other_hash.status().code(), StatusCode::kFailedPrecondition);
+  // ...or the same hash over another grid refuses before mining.
+  auto other_grid =
+      RunShardedSweep(ShardGrid{3, 2}, CountingMiner(log), config, 7);
+  ASSERT_FALSE(other_grid.ok());
+  EXPECT_EQ(other_grid.status().code(), StatusCode::kFailedPrecondition);
+  EXPECT_EQ(log->count({0, 0}), 0);
+  EXPECT_EQ(log->count({2, 0}), 0);
+}
+
+TEST(ShardSupervisorTest, ObsCountersRecordTheResume) {
+  const ShardGrid grid{2, 2};
+  ShardSupervisorConfig config = FastConfig();
+  config.partial_dir = FreshPath("partials_obs");
+  ASSERT_TRUE(RunShardedSweep(grid, CleanMiner(), config, 7).ok());
+  { std::ofstream(CellPath(config.partial_dir, {1, 1})) << "garbage"; }
+
+  obs::ObsContext obs;
+  config.obs = &obs;
+  auto resumed = RunShardedSweep(grid, CleanMiner(), config, 7);
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  const obs::MetricsSnapshot snapshot = obs.metrics().Snapshot();
+  EXPECT_EQ(snapshot.Value("checkpoint.snapshots_read"), 3);
+  EXPECT_EQ(snapshot.Value("checkpoint.partials_discarded"), 1);
+  EXPECT_GT(snapshot.Value("checkpoint.bytes_read"), 0);
+  EXPECT_EQ(snapshot.Value("checkpoint.read_ns"), 4);  // one per file
+  EXPECT_EQ(snapshot.Value("shard.attempts"), 1);
+  EXPECT_EQ(snapshot.Value("shard.completed"), 1);
+  std::string journal;
+  for (const std::string& line : obs.journal().Tail(64)) journal += line;
+  EXPECT_NE(journal.find("\"event\":\"shard_loaded\""), std::string::npos);
+  EXPECT_NE(journal.find("\"event\":\"partial_discarded\""),
+            std::string::npos);
+}
+
+/// Resumable runs: RunSweep with a partial dir on a real 2-day corpus.
+class ResumableRunnerTest : public ::testing::Test {
+ protected:
+  static void SetUpTestSuite() {
+    DatasetConfig config;
+    config.simulation.num_days = 2;
+    config.simulation.scale = 0.1;
+    auto built = BuildDataset(config);
+    ASSERT_TRUE(built.ok()) << built.status();
+    dataset_ = new Dataset(std::move(built).value());
+  }
+  static void TearDownTestSuite() {
+    delete dataset_;
+    dataset_ = nullptr;
+  }
+
+  /// L3 only: the fast technique, enough to exercise the resume.
+  static SweepConfig L3Only(const core::L3Config& l3 = {}) {
+    SweepConfig config;
+    config.run_l1 = false;
+    config.run_l2 = false;
+    config.l3 = l3;
+    return config;
+  }
+
+  static ShardSupervisorConfig Supervisor(const std::string& dir) {
+    ShardSupervisorConfig config = FastConfig();
+    config.partial_dir = dir;
+    return config;
+  }
+
+  static Dataset* dataset_;
+};
+
+Dataset* ResumableRunnerTest::dataset_ = nullptr;
+
+std::string TrackerBytes(const core::ModelTracker& tracker) {
+  SnapshotWriter w;
+  w.BeginSection("tracker");
+  core::EncodeModelTracker(tracker, &w);
+  w.EndSection();
+  return std::move(w).Finish();
+}
+
+/// Everything a resume must reproduce for one technique.
+std::string RunBytes(const DailyRunResult& run) {
+  SnapshotWriter w;
+  w.BeginSection("merged");
+  w.PutString(core::MergedModelBytes(run.merged));
+  w.EndSection();
+  w.BeginSection("series");
+  core::EncodeDailySeries(run.series, &w);
+  w.EndSection();
+  return std::move(w).Finish();
+}
+
+TEST_F(ResumableRunnerTest, NoCheckpointDirMatchesPlainDailyRunner) {
+  auto plain = RunL3Daily(*dataset_, core::L3Config{});
+  ASSERT_TRUE(plain.ok()) << plain.status();
+  auto sweep = RunSweep(*dataset_, L3Only(), FastConfig());  // no dir
+  ASSERT_TRUE(sweep.ok()) << sweep.status();
+  const DailyRunResult& run = *sweep.value().l3;
+  EXPECT_EQ(run.sweep.shards_loaded, 0);
+  EXPECT_EQ(run.sweep.shards_completed, dataset_->num_days());
+  EXPECT_EQ(RunBytes(run), RunBytes(plain.value()));
+  ASSERT_EQ(run.series.day_labels.size(), 2u);
+  EXPECT_EQ(run.series.day_labels[0], "2005-12-06");
+}
+
+TEST_F(ResumableRunnerTest, SecondRunLoadsEverythingAndMinesNothing) {
+  const std::string dir = FreshPath("sweep_full");
+  auto first = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(first.ok()) << first.status();
+  EXPECT_EQ(first.value().l3->sweep.shards_completed, dataset_->num_days());
+
+  auto second = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(second.value().l3->sweep.shards_loaded, dataset_->num_days());
+  EXPECT_EQ(second.value().l3->sweep.attempts, 0);
+  EXPECT_EQ(RunBytes(*second.value().l3), RunBytes(*first.value().l3));
+}
+
+TEST_F(ResumableRunnerTest, SweepRunsSelectedTechniques) {
+  SweepConfig config;
+  config.run_l1 = false;  // L1 is the slow one; unit-level skips it
+  const std::string dir = FreshPath("sweep_techniques");
+  auto sweep = RunSweep(*dataset_, config, Supervisor(dir));
+  ASSERT_TRUE(sweep.ok()) << sweep.status();
+  EXPECT_FALSE(sweep.value().l1.has_value());
+  ASSERT_TRUE(sweep.value().l2.has_value());
+  ASSERT_TRUE(sweep.value().l3.has_value());
+  EXPECT_TRUE(fs::exists(CellPath(dir + "/l2", {1, 0})));
+  EXPECT_TRUE(fs::exists(CellPath(dir + "/l3", {1, 0})));
+  EXPECT_FALSE(fs::exists(dir + "/l1"));
+
+  // The same series and session stats as the plain daily runners.
+  std::vector<core::SessionBuildStats> plain_stats;
+  auto plain_l2 = RunL2Daily(*dataset_, config.l2, &plain_stats);
+  ASSERT_TRUE(plain_l2.ok()) << plain_l2.status();
+  ASSERT_EQ(sweep.value().l2->session_stats.size(), plain_stats.size());
+  for (size_t d = 0; d < plain_stats.size(); ++d) {
+    EXPECT_EQ(sweep.value().l2->session_stats[d].num_sessions,
+              plain_stats[d].num_sessions);
+    EXPECT_EQ(sweep.value().l2->series.days[d].true_positives,
+              plain_l2.value().series.days[d].true_positives);
+  }
+
+  // A re-run loads both techniques wholesale, session stats included.
+  auto again = RunSweep(*dataset_, config, Supervisor(dir));
+  ASSERT_TRUE(again.ok()) << again.status();
+  EXPECT_EQ(again.value().l2->sweep.shards_loaded, 2);
+  EXPECT_EQ(again.value().l3->sweep.shards_loaded, 2);
+  EXPECT_EQ(again.value().l2->sweep.attempts, 0);
+  EXPECT_EQ(again.value().l3->sweep.attempts, 0);
+  ASSERT_EQ(again.value().l2->session_stats.size(), plain_stats.size());
+  EXPECT_EQ(again.value().l2->session_stats[1].logs_assigned,
+            plain_stats[1].logs_assigned);
+}
+
+TEST_F(ResumableRunnerTest, TruncatedNewestGenerationFallsBack) {
+  const std::string dir = FreshPath("sweep_truncated");
+  auto reference = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  // Truncate the newest day's partial in place (a torn write that somehow
+  // reached the final path): the older day loads, the newest is re-mined.
+  const std::string newest = CellPath(dir + "/l3", {1, 0});
+  ASSERT_TRUE(fs::exists(newest));
+  fs::resize_file(newest, fs::file_size(newest) / 2);
+
+  auto recovered = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered.value().l3->sweep.partials_discarded, 1);
+  EXPECT_EQ(recovered.value().l3->sweep.shards_loaded, 1);
+  EXPECT_EQ(recovered.value().l3->sweep.shards_completed, 1);
+  EXPECT_EQ(RunBytes(*recovered.value().l3), RunBytes(*reference.value().l3));
+}
+
+TEST_F(ResumableRunnerTest, GarbageNewestGenerationFallsBack) {
+  const std::string dir = FreshPath("sweep_garbage");
+  auto reference = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(reference.ok()) << reference.status();
+
+  {
+    std::ofstream out(CellPath(dir + "/l3", {1, 0}), std::ios::binary);
+    out << "this is not a snapshot";
+  }
+  auto recovered = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_EQ(recovered.value().l3->sweep.partials_discarded, 1);
+  EXPECT_EQ(recovered.value().l3->sweep.shards_loaded, 1);
+  EXPECT_EQ(recovered.value().l3->sweep.shards_completed, 1);
+  EXPECT_EQ(RunBytes(*recovered.value().l3), RunBytes(*reference.value().l3));
+}
+
+TEST_F(ResumableRunnerTest, ConfigChangeRefusesToResume) {
+  core::L3Config l3;
+  const std::string dir = FreshPath("sweep_config_change");
+  ASSERT_TRUE(RunSweep(*dataset_, L3Only(l3), Supervisor(dir)).ok());
+
+  l3.min_citations += 1;  // result-relevant change
+  auto resumed = RunSweep(*dataset_, L3Only(l3), Supervisor(dir));
+  ASSERT_FALSE(resumed.ok());
+  EXPECT_EQ(resumed.status().code(), StatusCode::kFailedPrecondition);
+}
+
+TEST_F(ResumableRunnerTest, ThreadCountChangeResumesFine) {
+  core::L3Config l3;
+  l3.num_threads = 1;
+  const std::string dir = FreshPath("sweep_threads");
+  ASSERT_TRUE(RunSweep(*dataset_, L3Only(l3), Supervisor(dir)).ok());
+
+  l3.num_threads = 0;  // excluded from the fingerprint: results are equal
+  auto resumed = RunSweep(*dataset_, L3Only(l3), Supervisor(dir));
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed.value().l3->sweep.shards_loaded, dataset_->num_days());
+  EXPECT_EQ(resumed.value().l3->sweep.attempts, 0);
+}
+
+TEST_F(ResumableRunnerTest, ResumeUnderNewTrackerConfigEqualsFreshRun) {
+  // The tracker is a fold over the per-day models, not persisted state:
+  // partials mined before a tracker change resume under the new one.
+  const std::string dir = FreshPath("sweep_tracker");
+  ASSERT_TRUE(RunSweep(*dataset_, L3Only(), Supervisor(dir)).ok());
+  auto resumed = RunSweep(*dataset_, L3Only(), Supervisor(dir));
+  ASSERT_TRUE(resumed.ok()) << resumed.status();
+  EXPECT_EQ(resumed.value().l3->sweep.shards_loaded, dataset_->num_days());
+  auto fresh = RunL3Daily(*dataset_, core::L3Config{});
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+
+  core::ModelTrackerConfig tracker;
+  tracker.confirm_after += 1;
+  tracker.retire_after += 2;
+  EXPECT_EQ(TrackerBytes(resumed.value().l3->Track(tracker)),
+            TrackerBytes(fresh.value().Track(tracker)));
+  EXPECT_EQ(resumed.value().l3->Track(tracker).num_observations(),
+            dataset_->num_days());
 }
 
 }  // namespace

@@ -18,8 +18,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/l1_activity_miner.h"
 #include "core/serialization.h"
-#include "eval/daily_runner.h"
 #include "eval/dataset.h"
 #include "eval/shard_supervisor.h"
 #include "simulation/crash_injector.h"
@@ -95,17 +95,20 @@ std::string* ChaosSweepTest::reference_ = nullptr;
 
 TEST_F(ChaosSweepTest, ShardedSweepMatchesPerDayMining) {
   // Ground truth from a different code path: mine each day unsliced
-  // with the plain daily runner and union.
+  // with the miner itself and union.
   core::DependencyModel expected_union;
   auto clean = RunL1ShardedSweep(*dataset_, L1Cfg(), Supervisor());
   ASSERT_TRUE(clean.ok()) << clean.status();
+  core::L1ActivityMiner miner(L1Cfg());
   for (int day = 0; day < dataset_->num_days(); ++day) {
-    auto outcome = RunL1Day(*dataset_, L1Cfg(), day);
-    ASSERT_TRUE(outcome.ok()) << outcome.status();
-    EXPECT_EQ(clean.value().merged.daily[day].pairs(),
-              outcome.value().model.pairs())
+    auto mined = miner.Mine(dataset_->store, dataset_->day_begin(day),
+                            dataset_->day_end(day));
+    ASSERT_TRUE(mined.ok()) << mined.status();
+    const core::DependencyModel model =
+        mined.value().Dependencies(dataset_->store);
+    EXPECT_EQ(clean.value().merged.daily[day].pairs(), model.pairs())
         << "day " << day;
-    expected_union = expected_union.Union(outcome.value().model);
+    expected_union = expected_union.Union(model);
   }
   EXPECT_EQ(clean.value().merged.model.pairs(), expected_union.pairs());
 }

@@ -225,7 +225,7 @@ TEST(JournalToChromeTraceTest, FileConverterRoundTrips) {
 TEST(TraceSpanTest, SpanRecordsDurationAndOptionalHistogram) {
   ObsContext context;
   {
-    TraceSpan span(&context, "unit/scope", Metric::kEvalDayNs);
+    TraceSpan span(&context, "unit/scope", Metric::kShardAttemptNs);
     // Spin briefly so the duration is visibly non-negative.
     volatile int sink = 0;
     for (int i = 0; i < 1000; ++i) sink = sink + i;
@@ -241,7 +241,7 @@ TEST(TraceSpanTest, SpanRecordsDurationAndOptionalHistogram) {
   EXPECT_NE(tail[0].find("\"tid\":" + std::to_string(CurrentTraceThreadId())),
             std::string::npos);
   const MetricsSnapshot snap = context.metrics().Snapshot();
-  const MetricsSnapshot::Entry* latency = snap.Find("eval.day_ns");
+  const MetricsSnapshot::Entry* latency = snap.Find("shard.attempt_ns");
   ASSERT_NE(latency, nullptr);
   EXPECT_EQ(latency->sketch.count(), 1);
   EXPECT_GE(latency->sketch.min(), 0);

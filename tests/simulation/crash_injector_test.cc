@@ -10,93 +10,6 @@
 namespace logmine::sim {
 namespace {
 
-TEST(CrashInjectorTest, FiresExactlyOnceAtTheArmedPoint) {
-  CrashInjector injector(CrashPlan{KillPoint::kAfterCheckpoint, 2});
-  EXPECT_FALSE(injector.fired());
-  // Other points and indices never fire.
-  EXPECT_FALSE(injector.ShouldKill(KillPoint::kAfterDayMined, 2));
-  EXPECT_FALSE(injector.ShouldKill(KillPoint::kAfterCheckpoint, 0));
-  EXPECT_FALSE(injector.ShouldKill(KillPoint::kAfterCheckpoint, 1));
-  // The armed (point, index) fires...
-  EXPECT_TRUE(injector.ShouldKill(KillPoint::kAfterCheckpoint, 2));
-  EXPECT_TRUE(injector.fired());
-  // ...and only once, even if the same instant comes around again.
-  EXPECT_FALSE(injector.ShouldKill(KillPoint::kAfterCheckpoint, 2));
-}
-
-TEST(CrashInjectorTest, UnarmedInjectorNeverFires) {
-  CrashInjector injector(CrashPlan{});
-  for (KillPoint point :
-       {KillPoint::kAfterDayMined, KillPoint::kMidSnapshotWrite,
-        KillPoint::kAfterCheckpoint, KillPoint::kBetweenMiners}) {
-    for (int index = 0; index < 5; ++index) {
-      EXPECT_FALSE(injector.ShouldKill(point, index));
-    }
-  }
-  EXPECT_FALSE(injector.fired());
-}
-
-TEST(CrashInjectorTest, NamesRoundTrip) {
-  for (KillPoint point :
-       {KillPoint::kNone, KillPoint::kAfterDayMined,
-        KillPoint::kMidSnapshotWrite, KillPoint::kAfterCheckpoint,
-        KillPoint::kBetweenMiners}) {
-    auto parsed = KillPointFromName(KillPointName(point));
-    ASSERT_TRUE(parsed.ok()) << KillPointName(point);
-    EXPECT_EQ(parsed.value(), point);
-  }
-  EXPECT_EQ(KillPointFromName("not-a-kill-point").status().code(),
-            StatusCode::kInvalidArgument);
-}
-
-TEST(CrashInjectorTest, KilledStatusIsInternalAndNamesThePoint) {
-  const Status status =
-      CrashInjector::KilledStatus(KillPoint::kMidSnapshotWrite, 1);
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_NE(status.message().find("mid-snapshot-write"),
-            std::string::npos);
-  EXPECT_NE(status.message().find("simulated crash"), std::string::npos);
-}
-
-TEST(CrashInjectorTest, RandomPlanStaysInBoundsAndCoversAllPoints) {
-  Rng rng(99);
-  std::set<KillPoint> seen_points;
-  for (int trial = 0; trial < 500; ++trial) {
-    const CrashPlan plan = RandomCrashPlan(&rng, /*num_days=*/3,
-                                           /*num_techniques=*/3);
-    ASSERT_NE(plan.point, KillPoint::kNone);
-    seen_points.insert(plan.point);
-    ASSERT_GE(plan.index, 0);
-    if (plan.point == KillPoint::kBetweenMiners) {
-      // index counts completed techniques (0 = after the first); the
-      // boundary after the last technique does not exist, so the top
-      // index is num_techniques - 2.
-      ASSERT_LT(plan.index, 2);
-    } else {
-      ASSERT_LT(plan.index, 3) << KillPointName(plan.point);
-    }
-  }
-  // All four real kill points are drawn within 500 trials.
-  EXPECT_EQ(seen_points.size(), 4u);
-}
-
-TEST(CrashInjectorTest, RandomPlanIsDeterministicInSeed) {
-  Rng a(7), b(7), c(8);
-  const CrashPlan pa = RandomCrashPlan(&a, 5, 3);
-  const CrashPlan pb = RandomCrashPlan(&b, 5, 3);
-  const CrashPlan pc = RandomCrashPlan(&c, 5, 3);
-  EXPECT_EQ(pa.point, pb.point);
-  EXPECT_EQ(pa.index, pb.index);
-  // A different seed eventually diverges; draw a few to be robust.
-  bool diverged = pa.point != pc.point || pa.index != pc.index;
-  for (int i = 0; i < 20 && !diverged; ++i) {
-    const CrashPlan xa = RandomCrashPlan(&a, 5, 3);
-    const CrashPlan xc = RandomCrashPlan(&c, 5, 3);
-    diverged = xa.point != xc.point || xa.index != xc.index;
-  }
-  EXPECT_TRUE(diverged);
-}
-
 TEST(ShardFaultInjectorTest, NamesRoundTrip) {
   for (ShardFault fault :
        {ShardFault::kNone, ShardFault::kFailTransient, ShardFault::kHang,
