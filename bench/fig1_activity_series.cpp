@@ -6,6 +6,8 @@
 
 #include <algorithm>
 #include <iostream>
+#include <span>
+#include <vector>
 
 #include "bench/bench_common.h"
 #include "stats/descriptive.h"
@@ -45,12 +47,14 @@ int main(int argc, char** argv) {
   // A busy weekday hour: day 1, 10:00-11:00.
   const TimeMs begin = dataset.day_begin(0) + 10 * kMillisPerHour;
   const TimeMs end = begin + kMillisPerHour;
-  const auto series_a = stats::BinCountSeries(
-      dataset.store.SourceTimestamps(a.value()), begin, end,
-      kMillisPerSecond);
-  const auto series_b = stats::BinCountSeries(
-      dataset.store.SourceTimestamps(b.value()), begin, end,
-      kMillisPerSecond);
+  auto per_second = [&](LogStore::SourceId source) {
+    const std::span<const TimeMs> ts =
+        dataset.store.SourceTimestampsInRange(source, begin, end);
+    return stats::BinCountSeries(std::vector<TimeMs>(ts.begin(), ts.end()),
+                                 begin, end, kMillisPerSecond);
+  };
+  const auto series_a = per_second(a.value());
+  const auto series_b = per_second(b.value());
 
   std::cout << "Figure 1: logs/second for two interacting applications, "
             << FormatTime(begin) << " .. " << FormatTime(end) << "\n\n";

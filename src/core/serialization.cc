@@ -213,7 +213,7 @@ std::string PartialModelBytes(const PartialModel& partial) {
 
 Result<PartialModel> ParsePartialModelBytes(std::string bytes) {
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(std::move(bytes)));
+                           SnapshotReader::Parse(bytes));
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor cursor, reader.Section("partial"));
   LOGMINE_ASSIGN_OR_RETURN(PartialModel partial, DecodePartialModel(&cursor));
   LOGMINE_RETURN_IF_ERROR(cursor.ExpectEnd());
@@ -239,7 +239,7 @@ std::string MergedModelBytes(const MergedPartialModel& merged) {
 
 Result<MergedPartialModel> ParseMergedModelBytes(std::string bytes) {
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(std::move(bytes)));
+                           SnapshotReader::Parse(bytes));
   MergedPartialModel merged;
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor model_cursor,
                            reader.Section("model"));

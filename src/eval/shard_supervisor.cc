@@ -773,7 +773,7 @@ ShardMineFn MakeL3ShardMiner(const Dataset& dataset,
 
 Result<core::SessionBuildStats> L2SessionStats(std::string payload) {
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(std::move(payload)));
+                           SnapshotReader::Parse(payload));
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor cursor, reader.Section("sessions"));
   LOGMINE_ASSIGN_OR_RETURN(core::SessionBuildStats stats,
                            core::DecodeSessionBuildStats(&cursor));

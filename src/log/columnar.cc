@@ -160,21 +160,26 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
   LOGMINE_ASSIGN_OR_RETURN(uint32_t num_hosts, meta.ReadU32());
   LOGMINE_ASSIGN_OR_RETURN(uint32_t num_users, meta.ReadU32());
   if (Status s = meta.ExpectEnd(); !s.ok()) return s;
+
+  // Columns are views of the caller's bytes; only the message blob is
+  // copied, once, into the store's arena.
+  LOGMINE_ASSIGN_OR_RETURN(SectionCursor time_section,
+                           reader.Section("ctime"));
+  LOGMINE_ASSIGN_OR_RETURN(std::string_view time_column,
+                           time_section.ReadBytes());
+  if (Status s = time_section.ExpectEnd(); !s.ok()) return s;
+  // Every record takes at least two varint bytes of the time column, so
+  // a larger count is corruption — refused before it sizes a column.
+  if (n64 > time_column.size() / 2) {
+    return Status::ParseError("columnar record count " +
+                              std::to_string(n64) +
+                              " exceeds what the time column holds");
+  }
   const auto n = static_cast<size_t>(n64);
 
   LogStore::Columns columns;
-  columns.client_ts.reserve(n);
-  columns.server_ts.reserve(n);
-  columns.severity.reserve(n);
-  columns.source_ids.reserve(n);
-  columns.host_ids.reserve(n);
-  columns.user_ids.reserve(n);
-
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor time_section,
-                           reader.Section("ctime"));
-  LOGMINE_ASSIGN_OR_RETURN(std::string time_column,
-                           time_section.ReadString());
-  if (Status s = time_section.ExpectEnd(); !s.ok()) return s;
+  columns.client_ts.resize(n);
+  columns.server_ts.resize(n);
   const unsigned char* tp = ColumnBegin(time_column);
   const unsigned char* tend = tp + time_column.size();
   TimeMs prev_client = 0;
@@ -185,8 +190,8 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
       return Status::ParseError("columnar time column truncated");
     }
     const TimeMs client = prev_client + client_delta;
-    columns.client_ts.push_back(client);
-    columns.server_ts.push_back(client + server_delta);
+    columns.client_ts[i] = client;
+    columns.server_ts[i] = client + server_delta;
     prev_client = client;
   }
   if (tp != tend) {
@@ -194,8 +199,12 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
   }
 
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor id_section, reader.Section("cids"));
-  LOGMINE_ASSIGN_OR_RETURN(std::string id_column, id_section.ReadString());
+  LOGMINE_ASSIGN_OR_RETURN(std::string_view id_column, id_section.ReadBytes());
   if (Status s = id_section.ExpectEnd(); !s.ok()) return s;
+  columns.severity.resize(n);
+  columns.source_ids.resize(n);
+  columns.host_ids.resize(n);
+  columns.user_ids.resize(n);
   const unsigned char* ip = ColumnBegin(id_column);
   const unsigned char* iend = ip + id_column.size();
   for (size_t i = 0; i < n; ++i) {
@@ -208,15 +217,13 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
       return Status::ParseError("columnar severity out of range: " +
                                 std::to_string(severity));
     }
-    columns.severity.push_back(static_cast<Severity>(severity));
+    columns.severity[i] = static_cast<Severity>(severity);
     if (source > UINT32_MAX) {
       return Status::ParseError("columnar source id out of range");
     }
-    columns.source_ids.push_back(static_cast<uint32_t>(source));
-    LOGMINE_ASSIGN_OR_RETURN(uint32_t host_id, DecodeOptionalId(host));
-    columns.host_ids.push_back(host_id);
-    LOGMINE_ASSIGN_OR_RETURN(uint32_t user_id, DecodeOptionalId(user));
-    columns.user_ids.push_back(user_id);
+    columns.source_ids[i] = static_cast<uint32_t>(source);
+    LOGMINE_ASSIGN_OR_RETURN(columns.host_ids[i], DecodeOptionalId(host));
+    LOGMINE_ASSIGN_OR_RETURN(columns.user_ids[i], DecodeOptionalId(user));
   }
   if (ip != iend) {
     return Status::ParseError("columnar id column has trailing bytes");
@@ -224,35 +231,37 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
 
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor dict_section,
                            reader.Section("cdict"));
-  columns.source_names.reserve(num_sources);
-  for (uint32_t i = 0; i < num_sources; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string name, dict_section.ReadString());
-    columns.source_names.push_back(std::move(name));
+  // Every name costs at least its 8-byte length prefix.
+  if (uint64_t{num_sources} + num_hosts + num_users >
+      dict_section.remaining() / 8) {
+    return Status::ParseError(
+        "columnar dictionary counts exceed what the dictionary holds");
   }
-  columns.host_names.reserve(num_hosts);
-  for (uint32_t i = 0; i < num_hosts; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string name, dict_section.ReadString());
-    columns.host_names.push_back(std::move(name));
-  }
-  columns.user_names.reserve(num_users);
-  for (uint32_t i = 0; i < num_users; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string name, dict_section.ReadString());
-    columns.user_names.push_back(std::move(name));
+  for (auto [names, count] :
+       {std::pair{&columns.source_names, num_sources},
+        std::pair{&columns.host_names, num_hosts},
+        std::pair{&columns.user_names, num_users}}) {
+    names->reserve(count);
+    for (uint32_t i = 0; i < count; ++i) {
+      LOGMINE_ASSIGN_OR_RETURN(std::string name, dict_section.ReadString());
+      names->push_back(std::move(name));
+    }
   }
   if (Status s = dict_section.ExpectEnd(); !s.ok()) return s;
 
   if (options.load_messages) {
     LOGMINE_ASSIGN_OR_RETURN(SectionCursor text_section,
                              reader.Section("ctext"));
-    LOGMINE_ASSIGN_OR_RETURN(std::string lengths, text_section.ReadString());
-    LOGMINE_ASSIGN_OR_RETURN(std::string blob, text_section.ReadString());
+    LOGMINE_ASSIGN_OR_RETURN(std::string_view lengths,
+                             text_section.ReadBytes());
+    LOGMINE_ASSIGN_OR_RETURN(std::string_view blob, text_section.ReadBytes());
     if (Status s = text_section.ExpectEnd(); !s.ok()) return s;
-    // The blob moves into the store wholesale — the lengths only turn
-    // into cumulative end offsets, no per-message copy or allocation.
+    // The lengths only turn into cumulative end offsets into the blob —
+    // no per-message copy or allocation.
     const unsigned char* lp = ColumnBegin(lengths);
     const unsigned char* lend = lp + lengths.size();
     size_t blob_pos = 0;
-    columns.message_ends.reserve(n);
+    columns.message_ends.resize(n);
     for (size_t i = 0; i < n; ++i) {
       uint64_t len;
       if (!GetVarint(&lp, lend, &len)) {
@@ -262,7 +271,7 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
         return Status::ParseError("columnar text blob truncated");
       }
       blob_pos += static_cast<size_t>(len);
-      columns.message_ends.push_back(blob_pos);
+      columns.message_ends[i] = blob_pos;
     }
     if (lp != lend) {
       return Status::ParseError(
@@ -271,7 +280,7 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
     if (blob_pos != blob.size()) {
       return Status::ParseError("columnar text blob has trailing bytes");
     }
-    columns.message_data = std::move(blob);
+    columns.message_data.assign(blob);
   }
 
   auto store = LogStore::FromColumns(std::move(columns));
@@ -291,10 +300,10 @@ std::string EncodeColumnar(const LogStore& store) {
   return std::move(writer).Finish();
 }
 
-Result<LogStore> DecodeColumnar(std::string bytes,
+Result<LogStore> DecodeColumnar(std::string_view bytes,
                                 const ColumnarReadOptions& options) {
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(std::move(bytes)));
+                           SnapshotReader::Parse(bytes));
   return DecodeColumnarSections(reader, options);
 }
 
@@ -309,16 +318,18 @@ Status WriteColumnarFile(const std::string& path, const LogStore& store) {
 
 Result<LogStore> ReadColumnarFile(const std::string& path,
                                   const ColumnarReadOptions& options) {
+  LOGMINE_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
+  return ReadColumnarMapping(file, options);
+}
+
+Result<LogStore> ReadColumnarMapping(const MmapFile& file,
+                                     const ColumnarReadOptions& options) {
   LOGMINE_SPAN_GLOBAL("ingest/columnar_read",
                       obs::Metric::kIngestColumnarReadNs);
-  LOGMINE_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
   obs::Count(obs::Metric::kIngestColumnarReads);
   obs::Count(obs::Metric::kIngestColumnarBytesRead,
              static_cast<int64_t>(file.size()));
-  // SnapshotReader owns its buffer, so the mapping is copied once here;
-  // still far cheaper than a text decode, and the container CRC needs a
-  // full pass anyway.
-  return DecodeColumnar(std::string(file.view()), options);
+  return DecodeColumnar(file.view(), options);
 }
 
 }  // namespace logmine

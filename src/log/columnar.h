@@ -10,6 +10,8 @@
 
 namespace logmine {
 
+class MmapFile;
+
 /// Payload version of the columnar corpus sections. Bump when a column
 /// layout changes; the container version is util/snapshot's.
 inline constexpr uint32_t kColumnarVersion = 1;
@@ -50,15 +52,33 @@ struct ColumnarReadOptions {
 /// DecodeColumnar -> LogStore -> LineCodec::EncodeAll reproduce each
 /// other record-for-record (dictionary ids follow first-appearance
 /// order, the same order text ingest interns them).
+///
+/// Reads copy nothing but the text. The SnapshotReader and its cursors
+/// view the caller's bytes — ReadColumnarFile's file mapping, which it
+/// keeps alive for the decode — so neither the file nor any column
+/// section is copied. The varint loops write into columns pre-sized
+/// from `num_records`, and only the message blob is copied, once, into
+/// the store's arena. Every header count is checked against the bytes
+/// of its section before it sizes anything: at most ctime bytes / 2
+/// records (each takes two varints) and cdict bytes / 8 names (each
+/// takes its 8-byte length prefix).
+///
+/// The index is not stored; ReadCorpusFile rebuilds it after the decode
+/// in time linear in the record count (LogStore::BuildIndex): a stable
+/// LSD radix sort gives the time order, the identity when client_ts is
+/// already non-decreasing, and one flat CSR column holds each source's
+/// sorted timestamps.
 
 /// Serializes `store`'s columns (records + dictionaries; indexes are
 /// rebuilt on load) into a finished snapshot container.
 std::string EncodeColumnar(const LogStore& store);
 
-/// Parses a buffer produced by `EncodeColumnar` back into a store.
-/// ParseError on any corruption (bad CRC, truncated section, id out of
-/// range); FailedPrecondition on a version mismatch.
-Result<LogStore> DecodeColumnar(std::string bytes,
+/// Parses a buffer produced by `EncodeColumnar` back into a store,
+/// straight from `bytes` (which need only outlive the call). ParseError
+/// on any corruption (bad CRC, truncated section, id out of range, a
+/// count larger than its section can hold); FailedPrecondition on a
+/// version mismatch.
+Result<LogStore> DecodeColumnar(std::string_view bytes,
                                 const ColumnarReadOptions& options = {});
 
 /// Composable halves of Encode/DecodeColumnar, for writers that embed
@@ -73,10 +93,16 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
 /// (util/snapshot's WriteFileAtomic discipline).
 Status WriteColumnarFile(const std::string& path, const LogStore& store);
 
-/// Reads a columnar corpus file. NotFound when absent; ParseError when
-/// corrupt.
+/// Reads a columnar corpus file, decoding from its mapping. NotFound
+/// when absent; ParseError when corrupt.
 Result<LogStore> ReadColumnarFile(const std::string& path,
                                   const ColumnarReadOptions& options = {});
+
+/// ReadColumnarFile over a file the caller has already mapped — the path
+/// of ReadCorpusFile, which maps once to sniff the format. Same decode,
+/// span and `ingest.columnar_*` counters.
+Result<LogStore> ReadColumnarMapping(const MmapFile& file,
+                                     const ColumnarReadOptions& options = {});
 
 /// True when `bytes` starts with the snapshot container magic — the
 /// format autodetection ReadCorpusFile uses: columnar corpora start

@@ -30,21 +30,19 @@ Result<LogStore> ReadCorpusFile(const std::string& path) {
 Result<LogStore> ReadCorpusFile(const std::string& path,
                                 const DecodeOptions& options,
                                 IngestStats* stats) {
-  LOGMINE_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
-  const std::string_view text = file.view();
-  if (LooksColumnar(text)) {
-    LOGMINE_ASSIGN_OR_RETURN(LogStore store, ReadColumnarFile(path));
-    store.BuildIndex();
-    return store;
-  }
-  // Files are where a writer can die mid-line (foreign corpora, live
-  // tails); tolerate exactly that and nothing more. In-memory decodes
-  // via DecodeAll keep the strict default.
-  DecodeOptions file_options = options;
-  file_options.lenient_truncated_tail = true;
-  LOGMINE_ASSIGN_OR_RETURN(LogStore store,
-                           LineCodec::DecodeAll(text, file_options, stats));
-  store.BuildIndex();
+  Result<LogStore> store = [&]() -> Result<LogStore> {
+    LOGMINE_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
+    if (LooksColumnar(file.view())) return ReadColumnarMapping(file);
+    // Files are where a writer can die mid-line (foreign corpora, live
+    // tails); tolerate exactly that and nothing more. In-memory decodes
+    // via DecodeAll keep the strict default.
+    DecodeOptions file_options = options;
+    file_options.lenient_truncated_tail = true;
+    return LineCodec::DecodeAll(file.view(), file_options, stats);
+  }();
+  // The file is unmapped by now, so its pages are not resident beside
+  // the index build's scratch buffers.
+  if (store.ok()) store.value().BuildIndex();
   return store;
 }
 

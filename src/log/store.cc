@@ -1,12 +1,80 @@
 #include "log/store.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <memory>
 #include <numeric>
 
 #include "obs/obs.h"
 
 namespace logmine {
+namespace {
+
+constexpr int kDigitBits = 16;
+constexpr size_t kBuckets = size_t{1} << kDigitBits;
+
+// Fills `order` with the indices of `ts` sorted by (ts, index): a stable
+// LSD radix sort over 16-bit digits of ts - min(ts), computed in uint64
+// so negative timestamps and a span as wide as INT64_MIN..INT64_MAX sort
+// right. A span below 2^16 ms takes one pass, below 2^32 ms (49 days)
+// two. Already sorted input — a text corpus written by WriteCorpusFile —
+// is the identity and costs one compare per record.
+void RadixTimeOrder(const std::vector<TimeMs>& ts,
+                    std::vector<uint32_t>* order) {
+  const size_t n = ts.size();
+  order->resize(n);
+  if (std::is_sorted(ts.begin(), ts.end())) {
+    std::iota(order->begin(), order->end(), 0u);
+    return;
+  }
+  const auto [lo, hi] = std::minmax_element(ts.begin(), ts.end());
+  const auto min = static_cast<uint64_t>(*lo);
+  const int digits =
+      (std::bit_width(static_cast<uint64_t>(*hi) - min) + kDigitBits - 1) /
+      kDigitBits;
+  // Every digit's histogram from one read of the keys, then turned into
+  // bucket start offsets.
+  std::vector<uint32_t> offsets(digits * kBuckets, 0);
+  for (TimeMs t : ts) {
+    uint64_t key = static_cast<uint64_t>(t) - min;
+    for (int d = 0; d < digits; ++d, key >>= kDigitBits) {
+      ++offsets[d * kBuckets + (key & (kBuckets - 1))];
+    }
+  }
+  for (int d = 0; d < digits; ++d) {
+    uint32_t* bucket = offsets.data() + d * kBuckets;
+    std::exclusive_scan(bucket, bucket + kBuckets, bucket, 0u);
+  }
+  // Each pass scatters (key, index) pairs from one buffer to the other;
+  // the first reads the input column, the last writes only indices,
+  // straight into `order`.
+  std::unique_ptr<uint64_t[]> keys[2];
+  std::unique_ptr<uint32_t[]> ids[2];
+  for (int p = 0; p < digits; ++p) {
+    const bool first = p == 0;
+    const bool last = p + 1 == digits;
+    uint32_t* bucket = offsets.data() + p * kBuckets;
+    const int shift = p * kDigitBits;
+    const uint64_t* in_keys = first ? nullptr : keys[p % 2].get();
+    const uint32_t* in_ids = first ? nullptr : ids[p % 2].get();
+    if (!last && !keys[(p + 1) % 2]) {
+      keys[(p + 1) % 2] = std::make_unique_for_overwrite<uint64_t[]>(n);
+      ids[(p + 1) % 2] = std::make_unique_for_overwrite<uint32_t[]>(n);
+    }
+    uint64_t* out_keys = last ? nullptr : keys[(p + 1) % 2].get();
+    uint32_t* out_ids = last ? order->data() : ids[(p + 1) % 2].get();
+    for (size_t i = 0; i < n; ++i) {
+      const uint64_t key =
+          first ? static_cast<uint64_t>(ts[i]) - min : in_keys[i];
+      const uint32_t pos = bucket[(key >> shift) & (kBuckets - 1)]++;
+      out_ids[pos] = first ? static_cast<uint32_t>(i) : in_ids[i];
+      if (!last) out_keys[pos] = key;
+    }
+  }
+}
+
+}  // namespace
 
 uint32_t LogStore::Intern(std::string_view name,
                           std::vector<std::string>* names,
@@ -196,25 +264,25 @@ void LogStore::BuildIndex() {
   LOGMINE_SPAN_GLOBAL("store/build_index", obs::Metric::kStoreIndexBuildNs);
   obs::Count(obs::Metric::kStoreIndexBuilds);
   obs::Count(obs::Metric::kStoreRecordsIndexed, static_cast<int64_t>(size()));
-  source_timestamps_.assign(source_names_.size(), {});
-  for (size_t i = 0; i < size(); ++i) {
-    source_timestamps_[source_ids_[i]].push_back(client_ts_[i]);
+  RadixTimeOrder(client_ts_, &time_order_);
+  // CSR per-source column: count, prefix-sum, then scatter in time
+  // order, which leaves every source's slice sorted without a sort.
+  source_begin_.assign(source_names_.size() + 1, 0);
+  for (SourceId s : source_ids_) ++source_begin_[s + 1];
+  std::partial_sum(source_begin_.begin(), source_begin_.end(),
+                   source_begin_.begin());
+  source_ts_.resize(size());
+  std::vector<size_t> fill(source_begin_.begin(), source_begin_.end() - 1);
+  for (uint32_t i : time_order_) {
+    source_ts_[fill[source_ids_[i]]++] = client_ts_[i];
   }
-  for (auto& ts : source_timestamps_) {
-    std::sort(ts.begin(), ts.end());
-  }
-  time_order_.resize(size());
-  std::iota(time_order_.begin(), time_order_.end(), 0u);
-  std::stable_sort(time_order_.begin(), time_order_.end(),
-                   [this](uint32_t a, uint32_t b) {
-                     return client_ts_[a] < client_ts_[b];
-                   });
   index_built_ = true;
 }
 
-const std::vector<TimeMs>& LogStore::SourceTimestamps(SourceId source) const {
+std::span<const TimeMs> LogStore::SourceTimestamps(SourceId source) const {
   assert(index_built_);
-  return source_timestamps_[source];
+  return std::span<const TimeMs>(source_ts_).subspan(
+      source_begin_[source], source_begin_[source + 1] - source_begin_[source]);
 }
 
 const std::vector<uint32_t>& LogStore::TimeOrder() const {
@@ -225,9 +293,8 @@ const std::vector<uint32_t>& LogStore::TimeOrder() const {
 std::span<const TimeMs> LogStore::SourceTimestampsInRange(SourceId source,
                                                           TimeMs begin,
                                                           TimeMs end) const {
-  assert(index_built_);
   obs::Count(obs::Metric::kStoreRangeQueries);
-  const std::vector<TimeMs>& ts = source_timestamps_[source];
+  const std::span<const TimeMs> ts = SourceTimestamps(source);
   auto lo = std::lower_bound(ts.begin(), ts.end(), begin);
   auto hi = std::lower_bound(lo, ts.end(), end);
   return {lo, hi};
@@ -235,12 +302,8 @@ std::span<const TimeMs> LogStore::SourceTimestampsInRange(SourceId source,
 
 int64_t LogStore::CountInRange(SourceId source, TimeMs begin,
                                TimeMs end) const {
-  assert(index_built_);
-  obs::Count(obs::Metric::kStoreRangeQueries);
-  const std::vector<TimeMs>& ts = source_timestamps_[source];
-  auto lo = std::lower_bound(ts.begin(), ts.end(), begin);
-  auto hi = std::lower_bound(ts.begin(), ts.end(), end);
-  return hi - lo;
+  return static_cast<int64_t>(
+      SourceTimestampsInRange(source, begin, end).size());
 }
 
 TimeMs LogStore::min_ts() const {

@@ -23,6 +23,12 @@ namespace logmine {
 /// may be appended in any order — the simulator emits slightly out of
 /// order because of clock skew, exactly like the real system.
 ///
+/// Both indexes are built in time linear in the record count: the time
+/// order by a stable LSD radix sort (16-bit digits of client_ts - min_ts;
+/// the identity when client_ts is already non-decreasing), the
+/// per-source timestamps as one flat CSR column filled by scattering
+/// the records in time order, so every source's slice is born sorted.
+///
 /// Not thread-safe; build once, then mine.
 class LogStore {
  public:
@@ -132,9 +138,10 @@ class LogStore {
   void BuildIndex();
   bool index_built() const { return index_built_; }
 
-  /// Sorted client timestamps of all logs of `source`.
+  /// Sorted client timestamps of all logs of `source`: a view of the
+  /// index, valid until the next Append/BuildIndex.
   /// Pre-condition: BuildIndex() has run.
-  const std::vector<TimeMs>& SourceTimestamps(SourceId source) const;
+  std::span<const TimeMs> SourceTimestamps(SourceId source) const;
 
   /// Zero-copy view of `source`'s sorted timestamps with client_ts in
   /// [begin, end) — the L1/Agrawal per-slot access path. The view stays
@@ -180,7 +187,10 @@ class LogStore {
   std::map<std::string, uint32_t, std::less<>> user_index_;
 
   bool index_built_ = false;
-  std::vector<std::vector<TimeMs>> source_timestamps_;
+  // Per-source timestamps in CSR form: source s owns
+  // source_ts_[source_begin_[s], source_begin_[s + 1]), sorted.
+  std::vector<size_t> source_begin_;
+  std::vector<TimeMs> source_ts_;
   std::vector<uint32_t> time_order_;
 };
 

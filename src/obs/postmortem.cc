@@ -56,7 +56,7 @@ Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
 Result<PostmortemBundle> ReadPostmortemBundle(const std::string& path) {
   LOGMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(std::move(bytes)));
+                           SnapshotReader::Parse(bytes));
   PostmortemBundle bundle;
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor meta, reader.Section("meta"));
   LOGMINE_ASSIGN_OR_RETURN(const uint32_t version, meta.ReadU32());

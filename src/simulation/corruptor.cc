@@ -258,7 +258,7 @@ Result<std::string> CorruptColumnarBytes(std::string_view clean_bytes,
   // Refuse to double-corrupt, mirroring CorruptCorpusText: the fault
   // must be the only defect, so the detection it triggers is
   // attributable.
-  if (auto parsed = SnapshotReader::Parse(std::string(clean_bytes));
+  if (auto parsed = SnapshotReader::Parse(clean_bytes);
       !parsed.ok()) {
     return Status::InvalidArgument("input is not a clean columnar corpus: " +
                                    parsed.status().message());

@@ -198,7 +198,7 @@ Result<bool> SectionCursor::ReadBool() {
   return v == 1;
 }
 
-Result<std::string> SectionCursor::ReadString() {
+Result<std::string_view> SectionCursor::ReadBytes() {
   LOGMINE_ASSIGN_OR_RETURN(uint64_t len, ReadU64());
   if (len > remaining()) {
     return Status::ParseError("snapshot string truncated: length " +
@@ -206,8 +206,11 @@ Result<std::string> SectionCursor::ReadString() {
                               std::to_string(remaining()) +
                               " remaining bytes");
   }
-  LOGMINE_ASSIGN_OR_RETURN(std::string_view bytes,
-                           Take(static_cast<size_t>(len)));
+  return Take(static_cast<size_t>(len));
+}
+
+Result<std::string> SectionCursor::ReadString() {
+  LOGMINE_ASSIGN_OR_RETURN(std::string_view bytes, ReadBytes());
   return std::string(bytes);
 }
 
@@ -220,7 +223,7 @@ Status SectionCursor::ExpectEnd() const {
   return Status::OK();
 }
 
-Result<SnapshotReader> SnapshotReader::Parse(std::string bytes,
+Result<SnapshotReader> SnapshotReader::Parse(std::string_view bytes,
                                              uint32_t expected_version) {
   // Header (8) + footer (8) is the smallest valid snapshot.
   if (bytes.size() < 16) {
@@ -241,29 +244,27 @@ Result<SnapshotReader> SnapshotReader::Parse(std::string bytes,
     return Status::ParseError("snapshot footer magic mismatch (truncated?)");
   }
   const uint32_t stored_crc = LoadU32(bytes.data() + footer_at + 4);
-  const uint32_t actual_crc =
-      Crc32(std::string_view(bytes).substr(0, footer_at + 4));
+  const uint32_t actual_crc = Crc32(bytes.substr(0, footer_at + 4));
   if (stored_crc != actual_crc) {
     return Status::ParseError("snapshot CRC mismatch (corrupt)");
   }
 
   SnapshotReader reader;
-  reader.bytes_ = std::move(bytes);
+  reader.bytes_ = bytes;
   reader.version_ = version;
   size_t pos = 8;
-  const std::string_view view = reader.bytes_;
   while (pos < footer_at) {
     if (footer_at - pos < 4) {
       return Status::ParseError("snapshot section header truncated");
     }
-    const uint32_t name_len = LoadU32(view.data() + pos);
+    const uint32_t name_len = LoadU32(bytes.data() + pos);
     pos += 4;
-    if (footer_at - pos < name_len + 8) {
+    if (footer_at - pos < size_t{name_len} + 8) {
       return Status::ParseError("snapshot section truncated");
     }
-    std::string name(view.substr(pos, name_len));
+    std::string name(bytes.substr(pos, name_len));
     pos += name_len;
-    const uint64_t payload_len = LoadU64(view.data() + pos);
+    const uint64_t payload_len = LoadU64(bytes.data() + pos);
     pos += 8;
     if (payload_len > footer_at - pos) {
       return Status::ParseError("snapshot section payload overruns file");
@@ -286,8 +287,7 @@ bool SnapshotReader::HasSection(std::string_view name) const {
 Result<SectionCursor> SnapshotReader::Section(std::string_view name) const {
   for (const auto& [section_name, span] : sections_) {
     if (section_name == name) {
-      return SectionCursor(
-          std::string_view(bytes_).substr(span.first, span.second));
+      return SectionCursor(bytes_.substr(span.first, span.second));
     }
   }
   return Status::NotFound("snapshot has no section '" + std::string(name) +

@@ -65,10 +65,11 @@ class SnapshotWriter {
 };
 
 /// Bounds-checked reader over one section's payload. Views into the
-/// owning SnapshotReader's buffer — keep the reader alive while cursors
-/// are in use. Every read fails with ParseError instead of walking off
-/// the end, so a payload truncated *inside* a section (CRC collisions
-/// aside, only possible with a hand-built file) still cannot crash.
+/// bytes the SnapshotReader was parsed from — keep them alive while
+/// cursors (and views they returned) are in use. Every read fails with
+/// ParseError instead of walking off the end, so a payload truncated
+/// *inside* a section (CRC collisions aside, only possible with a
+/// hand-built file) still cannot crash.
 class SectionCursor {
  public:
   SectionCursor(std::string_view payload) : payload_(payload) {}
@@ -78,6 +79,10 @@ class SectionCursor {
   Result<int64_t> ReadI64();
   Result<double> ReadDouble();
   Result<bool> ReadBool();
+  /// Length-prefixed (u64) byte string as a view of the payload: the
+  /// zero-copy read of a bulk column.
+  Result<std::string_view> ReadBytes();
+  /// `ReadBytes`, copied.
   Result<std::string> ReadString();
 
   size_t remaining() const { return payload_.size() - pos_; }
@@ -95,14 +100,22 @@ class SectionCursor {
 /// Parses and validates a snapshot produced by SnapshotWriter.
 ///
 /// Validation order: container magic -> version -> footer magic -> CRC
-/// -> section structure. A version mismatch is FailedPrecondition (the
-/// recovery layer treats it as a stale generation); every other defect
-/// is ParseError.
+/// -> section structure, all before any section is read. A version
+/// mismatch is FailedPrecondition (the recovery layer treats it as a
+/// stale generation); every other defect is ParseError.
+///
+/// The reader does not own `bytes`: it and its cursors view them, so the
+/// caller keeps them alive (a file mapping, a string) while either is in
+/// use. Parsing a temporary string is a compile error rather than a
+/// dangling view.
 class SnapshotReader {
  public:
-  static Result<SnapshotReader> Parse(std::string bytes,
+  static Result<SnapshotReader> Parse(std::string_view bytes,
                                       uint32_t expected_version =
                                           kSnapshotVersion);
+  static Result<SnapshotReader> Parse(std::string&& bytes,
+                                      uint32_t expected_version =
+                                          kSnapshotVersion) = delete;
 
   uint32_t version() const { return version_; }
   bool HasSection(std::string_view name) const;
@@ -112,7 +125,7 @@ class SnapshotReader {
  private:
   SnapshotReader() = default;
 
-  std::string bytes_;
+  std::string_view bytes_;
   uint32_t version_ = 0;
   /// name -> (offset, length) into bytes_.
   std::vector<std::pair<std::string, std::pair<size_t, size_t>>> sections_;

@@ -1,6 +1,8 @@
 #include "core/agrawal_miner.h"
 
 #include <algorithm>
+#include <span>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -78,7 +80,9 @@ TEST(AgrawalMinerTest, MineFindsDependentPair) {
   AddUniform(&store, "Loner", 0, horizon, 800, &rng);
   store.BuildIndex();
   const auto caller = store.FindSource("Caller").value();
-  for (TimeMs t : store.SourceTimestamps(caller)) {
+  // A copy: appending invalidates the index view.
+  const std::span<const TimeMs> calls = store.SourceTimestamps(caller);
+  for (TimeMs t : std::vector<TimeMs>(calls.begin(), calls.end())) {
     LogRecord record;
     record.client_ts = t + rng.UniformInt(60, 200);
     record.server_ts = record.client_ts;
@@ -109,7 +113,8 @@ TEST(AgrawalMinerTest, DegradesWithParallelism) {
     store.BuildIndex();
     const auto a = store.FindSource("A").value();
     int added = 0;
-    for (TimeMs t : store.SourceTimestamps(a)) {
+    const std::span<const TimeMs> calls = store.SourceTimestamps(a);
+    for (TimeMs t : std::vector<TimeMs>(calls.begin(), calls.end())) {
       if (++added % 4 != 0) continue;  // B answers a quarter of A's calls
       LogRecord record;
       record.client_ts = t + 100;

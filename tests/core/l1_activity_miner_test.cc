@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "util/rng.h"
 
 namespace logmine::core {
@@ -24,7 +27,9 @@ void AddUniform(LogStore* store, const std::string& source, TimeMs begin,
 void AddFollower(LogStore* store, const LogStore& base,
                  LogStore::SourceId leader, const std::string& follower,
                  Rng* rng) {
-  for (TimeMs t : base.SourceTimestamps(leader)) {
+  // A copy: `base` may be `store`, and appending invalidates the view.
+  const std::span<const TimeMs> leads = base.SourceTimestamps(leader);
+  for (TimeMs t : std::vector<TimeMs>(leads.begin(), leads.end())) {
     LogRecord record;
     record.client_ts = t + rng->UniformInt(30, 150);
     record.server_ts = record.client_ts;

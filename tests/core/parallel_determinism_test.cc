@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -69,7 +70,9 @@ LogStore SimulatedCorpus() {
   }
   store.BuildIndex();
   // A follower source 30-150 ms behind App0, for the timing miners.
-  for (TimeMs t : store.SourceTimestamps(0)) {
+  // A copy: appending invalidates the index view.
+  const std::span<const TimeMs> leader = store.SourceTimestamps(0);
+  for (TimeMs t : std::vector<TimeMs>(leader.begin(), leader.end())) {
     append(t + rng.UniformInt(30, 150), "Echo", "user0",
            "calling BILLING for invoice");
   }

@@ -204,7 +204,8 @@ TEST(PartialModelSerializationTest, CoverageGridAboveInt32MaxIsParseError) {
   w.PutU32(0);
   w.PutU64(0);
   w.EndSection();
-  auto reader = SnapshotReader::Parse(std::move(w).Finish());
+  const std::string bytes = std::move(w).Finish();
+  auto reader = SnapshotReader::Parse(bytes);
   ASSERT_TRUE(reader.ok()) << reader.status();
   auto cursor = reader.value().Section("coverage");
   ASSERT_TRUE(cursor.ok()) << cursor.status();

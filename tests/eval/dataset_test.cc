@@ -7,6 +7,8 @@
 #include <unistd.h>
 
 #include "log/codec.h"
+#include "log/columnar.h"
+#include "util/snapshot.h"
 
 namespace logmine::eval {
 namespace {
@@ -148,6 +150,42 @@ TEST_F(DatasetCacheTest, CorruptCacheFallsBackToSimulation) {
   ASSERT_TRUE(second.ok()) << second.status();
   EXPECT_EQ(first.value().summary.total_logs,
             second.value().summary.total_logs);
+}
+
+TEST_F(DatasetCacheTest, HostileDayCountFallsBackToSimulation) {
+  auto first = BuildDataset(config_);
+  ASSERT_TRUE(first.ok()) << first.status();
+  // Rebuild the cache around a CRC-valid summary that claims 2^40 days:
+  // the same version and fingerprint, the same corpus sections.
+  uint32_t version = 0;
+  uint64_t fingerprint = 0;
+  {
+    auto bytes = ReadFileToString(config_.corpus_cache_path);
+    ASSERT_TRUE(bytes.ok()) << bytes.status();
+    auto reader = SnapshotReader::Parse(bytes.value());
+    ASSERT_TRUE(reader.ok()) << reader.status();
+    auto meta = reader.value().Section("dsmeta");
+    ASSERT_TRUE(meta.ok()) << meta.status();
+    version = meta.value().ReadU32().value();
+    fingerprint = meta.value().ReadU64().value();
+  }
+  SnapshotWriter w;
+  w.BeginSection("dsmeta");
+  w.PutU32(version);
+  w.PutU64(fingerprint);
+  w.EndSection();
+  w.BeginSection("dssum");
+  w.PutU64(uint64_t{1} << 40);
+  w.EndSection();
+  AppendColumnarSections(first.value().store, &w);
+  ASSERT_TRUE(
+      WriteFileAtomic(config_.corpus_cache_path, std::move(w).Finish()).ok());
+
+  auto second = BuildDataset(config_);
+  ASSERT_TRUE(second.ok()) << second.status();
+  EXPECT_EQ(first.value().summary.logs_per_day,
+            second.value().summary.logs_per_day);
+  EXPECT_EQ(first.value().store, second.value().store);
 }
 
 }  // namespace

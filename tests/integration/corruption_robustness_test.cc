@@ -6,7 +6,12 @@
 //       techniques degrade gracefully (documented bound: precision and
 //       recall stay within 0.25 of the clean run at <= 10% corruption).
 
+#include <unistd.h>
+
+#include <cstring>
+#include <filesystem>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -14,7 +19,10 @@
 #include "core/evaluation.h"
 #include "core/pipeline.h"
 #include "eval/dataset.h"
+#include "log/columnar.h"
+#include "log/corpus_io.h"
 #include "simulation/corruptor.h"
+#include "util/snapshot.h"
 
 namespace logmine::eval {
 namespace {
@@ -194,6 +202,43 @@ TEST_F(CorruptionRobustnessTest, FailingMinerStillDeliversSiblingModels) {
                      dataset_->reference_pairs, dataset_->universe_pairs)
           .true_positives,
       0);
+}
+
+TEST_F(CorruptionRobustnessTest, ColumnarFileTruncatedAtEverySectionIsAParseError) {
+  const std::filesystem::path dir =
+      std::filesystem::temp_directory_path() /
+      ("logmine_truncated_columnar_" + std::to_string(::getpid()));
+  std::filesystem::create_directories(dir);
+  const std::string path = (dir / "corpus.lmc").string();
+  ASSERT_TRUE(WriteColumnarFile(path, dataset_->store).ok());
+  auto clean = ReadFileToString(path);
+  ASSERT_TRUE(clean.ok()) << clean.status();
+  ASSERT_TRUE(ReadCorpusFile(path).ok());
+
+  // Walk the container (u32 magic, u32 version, then per section u32
+  // name_len | name | u64 payload_len | payload, then the footer) and
+  // cut the file after the header and after every section.
+  const std::string& bytes = clean.value();
+  std::vector<size_t> boundaries = {8};
+  for (size_t pos = 8; pos + 8 < bytes.size();) {
+    uint32_t name_len;
+    std::memcpy(&name_len, bytes.data() + pos, 4);
+    uint64_t payload_len;
+    std::memcpy(&payload_len, bytes.data() + pos + 4 + name_len, 8);
+    pos += 4 + name_len + 8 + payload_len;
+    boundaries.push_back(pos);
+  }
+  ASSERT_EQ(boundaries.size(), 6u);  // header + cmeta ctime cids cdict ctext
+  ASSERT_EQ(boundaries.back(), bytes.size() - 8);  // the footer follows
+  for (size_t keep : boundaries) {
+    ASSERT_TRUE(WriteFileAtomic(path, std::string_view(bytes).substr(0, keep))
+                    .ok());
+    auto read = ReadCorpusFile(path);
+    ASSERT_FALSE(read.ok()) << "cut at " << keep << " bytes read back";
+    EXPECT_EQ(read.status().code(), StatusCode::kParseError)
+        << "cut at " << keep << ": " << read.status();
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

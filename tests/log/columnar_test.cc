@@ -1,5 +1,6 @@
 #include "log/columnar.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -221,6 +222,58 @@ TEST(ColumnarTest, EmptyStoreRoundTrips) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   EXPECT_TRUE(loaded.value().empty());
   EXPECT_EQ(loaded.value().num_sources(), 0u);
+}
+
+// A CRC-valid columnar snapshot with the given header counts and empty
+// columns: the shape of a hostile file that only its lengths betray.
+std::string HandBuiltColumnar(uint64_t num_records, uint32_t num_sources,
+                              uint32_t num_hosts, uint32_t num_users) {
+  SnapshotWriter w;
+  w.BeginSection("cmeta");
+  w.PutU32(kColumnarVersion);
+  w.PutU64(num_records);
+  w.PutU32(num_sources);
+  w.PutU32(num_hosts);
+  w.PutU32(num_users);
+  w.EndSection();
+  for (const char* column : {"ctime", "cids"}) {
+    w.BeginSection(column);
+    w.PutString("");
+    w.EndSection();
+  }
+  w.BeginSection("cdict");
+  w.EndSection();
+  w.BeginSection("ctext");
+  w.PutString("");
+  w.PutString("");
+  w.EndSection();
+  return std::move(w).Finish();
+}
+
+TEST(ColumnarTest, HostileRecordCountIsAParseError) {
+  const std::string empty = HandBuiltColumnar(0, 0, 0, 0);
+  auto loaded = DecodeColumnar(empty);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded.value().empty());
+  // Sized from the header alone, 2^40 records would ask for terabytes.
+  for (uint64_t n : {uint64_t{1}, uint64_t{1} << 40, UINT64_MAX}) {
+    const std::string hostile = HandBuiltColumnar(n, 0, 0, 0);
+    auto decoded = DecodeColumnar(hostile);
+    ASSERT_FALSE(decoded.ok()) << n;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << n;
+  }
+}
+
+TEST(ColumnarTest, HostileDictionaryCountIsAParseError) {
+  for (int which = 0; which < 3; ++which) {
+    const std::string hostile =
+        HandBuiltColumnar(0, which == 0 ? UINT32_MAX : 0,
+                          which == 1 ? UINT32_MAX : 0,
+                          which == 2 ? UINT32_MAX : 0);
+    auto decoded = DecodeColumnar(hostile);
+    ASSERT_FALSE(decoded.ok()) << which;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << which;
+  }
 }
 
 }  // namespace

@@ -2,9 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <numeric>
 #include <span>
+#include <string>
 #include <utility>
 #include <vector>
+
+#include "util/rng.h"
 
 namespace logmine {
 namespace {
@@ -81,7 +87,8 @@ TEST(LogStoreTest, SourceTimestampsSortedEvenWithSkewedAppends) {
   store.BuildIndex();
   const auto a = store.FindSource("A");
   ASSERT_TRUE(a.ok());
-  EXPECT_EQ(store.SourceTimestamps(a.value()),
+  const std::span<const TimeMs> ts = store.SourceTimestamps(a.value());
+  EXPECT_EQ(std::vector<TimeMs>(ts.begin(), ts.end()),
             (std::vector<TimeMs>{10, 20, 50}));
 }
 
@@ -114,7 +121,7 @@ TEST(LogStoreTest, SourceTimestampsInRangeIsAZeroCopyViewOfTheIndex) {
   }
   store.BuildIndex();
   const auto a = store.FindSource("A").value();
-  const std::vector<TimeMs>& all = store.SourceTimestamps(a);
+  const std::span<const TimeMs> all = store.SourceTimestamps(a);
   for (const auto& [begin, end] : std::vector<std::pair<TimeMs, TimeMs>>{
            {10, 40}, {0, 100}, {41, 100}, {20, 20}, {15, 35}}) {
     const std::span<const TimeMs> view =
@@ -272,6 +279,168 @@ TEST(LogStoreTest, ReserveDoesNotChangeContents) {
   EXPECT_EQ(store.size(), 1u);
   ASSERT_TRUE(store.Append(Rec(2, "B")).ok());
   EXPECT_EQ(store.size(), 2u);
+}
+
+// --- index property tests --------------------------------------------
+//
+// BuildIndex against a reference: a std::stable_sort of the record
+// indices by client_ts, and a sorted copy of each source's timestamps.
+
+void ExpectIndexMatchesReference(LogStore* store) {
+  store->BuildIndex();
+  std::vector<uint32_t> order(store->size());
+  std::iota(order.begin(), order.end(), 0u);
+  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
+    return store->client_ts(a) < store->client_ts(b);
+  });
+  EXPECT_EQ(store->TimeOrder(), order);
+  for (LogStore::SourceId s = 0; s < store->num_sources(); ++s) {
+    std::vector<TimeMs> expected;
+    for (size_t i = 0; i < store->size(); ++i) {
+      if (store->source_id(i) == s) expected.push_back(store->client_ts(i));
+    }
+    std::sort(expected.begin(), expected.end());
+    const std::span<const TimeMs> got = store->SourceTimestamps(s);
+    EXPECT_EQ(std::vector<TimeMs>(got.begin(), got.end()), expected)
+        << "source " << s;
+  }
+  if (!store->empty()) {
+    EXPECT_EQ(store->min_ts(), store->client_ts(order.front()));
+    EXPECT_EQ(store->max_ts(), store->client_ts(order.back()));
+  }
+}
+
+// Appends `n` records with client_ts uniform in [lo, hi] over `sources`
+// sources, plus one record at each end so the span is exactly hi - lo.
+void AppendRandom(LogStore* store, Rng* rng, size_t n, TimeMs lo, TimeMs hi,
+                  int sources) {
+  auto append = [&](TimeMs ts) {
+    LogRecord record;
+    record.client_ts = ts;
+    record.server_ts = ts;  // Rec's ts + 100 would overflow at INT64_MAX
+    record.source = "S" + std::to_string(rng->UniformInt(0, sources - 1));
+    ASSERT_TRUE(store->Append(record).ok());
+  };
+  append(hi);
+  for (size_t i = 0; i < n; ++i) {
+    // Offsets from lo in uint64 cover spans wider than INT64_MAX.
+    const uint64_t span = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+    const uint64_t offset = span == UINT64_MAX ? rng->Next()
+                                               : rng->Next() % (span + 1);
+    append(static_cast<TimeMs>(static_cast<uint64_t>(lo) + offset));
+  }
+  append(lo);
+}
+
+TEST(LogStoreIndexPropertyTest, EmptyAndOneRecordStores) {
+  LogStore empty;
+  ExpectIndexMatchesReference(&empty);
+  EXPECT_TRUE(empty.TimeOrder().empty());
+
+  LogStore one;
+  ASSERT_TRUE(one.Append(Rec(-42, "A")).ok());
+  ExpectIndexMatchesReference(&one);
+  EXPECT_EQ(one.TimeOrder(), (std::vector<uint32_t>{0}));
+}
+
+TEST(LogStoreIndexPropertyTest, DictionarySourceWithoutRecords) {
+  LogStore::Columns columns;
+  columns.client_ts = {30, 10, 20, 10};
+  columns.server_ts = {30, 10, 20, 10};
+  columns.severity.assign(4, Severity::kInfo);
+  columns.source_ids = {2, 0, 2, 0};  // source 1 ("B") has no records
+  columns.host_ids.assign(4, LogStore::kNoHost);
+  columns.user_ids.assign(4, LogStore::kNoUser);
+  columns.source_names = {"A", "B", "C"};
+  auto store = LogStore::FromColumns(std::move(columns));
+  ASSERT_TRUE(store.ok()) << store.status();
+  ExpectIndexMatchesReference(&store.value());
+  EXPECT_TRUE(store.value().SourceTimestamps(1).empty());
+  EXPECT_EQ(store.value().CountInRange(1, INT64_MIN, INT64_MAX), 0);
+}
+
+TEST(LogStoreIndexPropertyTest, EqualTimestampsAcrossSourcesKeepInsertionOrder) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    LogStore all_equal;
+    AppendRandom(&all_equal, &rng, 500, 7, 7, 6);
+    ExpectIndexMatchesReference(&all_equal);
+    LogStore many_ties;
+    AppendRandom(&many_ties, &rng, 2000, -2, 3, 6);
+    ExpectIndexMatchesReference(&many_ties);
+  }
+}
+
+TEST(LogStoreIndexPropertyTest, NegativeTimestamps) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    LogStore store;
+    AppendRandom(&store, &rng, 3000, -5'000'000, -1'000, 9);
+    ExpectIndexMatchesReference(&store);
+    LogStore straddling;
+    AppendRandom(&straddling, &rng, 3000, -1'000'000, 1'000'000, 9);
+    ExpectIndexMatchesReference(&straddling);
+  }
+}
+
+TEST(LogStoreIndexPropertyTest, SpansAroundEveryDigitBoundary) {
+  // Spans just below and above one (2^16) and two (2^32) 16-bit digits,
+  // from a negative and a positive origin.
+  for (TimeMs origin : {TimeMs{-123'456'789}, TimeMs{1'700'000'000'000}}) {
+    for (TimeMs span : {(TimeMs{1} << 16) - 1, TimeMs{1} << 16,
+                        (TimeMs{1} << 32) - 1, TimeMs{1} << 32}) {
+      Rng rng(static_cast<uint64_t>(span) ^ static_cast<uint64_t>(origin));
+      LogStore store;
+      AppendRandom(&store, &rng, 3000, origin, origin + span, 7);
+      SCOPED_TRACE("origin " + std::to_string(origin) + " span " +
+                   std::to_string(span));
+      ExpectIndexMatchesReference(&store);
+    }
+  }
+}
+
+TEST(LogStoreIndexPropertyTest, FullInt64Span) {
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    Rng rng(seed);
+    LogStore store;
+    AppendRandom(&store, &rng, 3000, INT64_MIN, INT64_MAX, 5);
+    ExpectIndexMatchesReference(&store);
+  }
+}
+
+TEST(LogStoreIndexPropertyTest, SortedAndReverseSortedInput) {
+  Rng rng(11);
+  std::vector<TimeMs> ts(2000);
+  for (TimeMs& t : ts) t = rng.UniformInt(-100'000, 10'000'000);
+  std::sort(ts.begin(), ts.end());
+  LogStore sorted;
+  for (size_t i = 0; i < ts.size(); ++i) {
+    ASSERT_TRUE(sorted.Append(Rec(ts[i], "S" + std::to_string(i % 4))).ok());
+  }
+  ExpectIndexMatchesReference(&sorted);
+  std::vector<uint32_t> identity(ts.size());
+  std::iota(identity.begin(), identity.end(), 0u);
+  EXPECT_EQ(sorted.TimeOrder(), identity);
+
+  LogStore reversed;
+  for (size_t i = ts.size(); i-- > 0;) {
+    ASSERT_TRUE(reversed.Append(Rec(ts[i], "S" + std::to_string(i % 4))).ok());
+  }
+  ExpectIndexMatchesReference(&reversed);
+}
+
+TEST(LogStoreIndexPropertyTest, ReindexAfterAppend) {
+  for (uint64_t seed = 1; seed <= 5; ++seed) {
+    Rng rng(seed);
+    LogStore store;
+    AppendRandom(&store, &rng, 1000, 0, 7 * 86'400'000, 8);
+    ExpectIndexMatchesReference(&store);
+    // New records reach both below and above the old range, and bring a
+    // new source.
+    AppendRandom(&store, &rng, 1000, -86'400'000, 9 * 86'400'000, 10);
+    EXPECT_FALSE(store.index_built());
+    ExpectIndexMatchesReference(&store);
+  }
 }
 
 }  // namespace

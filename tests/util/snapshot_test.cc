@@ -1,5 +1,6 @@
 #include "util/snapshot.h"
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -86,7 +87,7 @@ TEST(SnapshotTest, TruncationAnywhereIsRejected) {
   // yield a valid snapshot.
   for (size_t len : {size_t{0}, size_t{7}, size_t{15}, bytes.size() / 2,
                      bytes.size() - 1}) {
-    auto reader = SnapshotReader::Parse(bytes.substr(0, len));
+    auto reader = SnapshotReader::Parse(std::string_view(bytes).substr(0, len));
     EXPECT_FALSE(reader.ok()) << "prefix of " << len << " bytes parsed";
   }
 }
@@ -146,6 +147,25 @@ TEST(SnapshotTest, StringLengthBeyondPayloadIsRejected) {
   ASSERT_TRUE(reader.ok());
   SectionCursor c = reader.value().Section("s").value();
   EXPECT_EQ(c.ReadString().status().code(), StatusCode::kParseError);
+}
+
+TEST(SnapshotTest, SectionNameLengthNearUint32MaxIsRejected) {
+  // A CRC-valid container whose one section claims a name of 2^32 - 8
+  // bytes: in u32 arithmetic name_len + 8 wraps to 0 and passed the
+  // bounds check, sending the payload-length read far past the buffer.
+  std::string bytes;
+  auto put_u32 = [&bytes](uint32_t v) {
+    bytes.append(reinterpret_cast<const char*>(&v), 4);
+  };
+  put_u32(0x4E534D4C);  // "LMSN"
+  put_u32(kSnapshotVersion);
+  put_u32(0xFFFFFFF8u);
+  bytes.append(16, 'x');
+  put_u32(0x534E4150);  // "PANS"
+  put_u32(Crc32(bytes));
+  auto reader = SnapshotReader::Parse(bytes);
+  ASSERT_FALSE(reader.ok());
+  EXPECT_EQ(reader.status().code(), StatusCode::kParseError);
 }
 
 TEST(SnapshotTest, ExpectEndFlagsUndecodedBytes) {
