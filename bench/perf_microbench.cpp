@@ -115,26 +115,6 @@ void BM_StoreAppendAndIndex(benchmark::State& state) {
 }
 BENCHMARK(BM_StoreAppendAndIndex)->Unit(benchmark::kMillisecond);
 
-// Bulk-ingest path: one Reserve + AppendBatch against the per-record
-// Append loop above — same records, so the two benches are directly
-// comparable.
-void BM_StoreAppendBatchAndIndex(benchmark::State& state) {
-  const eval::Dataset& dataset = CorpusAt(0.05);
-  std::vector<LogRecord> records;
-  for (size_t i = 0; i < dataset.store.size(); i += 4) {
-    records.push_back(dataset.store.GetRecord(i));
-  }
-  for (auto _ : state) {
-    LogStore store;
-    if (!store.AppendBatch(records).ok()) std::abort();
-    store.BuildIndex();
-    benchmark::DoNotOptimize(store);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(records.size()));
-}
-BENCHMARK(BM_StoreAppendBatchAndIndex)->Unit(benchmark::kMillisecond);
-
 // Chunked text decode over the whole day-one corpus: Arg is
 // DecodeOptions::num_chunks (1 = serial reference, 0 = auto, one chunk
 // per executor worker).

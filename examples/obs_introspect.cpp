@@ -130,8 +130,8 @@ int main(int argc, char** argv) {
                                  ? std::string("app")
                                  : dataset.entry_owner.begin()->second;
   int64_t queries = 0;
-  for (const serve::EpochBatch& batch : batches.value()) {
-    service.SubmitBatch(batch);
+  for (serve::EpochBatch& batch : batches.value()) {
+    service.SubmitBatch(std::move(batch));
     (void)service.Step();
     for (int i = 0; i < 8; ++i) {
       if (service.WhatDependsOn(target).ok()) ++queries;

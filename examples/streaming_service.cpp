@@ -2,7 +2,8 @@
 // logs hour by hour, watch generations publish, query the live model,
 // then turn on chaos — poison, stalls, a crash mid-publish — and watch
 // the service shed, quarantine, stale-serve and recover instead of
-// falling over (DESIGN.md §13).
+// falling over (DESIGN.md §13). Exits non-zero when any stage fails
+// or the chaos run's counts differ from its fault plan.
 //
 //   ./streaming_service [--scale=0.05] [--seed=7]
 
@@ -121,6 +122,10 @@ int main(int argc, char** argv) {
               << " epochs ingested, " << stats.batches_poisoned
               << " poisoned, " << stats.epochs_stalled << " stall retries, "
               << stats.batches_shed << " shed\n";
+    if (stats.batches_poisoned != 1 || stats.epochs_stalled != 2) {
+      std::cerr << "expected one quarantined batch and two stall retries\n";
+      return 1;
+    }
   }
   service_or.value().reset();
 
@@ -149,5 +154,11 @@ int main(int argc, char** argv) {
             << final_health.generation << ", health "
             << serve::HealthStateName(final_health.state) << "\n";
   std::filesystem::remove_all(state_dir);
+  const auto model = recovered.CurrentModel();
+  if (final_health.state != serve::HealthState::kHealthy || model == nullptr ||
+      model->models.window_end != dataset.day_end(0)) {
+    std::cerr << "the resumed service did not catch up with the day\n";
+    return 1;
+  }
   return 0;
 }

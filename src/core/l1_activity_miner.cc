@@ -29,6 +29,14 @@ stats::MedianDistanceTestResult L1ActivityMiner::TestSlot(
 
 namespace {
 
+// Whether `slots_supported` reaches L1's minimum support,
+// th_s * slots_total. Only such pairs can be dependent.
+bool L1ReachesSupport(const L1Config& config, int slots_total,
+                      int slots_supported) {
+  return static_cast<double>(slots_supported) >=
+         config.th_s * static_cast<double>(slots_total);
+}
+
 // Per-(slot, source) products of the precompute fan-out, shared by every
 // test in the slot that involves the source (DESIGN.md §11): the sorted
 // subsample of the source's own timestamps (its S_b when it is the
@@ -186,14 +194,6 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
     }
   }
 
-  // A pair can only be dependent when its support reaches th_s * n; a
-  // pair whose *maximum attainable* support (= its exact support, known
-  // from the census) falls short is skipped entirely when pruning is on.
-  const double min_support =
-      config_.th_s * static_cast<double>(num_slots);
-  auto reaches_support = [&](int32_t supported) {
-    return static_cast<double>(supported) >= min_support;
-  };
   // Pair-range sharding: rank pairs (a < b) lexicographically and keep
   // only this shard's contiguous slice of ranks. Pairs outside the
   // slice are another shard's work — never tested, never listed, not
@@ -215,7 +215,12 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
     for (uint32_t b = a + 1; b < num_sources; ++b) {
       const size_t key = a * ns + b;
       if (support[key] == 0 || !in_range(a, b)) continue;
-      tested[key] = !config_.prune_support || reaches_support(support[key]);
+      // A pair can only be dependent when its support reaches th_s * n;
+      // a pair whose *maximum attainable* support (= its exact support,
+      // known from the census) falls short is skipped when pruning is on.
+      tested[key] = !config_.prune_support ||
+                    L1ReachesSupport(config_, static_cast<int>(num_slots),
+                                     support[key]);
       if (tested[key]) {
         ++result.pairs_tested;
       } else {
@@ -475,20 +480,23 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
             .slots_positive;
     }
   }
-  for (L1PairResult& pr : result.pairs) {
-    // Positivity is only defined for pairs that can reach the support
-    // threshold; zeroing the rest here keeps the pruned and unpruned
-    // paths byte-identical (the unpruned path may have tested them).
-    if (!reaches_support(pr.slots_supported)) pr.slots_positive = 0;
-    pr.positive_ratio =
-        pr.slots_supported == 0
-            ? 0.0
-            : static_cast<double>(pr.slots_positive) /
-                  static_cast<double>(pr.slots_supported);
-    pr.dependent = reaches_support(pr.slots_supported) &&
-                   pr.positive_ratio >= config_.th_pr;
-  }
+  // Zeroing the positives of pairs that cannot reach the support keeps
+  // the pruned and unpruned paths byte-identical (the unpruned path may
+  // have tested them).
+  for (L1PairResult& pr : result.pairs) DecideL1Pair(config_, &pr);
   return result;
+}
+
+void DecideL1Pair(const L1Config& config, L1PairResult* pair) {
+  const bool reaches =
+      L1ReachesSupport(config, pair->slots_total, pair->slots_supported);
+  if (!reaches) pair->slots_positive = 0;
+  pair->positive_ratio =
+      pair->slots_supported == 0
+          ? 0.0
+          : static_cast<double>(pair->slots_positive) /
+                static_cast<double>(pair->slots_supported);
+  pair->dependent = reaches && pair->positive_ratio >= config.th_pr;
 }
 
 DependencyModel L1Result::Dependencies(const LogStore& store) const {

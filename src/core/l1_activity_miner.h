@@ -111,6 +111,15 @@ struct L1Result {
   DependencyModel Dependencies(const LogStore& store) const;
 };
 
+/// L1's verdict on one pair (§3.1), shared by `L1ActivityMiner` and the
+/// streaming window. Reads `slots_total`, `slots_supported` and
+/// `slots_positive`; sets `positive_ratio` and `dependent`. A pair is
+/// dependent when its support reaches `th_s * slots_total` and its
+/// positive ratio reaches `th_pr`. Positivity is only defined for pairs
+/// that can reach that support, so any other pair's `slots_positive` is
+/// zeroed.
+void DecideL1Pair(const L1Config& config, L1PairResult* pair);
+
 /// One contiguous slice of the unordered source-pair universe — the
 /// pair-range axis of a (day × pair-range) sharded sweep. Pairs (a, b)
 /// with a < b are ranked in (a, b) lexicographic order over the store's

@@ -1,7 +1,7 @@
 #include "core/l2_session_builder.h"
 
 #include <cassert>
-#include <map>
+#include <utility>
 
 #include "log/filter.h"
 #include "obs/obs.h"
@@ -16,6 +16,22 @@ std::vector<Session> SessionBuilder::Build(const LogStore& store,
   return Build(store, begin, end, RunOptions{}, stats).value();
 }
 
+std::vector<Session> SessionSplitter::Finish(int64_t logs_considered,
+                                             SessionBuildStats* stats) && {
+  for (auto& [user, session] : open_) {
+    Close(std::move(session));
+  }
+  open_.clear();
+  stats_.num_sessions = sessions_.size();
+  stats_.logs_considered = logs_considered;
+  stats_.assigned_fraction =
+      logs_considered == 0 ? 0.0
+                           : static_cast<double>(stats_.logs_assigned) /
+                                 static_cast<double>(logs_considered);
+  *stats = stats_;
+  return std::move(sessions_);
+}
+
 Result<std::vector<Session>> SessionBuilder::Build(
     const LogStore& store, TimeMs begin, TimeMs end,
     const RunOptions& options, SessionBuildStats* stats) const {
@@ -25,51 +41,23 @@ Result<std::vector<Session>> SessionBuilder::Build(
   const bool stoppable =
       options.cancel != nullptr ||
       deadline != std::chrono::steady_clock::time_point::max();
-  std::vector<Session> sessions;
-  std::map<LogStore::UserId, Session> open;
-  SessionBuildStats local;
-
-  auto finalize = [&](Session&& session) {
-    if (session.entries.size() >= config_.min_logs) {
-      local.logs_assigned += static_cast<int64_t>(session.entries.size());
-      sessions.push_back(std::move(session));
-    }
-  };
-
+  SessionSplitter splitter(config_);
+  int64_t logs_considered = 0;
   for (uint32_t idx : IndicesInRange(store, begin, end)) {
-    if (stoppable && (local.logs_considered & 1023) == 0) {
+    if (stoppable && (logs_considered & 1023) == 0) {
       LOGMINE_RETURN_IF_ERROR(
           CheckStop(options.cancel, deadline, "session build"));
     }
-    ++local.logs_considered;
+    ++logs_considered;
     const LogStore::UserId user = store.user_id(idx);
     if (user == LogStore::kNoUser) continue;
-    ++local.logs_with_context;
-    const TimeMs ts = store.client_ts(idx);
-    auto it = open.find(user);
-    if (it != open.end() && ts - it->second.entries.back().ts > config_.max_gap) {
-      finalize(std::move(it->second));
-      open.erase(it);
-      it = open.end();
-    }
-    if (it == open.end()) {
-      Session fresh;
-      fresh.user = user;
-      it = open.emplace(user, std::move(fresh)).first;
-    }
-    it->second.entries.push_back(
-        SessionLogEntry{ts, store.source_id(idx), idx});
+    splitter.Add(user,
+                 SessionLogEntry{store.client_ts(idx), store.source_id(idx),
+                                 idx});
   }
-  for (auto& [user, session] : open) {
-    finalize(std::move(session));
-  }
-
-  local.num_sessions = sessions.size();
-  local.assigned_fraction =
-      local.logs_considered == 0
-          ? 0.0
-          : static_cast<double>(local.logs_assigned) /
-                static_cast<double>(local.logs_considered);
+  SessionBuildStats local;
+  std::vector<Session> sessions =
+      std::move(splitter).Finish(logs_considered, &local);
   obs::Count(obs::Metric::kL2SessionsBuilt,
              static_cast<int64_t>(local.num_sessions));
   obs::Count(obs::Metric::kL2SessionLogsAssigned, local.logs_assigned);

@@ -2,6 +2,8 @@
 #define LOGMINE_CORE_L2_SESSION_BUILDER_H_
 
 #include <cstdint>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "log/store.h"
@@ -47,6 +49,52 @@ struct SessionBuildStats {
   int64_t logs_with_context = 0;
   int64_t logs_assigned = 0;    ///< in a surviving session
   double assigned_fraction = 0.0;
+};
+
+/// The session rule, shared by `SessionBuilder::Build` and the
+/// streaming window's rebuild. Context-bearing logs arrive in time
+/// order. A log more than `max_gap` after its user's previous one
+/// closes that user's open session, and a closed session survives only
+/// with at least `min_logs` entries. Adds no metrics; callers own spans
+/// and counters.
+class SessionSplitter {
+ public:
+  explicit SessionSplitter(const SessionBuilderConfig& config)
+      : config_(config) {}
+
+  /// Adds the next context-bearing log, of `user`.
+  void Add(LogStore::UserId user, const SessionLogEntry& entry) {
+    ++stats_.logs_with_context;
+    auto it = open_.find(user);
+    if (it != open_.end() &&
+        entry.ts - it->second.entries.back().ts > config_.max_gap) {
+      Close(std::move(it->second));
+      open_.erase(it);
+      it = open_.end();
+    }
+    if (it == open_.end()) it = open_.emplace(user, Session{user, {}}).first;
+    it->second.entries.push_back(entry);
+  }
+
+  int64_t logs_with_context() const { return stats_.logs_with_context; }
+
+  /// Closes the open sessions in user-id order and returns the
+  /// survivors in closing order. Fills every field of `stats`, with
+  /// `logs_considered` the number of logs in the interval.
+  std::vector<Session> Finish(int64_t logs_considered,
+                              SessionBuildStats* stats) &&;
+
+ private:
+  void Close(Session&& session) {
+    if (session.entries.size() < config_.min_logs) return;
+    stats_.logs_assigned += static_cast<int64_t>(session.entries.size());
+    sessions_.push_back(std::move(session));
+  }
+
+  SessionBuilderConfig config_;
+  std::map<LogStore::UserId, Session> open_;
+  std::vector<Session> sessions_;
+  SessionBuildStats stats_;
 };
 
 /// Groups the context-bearing logs of [begin, end) into user sessions.

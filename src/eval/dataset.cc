@@ -77,14 +77,8 @@ Result<CachedCorpus> DecodeCache(const std::string& path,
   }
   CachedCorpus cached;
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor sum, reader.Section("dssum"));
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t num_days, sum.ReadU64());
-  // One 8-byte count per day: a larger number is corruption, refused
-  // before it sizes an allocation.
-  if (num_days > sum.remaining() / 8) {
-    return Status::ParseError("dataset cache day count " +
-                              std::to_string(num_days) +
-                              " exceeds its summary section");
-  }
+  // One 8-byte count per day.
+  LOGMINE_ASSIGN_OR_RETURN(uint64_t num_days, sum.ReadCount(8));
   cached.summary.logs_per_day.reserve(static_cast<size_t>(num_days));
   for (uint64_t i = 0; i < num_days; ++i) {
     LOGMINE_ASSIGN_OR_RETURN(int64_t logs, sum.ReadI64());

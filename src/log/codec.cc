@@ -3,9 +3,8 @@
 #include <algorithm>
 #include <array>
 #include <cstring>
-#include <functional>
-#include <unordered_map>
 
+#include "log/name_interner.h"
 #include "obs/obs.h"
 #include "util/executor.h"
 #include "util/string_util.h"
@@ -317,32 +316,6 @@ Result<LogStore> LineCodec::DecodeAll(std::string_view text) {
 
 namespace {
 
-// Interns names into one dictionary of a LogStore::Columns, handing out
-// dense ids in first-seen order. Lookups take the field's view as is; a
-// name is copied only the first time it is seen.
-class Interner {
- public:
-  explicit Interner(std::vector<std::string>* names) : names_(names) {}
-
-  uint32_t Intern(std::string_view name) {
-    if (auto it = ids_.find(name); it != ids_.end()) return it->second;
-    const auto id = static_cast<uint32_t>(names_->size());
-    names_->emplace_back(name);
-    ids_.emplace(name, id);
-    return id;
-  }
-
- private:
-  struct Hash {
-    using is_transparent = void;
-    size_t operator()(std::string_view name) const {
-      return std::hash<std::string_view>{}(name);
-    }
-  };
-  std::vector<std::string>* names_;
-  std::unordered_map<std::string, uint32_t, Hash, std::equal_to<>> ids_;
-};
-
 // One chunk's decode output: store columns with chunk-local dictionary
 // ids, plus chunk-local line numbers and byte offsets; the merge below
 // rebases both into global coordinates. Keeping everything per-chunk
@@ -376,9 +349,9 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
   // Messages are a subset of the chunk's bytes; the reservation costs
   // address space only, pages are touched as messages land.
   columns.message_data.reserve(text.size());
-  Interner sources(&columns.source_names);
-  Interner hosts(&columns.host_names);
-  Interner users(&columns.user_names);
+  NameInterner sources;
+  NameInterner hosts;
+  NameInterner users;
   std::string scratch;
   IngestStats* tally = &out->tally;
   size_t line_no = 0;
@@ -444,6 +417,9 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
     if (end == text.size()) break;
     start = end + 1;
   }
+  columns.source_names = sources.TakeNames();
+  columns.host_names = hosts.TakeNames();
+  columns.user_names = users.TakeNames();
 }
 
 // Concatenates the chunks' columns in index order, remapping ids to
@@ -470,12 +446,12 @@ LogStore::Columns MergeColumns(std::vector<ChunkOutcome>* outcomes) {
   merged.user_ids.reserve(records);
   merged.message_ends.reserve(records);
   merged.message_data.reserve(message_bytes);
-  Interner sources(&merged.source_names);
-  Interner hosts(&merged.host_names);
-  Interner users(&merged.user_names);
+  NameInterner sources;
+  NameInterner hosts;
+  NameInterner users;
   // kNoHost and kNoUser pass through; no source id ever equals them.
   static_assert(LogStore::kNoHost == LogStore::kNoUser);
-  auto append_remapped = [](Interner* interner,
+  auto append_remapped = [](NameInterner* interner,
                             const std::vector<std::string>& names,
                             const std::vector<uint32_t>& ids,
                             std::vector<uint32_t>* out) {
@@ -508,6 +484,9 @@ LogStore::Columns MergeColumns(std::vector<ChunkOutcome>* outcomes) {
       merged.message_ends.push_back(arena_base + end);
     }
   }
+  merged.source_names = sources.TakeNames();
+  merged.host_names = hosts.TakeNames();
+  merged.user_names = users.TakeNames();
   return merged;
 }
 

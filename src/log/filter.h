@@ -21,9 +21,13 @@ std::vector<uint32_t> IndicesWhere(
     const LogStore& store,
     const std::function<bool(const LogStore&, size_t)>& predicate);
 
-/// Copies all records of `store` with client_ts in [begin, end) into a
-/// fresh store (dictionary ids are re-interned). Used by the per-day
-/// evaluation runner. The result has its index built.
+/// Copies the records of `store` with client_ts in [begin, end) into a
+/// fresh store, in time order. Columns are copied and dictionary ids
+/// remapped through one table entry per dictionary entry, so the
+/// slice's ids are first-seen in time order and it equals a store built
+/// by appending the same records one by one. The slice holds only the
+/// names its records use, and its index is built. The streaming
+/// service cuts its epochs this way. Pre-condition: store.index_built().
 LogStore SliceByTime(const LogStore& store, TimeMs begin, TimeMs end);
 
 /// Per-source log counts within [begin, end); the load measure of §4.9.

@@ -5,6 +5,7 @@
 #include <cassert>
 #include <memory>
 #include <numeric>
+#include <tuple>
 
 #include "obs/obs.h"
 
@@ -76,17 +77,6 @@ void RadixTimeOrder(const std::vector<TimeMs>& ts,
 
 }  // namespace
 
-uint32_t LogStore::Intern(std::string_view name,
-                          std::vector<std::string>* names,
-                          std::map<std::string, uint32_t, std::less<>>* index) {
-  auto it = index->find(name);
-  if (it != index->end()) return it->second;
-  const auto id = static_cast<uint32_t>(names->size());
-  names->emplace_back(name);
-  index->emplace(std::string(name), id);
-  return id;
-}
-
 Status LogStore::Append(const LogRecord& record) {
   if (record.source.empty()) {
     return Status::InvalidArgument("log record without source");
@@ -94,42 +84,14 @@ Status LogStore::Append(const LogRecord& record) {
   client_ts_.push_back(record.client_ts);
   server_ts_.push_back(record.server_ts);
   severity_.push_back(record.severity);
-  source_ids_.push_back(Intern(record.source, &source_names_, &source_index_));
-  host_ids_.push_back(record.host.empty()
-                          ? kNoHost
-                          : Intern(record.host, &host_names_, &host_index_));
-  user_ids_.push_back(record.user.empty()
-                          ? kNoUser
-                          : Intern(record.user, &user_names_, &user_index_));
+  source_ids_.push_back(sources_.Intern(record.source));
+  host_ids_.push_back(record.host.empty() ? kNoHost
+                                          : hosts_.Intern(record.host));
+  user_ids_.push_back(record.user.empty() ? kNoUser
+                                          : users_.Intern(record.user));
   message_data_ += record.message;
   message_ends_.push_back(message_data_.size());
   index_built_ = false;
-  return Status::OK();
-}
-
-void LogStore::Reserve(size_t additional, size_t message_bytes) {
-  const size_t total = size() + additional;
-  client_ts_.reserve(total);
-  server_ts_.reserve(total);
-  severity_.reserve(total);
-  source_ids_.reserve(total);
-  host_ids_.reserve(total);
-  user_ids_.reserve(total);
-  message_ends_.reserve(total);
-  if (message_bytes > 0) {
-    message_data_.reserve(message_data_.size() + message_bytes);
-  }
-}
-
-Status LogStore::AppendBatch(std::span<const LogRecord> records) {
-  size_t message_bytes = 0;
-  for (const LogRecord& record : records) {
-    message_bytes += record.message.size();
-  }
-  Reserve(records.size(), message_bytes);
-  for (const LogRecord& record : records) {
-    if (Status s = Append(record); !s.ok()) return s;
-  }
   return Status::OK();
 }
 
@@ -160,49 +122,34 @@ Result<LogStore> LogStore::FromColumns(Columns&& columns) {
     }
   }
   LogStore store;
-  auto build_index =
-      [](const std::vector<std::string>& names, std::string_view what,
-         bool allow_empty,
-         std::map<std::string, uint32_t, std::less<>>* index) -> Status {
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (!allow_empty && names[i].empty()) {
-        return Status::InvalidArgument("empty " + std::string(what) +
+  for (auto [names, dictionary, what] :
+       {std::tuple{&columns.source_names, &store.sources_, "source"},
+        std::tuple{&columns.host_names, &store.hosts_, "host"},
+        std::tuple{&columns.user_names, &store.users_, "user"}}) {
+    for (size_t i = 0; i < names->size(); ++i) {
+      const std::string& name = (*names)[i];
+      if (name.empty()) {
+        return Status::InvalidArgument(std::string("empty ") + what +
                                        " dictionary entry");
       }
-      if (!index->emplace(names[i], static_cast<uint32_t>(i)).second) {
-        return Status::InvalidArgument("duplicate " + std::string(what) +
-                                       " dictionary entry: " + names[i]);
+      if (dictionary->Intern(name) != i) {
+        return Status::InvalidArgument(std::string("duplicate ") + what +
+                                       " dictionary entry: " + name);
       }
     }
-    return Status::OK();
-  };
-  if (Status s = build_index(columns.source_names, "source", false,
-                             &store.source_index_);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s =
-          build_index(columns.host_names, "host", false, &store.host_index_);
-      !s.ok()) {
-    return s;
-  }
-  if (Status s =
-          build_index(columns.user_names, "user", false, &store.user_index_);
-      !s.ok()) {
-    return s;
   }
   for (size_t i = 0; i < n; ++i) {
-    if (columns.source_ids[i] >= columns.source_names.size()) {
+    if (columns.source_ids[i] >= store.sources_.size()) {
       return Status::InvalidArgument("source id out of range at record " +
                                      std::to_string(i));
     }
     if (columns.host_ids[i] != kNoHost &&
-        columns.host_ids[i] >= columns.host_names.size()) {
+        columns.host_ids[i] >= store.hosts_.size()) {
       return Status::InvalidArgument("host id out of range at record " +
                                      std::to_string(i));
     }
     if (columns.user_ids[i] != kNoUser &&
-        columns.user_ids[i] >= columns.user_names.size()) {
+        columns.user_ids[i] >= store.users_.size()) {
       return Status::InvalidArgument("user id out of range at record " +
                                      std::to_string(i));
     }
@@ -216,9 +163,6 @@ Result<LogStore> LogStore::FromColumns(Columns&& columns) {
   store.message_data_ = std::move(columns.message_data);
   store.message_ends_ = std::move(columns.message_ends);
   if (store.message_ends_.empty()) store.message_ends_.assign(n, 0);
-  store.source_names_ = std::move(columns.source_names);
-  store.host_names_ = std::move(columns.host_names);
-  store.user_names_ = std::move(columns.user_names);
   return store;
 }
 
@@ -227,9 +171,9 @@ LogRecord LogStore::GetRecord(size_t i) const {
   record.client_ts = client_ts_[i];
   record.server_ts = server_ts_[i];
   record.severity = severity_[i];
-  record.source = source_names_[source_ids_[i]];
-  if (host_ids_[i] != kNoHost) record.host = host_names_[host_ids_[i]];
-  if (user_ids_[i] != kNoUser) record.user = user_names_[user_ids_[i]];
+  record.source = sources_.name(source_ids_[i]);
+  if (host_ids_[i] != kNoHost) record.host = hosts_.name(host_ids_[i]);
+  if (user_ids_[i] != kNoUser) record.user = users_.name(user_ids_[i]);
   record.message = message(i);
   return record;
 }
@@ -247,16 +191,15 @@ bool operator==(const LogStore& a, const LogStore& b) {
          a.host_ids_ == b.host_ids_ && a.user_ids_ == b.user_ids_ &&
          a.message_data_ == b.message_data_ &&
          a.message_ends_ == b.message_ends_ &&
-         a.source_names_ == b.source_names_ &&
-         a.host_names_ == b.host_names_ && a.user_names_ == b.user_names_;
+         a.sources_.names() == b.sources_.names() &&
+         a.hosts_.names() == b.hosts_.names() &&
+         a.users_.names() == b.users_.names();
 }
 
 Result<LogStore::SourceId> LogStore::FindSource(std::string_view name) const {
-  auto it = source_index_.find(name);
-  if (it == source_index_.end()) {
-    return Status::NotFound("unknown source: " + std::string(name));
-  }
-  return it->second;
+  const std::optional<uint32_t> id = sources_.Find(name);
+  if (!id) return Status::NotFound("unknown source: " + std::string(name));
+  return *id;
 }
 
 void LogStore::BuildIndex() {
@@ -267,7 +210,7 @@ void LogStore::BuildIndex() {
   RadixTimeOrder(client_ts_, &time_order_);
   // CSR per-source column: count, prefix-sum, then scatter in time
   // order, which leaves every source's slice sorted without a sort.
-  source_begin_.assign(source_names_.size() + 1, 0);
+  source_begin_.assign(sources_.size() + 1, 0);
   for (SourceId s : source_ids_) ++source_begin_[s + 1];
   std::partial_sum(source_begin_.begin(), source_begin_.end(),
                    source_begin_.begin());

@@ -2,12 +2,12 @@
 #define LOGMINE_LOG_STORE_H_
 
 #include <cstdint>
-#include <map>
 #include <span>
 #include <string>
 #include <string_view>
 #include <vector>
 
+#include "log/name_interner.h"
 #include "log/record.h"
 #include "util/result.h"
 #include "util/time_util.h"
@@ -50,17 +50,6 @@ class LogStore {
   /// Appends one record; `record.source` must be non-empty.
   /// Invalidates indexes built earlier.
   Status Append(const LogRecord& record);
-
-  /// Pre-sizes every column for `additional` more records (and, when
-  /// `message_bytes` is known, the message arena), so a bulk ingest of
-  /// known size pays one allocation per column instead of a doubling
-  /// cascade.
-  void Reserve(size_t additional, size_t message_bytes = 0);
-
-  /// Appends a whole batch (reserving up front). Stops at the first
-  /// invalid record — earlier records stay appended, mirroring a loop
-  /// of `Append` calls. Invalidates indexes built earlier.
-  Status AppendBatch(std::span<const LogRecord> records);
 
   /// Raw column material for `FromColumns` — the zero-parse bulk-load
   /// path of the binary columnar corpus reader. All record vectors must
@@ -119,14 +108,14 @@ class LogStore {
   friend bool operator==(const LogStore& a, const LogStore& b);
 
   // --- dictionaries ---
-  size_t num_sources() const { return source_names_.size(); }
-  size_t num_hosts() const { return host_names_.size(); }
-  size_t num_users() const { return user_names_.size(); }
+  size_t num_sources() const { return sources_.size(); }
+  size_t num_hosts() const { return hosts_.size(); }
+  size_t num_users() const { return users_.size(); }
   std::string_view source_name(SourceId id) const {
-    return source_names_[id];
+    return sources_.name(id);
   }
-  std::string_view host_name(HostId id) const { return host_names_[id]; }
-  std::string_view user_name(UserId id) const { return user_names_[id]; }
+  std::string_view host_name(HostId id) const { return hosts_.name(id); }
+  std::string_view user_name(UserId id) const { return users_.name(id); }
 
   /// Looks up a source by exact name.
   Result<SourceId> FindSource(std::string_view name) const;
@@ -164,9 +153,6 @@ class LogStore {
   TimeMs max_ts() const;
 
  private:
-  uint32_t Intern(std::string_view name, std::vector<std::string>* names,
-                  std::map<std::string, uint32_t, std::less<>>* index);
-
   std::vector<TimeMs> client_ts_;
   std::vector<TimeMs> server_ts_;
   std::vector<Severity> severity_;
@@ -179,12 +165,9 @@ class LogStore {
   std::string message_data_;
   std::vector<size_t> message_ends_;
 
-  std::vector<std::string> source_names_;
-  std::map<std::string, uint32_t, std::less<>> source_index_;
-  std::vector<std::string> host_names_;
-  std::map<std::string, uint32_t, std::less<>> host_index_;
-  std::vector<std::string> user_names_;
-  std::map<std::string, uint32_t, std::less<>> user_index_;
+  NameInterner sources_;
+  NameInterner hosts_;
+  NameInterner users_;
 
   bool index_built_ = false;
   // Per-source timestamps in CSR form: source s owns

@@ -76,14 +76,8 @@ Result<PostmortemBundle> ReadPostmortemBundle(const std::string& path) {
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor probe, reader.Section("probe"));
   LOGMINE_ASSIGN_OR_RETURN(bundle.probe_json, probe.ReadString());
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor journal, reader.Section("journal"));
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t lines, journal.ReadU64());
-  // Every line costs at least one byte, so a count above the bytes left
-  // is damage — refuse it before it sizes an allocation.
-  if (lines > journal.remaining()) {
-    return Status::ParseError("postmortem journal claims " +
-                              std::to_string(lines) + " lines in " +
-                              std::to_string(journal.remaining()) + " bytes");
-  }
+  // Every line costs at least its 8-byte length prefix.
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t lines, journal.ReadCount(8));
   bundle.journal_tail.reserve(lines);
   for (uint64_t i = 0; i < lines; ++i) {
     LOGMINE_ASSIGN_OR_RETURN(std::string line, journal.ReadString());

@@ -53,7 +53,9 @@ Result<WindowModelSet> DecodeWindowModelSet(SectionCursor* c) {
   LOGMINE_ASSIGN_OR_RETURN(models.window_end, c->ReadI64());
   LOGMINE_ASSIGN_OR_RETURN(const int64_t slots_total, c->ReadI64());
   models.slots_total = static_cast<int>(slots_total);
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_l1, c->ReadU64());
+  // Entry sizes as EncodeWindowModelSet writes them: a string is at
+  // least its length prefix, a bool is a u32.
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_l1, c->ReadCount(5 * 8 + 4));
   models.l1_pairs.reserve(num_l1);
   for (uint64_t i = 0; i < num_l1; ++i) {
     WindowPairStat stat;
@@ -67,7 +69,7 @@ Result<WindowModelSet> DecodeWindowModelSet(SectionCursor* c) {
     LOGMINE_ASSIGN_OR_RETURN(stat.dependent, c->ReadBool());
     models.l1_pairs.push_back(std::move(stat));
   }
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_l2, c->ReadU64());
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_l2, c->ReadCount(5 * 8 + 4));
   models.l2_scores.reserve(num_l2);
   for (uint64_t i = 0; i < num_l2; ++i) {
     WindowL2Score score;
@@ -82,7 +84,8 @@ Result<WindowModelSet> DecodeWindowModelSet(SectionCursor* c) {
   LOGMINE_ASSIGN_OR_RETURN(models.session_stats,
                            core::DecodeSessionBuildStats(c));
   LOGMINE_ASSIGN_OR_RETURN(models.num_bigrams, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_citations, c->ReadU64());
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_citations,
+                           c->ReadCount(3 * 8 + 4));
   models.citations.reserve(num_citations);
   for (uint64_t i = 0; i < num_citations; ++i) {
     WindowCitation citation;

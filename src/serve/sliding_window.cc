@@ -1,39 +1,16 @@
 #include "serve/sliding_window.h"
 
 #include <algorithm>
+#include <map>
 #include <string>
+#include <string_view>
 #include <tuple>
 #include <utility>
 
 #include "core/serialization.h"
-#include "obs/obs.h"
+#include "log/filter.h"
 
 namespace logmine::serve {
-namespace {
-
-// Builds an indexed LogStore holding exactly one epoch's records,
-// verifying every record lies inside the batch's bounds.
-Result<LogStore> BuildEpochStore(const EpochBatch& batch) {
-  LogStore store;
-  for (const LogRecord& record : batch.records) {
-    if (record.client_ts < batch.begin || record.client_ts >= batch.end) {
-      return Status::InvalidArgument(
-          "poison batch: record client_ts " +
-          std::to_string(record.client_ts) + " outside epoch [" +
-          std::to_string(batch.begin) + ", " + std::to_string(batch.end) +
-          ")");
-    }
-    Status appended = store.Append(record);
-    if (!appended.ok()) {
-      return Status::InvalidArgument("poison batch: " +
-                                     std::string(appended.message()));
-    }
-  }
-  store.BuildIndex();
-  return store;
-}
-
-}  // namespace
 
 Result<std::vector<EpochBatch>> SplitIntoEpochBatches(const LogStore& store,
                                                       TimeMs begin, TimeMs end,
@@ -46,18 +23,12 @@ Result<std::vector<EpochBatch>> SplitIntoEpochBatches(const LogStore& store,
     return Status::InvalidArgument(
         "[begin, end) must be a positive whole number of epochs");
   }
-  const size_t num_epochs =
-      static_cast<size_t>((end - begin) / epoch_length);
-  std::vector<EpochBatch> batches(num_epochs);
-  for (size_t k = 0; k < num_epochs; ++k) {
-    batches[k].begin = begin + static_cast<TimeMs>(k) * epoch_length;
-    batches[k].end = batches[k].begin + epoch_length;
-  }
-  for (uint32_t idx : store.TimeOrder()) {
-    const TimeMs ts = store.client_ts(idx);
-    if (ts < begin || ts >= end) continue;
-    const size_t k = static_cast<size_t>((ts - begin) / epoch_length);
-    batches[k].records.push_back(store.GetRecord(idx));
+  std::vector<EpochBatch> batches;
+  batches.reserve(static_cast<size_t>((end - begin) / epoch_length));
+  for (TimeMs epoch = begin; epoch < end; epoch += epoch_length) {
+    batches.push_back(
+        {epoch, epoch + epoch_length,
+         SliceByTime(store, epoch, epoch + epoch_length)});
   }
   return batches;
 }
@@ -106,17 +77,6 @@ uint64_t SlidingWindowMiner::Fingerprint(const SlidingWindowConfig& config) {
   return fp.digest();
 }
 
-uint32_t SlidingWindowMiner::Intern(
-    std::string_view name, std::vector<std::string>* names,
-    std::map<std::string, uint32_t, std::less<>>* index) {
-  auto it = index->find(name);
-  if (it != index->end()) return it->second;
-  const auto id = static_cast<uint32_t>(names->size());
-  names->emplace_back(name);
-  index->emplace(std::string(name), id);
-  return id;
-}
-
 TimeMs SlidingWindowMiner::window_end() const {
   return epochs_.empty() ? 0 : epochs_.back().begin + config_.epoch_length;
 }
@@ -142,7 +102,14 @@ Status SlidingWindowMiner::IngestEpoch(const EpochBatch& batch) {
         "batch begins before the current window end (epochs must arrive "
         "in order)");
   }
-  LOGMINE_ASSIGN_OR_RETURN(const LogStore store, BuildEpochStore(batch));
+  const LogStore& store = batch.records;
+  if (!store.index_built()) {
+    return Status::InvalidArgument("poison batch: records not indexed");
+  }
+  if (!store.empty() &&
+      (store.min_ts() < batch.begin || store.max_ts() >= batch.end)) {
+    return Status::InvalidArgument("poison batch: records outside its epoch");
+  }
 
   // Mine the hour in isolation first; state is only touched once every
   // fallible step has succeeded, so a poison batch leaves the window
@@ -164,43 +131,39 @@ Status SlidingWindowMiner::IngestEpoch(const EpochBatch& batch) {
   epoch.logs_considered = static_cast<int64_t>(store.size());
   epoch.logs_scanned = l3.logs_scanned;
   epoch.logs_stopped = l3.logs_stopped;
+  // Epoch-store ids map to window ids on first use, in the order below,
+  // which fixes the window's ids and so its persisted state.
+  IdRemap source_ids(store.num_sources(), &sources_);
+  IdRemap user_ids(store.num_users(), &users_);
+  auto source = [&](LogStore::SourceId id) {
+    return source_ids.Map(id, store.source_name(id));
+  };
   // L1: one slot, so every listed pair has support 1; keep the
   // positivity bit under ids ordered by *name* — the key the window
   // aggregation groups by.
   epoch.l1_pairs.reserve(l1.pairs.size());
   for (const core::L1PairResult& pr : l1.pairs) {
     if (pr.slots_supported != 1) continue;
-    std::string_view name_a = store.source_name(pr.a);
-    std::string_view name_b = store.source_name(pr.b);
-    if (name_b < name_a) std::swap(name_a, name_b);
-    EpochPair pair;
-    pair.a = Intern(name_a, &source_names_, &source_index_);
-    pair.b = Intern(name_b, &source_names_, &source_index_);
-    pair.positive = pr.slots_positive > 0;
-    epoch.l1_pairs.push_back(pair);
+    LogStore::SourceId a = pr.a;
+    LogStore::SourceId b = pr.b;
+    if (store.source_name(b) < store.source_name(a)) std::swap(a, b);
+    // A braced list evaluates in order: a's id is mapped before b's.
+    epoch.l1_pairs.push_back({source(a), source(b), pr.slots_positive > 0});
   }
   // L2: the compact columns session rebuild needs, in the store's time
   // order (ties broken by insertion order, same as a batch mine sees).
   for (uint32_t idx : store.TimeOrder()) {
     const LogStore::UserId user = store.user_id(idx);
     if (user == LogStore::kNoUser) continue;
-    ContextLog log;
-    log.ts = store.client_ts(idx);
-    log.source =
-        Intern(store.source_name(store.source_id(idx)), &source_names_,
-               &source_index_);
-    log.user = Intern(store.user_name(user), &user_names_, &user_index_);
-    epoch.context.push_back(log);
+    epoch.context.push_back({store.client_ts(idx),
+                             source(store.source_id(idx)),
+                             user_ids.Map(user, store.user_name(user))});
   }
   // L3: additive citation counters.
   epoch.citations.reserve(l3.citations.size());
   for (const core::L3Citation& citation : l3.citations) {
-    EpochCitation counter;
-    counter.app = Intern(store.source_name(citation.app), &source_names_,
-                         &source_index_);
-    counter.entry = citation.entry;
-    counter.count = citation.count;
-    epoch.citations.push_back(counter);
+    epoch.citations.push_back(
+        {source(citation.app), citation.entry, citation.count});
   }
 
   epochs_.push_back(std::move(epoch));
@@ -228,97 +191,53 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
   // ratio thresholds over the whole window, exactly as the batch miner
   // does over its slot grid (missing epochs are slots where no pair has
   // support — they count toward slots_total and nothing else).
-  std::map<core::NamePair, std::pair<int, int>> l1_acc;
+  std::map<core::NamePair, core::L1PairResult> l1_acc;
   for (const EpochState& epoch : epochs_) {
     for (const EpochPair& pair : epoch.l1_pairs) {
-      auto& [supported, positive] = l1_acc[core::NamePair(
-          source_names_[pair.a], source_names_[pair.b])];
-      ++supported;
-      if (pair.positive) ++positive;
+      core::L1PairResult& acc = l1_acc[core::NamePair(
+          sources_.name(pair.a), sources_.name(pair.b))];
+      ++acc.slots_supported;
+      if (pair.positive) ++acc.slots_positive;
     }
   }
-  const double min_support =
-      config_.l1.th_s * static_cast<double>(out.slots_total);
-  for (const auto& [names, counts] : l1_acc) {
-    WindowPairStat stat;
-    stat.names = names;
-    stat.slots_supported = counts.first;
-    const bool reaches =
-        static_cast<double>(stat.slots_supported) >= min_support;
-    stat.slots_positive = reaches ? counts.second : 0;
-    stat.positive_ratio =
-        stat.slots_supported == 0
-            ? 0.0
-            : static_cast<double>(stat.slots_positive) /
-                  static_cast<double>(stat.slots_supported);
-    stat.dependent = reaches && stat.positive_ratio >= config_.l1.th_pr;
-    if (stat.dependent) out.l1.Insert(stat.names);
-    out.l1_pairs.push_back(std::move(stat));
+  for (auto& [names, pr] : l1_acc) {
+    pr.slots_total = out.slots_total;
+    core::DecideL1Pair(config_.l1, &pr);
+    if (pr.dependent) out.l1.Insert(names);
+    out.l1_pairs.push_back({names, pr.slots_supported, pr.slots_positive,
+                            pr.positive_ratio, pr.dependent});
   }
 
   // --- L2: sessions straddle epoch boundaries, so rebuild them over
   // the concatenated context columns (epoch time ranges are disjoint
   // and stored in order, so the concatenation is the window's time
-  // order), replicating SessionBuilder::Build, then score with the
+  // order) with the batch builder's session rule, then score with the
   // store-free miner core.
-  std::vector<core::Session> sessions;
-  std::map<uint32_t, core::Session> open;
-  core::SessionBuildStats stats;
-  auto finalize = [&](core::Session&& session) {
-    if (session.entries.size() >= config_.l2.session.min_logs) {
-      stats.logs_assigned += static_cast<int64_t>(session.entries.size());
-      sessions.push_back(std::move(session));
-    }
-  };
+  core::SessionSplitter splitter(config_.l2.session);
+  int64_t logs_considered = 0;
   for (const EpochState& epoch : epochs_) {
-    stats.logs_considered += epoch.logs_considered;
+    logs_considered += epoch.logs_considered;
     for (const ContextLog& log : epoch.context) {
-      if ((stats.logs_with_context & 1023) == 0) {
+      if ((splitter.logs_with_context() & 1023) == 0) {
         LOGMINE_RETURN_IF_ERROR(
             CheckStop(options.cancel, deadline, "window session rebuild"));
       }
-      ++stats.logs_with_context;
-      auto it = open.find(log.user);
-      if (it != open.end() &&
-          log.ts - it->second.entries.back().ts > config_.l2.session.max_gap) {
-        finalize(std::move(it->second));
-        open.erase(it);
-        it = open.end();
-      }
-      if (it == open.end()) {
-        core::Session fresh;
-        fresh.user = log.user;
-        it = open.emplace(log.user, std::move(fresh)).first;
-      }
-      it->second.entries.push_back(
-          core::SessionLogEntry{log.ts, log.source, 0});
+      splitter.Add(log.user, core::SessionLogEntry{log.ts, log.source, 0});
     }
   }
-  for (auto& [user, session] : open) {
-    finalize(std::move(session));
-  }
-  stats.num_sessions = sessions.size();
-  stats.assigned_fraction =
-      stats.logs_considered == 0
-          ? 0.0
-          : static_cast<double>(stats.logs_assigned) /
-                static_cast<double>(stats.logs_considered);
+  const std::vector<core::Session> sessions =
+      std::move(splitter).Finish(logs_considered, &out.session_stats);
   core::L2CooccurrenceMiner l2_miner(config_.l2);
   LOGMINE_ASSIGN_OR_RETURN(
       const core::L2Result l2,
-      l2_miner.MineSessions(source_names_.size(), sessions,
+      l2_miner.MineSessions(sources_.size(), sessions,
                             RemainingOptions(options, deadline)));
-  out.session_stats = stats;
   out.num_bigrams = l2.num_bigrams;
   out.l2_scores.reserve(l2.scored.size());
   for (const core::L2PairScore& score : l2.scored) {
-    WindowL2Score named;
-    named.a = source_names_[score.a];
-    named.b = source_names_[score.b];
-    named.o11 = score.table.o11;
-    named.score = score.score;
-    named.p_value = score.p_value;
-    named.dependent = score.dependent;
+    WindowL2Score named{sources_.name(score.a), sources_.name(score.b),
+                        score.table.o11,        score.score,
+                        score.p_value,          score.dependent};
     if (named.dependent) {
       out.l2.Insert(core::MakeUnorderedPair(named.a, named.b));
     }
@@ -336,7 +255,7 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
     out.logs_scanned += epoch.logs_scanned;
     out.logs_stopped += epoch.logs_stopped;
     for (const EpochCitation& citation : epoch.citations) {
-      l3_acc[{source_names_[citation.app],
+      l3_acc[{sources_.name(citation.app),
               config_.vocabulary.entries[citation.entry].id}] +=
           citation.count;
     }
@@ -361,10 +280,10 @@ void SlidingWindowMiner::EncodeState(SnapshotWriter* w) const {
   w->PutU64(fingerprint_);
   w->PutI64(epochs_ingested_);
   w->PutI64(epochs_aged_out_);
-  w->PutU64(source_names_.size());
-  for (const std::string& name : source_names_) w->PutString(name);
-  w->PutU64(user_names_.size());
-  for (const std::string& name : user_names_) w->PutString(name);
+  for (const NameInterner* names : {&sources_, &users_}) {
+    w->PutU64(names->size());
+    for (const std::string& name : names->names()) w->PutString(name);
+  }
   w->PutU64(epochs_.size());
   for (const EpochState& epoch : epochs_) {
     w->PutI64(epoch.begin);
@@ -403,57 +322,60 @@ Result<SlidingWindowMiner> SlidingWindowMiner::DecodeState(
   }
   LOGMINE_ASSIGN_OR_RETURN(miner.epochs_ingested_, c->ReadI64());
   LOGMINE_ASSIGN_OR_RETURN(miner.epochs_aged_out_, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_sources, c->ReadU64());
-  for (uint64_t i = 0; i < num_sources; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string name, c->ReadString());
-    miner.Intern(name, &miner.source_names_, &miner.source_index_);
+  // Entry sizes as EncodeState writes them: a name is at least its
+  // length prefix, a bool is a u32.
+  for (NameInterner* names : {&miner.sources_, &miner.users_}) {
+    LOGMINE_ASSIGN_OR_RETURN(const uint64_t count, c->ReadCount(8));
+    for (uint64_t i = 0; i < count; ++i) {
+      LOGMINE_ASSIGN_OR_RETURN(const std::string_view name, c->ReadBytes());
+      if (names->Intern(name) != i) {
+        return Status::ParseError("repeated name in persisted state: " +
+                                  std::string(name));
+      }
+    }
   }
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_users, c->ReadU64());
-  for (uint64_t i = 0; i < num_users; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string name, c->ReadString());
-    miner.Intern(name, &miner.user_names_, &miner.user_index_);
-  }
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_epochs, c->ReadU64());
+  const size_t num_sources = miner.sources_.size();
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_epochs, c->ReadCount(7 * 8));
   for (uint64_t e = 0; e < num_epochs; ++e) {
     EpochState epoch;
     LOGMINE_ASSIGN_OR_RETURN(epoch.begin, c->ReadI64());
     LOGMINE_ASSIGN_OR_RETURN(epoch.logs_considered, c->ReadI64());
     LOGMINE_ASSIGN_OR_RETURN(epoch.logs_scanned, c->ReadI64());
     LOGMINE_ASSIGN_OR_RETURN(epoch.logs_stopped, c->ReadI64());
-    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_pairs, c->ReadU64());
+    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_pairs, c->ReadCount(3 * 4));
     epoch.l1_pairs.reserve(num_pairs);
     for (uint64_t i = 0; i < num_pairs; ++i) {
       EpochPair pair;
       LOGMINE_ASSIGN_OR_RETURN(pair.a, c->ReadU32());
       LOGMINE_ASSIGN_OR_RETURN(pair.b, c->ReadU32());
       LOGMINE_ASSIGN_OR_RETURN(pair.positive, c->ReadBool());
-      if (pair.a >= miner.source_names_.size() ||
-          pair.b >= miner.source_names_.size()) {
+      if (pair.a >= num_sources || pair.b >= num_sources) {
         return Status::ParseError("epoch pair source id out of range");
       }
       epoch.l1_pairs.push_back(pair);
     }
-    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_context, c->ReadU64());
+    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_context,
+                             c->ReadCount(8 + 4 + 4));
     epoch.context.reserve(num_context);
     for (uint64_t i = 0; i < num_context; ++i) {
       ContextLog log;
       LOGMINE_ASSIGN_OR_RETURN(log.ts, c->ReadI64());
       LOGMINE_ASSIGN_OR_RETURN(log.source, c->ReadU32());
       LOGMINE_ASSIGN_OR_RETURN(log.user, c->ReadU32());
-      if (log.source >= miner.source_names_.size() ||
-          log.user >= miner.user_names_.size()) {
+      if (log.source >= num_sources || log.user >= miner.users_.size()) {
         return Status::ParseError("context log id out of range");
       }
       epoch.context.push_back(log);
     }
-    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_citations, c->ReadU64());
+    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_citations,
+                             c->ReadCount(4 + 8 + 8));
     epoch.citations.reserve(num_citations);
     for (uint64_t i = 0; i < num_citations; ++i) {
       EpochCitation citation;
       LOGMINE_ASSIGN_OR_RETURN(citation.app, c->ReadU32());
       LOGMINE_ASSIGN_OR_RETURN(citation.entry, c->ReadU64());
       LOGMINE_ASSIGN_OR_RETURN(citation.count, c->ReadI64());
-      if (citation.app >= miner.source_names_.size() ||
+      if (citation.app >= num_sources ||
           citation.entry >= config.vocabulary.entries.size()) {
         return Status::ParseError("citation id out of range");
       }

@@ -3,16 +3,14 @@
 
 #include <cstdint>
 #include <deque>
-#include <map>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "core/dependency.h"
 #include "core/l1_activity_miner.h"
 #include "core/l2_cooccurrence_miner.h"
 #include "core/l3_text_miner.h"
-#include "log/record.h"
+#include "log/name_interner.h"
 #include "log/store.h"
 #include "util/executor.h"
 #include "util/result.h"
@@ -22,18 +20,21 @@
 namespace logmine::serve {
 
 /// One hour (epoch) of logs, the ingest unit of the streaming service.
-/// [begin, end) must span exactly one epoch on the configured grid and
-/// every record's client_ts must fall inside it — a batch violating
-/// either is the "poison batch" the service quarantines.
+/// [begin, end) must span exactly one epoch on the configured grid,
+/// `records` must have its index built, and every record's client_ts
+/// must fall inside [begin, end). A batch violating any of these is the
+/// "poison batch" the service quarantines. Move-only, like `LogStore`;
+/// `SliceByTime(records, begin, end)` clones the records.
 struct EpochBatch {
   TimeMs begin = 0;
   TimeMs end = 0;
-  std::vector<LogRecord> records;
+  LogStore records;
 };
 
 /// Splits [begin, end) of `store` into consecutive epoch batches of
 /// `epoch_length`; end - begin must be a whole number of epochs
-/// (InvalidArgument otherwise). Batches with no records are still
+/// (InvalidArgument otherwise). Each batch's records are the epoch's
+/// `SliceByTime` of `store`. Batches with no records are still
 /// returned — an empty hour advances the window. Record order inside a
 /// batch follows the store's time order, so feeding the batches through
 /// the sliding miner sees logs exactly as a batch mine over the same
@@ -137,9 +138,9 @@ class SlidingWindowMiner {
   /// Ingests the next epoch: mines the batch's hour in isolation and
   /// appends the compacted observables, then ages out epochs older than
   /// the window. The batch must be aligned to the epoch grid, start at
-  /// or after the current window end, and contain only records inside
-  /// its bounds — InvalidArgument otherwise (the poison-batch class),
-  /// leaving the window untouched.
+  /// or after the current window end, and hold an indexed store whose
+  /// records all lie inside its bounds — InvalidArgument otherwise (the
+  /// poison-batch class), leaving the window untouched.
   Status IngestEpoch(const EpochBatch& batch);
 
   /// Aggregates the retained epochs into the window's model set.
@@ -164,6 +165,8 @@ class SlidingWindowMiner {
   /// Restores a miner from `EncodeState` bytes. FailedPrecondition when
   /// the persisted fingerprint does not match `config`'s — resuming
   /// under a different config would silently mix incompatible models.
+  /// ParseError on damage: an id out of range, a repeated name, or a
+  /// count larger than the bytes left could hold.
   static Result<SlidingWindowMiner> DecodeState(
       const SlidingWindowConfig& config, SectionCursor* c);
 
@@ -200,18 +203,13 @@ class SlidingWindowMiner {
 
   explicit SlidingWindowMiner(SlidingWindowConfig config);
 
-  uint32_t Intern(std::string_view name, std::vector<std::string>* names,
-                  std::map<std::string, uint32_t, std::less<>>* index);
-
   SlidingWindowConfig config_;
   uint64_t fingerprint_ = 0;
   // Source / user names interned across the miner's whole life; epoch
   // states reference them by dense id. Never shrunk — name churn is
   // tiny next to the per-epoch columns.
-  std::vector<std::string> source_names_;
-  std::map<std::string, uint32_t, std::less<>> source_index_;
-  std::vector<std::string> user_names_;
-  std::map<std::string, uint32_t, std::less<>> user_index_;
+  NameInterner sources_;
+  NameInterner users_;
   std::deque<EpochState> epochs_;
   int64_t epochs_ingested_ = 0;
   int64_t epochs_aged_out_ = 0;

@@ -177,6 +177,17 @@ Result<uint64_t> SectionCursor::ReadU64() {
   return LoadU64(bytes.data());
 }
 
+Result<uint64_t> SectionCursor::ReadCount(size_t min_entry_bytes) {
+  LOGMINE_ASSIGN_OR_RETURN(uint64_t count, ReadU64());
+  if (count > remaining() / min_entry_bytes) {
+    return Status::ParseError(
+        "snapshot count " + std::to_string(count) + " of " +
+        std::to_string(min_entry_bytes) + "-byte entries exceeds the " +
+        std::to_string(remaining()) + " bytes left");
+  }
+  return count;
+}
+
 Result<int64_t> SectionCursor::ReadI64() {
   LOGMINE_ASSIGN_OR_RETURN(uint64_t v, ReadU64());
   return static_cast<int64_t>(v);

@@ -76,6 +76,10 @@ class SectionCursor {
 
   Result<uint32_t> ReadU32();
   Result<uint64_t> ReadU64();
+  /// A u64 entry count, each entry at least `min_entry_bytes` (> 0)
+  /// long: ParseError when that many entries cannot fit in the bytes
+  /// left, so a hostile count never sizes an allocation.
+  Result<uint64_t> ReadCount(size_t min_entry_bytes);
   Result<int64_t> ReadI64();
   Result<double> ReadDouble();
   Result<bool> ReadBool();

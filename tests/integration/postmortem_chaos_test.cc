@@ -156,8 +156,8 @@ TEST(PostmortemChaosTest, QuarantinedBatchCapturesABundle) {
       dataset.store, dataset.day_begin(0), dataset.day_end(0),
       kMillisPerHour);
   ASSERT_TRUE(batches.ok()) << batches.status();
-  for (const serve::EpochBatch& batch : batches.value()) {
-    created.value()->SubmitBatch(batch);
+  for (serve::EpochBatch& batch : batches.value()) {
+    created.value()->SubmitBatch(std::move(batch));
   }
   ASSERT_TRUE(created.value()->Drain().ok());
   EXPECT_EQ(created.value()->stats().batches_poisoned, 1);
@@ -196,8 +196,8 @@ TEST(PostmortemChaosTest, CrashMidPublishCapturesABundle) {
       dataset.store, dataset.day_begin(0), dataset.day_end(0),
       kMillisPerHour);
   ASSERT_TRUE(batches.ok()) << batches.status();
-  for (const serve::EpochBatch& batch : batches.value()) {
-    created.value()->SubmitBatch(batch);
+  for (serve::EpochBatch& batch : batches.value()) {
+    created.value()->SubmitBatch(std::move(batch));
   }
   // The injected death surfaces as the usual kInternal...
   auto drained = created.value()->Drain();
@@ -234,7 +234,7 @@ TEST(PostmortemChaosTest, HealthRegressionCapturesABundle) {
       dataset.store, dataset.day_begin(0), dataset.day_end(0),
       kMillisPerHour);
   ASSERT_TRUE(batches.ok()) << batches.status();
-  service.SubmitBatch(batches.value().front());
+  service.SubmitBatch(std::move(batches.value().front()));
   ASSERT_TRUE(service.Drain().ok());
   ASSERT_EQ(service.Health().state, serve::HealthState::kHealthy);
   EXPECT_TRUE(BundlePaths(config.postmortem.dir).empty());
@@ -276,8 +276,8 @@ TEST(PostmortemChaosTest, IntrospectionSocketServesTheLiveService) {
       dataset.store, dataset.day_begin(0), dataset.day_end(0),
       kMillisPerHour);
   ASSERT_TRUE(batches.ok()) << batches.status();
-  for (const serve::EpochBatch& batch : batches.value()) {
-    created.value()->SubmitBatch(batch);
+  for (serve::EpochBatch& batch : batches.value()) {
+    created.value()->SubmitBatch(std::move(batch));
   }
   ASSERT_TRUE(created.value()->Drain().ok());
 

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "eval/dataset.h"
+#include "log/filter.h"
 #include "serve/streaming_service.h"
 #include "simulation/service_faults.h"
 #include "util/rng.h"
@@ -61,6 +62,13 @@ ServiceConfig ChaosConfig(const eval::Dataset& dataset,
   return config;
 }
 
+/// A copy of `batch` for one more submission: batches are move-only,
+/// and an epoch's slice of its own records is the batch again.
+EpochBatch Clone(const EpochBatch& batch) {
+  return {batch.begin, batch.end,
+          SliceByTime(batch.records, batch.begin, batch.end)};
+}
+
 /// Drives one service through a day of batches under a seeded fault
 /// plan, shadowing the queue so every externally visible effect —
 /// queue depth, sheds, the ingest watermark, health — can be checked
@@ -94,7 +102,7 @@ class ChaosDriver {
     const bool injected = injector_.OnEpoch(index, 1) ==
                           sim::ServiceFault::kClockRegression;
     const bool genuine = batch.begin <= submit_watermark_;
-    const SubmitResult result = service_->SubmitBatch(batch);
+    const SubmitResult result = service_->SubmitBatch(Clone(batch));
     if (injected || genuine) {
       EXPECT_EQ(result.outcome, SubmitOutcome::kRejectedClockRegression)
           << "submission " << index;
@@ -309,7 +317,7 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
     auto created = StreamingMiningService::Create(config);
     ASSERT_TRUE(created.ok()) << created.status();
     for (const EpochBatch& batch : batches.value()) {
-      created.value()->SubmitBatch(batch);
+      created.value()->SubmitBatch(Clone(batch));
     }
     ASSERT_TRUE(created.value()->Drain().ok());
   }
@@ -338,7 +346,7 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
     auto created = StreamingMiningService::Create(config);
     ASSERT_TRUE(created.ok()) << created.status();
     for (const EpochBatch& batch : batches.value()) {
-      created.value()->SubmitBatch(batch);
+      created.value()->SubmitBatch(Clone(batch));
     }
     auto drained = created.value()->Drain();
     ASSERT_FALSE(drained.ok());  // the injected death
@@ -353,7 +361,7 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_TRUE(recovered.value()->recovered());
     for (const EpochBatch& batch : batches.value()) {
-      recovered.value()->SubmitBatch(batch);
+      recovered.value()->SubmitBatch(Clone(batch));
     }
     ASSERT_TRUE(recovered.value()->Drain().ok());
 
@@ -384,8 +392,8 @@ TEST(StreamingChaosOverloadTest, SustainedOverloadShedsButStillPublishes) {
   // single step runs. Nothing errors; the queue holds the 2 freshest
   // hours and everything older was shed.
   int sheds = 0;
-  for (const EpochBatch& batch : batches.value()) {
-    const SubmitResult result = service.SubmitBatch(batch);
+  for (EpochBatch& batch : batches.value()) {
+    const SubmitResult result = service.SubmitBatch(std::move(batch));
     ASSERT_NE(result.outcome, SubmitOutcome::kRejectedClockRegression);
     if (result.outcome == SubmitOutcome::kAcceptedShedOldest) ++sheds;
   }

@@ -2,6 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "util/rng.h"
+
 namespace logmine {
 namespace {
 
@@ -57,6 +64,88 @@ TEST_F(FilterTest, SliceByTimeCopiesWindow) {
   // Dictionary ids re-interned but names preserved.
   EXPECT_TRUE(slice.FindSource("A").ok());
   EXPECT_TRUE(slice.FindSource("B").ok());
+}
+
+// --- SliceByTime property test ----------------------------------------
+//
+// SliceByTime against a reference: the loop of Append(GetRecord(i))
+// over the range's time order, which the column copy replaced.
+
+LogStore ReferenceSlice(const LogStore& store, TimeMs begin, TimeMs end) {
+  LogStore out;
+  for (uint32_t idx : IndicesInRange(store, begin, end)) {
+    EXPECT_TRUE(out.Append(store.GetRecord(idx)).ok());
+  }
+  out.BuildIndex();
+  return out;
+}
+
+void ExpectSliceMatchesReference(const LogStore& store, TimeMs begin,
+                                 TimeMs end) {
+  SCOPED_TRACE("[" + std::to_string(begin) + ", " + std::to_string(end) +
+               ")");
+  const LogStore slice = SliceByTime(store, begin, end);
+  const LogStore reference = ReferenceSlice(store, begin, end);
+  // Columns, message arena, ids and dictionaries (names in id order).
+  EXPECT_TRUE(slice == reference);
+  ASSERT_EQ(slice.size(), reference.size());
+  ASSERT_EQ(slice.num_sources(), reference.num_sources());
+  for (size_t i = 0; i < slice.size(); ++i) {
+    EXPECT_EQ(slice.message(i), reference.message(i));
+    EXPECT_EQ(slice.host_id(i), reference.host_id(i));
+    EXPECT_EQ(slice.user_id(i), reference.user_id(i));
+  }
+  ASSERT_TRUE(slice.index_built());
+  EXPECT_EQ(slice.TimeOrder(), reference.TimeOrder());
+  for (uint32_t s = 0; s < slice.num_sources(); ++s) {
+    const auto got = slice.SourceTimestamps(s);
+    const auto want = reference.SourceTimestamps(s);
+    EXPECT_TRUE(std::equal(got.begin(), got.end(), want.begin(), want.end()))
+        << "source " << s;
+  }
+}
+
+TEST(SliceByTimeTest, MatchesAppendingTheRecordsOneByOne) {
+  for (uint64_t seed : {1u, 2u, 3u}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    LogStore store;
+    // Out-of-order timestamps over a narrow span, so ties abound; about
+    // a third of the records carry no host and a third no user.
+    for (int i = 0; i < 300; ++i) {
+      LogRecord record;
+      record.client_ts = rng.UniformInt(0, 60);
+      record.server_ts = record.client_ts + rng.UniformInt(0, 5);
+      record.severity = static_cast<Severity>(rng.UniformInt(0, 3));
+      record.source = "src" + std::to_string(rng.UniformInt(0, 6));
+      if (rng.Bernoulli(0.67)) {
+        record.host = "host" + std::to_string(rng.UniformInt(0, 4));
+      }
+      if (rng.Bernoulli(0.67)) {
+        record.user = "user" + std::to_string(rng.UniformInt(0, 20));
+      }
+      record.message = std::string(static_cast<size_t>(i % 7), 'm') +
+                       std::to_string(i);
+      ASSERT_TRUE(store.Append(record).ok());
+    }
+    store.BuildIndex();
+    const TimeMs lo = store.min_ts();
+    const TimeMs hi = store.max_ts();
+    // The whole store, empty ranges inside and outside it, and ranges
+    // whose boundaries fall on (tied) timestamps.
+    ExpectSliceMatchesReference(store, lo, hi + 1);
+    ExpectSliceMatchesReference(store, lo - 100, hi + 100);
+    ExpectSliceMatchesReference(store, 30, 30);
+    ExpectSliceMatchesReference(store, hi + 1, hi + 50);
+    ExpectSliceMatchesReference(store, lo - 50, lo);
+    ExpectSliceMatchesReference(store, lo, lo + 1);
+    ExpectSliceMatchesReference(store, hi, hi + 1);
+    for (int r = 0; r < 20; ++r) {
+      const TimeMs begin = rng.UniformInt(lo - 2, hi + 2);
+      ExpectSliceMatchesReference(store, begin,
+                                  begin + rng.UniformInt(0, 30));
+    }
+  }
 }
 
 TEST_F(FilterTest, CountsPerSource) {

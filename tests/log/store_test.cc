@@ -173,42 +173,6 @@ TEST(LogStoreTest, BuildIndexIsIdempotent) {
   EXPECT_EQ(store.TimeOrder().size(), 1u);
 }
 
-
-TEST(LogStoreTest, AppendBatchMatchesPerRecordAppend) {
-  std::vector<LogRecord> records;
-  for (int i = 0; i < 40; ++i) {
-    records.push_back(Rec(1000 + i * 3, "src" + std::to_string(i % 4),
-                          i % 2 == 0 ? "user" + std::to_string(i % 3) : "",
-                          i % 3 == 0 ? "host" + std::to_string(i % 5) : ""));
-  }
-  LogStore one_by_one;
-  for (const LogRecord& record : records) {
-    ASSERT_TRUE(one_by_one.Append(record).ok());
-  }
-  LogStore batched;
-  ASSERT_TRUE(batched.AppendBatch(records).ok());
-  ASSERT_EQ(batched.size(), one_by_one.size());
-  // Same interned ids, columns and dictionaries — batch is a pure
-  // fast path, not a different ingest semantics.
-  EXPECT_EQ(batched.num_sources(), one_by_one.num_sources());
-  EXPECT_EQ(batched.num_hosts(), one_by_one.num_hosts());
-  EXPECT_EQ(batched.num_users(), one_by_one.num_users());
-  for (size_t i = 0; i < records.size(); ++i) {
-    EXPECT_EQ(batched.source_id(i), one_by_one.source_id(i));
-    EXPECT_EQ(batched.host_id(i), one_by_one.host_id(i));
-    EXPECT_EQ(batched.user_id(i), one_by_one.user_id(i));
-    EXPECT_EQ(batched.message(i), one_by_one.message(i));
-  }
-}
-
-TEST(LogStoreTest, AppendBatchStopsAtFirstInvalidRecord) {
-  std::vector<LogRecord> records = {Rec(1, "A"), Rec(2, ""), Rec(3, "C")};
-  LogStore store;
-  EXPECT_FALSE(store.AppendBatch(records).ok());
-  // Mirrors a loop of Append calls: the valid prefix stays.
-  EXPECT_EQ(store.size(), 1u);
-}
-
 TEST(LogStoreTest, FromColumnsRoundTripsAndValidates) {
   LogStore original;
   ASSERT_TRUE(original.Append(Rec(100, "A", "u1", "h1")).ok());
@@ -270,15 +234,6 @@ TEST(LogStoreTest, FromColumnsRoundTripsAndValidates) {
   auto backwards = columns_of(original);
   std::swap(backwards.message_ends.front(), backwards.message_ends.back());
   EXPECT_FALSE(LogStore::FromColumns(std::move(backwards)).ok());
-}
-
-TEST(LogStoreTest, ReserveDoesNotChangeContents) {
-  LogStore store;
-  ASSERT_TRUE(store.Append(Rec(1, "A")).ok());
-  store.Reserve(1000);
-  EXPECT_EQ(store.size(), 1u);
-  ASSERT_TRUE(store.Append(Rec(2, "B")).ok());
-  EXPECT_EQ(store.size(), 2u);
 }
 
 // --- index property tests --------------------------------------------

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <map>
 #include <string>
 #include <utility>
@@ -18,6 +19,7 @@
 #include "core/l2_cooccurrence_miner.h"
 #include "core/l3_text_miner.h"
 #include "eval/dataset.h"
+#include "log/filter.h"
 #include "serve/model_publisher.h"
 #include "util/snapshot.h"
 
@@ -280,6 +282,17 @@ LogRecord Rec(TimeMs ts, std::string source, std::string user,
   return record;
 }
 
+/// The records as an epoch batch carries them: an indexed store.
+EpochBatch Batch(TimeMs begin, TimeMs end,
+                 const std::vector<LogRecord>& records = {}) {
+  EpochBatch batch{begin, end, LogStore()};
+  for (const LogRecord& record : records) {
+    EXPECT_TRUE(batch.records.Append(record).ok());
+  }
+  batch.records.BuildIndex();
+  return batch;
+}
+
 SlidingWindowConfig TinyConfig() {
   SlidingWindowConfig config;
   config.epoch_length = 1000;
@@ -309,6 +322,10 @@ TEST(SlidingWindowTest, SplitValidatesAndCoversEmptyEpochs) {
   EXPECT_EQ(batches.value()[2].records.size(), 1u);
   EXPECT_EQ(batches.value()[1].begin, 1000);
   EXPECT_EQ(batches.value()[1].end, 2000);
+  for (const EpochBatch& batch : batches.value()) {
+    EXPECT_TRUE(batch.records.index_built());
+    EXPECT_TRUE(batch.records == SliceByTime(store, batch.begin, batch.end));
+  }
 }
 
 TEST(SlidingWindowTest, CreateValidatesAndNormalizesTheConfig) {
@@ -341,32 +358,36 @@ TEST(SlidingWindowTest, IngestRejectsPoisonBatchesAndKeepsState) {
   EXPECT_EQ(miner.MineWindow().status().code(),
             StatusCode::kFailedPrecondition);
 
-  EpochBatch good;
-  good.begin = 1000;
-  good.end = 2000;
-  good.records.push_back(Rec(1500, "A", "u", "x"));
-  ASSERT_TRUE(miner.IngestEpoch(good).ok());
+  ASSERT_TRUE(miner.IngestEpoch(Batch(1000, 2000, {Rec(1500, "A", "u", "x")}))
+                  .ok());
   EXPECT_EQ(miner.window_begin(), -2000);  // 4 epochs ending at 2000
   EXPECT_EQ(miner.window_end(), 2000);
 
   // Wrong span.
-  EpochBatch bad = good;
-  bad.begin = 2000;
-  bad.end = 3500;
-  EXPECT_FALSE(miner.IngestEpoch(bad).ok());
+  EXPECT_FALSE(
+      miner.IngestEpoch(Batch(2000, 3500, {Rec(2500, "A", "u", "x")})).ok());
   // Off the epoch grid.
-  bad = good;
-  bad.begin = 2500;
-  bad.end = 3500;
-  EXPECT_FALSE(miner.IngestEpoch(bad).ok());
+  EXPECT_FALSE(
+      miner.IngestEpoch(Batch(2500, 3500, {Rec(3000, "A", "u", "x")})).ok());
   // Before the newest ingested epoch (out of order / replay).
-  bad = good;
-  EXPECT_FALSE(miner.IngestEpoch(bad).ok());
-  // Record outside the claimed bounds.
-  bad.begin = 2000;
-  bad.end = 3000;
-  bad.records = {Rec(4500, "A", "u", "x")};
-  EXPECT_FALSE(miner.IngestEpoch(bad).ok());
+  EXPECT_FALSE(
+      miner.IngestEpoch(Batch(1000, 2000, {Rec(1500, "A", "u", "x")})).ok());
+  // Records outside the claimed bounds: past the end, at the end, and
+  // before the begin.
+  EXPECT_FALSE(
+      miner.IngestEpoch(Batch(2000, 3000, {Rec(4500, "A", "u", "x")})).ok());
+  EXPECT_FALSE(
+      miner.IngestEpoch(Batch(2000, 3000, {Rec(3000, "A", "u", "x")})).ok());
+  EXPECT_FALSE(miner
+                   .IngestEpoch(Batch(2000, 3000, {Rec(2500, "A", "u", "x"),
+                                                   Rec(1999, "B", "u", "y")}))
+                   .ok());
+  // A store whose index was never built.
+  EpochBatch unindexed;
+  unindexed.begin = 2000;
+  unindexed.end = 3000;
+  ASSERT_TRUE(unindexed.records.Append(Rec(2500, "A", "u", "x")).ok());
+  EXPECT_FALSE(miner.IngestEpoch(unindexed).ok());
 
   // None of the rejections touched the window.
   EXPECT_EQ(miner.epochs_ingested(), 1);
@@ -374,10 +395,7 @@ TEST(SlidingWindowTest, IngestRejectsPoisonBatchesAndKeepsState) {
   EXPECT_EQ(miner.window_end(), 2000);
 
   // Epochs may skip hours (an outage): only ordering is enforced.
-  EpochBatch later;
-  later.begin = 5000;
-  later.end = 6000;
-  ASSERT_TRUE(miner.IngestEpoch(later).ok());
+  ASSERT_TRUE(miner.IngestEpoch(Batch(5000, 6000)).ok());
   EXPECT_EQ(miner.window_end(), 6000);
   // The epoch at 1000 slid out of the 4-epoch window [2000, 6000).
   EXPECT_EQ(miner.epochs_aged_out(), 1);
@@ -393,17 +411,16 @@ TEST(SlidingWindowTest, WindowAggregatesOnlyRetainedEpochs) {
 
   // 6 epochs; epochs 0 and 1 cite svc1, later ones do not.
   for (int e = 0; e < 6; ++e) {
-    EpochBatch batch;
-    batch.begin = e * 1000;
-    batch.end = batch.begin + 1000;
     const std::string message =
         e < 2 ? "call to svc1 failed" : "heartbeat ok";
+    std::vector<LogRecord> records;
     for (int i = 0; i < 4; ++i) {
-      batch.records.push_back(
-          Rec(batch.begin + i * 200, i % 2 == 0 ? "A" : "B",
-              "u" + std::to_string(i % 2), message));
+      records.push_back(Rec(e * 1000 + i * 200, i % 2 == 0 ? "A" : "B",
+                            "u" + std::to_string(i % 2), message));
     }
-    ASSERT_TRUE(miner.IngestEpoch(batch).ok()) << e;
+    ASSERT_TRUE(miner.IngestEpoch(Batch(e * 1000, e * 1000 + 1000, records))
+                    .ok())
+        << e;
   }
   EXPECT_EQ(miner.epochs_retained(), 4u);
   EXPECT_EQ(miner.epochs_aged_out(), 2);
@@ -415,6 +432,93 @@ TEST(SlidingWindowTest, WindowAggregatesOnlyRetainedEpochs) {
   EXPECT_TRUE(window.value().l3.empty());
   EXPECT_EQ(window.value().window_begin, 2000);
   EXPECT_EQ(window.value().window_end, 6000);
+}
+
+/// Decodes a "window" section written by `write` under `config`.
+Result<SlidingWindowMiner> DecodeHandBuilt(
+    const SlidingWindowConfig& config,
+    const std::function<void(SnapshotWriter*)>& write) {
+  SnapshotWriter w;
+  w.BeginSection("window");
+  write(&w);
+  w.EndSection();
+  const std::string bytes = std::move(w).Finish();
+  LOGMINE_ASSIGN_OR_RETURN(const SnapshotReader reader,
+                           SnapshotReader::Parse(bytes));
+  LOGMINE_ASSIGN_OR_RETURN(SectionCursor cursor, reader.Section("window"));
+  return SlidingWindowMiner::DecodeState(config, &cursor);
+}
+
+TEST(SlidingWindowTest, HostileCountsInStateAreParseErrors) {
+  const SlidingWindowConfig config = TinyConfig();
+  const uint64_t fingerprint =
+      SlidingWindowMiner::Create(config).value().config_fingerprint();
+  constexpr uint64_t kHostile = uint64_t{1} << 61;
+  // Counts in layout order: sources, users, epochs, then the epoch's
+  // L1 pairs, context logs and citations. Field 6 is the valid state.
+  for (int field = 0; field <= 6; ++field) {
+    auto decoded = DecodeHandBuilt(config, [&](SnapshotWriter* w) {
+      w->PutU64(fingerprint);
+      w->PutI64(1);  // epochs ingested
+      w->PutI64(0);  // epochs aged out
+      // Writes count `which` (hostile when under test); true once the
+      // hostile count is out, ending the section with some padding.
+      auto count = [&](int which, uint64_t valid) {
+        w->PutU64(field == which ? kHostile : valid);
+        if (field != which) return false;
+        for (int i = 0; i < 8; ++i) w->PutU64(0);
+        return true;
+      };
+      if (count(0, 1)) return;
+      w->PutString("A");
+      if (count(1, 1)) return;
+      w->PutString("u");
+      if (count(2, 1)) return;
+      w->PutI64(0);  // begin
+      w->PutI64(1);  // logs considered
+      w->PutI64(0);  // logs scanned
+      w->PutI64(0);  // logs stopped
+      if (count(3, 1)) return;
+      w->PutU32(0);
+      w->PutU32(0);
+      w->PutBool(true);
+      if (count(4, 1)) return;
+      w->PutI64(0);
+      w->PutU32(0);
+      w->PutU32(0);
+      count(5, 0);
+    });
+    if (field == 6) {
+      ASSERT_TRUE(decoded.ok()) << decoded.status();
+      EXPECT_EQ(decoded.value().epochs_retained(), 1u);
+    } else {
+      ASSERT_FALSE(decoded.ok()) << field;
+      EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << field;
+    }
+  }
+}
+
+TEST(SlidingWindowTest, DuplicateNameInStateIsParseError) {
+  const SlidingWindowConfig config = TinyConfig();
+  const uint64_t fingerprint =
+      SlidingWindowMiner::Create(config).value().config_fingerprint();
+  using Names = std::vector<std::string>;
+  for (const auto& [sources, users] :
+       {std::pair{Names{"A", "B", "A"}, Names{"u"}},
+        std::pair{Names{"A", "B"}, Names{"u", "v", "v"}}}) {
+    auto decoded = DecodeHandBuilt(config, [&](SnapshotWriter* w) {
+      w->PutU64(fingerprint);
+      w->PutI64(0);
+      w->PutI64(0);
+      for (const Names& names : {sources, users}) {
+        w->PutU64(names.size());
+        for (const std::string& name : names) w->PutString(name);
+      }
+      w->PutU64(0);  // epochs
+    });
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kParseError);
+  }
 }
 
 }  // namespace

@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/serialization.h"
 #include "obs/obs.h"
 #include "simulation/service_faults.h"
 #include "util/snapshot.h"
@@ -40,11 +41,15 @@ LogRecord Rec(TimeMs ts, std::string source, std::string user,
   return record;
 }
 
-EpochBatch Batch(int epoch, std::vector<LogRecord> records = {}) {
+/// The records as an epoch batch carries them: an indexed store.
+EpochBatch Batch(int epoch, const std::vector<LogRecord>& records = {}) {
   EpochBatch batch;
   batch.begin = epoch * 1000;
   batch.end = batch.begin + 1000;
-  batch.records = std::move(records);
+  for (const LogRecord& record : records) {
+    EXPECT_TRUE(batch.records.Append(record).ok());
+  }
+  batch.records.BuildIndex();
   return batch;
 }
 
@@ -372,13 +377,23 @@ TEST(StreamingServiceTest, PoisonBatchIsQuarantinedAndServingContinues) {
 
   // A genuinely malformed batch — a record outside its claimed hour —
   // takes the same quarantine path without any injector.
-  EpochBatch malformed = Batch(3);
-  malformed.records.push_back(Rec(9'999, "A", "u", "x"));
-  service.SubmitBatch(std::move(malformed));
+  service.SubmitBatch(Batch(3, {Rec(9'999, "A", "u", "x")}));
   step = service.Step();
   ASSERT_TRUE(step.ok());
   EXPECT_EQ(step.value(), StepOutcome::kPoisoned);
   EXPECT_EQ(service.stats().batches_poisoned, 2);
+  EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
+
+  // So does a batch whose store was never indexed.
+  EpochBatch unindexed;
+  unindexed.begin = 4000;
+  unindexed.end = 5000;
+  ASSERT_TRUE(unindexed.records.Append(Rec(4'500, "A", "u", "x")).ok());
+  service.SubmitBatch(std::move(unindexed));
+  step = service.Step();
+  ASSERT_TRUE(step.ok());
+  EXPECT_EQ(step.value(), StepOutcome::kPoisoned);
+  EXPECT_EQ(service.stats().batches_poisoned, 3);
   EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
 }
 
@@ -512,6 +527,92 @@ TEST(StreamingServiceTest, WorkerThreadDrainsSubmissionsInTheBackground) {
   ASSERT_NE(service.CurrentModel(), nullptr);
   EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
   EXPECT_EQ(service.stats().epochs_ingested, 3);
+}
+
+constexpr uint64_t kHostileCount = uint64_t{1} << 61;
+
+/// Generation bytes laid out as SerializeGeneration writes them, with
+/// the `hostile`-th count of the model set (0: L1 pairs, 1: L2 scores,
+/// 2: citations) replaced by kHostileCount; 3 writes no hostile count.
+std::string HandBuiltGeneration(int hostile) {
+  SnapshotWriter w;
+  w.BeginSection("generation");
+  w.PutI64(1);     // number
+  w.PutI64(0);     // window begin
+  w.PutI64(1000);  // window end
+  w.PutI64(1);     // epochs ingested
+  w.PutU64(0);     // config fingerprint
+  w.PutI64(0);     // model set: window begin, end and slots
+  w.PutI64(1000);
+  w.PutI64(4);
+  // Writes count `which`; true once the hostile count is out, ending
+  // the section with some padding.
+  auto count = [&](int which) {
+    w.PutU64(hostile == which ? kHostileCount : 0);
+    if (hostile != which) return false;
+    for (int i = 0; i < 8; ++i) w.PutU64(0);
+    return true;
+  };
+  if (!count(0) && !count(1)) {
+    core::EncodeSessionBuildStats({}, &w);
+    w.PutI64(0);  // bigrams
+    if (!count(2)) {
+      w.PutI64(0);  // logs scanned
+      w.PutI64(0);  // logs stopped
+      // The l1, l2, l3 and combined models, then the tracker's.
+      for (int i = 0; i < 5; ++i) core::EncodeDependencyModel({}, &w);
+    }
+  }
+  w.EndSection();
+  return std::move(w).Finish();
+}
+
+TEST(StreamingServiceTest, HostileGenerationCountsAreParseErrors) {
+  for (int hostile = 0; hostile <= 3; ++hostile) {
+    const std::string bytes = HandBuiltGeneration(hostile);
+    auto parsed = ParseGeneration(bytes, {});
+    if (hostile == 3) {
+      EXPECT_TRUE(parsed.ok()) << parsed.status();
+    } else {
+      ASSERT_FALSE(parsed.ok()) << hostile;
+      EXPECT_EQ(parsed.status().code(), StatusCode::kParseError) << hostile;
+    }
+  }
+}
+
+TEST(StreamingServiceTest, HostileStateFileFailsCreateWithParseError) {
+  const std::string state_path = FreshStatePath("hostile_state");
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = state_path;
+  const uint64_t fingerprint =
+      SlidingWindowMiner::Create(config.window).value().config_fingerprint();
+  // A CRC-valid state file whose one epoch claims 2^61 L1 pairs.
+  SnapshotWriter w;
+  w.BeginSection("service");
+  w.PutU64(fingerprint);
+  w.PutI64(0);  // ingest watermark
+  w.PutI64(0);  // epochs since publish
+  w.PutI64(1);  // next generation number
+  w.EndSection();
+  w.BeginSection("window");
+  w.PutU64(fingerprint);
+  w.PutI64(1);  // epochs ingested
+  w.PutI64(0);  // epochs aged out
+  w.PutU64(1);  // sources
+  w.PutString("A");
+  w.PutU64(0);  // users
+  w.PutU64(1);  // epochs
+  for (int i = 0; i < 4; ++i) w.PutI64(0);  // begin and log counts
+  w.PutU64(kHostileCount);
+  for (int i = 0; i < 8; ++i) w.PutU64(0);
+  w.EndSection();
+  ASSERT_TRUE(WriteFileAtomic(state_path, std::move(w).Finish()).ok());
+
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kParseError)
+      << created.status();
 }
 
 }  // namespace
