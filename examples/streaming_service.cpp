@@ -2,13 +2,16 @@
 // logs hour by hour, watch generations publish, query the live model,
 // then turn on chaos — poison, stalls, a crash mid-publish — and watch
 // the service shed, quarantine, stale-serve and recover instead of
-// falling over (DESIGN.md §13). Exits non-zero when any stage fails
-// or the chaos run's counts differ from its fault plan.
+// falling over (DESIGN.md §13). Exits non-zero when any stage fails,
+// the chaos run's counts differ from its fault plan, or the state
+// directory ends with a leaked or missing file.
 //
 //   ./streaming_service [--scale=0.05] [--seed=7]
 
 #include <filesystem>
 #include <iostream>
+#include <set>
+#include <string>
 
 #include "eval/dataset.h"
 #include "eval/stream_replay.h"
@@ -153,11 +156,35 @@ int main(int argc, char** argv) {
             << " fresh epochs processed, final generation "
             << final_health.generation << ", health "
             << serve::HealthStateName(final_health.state) << "\n";
-  std::filesystem::remove_all(state_dir);
   const auto model = recovered.CurrentModel();
   if (final_health.state != serve::HealthState::kHealthy || model == nullptr ||
       model->models.window_end != dataset.day_end(0)) {
     std::cerr << "the resumed service did not catch up with the day\n";
+    return 1;
+  }
+
+  // 5. No leaked or missing state files: the state directory holds the
+  //    head plus one file per epoch of the final window, every hour of
+  //    which the resumed replay ingested.
+  std::set<std::string> expected = {"state.snapshot"};
+  for (TimeMs begin = model->models.window_begin;
+       begin < model->models.window_end; begin += kMillisPerHour) {
+    expected.insert("state.snapshot.epoch." + std::to_string(begin));
+  }
+  std::set<std::string> found;
+  for (const auto& entry : std::filesystem::directory_iterator(state_dir)) {
+    found.insert(entry.path().filename().string());
+  }
+  std::filesystem::remove_all(state_dir);
+  std::cout << "State files: " << found.size() << " (head + "
+            << found.size() - 1 << " epochs)\n";
+  if (found != expected) {
+    for (const std::string& name : found) {
+      if (expected.count(name) == 0) std::cerr << "leaked: " << name << "\n";
+    }
+    for (const std::string& name : expected) {
+      if (found.count(name) == 0) std::cerr << "missing: " << name << "\n";
+    }
     return 1;
   }
   return 0;

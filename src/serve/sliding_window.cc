@@ -1,7 +1,7 @@
 #include "serve/sliding_window.h"
 
 #include <algorithm>
-#include <map>
+#include <numeric>
 #include <string>
 #include <string_view>
 #include <tuple>
@@ -34,7 +34,23 @@ Result<std::vector<EpochBatch>> SplitIntoEpochBatches(const LogStore& store,
 }
 
 SlidingWindowMiner::SlidingWindowMiner(SlidingWindowConfig config)
-    : config_(std::move(config)), fingerprint_(Fingerprint(config_)) {}
+    : config_(std::move(config)), fingerprint_(Fingerprint(config_)) {
+  const std::vector<core::ServiceVocabulary::Entry>& entries =
+      config_.vocabulary.entries;
+  std::vector<uint32_t> by_id(entries.size());
+  std::iota(by_id.begin(), by_id.end(), 0u);
+  std::stable_sort(by_id.begin(), by_id.end(), [&](uint32_t x, uint32_t y) {
+    return entries[x].id < entries[y].id;
+  });
+  entry_rank_.resize(entries.size());
+  for (const uint32_t entry : by_id) {
+    if (ranked_entries_.empty() ||
+        entries[ranked_entries_.back()].id != entries[entry].id) {
+      ranked_entries_.push_back(entry);
+    }
+    entry_rank_[entry] = static_cast<uint32_t>(ranked_entries_.size() - 1);
+  }
+}
 
 Result<SlidingWindowMiner> SlidingWindowMiner::Create(
     SlidingWindowConfig config) {
@@ -187,25 +203,69 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
   out.window_end = window_end();
   out.slots_total = config_.window_epochs;
 
+  // The flat accumulators below are indexed by the name rank of the
+  // sources the window's L1 pairs and citations mention; walking ranks
+  // in order emits the outputs in name order.
+  constexpr uint32_t kUnranked = UINT32_MAX;
+  std::vector<uint32_t> rank(sources_.size(), kUnranked);
+  std::vector<uint32_t> ranked;  // rank -> source id
+  auto mention = [&](uint32_t source) {
+    if (rank[source] == kUnranked) {
+      rank[source] = 0;  // seen; the sort below sets the rank
+      ranked.push_back(source);
+    }
+  };
+  for (const EpochState& epoch : epochs_) {
+    for (const EpochPair& pair : epoch.l1_pairs) {
+      mention(pair.a);
+      mention(pair.b);
+    }
+    for (const EpochCitation& citation : epoch.citations) {
+      mention(citation.app);
+    }
+  }
+  std::sort(ranked.begin(), ranked.end(), [&](uint32_t x, uint32_t y) {
+    return sources_.name(x) < sources_.name(y);
+  });
+  for (size_t r = 0; r < ranked.size(); ++r) {
+    rank[ranked[r]] = static_cast<uint32_t>(r);
+  }
+  const size_t num_ranked = ranked.size();
+
   // --- L1: per-slot outcomes are additive; re-apply the support and
   // ratio thresholds over the whole window, exactly as the batch miner
   // does over its slot grid (missing epochs are slots where no pair has
-  // support — they count toward slots_total and nothing else).
-  std::map<core::NamePair, core::L1PairResult> l1_acc;
+  // support — they count toward slots_total and nothing else). Pairs
+  // are stored with name(a) < name(b), so only cells above the
+  // diagonal fill.
+  struct PairCount {
+    int supported = 0;
+    int positive = 0;
+  };
+  std::vector<PairCount> l1_acc(num_ranked * num_ranked);
   for (const EpochState& epoch : epochs_) {
     for (const EpochPair& pair : epoch.l1_pairs) {
-      core::L1PairResult& acc = l1_acc[core::NamePair(
-          sources_.name(pair.a), sources_.name(pair.b))];
-      ++acc.slots_supported;
-      if (pair.positive) ++acc.slots_positive;
+      PairCount& acc = l1_acc[rank[pair.a] * num_ranked + rank[pair.b]];
+      ++acc.supported;
+      if (pair.positive) ++acc.positive;
     }
   }
-  for (auto& [names, pr] : l1_acc) {
-    pr.slots_total = out.slots_total;
-    core::DecideL1Pair(config_.l1, &pr);
-    if (pr.dependent) out.l1.Insert(names);
-    out.l1_pairs.push_back({names, pr.slots_supported, pr.slots_positive,
-                            pr.positive_ratio, pr.dependent});
+  for (size_t a = 0; a < num_ranked; ++a) {
+    for (size_t b = a + 1; b < num_ranked; ++b) {
+      const PairCount& acc = l1_acc[a * num_ranked + b];
+      if (acc.supported == 0) continue;
+      core::L1PairResult pr;
+      pr.slots_supported = acc.supported;
+      pr.slots_positive = acc.positive;
+      pr.slots_total = out.slots_total;
+      core::DecideL1Pair(config_.l1, &pr);
+      core::NamePair names(sources_.name(ranked[a]),
+                           sources_.name(ranked[b]));
+      if (pr.dependent) out.l1.Insert(names);
+      out.l1_pairs.push_back({std::move(names), pr.slots_supported,
+                              pr.slots_positive, pr.positive_ratio,
+                              pr.dependent});
+    }
   }
 
   // --- L2: sessions straddle epoch boundaries, so rebuild them over
@@ -249,34 +309,47 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
             });
 
   // --- L3: citation counters are additive; re-apply min_citations over
-  // the window totals.
-  std::map<std::pair<std::string, std::string>, int64_t> l3_acc;
+  // the window totals. Every stored count is at least one, so a zero
+  // cell was never cited.
+  const size_t num_entries = ranked_entries_.size();
+  std::vector<int64_t> l3_acc(num_ranked * num_entries);
   for (const EpochState& epoch : epochs_) {
     out.logs_scanned += epoch.logs_scanned;
     out.logs_stopped += epoch.logs_stopped;
     for (const EpochCitation& citation : epoch.citations) {
-      l3_acc[{sources_.name(citation.app),
-              config_.vocabulary.entries[citation.entry].id}] +=
-          citation.count;
+      const size_t cell =
+          rank[citation.app] * num_entries + entry_rank_[citation.entry];
+      l3_acc[cell] += citation.count;
     }
   }
-  for (const auto& [key, count] : l3_acc) {
-    WindowCitation citation;
-    citation.app = key.first;
-    citation.entry_id = key.second;
-    citation.count = count;
-    citation.dependent = count >= config_.l3.min_citations;
-    if (citation.dependent) {
-      out.l3.Insert(core::NamePair(citation.app, citation.entry_id));
+  for (size_t app = 0; app < num_ranked; ++app) {
+    for (size_t entry = 0; entry < num_entries; ++entry) {
+      const int64_t count = l3_acc[app * num_entries + entry];
+      if (count == 0) continue;
+      WindowCitation citation;
+      citation.app = sources_.name(ranked[app]);
+      citation.entry_id = config_.vocabulary.entries[ranked_entries_[entry]].id;
+      citation.count = count;
+      citation.dependent = count >= config_.l3.min_citations;
+      if (citation.dependent) {
+        out.l3.Insert(core::NamePair(citation.app, citation.entry_id));
+      }
+      out.citations.push_back(std::move(citation));
     }
-    out.citations.push_back(std::move(citation));
   }
 
   out.combined = out.l1.Union(out.l2);
   return out;
 }
 
-void SlidingWindowMiner::EncodeState(SnapshotWriter* w) const {
+std::vector<TimeMs> SlidingWindowMiner::epoch_begins() const {
+  std::vector<TimeMs> begins;
+  begins.reserve(epochs_.size());
+  for (const EpochState& epoch : epochs_) begins.push_back(epoch.begin);
+  return begins;
+}
+
+void SlidingWindowMiner::EncodeHead(SnapshotWriter* w) const {
   w->PutU64(fingerprint_);
   w->PutI64(epochs_ingested_);
   w->PutI64(epochs_aged_out_);
@@ -285,102 +358,154 @@ void SlidingWindowMiner::EncodeState(SnapshotWriter* w) const {
     for (const std::string& name : names->names()) w->PutString(name);
   }
   w->PutU64(epochs_.size());
-  for (const EpochState& epoch : epochs_) {
-    w->PutI64(epoch.begin);
-    w->PutI64(epoch.logs_considered);
-    w->PutI64(epoch.logs_scanned);
-    w->PutI64(epoch.logs_stopped);
-    w->PutU64(epoch.l1_pairs.size());
-    for (const EpochPair& pair : epoch.l1_pairs) {
-      w->PutU32(pair.a);
-      w->PutU32(pair.b);
-      w->PutBool(pair.positive);
-    }
-    w->PutU64(epoch.context.size());
-    for (const ContextLog& log : epoch.context) {
-      w->PutI64(log.ts);
-      w->PutU32(log.source);
-      w->PutU32(log.user);
-    }
-    w->PutU64(epoch.citations.size());
-    for (const EpochCitation& citation : epoch.citations) {
-      w->PutU32(citation.app);
-      w->PutU64(citation.entry);
-      w->PutI64(citation.count);
-    }
+  for (const EpochState& epoch : epochs_) w->PutI64(epoch.begin);
+}
+
+void SlidingWindowMiner::EncodeEpoch(size_t index, SnapshotWriter* w) const {
+  const EpochState& epoch = epochs_[index];
+  w->PutI64(epoch.begin);
+  w->PutI64(epoch.logs_considered);
+  w->PutI64(epoch.logs_scanned);
+  w->PutI64(epoch.logs_stopped);
+  w->PutU64(epoch.l1_pairs.size());
+  for (const EpochPair& pair : epoch.l1_pairs) {
+    w->PutU32(pair.a);
+    w->PutU32(pair.b);
+    w->PutBool(pair.positive);
+  }
+  w->PutU64(epoch.context.size());
+  for (const ContextLog& log : epoch.context) {
+    w->PutI64(log.ts);
+    w->PutU32(log.source);
+    w->PutU32(log.user);
+  }
+  w->PutU64(epoch.citations.size());
+  for (const EpochCitation& citation : epoch.citations) {
+    w->PutU32(citation.app);
+    w->PutU64(citation.entry);
+    w->PutI64(citation.count);
   }
 }
 
 Result<SlidingWindowMiner> SlidingWindowMiner::DecodeState(
-    const SlidingWindowConfig& config, SectionCursor* c) {
+    const SlidingWindowConfig& config, SectionCursor* head,
+    const std::function<Result<SectionCursor>(TimeMs begin)>& epoch_payload) {
   LOGMINE_ASSIGN_OR_RETURN(SlidingWindowMiner miner, Create(config));
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t fingerprint, c->ReadU64());
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t fingerprint, head->ReadU64());
   if (fingerprint != miner.fingerprint_) {
     return Status::FailedPrecondition(
         "persisted streaming state was produced under a different config "
         "(fingerprint mismatch)");
   }
-  LOGMINE_ASSIGN_OR_RETURN(miner.epochs_ingested_, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(miner.epochs_aged_out_, c->ReadI64());
-  // Entry sizes as EncodeState writes them: a name is at least its
+  LOGMINE_ASSIGN_OR_RETURN(miner.epochs_ingested_, head->ReadI64());
+  LOGMINE_ASSIGN_OR_RETURN(miner.epochs_aged_out_, head->ReadI64());
+  // Entry sizes as the encoders write them: a name is at least its
   // length prefix, a bool is a u32.
   for (NameInterner* names : {&miner.sources_, &miner.users_}) {
-    LOGMINE_ASSIGN_OR_RETURN(const uint64_t count, c->ReadCount(8));
+    LOGMINE_ASSIGN_OR_RETURN(const uint64_t count, head->ReadCount(8));
     for (uint64_t i = 0; i < count; ++i) {
-      LOGMINE_ASSIGN_OR_RETURN(const std::string_view name, c->ReadBytes());
+      LOGMINE_ASSIGN_OR_RETURN(const std::string_view name, head->ReadBytes());
       if (names->Intern(name) != i) {
         return Status::ParseError("repeated name in persisted state: " +
                                   std::string(name));
       }
     }
   }
+  const SlidingWindowConfig& normalized = miner.config_;
+  const TimeMs length = normalized.epoch_length;
+  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_epochs, head->ReadCount(8));
+  if (num_epochs > static_cast<uint64_t>(normalized.window_epochs)) {
+    return Status::ParseError("persisted state retains more epochs than "
+                              "the window holds");
+  }
+  // Every ingested epoch is either retained or aged out.
+  if (miner.epochs_ingested_ < 0 || miner.epochs_aged_out_ < 0 ||
+      miner.epochs_ingested_ - miner.epochs_aged_out_ !=
+          static_cast<int64_t>(num_epochs)) {
+    return Status::ParseError("persisted epoch counters do not add up");
+  }
+  std::vector<TimeMs> begins(num_epochs);
+  for (size_t i = 0; i < begins.size(); ++i) {
+    LOGMINE_ASSIGN_OR_RETURN(begins[i], head->ReadI64());
+    // Remainders first: a hostile begin cannot overflow the subtraction.
+    if ((begins[i] % length - normalized.l1.salt_anchor % length) % length !=
+        0) {
+      return Status::ParseError("persisted epoch begin off the epoch grid");
+    }
+    if (i > 0 && begins[i] <= begins[i - 1]) {
+      return Status::ParseError("persisted epoch begins out of order");
+    }
+  }
+  // Strictly increasing on the grid, so the newest minus the oldest is
+  // a whole number of epochs; one window spans window_epochs of them.
+  if (num_epochs > 1 &&
+      static_cast<uint64_t>(begins.back()) -
+              static_cast<uint64_t>(begins.front()) >=
+          static_cast<uint64_t>(normalized.window_epochs) *
+              static_cast<uint64_t>(length)) {
+    return Status::ParseError("persisted epochs span more than one window");
+  }
+
   const size_t num_sources = miner.sources_.size();
-  LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_epochs, c->ReadCount(7 * 8));
-  for (uint64_t e = 0; e < num_epochs; ++e) {
+  for (const TimeMs begin : begins) {
+    LOGMINE_ASSIGN_OR_RETURN(SectionCursor c, epoch_payload(begin));
     EpochState epoch;
-    LOGMINE_ASSIGN_OR_RETURN(epoch.begin, c->ReadI64());
-    LOGMINE_ASSIGN_OR_RETURN(epoch.logs_considered, c->ReadI64());
-    LOGMINE_ASSIGN_OR_RETURN(epoch.logs_scanned, c->ReadI64());
-    LOGMINE_ASSIGN_OR_RETURN(epoch.logs_stopped, c->ReadI64());
-    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_pairs, c->ReadCount(3 * 4));
+    LOGMINE_ASSIGN_OR_RETURN(epoch.begin, c.ReadI64());
+    if (epoch.begin != begin) {
+      return Status::ParseError("epoch payload holds epoch " +
+                                std::to_string(epoch.begin) + ", expected " +
+                                std::to_string(begin));
+    }
+    LOGMINE_ASSIGN_OR_RETURN(epoch.logs_considered, c.ReadI64());
+    LOGMINE_ASSIGN_OR_RETURN(epoch.logs_scanned, c.ReadI64());
+    LOGMINE_ASSIGN_OR_RETURN(epoch.logs_stopped, c.ReadI64());
+    LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_pairs, c.ReadCount(3 * 4));
     epoch.l1_pairs.reserve(num_pairs);
     for (uint64_t i = 0; i < num_pairs; ++i) {
       EpochPair pair;
-      LOGMINE_ASSIGN_OR_RETURN(pair.a, c->ReadU32());
-      LOGMINE_ASSIGN_OR_RETURN(pair.b, c->ReadU32());
-      LOGMINE_ASSIGN_OR_RETURN(pair.positive, c->ReadBool());
+      LOGMINE_ASSIGN_OR_RETURN(pair.a, c.ReadU32());
+      LOGMINE_ASSIGN_OR_RETURN(pair.b, c.ReadU32());
+      LOGMINE_ASSIGN_OR_RETURN(pair.positive, c.ReadBool());
       if (pair.a >= num_sources || pair.b >= num_sources) {
         return Status::ParseError("epoch pair source id out of range");
+      }
+      // Also rejects a == b: the window aggregation relies on the order.
+      if (!(miner.sources_.name(pair.a) < miner.sources_.name(pair.b))) {
+        return Status::ParseError("epoch pair not ordered by name");
       }
       epoch.l1_pairs.push_back(pair);
     }
     LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_context,
-                             c->ReadCount(8 + 4 + 4));
+                             c.ReadCount(8 + 4 + 4));
     epoch.context.reserve(num_context);
     for (uint64_t i = 0; i < num_context; ++i) {
       ContextLog log;
-      LOGMINE_ASSIGN_OR_RETURN(log.ts, c->ReadI64());
-      LOGMINE_ASSIGN_OR_RETURN(log.source, c->ReadU32());
-      LOGMINE_ASSIGN_OR_RETURN(log.user, c->ReadU32());
+      LOGMINE_ASSIGN_OR_RETURN(log.ts, c.ReadI64());
+      LOGMINE_ASSIGN_OR_RETURN(log.source, c.ReadU32());
+      LOGMINE_ASSIGN_OR_RETURN(log.user, c.ReadU32());
       if (log.source >= num_sources || log.user >= miner.users_.size()) {
         return Status::ParseError("context log id out of range");
       }
       epoch.context.push_back(log);
     }
     LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_citations,
-                             c->ReadCount(4 + 8 + 8));
+                             c.ReadCount(4 + 8 + 8));
     epoch.citations.reserve(num_citations);
     for (uint64_t i = 0; i < num_citations; ++i) {
       EpochCitation citation;
-      LOGMINE_ASSIGN_OR_RETURN(citation.app, c->ReadU32());
-      LOGMINE_ASSIGN_OR_RETURN(citation.entry, c->ReadU64());
-      LOGMINE_ASSIGN_OR_RETURN(citation.count, c->ReadI64());
+      LOGMINE_ASSIGN_OR_RETURN(citation.app, c.ReadU32());
+      LOGMINE_ASSIGN_OR_RETURN(citation.entry, c.ReadU64());
+      LOGMINE_ASSIGN_OR_RETURN(citation.count, c.ReadI64());
       if (citation.app >= num_sources ||
           citation.entry >= config.vocabulary.entries.size()) {
         return Status::ParseError("citation id out of range");
       }
+      if (citation.count < 1) {
+        return Status::ParseError("citation count below one");
+      }
       epoch.citations.push_back(citation);
     }
+    LOGMINE_RETURN_IF_ERROR(c.ExpectEnd());
     miner.epochs_.push_back(std::move(epoch));
   }
   return miner;

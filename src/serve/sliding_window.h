@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -122,9 +123,11 @@ struct WindowModelSet {
 /// context-bearing logs — and rebuilds sessions over the whole window
 /// at publish time, which is cheap relative to re-scanning raw logs.
 ///
-/// The full streaming state serializes through util/snapshot, and a
-/// decoded miner continues byte-identically to one that never stopped —
-/// the property the service's crash recovery rests on.
+/// The streaming state serializes through util/snapshot in two parts
+/// — a small head and one payload per epoch, which never changes once
+/// the epoch is ingested — and a decoded miner continues
+/// byte-identically to one that never stopped: the property the
+/// service's crash recovery rests on.
 class SlidingWindowMiner {
  public:
   /// Validates and normalizes `config` (see SlidingWindowConfig).
@@ -158,21 +161,37 @@ class SlidingWindowMiner {
   const SlidingWindowConfig& config() const { return config_; }
   uint64_t config_fingerprint() const { return fingerprint_; }
 
-  /// Serializes the full streaming state into the currently open
-  /// section of `w` (fingerprint first, so decode can refuse early).
-  void EncodeState(SnapshotWriter* w) const;
+  /// Begins of the retained epochs, oldest first.
+  std::vector<TimeMs> epoch_begins() const;
 
-  /// Restores a miner from `EncodeState` bytes. FailedPrecondition when
-  /// the persisted fingerprint does not match `config`'s — resuming
-  /// under a different config would silently mix incompatible models.
-  /// ParseError on damage: an id out of range, a repeated name, or a
-  /// count larger than the bytes left could hold.
+  /// Serializes the head of the streaming state into the currently open
+  /// section of `w`: fingerprint first (so decode can refuse early),
+  /// the epoch counters, the name tables and `epoch_begins()`.
+  void EncodeHead(SnapshotWriter* w) const;
+  /// Serializes the observables of retained epoch `index` (0 = oldest)
+  /// into the currently open section of `w`.
+  void EncodeEpoch(size_t index, SnapshotWriter* w) const;
+
+  /// Restores a miner from `EncodeHead` bytes in `head` and, for each
+  /// epoch begin the head lists, the `EncodeEpoch` bytes
+  /// `epoch_payload(begin)` returns (each cursor only needs to stay
+  /// valid until the next call). FailedPrecondition when the persisted
+  /// fingerprint does not match `config`'s — resuming under a different
+  /// config would silently mix incompatible models. ParseError on
+  /// damage: an id out of range, a repeated name, a count larger than
+  /// the bytes left could hold, epoch counters that do not add up,
+  /// epoch begins off the grid, out of order or outside one window, an
+  /// epoch payload for another begin, an L1 pair not ordered by name,
+  /// or a citation count below one. An error from `epoch_payload` is
+  /// returned as is.
   static Result<SlidingWindowMiner> DecodeState(
-      const SlidingWindowConfig& config, SectionCursor* c);
+      const SlidingWindowConfig& config, SectionCursor* head,
+      const std::function<Result<SectionCursor>(TimeMs begin)>&
+          epoch_payload);
 
  private:
   /// L1 outcome of one pair in one epoch; a/b are source intern ids
-  /// ordered so that name(a) <= name(b).
+  /// ordered so that name(a) < name(b).
   struct EpochPair {
     uint32_t a = 0;
     uint32_t b = 0;
@@ -205,6 +224,11 @@ class SlidingWindowMiner {
 
   SlidingWindowConfig config_;
   uint64_t fingerprint_ = 0;
+  // Vocabulary entries ranked by id: entry index -> rank, and rank ->
+  // the first entry with that id. Entries sharing an id share a rank,
+  // so their citations merge in the window aggregation.
+  std::vector<uint32_t> entry_rank_;
+  std::vector<uint32_t> ranked_entries_;
   // Source / user names interned across the miner's whole life; epoch
   // states reference them by dense id. Never shrunk — name churn is
   // tiny next to the per-epoch columns.

@@ -1,7 +1,11 @@
 #include "serve/streaming_service.h"
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <filesystem>
 #include <utility>
+#include <vector>
 
 #include "core/serialization.h"
 #include "util/snapshot.h"
@@ -61,6 +65,7 @@ StreamingMiningService::Create(ServiceConfig config) {
       SlidingWindowMiner::Create(service->config_.window));
   service->miner_ =
       std::make_unique<SlidingWindowMiner>(std::move(miner));
+  int stray_epoch_files = 0;
   if (!service->config_.state_path.empty()) {
     Result<std::string> bytes =
         ReadFileToString(service->config_.state_path);
@@ -69,6 +74,7 @@ StreamingMiningService::Create(ServiceConfig config) {
     } else if (bytes.status().code() != StatusCode::kNotFound) {
       return bytes.status();
     }
+    stray_epoch_files = service->RemoveStrayEpochFiles();
   }
   if (service->obs_ != nullptr) {
     service->obs_->journal().Emit(
@@ -76,7 +82,8 @@ StreamingMiningService::Create(ServiceConfig config) {
         {obs::JournalField::Flag("recovered", service->recovered_),
          obs::JournalField::Num(
              "config_fingerprint",
-             static_cast<int64_t>(service->miner_->config_fingerprint()))});
+             static_cast<int64_t>(service->miner_->config_fingerprint())),
+         obs::JournalField::Num("stray_epoch_files", stray_epoch_files)});
   }
   if (!service->config_.introspection_socket.empty()) {
     if (service->obs_ == nullptr) {
@@ -533,8 +540,52 @@ Result<QueryResult> StreamingMiningService::ImpactOf(
   return Query(component, /*transitive=*/true, options);
 }
 
+std::string StreamingMiningService::EpochPath(TimeMs begin) const {
+  return config_.state_path + ".epoch." + std::to_string(begin);
+}
+
+int StreamingMiningService::RemoveStrayEpochFiles() {
+  namespace fs = std::filesystem;
+  const fs::path state(config_.state_path);
+  const std::string prefix = state.filename().string() + ".epoch.";
+  std::vector<fs::path> strays;
+  std::error_code ec;
+  for (fs::directory_iterator it(
+           state.has_parent_path() ? state.parent_path() : ".", ec);
+       !ec && it != fs::directory_iterator(); it.increment(ec)) {
+    const std::string name = it->path().filename().string();
+    if (name.compare(0, prefix.size(), prefix) != 0) continue;
+    TimeMs begin = 0;
+    const char* first = name.data() + prefix.size();
+    const char* last = name.data() + name.size();
+    const auto [end, error] = std::from_chars(first, last, begin);
+    if (error != std::errc() || end != last) continue;
+    if (!std::binary_search(epoch_files_.begin(), epoch_files_.end(),
+                            begin)) {
+      strays.push_back(it->path());
+    }
+  }
+  int removed = 0;
+  for (const fs::path& stray : strays) removed += fs::remove(stray, ec);
+  return removed;
+}
+
 Status StreamingMiningService::Persist() {
   if (config_.state_path.empty()) return Status::OK();
+  // 1. Epoch files: each retained epoch is written once, by the first
+  // Persist after its ingest — normally just the newest one.
+  const std::vector<TimeMs> begins = miner_->epoch_begins();
+  for (size_t i = 0; i < begins.size(); ++i) {
+    if (!epoch_files_.empty() && begins[i] <= epoch_files_.back()) continue;
+    SnapshotWriter w;
+    w.BeginSection("epoch");
+    miner_->EncodeEpoch(i, &w);
+    w.EndSection();
+    LOGMINE_RETURN_IF_ERROR(
+        WriteSnapshotFile(EpochPath(begins[i]), std::move(w).Finish()));
+    epoch_files_.push_back(begins[i]);
+  }
+  // 2. The head, which lists only epochs whose files are already down.
   SnapshotWriter w;
   w.BeginSection("service");
   w.PutU64(miner_->config_fingerprint());
@@ -543,7 +594,7 @@ Status StreamingMiningService::Persist() {
   w.PutI64(next_generation_number_);
   w.EndSection();
   w.BeginSection("window");
-  miner_->EncodeState(&w);
+  miner_->EncodeHead(&w);
   w.EndSection();
   w.BeginSection("tracker");
   core::EncodeModelTracker(tracker_, &w);
@@ -555,6 +606,13 @@ Status StreamingMiningService::Persist() {
   }
   LOGMINE_RETURN_IF_ERROR(
       WriteSnapshotFile(config_.state_path, std::move(w).Finish()));
+  // 3. Files of epochs that aged out. Best-effort: a file a crash leaves
+  // behind is unlisted, so recovery deletes it.
+  while (epoch_files_.front() < begins.front()) {
+    std::error_code ec;
+    std::filesystem::remove(EpochPath(epoch_files_.front()), ec);
+    epoch_files_.erase(epoch_files_.begin());
+  }
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
     ++stats_.snapshots_written;
@@ -575,15 +633,44 @@ Status StreamingMiningService::Recover(const std::string& bytes) {
   }
   LOGMINE_ASSIGN_OR_RETURN(ingest_watermark_, service.ReadI64());
   LOGMINE_ASSIGN_OR_RETURN(const int64_t since_publish, service.ReadI64());
+  if (since_publish < 0 || since_publish >= config_.publish_every_epochs) {
+    return Status::ParseError(
+        "persisted epochs_since_publish outside [0, publish_every_epochs)");
+  }
   epochs_since_publish_ = static_cast<int>(since_publish);
   LOGMINE_ASSIGN_OR_RETURN(next_generation_number_, service.ReadI64());
+  if (next_generation_number_ < 1) {
+    return Status::ParseError("persisted generation number below one");
+  }
   LOGMINE_RETURN_IF_ERROR(service.ExpectEnd());
 
+  // The head lists the retained epochs; each loads from its own file,
+  // and a listed file that is missing or damaged fails recovery.
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor window, reader.Section("window"));
+  std::string epoch_bytes;  // the cursor below views it
+  auto epoch_payload = [&](TimeMs begin) -> Result<SectionCursor> {
+    const std::string path = EpochPath(begin);
+    Result<std::string> read = ReadFileToString(path);
+    if (!read.ok()) {
+      return Status(read.status().code(),
+                    "state head lists epoch file " + path + ": " +
+                        read.status().message());
+    }
+    epoch_bytes = std::move(read).value();
+    LOGMINE_ASSIGN_OR_RETURN(const SnapshotReader reader,
+                             SnapshotReader::Parse(epoch_bytes));
+    return reader.Section("epoch");
+  };
   LOGMINE_ASSIGN_OR_RETURN(
       SlidingWindowMiner miner,
-      SlidingWindowMiner::DecodeState(config_.window, &window));
+      SlidingWindowMiner::DecodeState(config_.window, &window, epoch_payload));
   LOGMINE_RETURN_IF_ERROR(window.ExpectEnd());
+  if (miner.epochs_retained() == 0 ||
+      miner.window_end() - config_.window.epoch_length != ingest_watermark_) {
+    return Status::ParseError(
+        "persisted watermark is not the newest retained epoch");
+  }
+  epoch_files_ = miner.epoch_begins();
   *miner_ = std::move(miner);
 
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor tracker, reader.Section("tracker"));
@@ -604,6 +691,10 @@ Status StreamingMiningService::Recover(const std::string& bytes) {
       return Status::FailedPrecondition(
           "refusing recovery: persisted generation carries a different "
           "config fingerprint");
+    }
+    if (generation.number != next_generation_number_ - 1) {
+      return Status::ParseError(
+          "persisted generation is not the last one numbered");
     }
     publisher_.Publish(
         std::make_shared<ModelGeneration>(std::move(generation)));

@@ -13,6 +13,7 @@
 #include <string>
 #include <string_view>
 #include <thread>
+#include <vector>
 
 #include "core/model_tracker.h"
 #include "obs/introspect.h"
@@ -122,7 +123,12 @@ struct ServiceConfig {
   int64_t degraded_after_ms = 5'000;
   int64_t stale_after_ms = 30'000;
   int64_t default_query_deadline_ms = 0;
-  /// Crash-safe state file; empty = in-memory only (no recovery).
+  /// Crash-safe state; empty = in-memory only (no recovery). The path
+  /// names the head file — service counters, watermark, window name
+  /// tables and retained epoch begins, tracker, current generation —
+  /// and each retained epoch is its own file beside it,
+  /// "<state_path>.epoch.<begin ms>". Create deletes any epoch file
+  /// there that the head does not list.
   std::string state_path;
   /// Injectable clock (milliseconds, monotonic) driving the staleness
   /// watchdog — tests substitute a manual clock; the default reads
@@ -158,19 +164,28 @@ struct ServiceConfig {
 /// internally serialized (one batch is processed at a time); call it
 /// from your own loop, or Start() the built-in worker thread.
 ///
-/// Crash protocol (state_path set): every successful Step persists ONE
-/// atomic snapshot — sliding-window state, tracker, the serialized
-/// current generation, and the ingest watermark — *before* the
-/// in-memory generation swap. A process killed at any instant therefore
-/// recovers to a state from which re-feeding the unprocessed batches
-/// produces byte-identical snapshots and generations to a run that
+/// Crash protocol (state_path set): every successful Step persists
+/// *before* the in-memory generation swap, in three moves — the new
+/// epoch's observables as their own atomic CRC snapshot, then the head
+/// snapshot (counters, watermark, name tables, the list of retained
+/// epochs, tracker, the serialized current generation), then deleting
+/// the file of the epoch that aged out. An epoch file is never
+/// rewritten, so a step writes one epoch, not the window. Recovery
+/// loads exactly the epochs the head lists (a listed file missing or
+/// damaged is an error) and deletes every other epoch file as a stray:
+/// one torn by a crash before the head moved lies past the watermark,
+/// and its batch is resubmitted. A process killed at any instant
+/// therefore recovers to a state from which re-feeding the unprocessed
+/// batches produces byte-identical files and generations to a run that
 /// never crashed (the chaos suite's identity check).
 class StreamingMiningService {
  public:
-  /// Builds the service; when `state_path` holds a snapshot, recovers
-  /// from it (FailedPrecondition if it was written under a different
-  /// config fingerprint — serving under a silently changed config is
-  /// the one thing recovery must never do).
+  /// Builds the service; when `state_path` holds a head, recovers from
+  /// it and the epoch files it lists (FailedPrecondition if it was
+  /// written under a different config fingerprint — serving under a
+  /// silently changed config is the one thing recovery must never do;
+  /// ParseError on damage, NotFound for a listed epoch file that is
+  /// gone). Epoch files the head does not list are deleted.
   static Result<std::unique_ptr<StreamingMiningService>> Create(
       ServiceConfig config);
 
@@ -202,7 +217,7 @@ class StreamingMiningService {
   HealthReport Health() const;
   ServiceStats stats() const;
   size_t queue_depth() const;
-  /// True when Create restored state from a snapshot file.
+  /// True when Create restored state from a head file.
   bool recovered() const { return recovered_; }
   uint64_t config_fingerprint() const;
   const ServiceConfig& config() const { return config_; }
@@ -230,10 +245,18 @@ class StreamingMiningService {
 
   int64_t NowMs() const;
   sim::ServiceFault FaultOnEpoch(int64_t index, int attempts) const;
-  /// Persists the full streaming state (no-op without a state_path).
+  /// Persists the step (no-op without a state_path): the files of
+  /// epochs not yet on disk, then the head, then deletes the files of
+  /// epochs that aged out.
   Status Persist();
-  /// Restores state from `bytes`; called by Create.
+  /// Restores state from the head `bytes` and the epoch files it lists;
+  /// called by Create.
   Status Recover(const std::string& bytes);
+  /// The file of the epoch beginning at `begin`.
+  std::string EpochPath(TimeMs begin) const;
+  /// Deletes every epoch file of `state_path` that `epoch_files_` does
+  /// not list; returns how many it deleted. Called by Create.
+  int RemoveStrayEpochFiles();
   /// Times AnswerQuery into serve.query_ns.
   Result<QueryResult> Query(const std::string& component, bool transitive,
                             const QueryOptions& options);
@@ -269,6 +292,9 @@ class StreamingMiningService {
   int epochs_since_publish_ = 0;
   int64_t next_generation_number_ = 1;
   std::string generation_bytes_;  ///< serialized current generation
+  /// Begins of the epoch files on disk that the head lists or is
+  /// about to list, oldest first.
+  std::vector<TimeMs> epoch_files_;
   bool dead_ = false;             ///< crash fault fired; service is gone
   /// Health observed by the previous Step (the regression watchdog's
   /// baseline); guarded by step_mu_.

@@ -9,6 +9,7 @@
 
 #include <deque>
 #include <filesystem>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
@@ -42,6 +43,23 @@ std::string FreshStatePath(const std::string& name) {
   std::filesystem::remove_all(dir, ec);
   std::filesystem::create_directories(dir);
   return (dir / "state.snapshot").string();
+}
+
+/// Every file of the state at `state_path` — the head and each epoch
+/// file — by name.
+std::map<std::string, std::string> StateFiles(const std::string& state_path) {
+  const std::filesystem::path state(state_path);
+  const std::string head = state.filename().string();
+  std::map<std::string, std::string> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(state.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name != head && name.rfind(head + ".epoch.", 0) != 0) continue;
+    auto bytes = ReadFileToString(entry.path().string());
+    EXPECT_TRUE(bytes.ok()) << bytes.status();
+    files[name] = std::move(bytes).value();
+  }
+  return files;
 }
 
 ServiceConfig ChaosConfig(const eval::Dataset& dataset,
@@ -321,8 +339,10 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
     }
     ASSERT_TRUE(created.value()->Drain().ok());
   }
-  auto reference_state = ReadFileToString(reference_path);
-  ASSERT_TRUE(reference_state.ok()) << reference_state.status();
+  const std::map<std::string, std::string> reference_state =
+      StateFiles(reference_path);
+  // The head plus one file per retained epoch of the 6-epoch window.
+  ASSERT_EQ(reference_state.size(), 7u);
 
   ServiceConfig reference_config =
       ChaosConfig(dataset, clock, reference_path);
@@ -365,11 +385,9 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
     }
     ASSERT_TRUE(recovered.value()->Drain().ok());
 
-    // Identity: the state file and the served generation are the very
-    // bytes of the run that never crashed.
-    auto state = ReadFileToString(state_path);
-    ASSERT_TRUE(state.ok()) << state.status();
-    EXPECT_EQ(state.value(), reference_state.value());
+    // Identity: the head, every retained epoch file and the served
+    // generation are the very bytes of the run that never crashed.
+    EXPECT_EQ(StateFiles(state_path), reference_state);
     ASSERT_NE(recovered.value()->CurrentModel(), nullptr);
     EXPECT_EQ(SerializeGeneration(*recovered.value()->CurrentModel()),
               reference_generation);

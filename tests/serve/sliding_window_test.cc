@@ -11,6 +11,8 @@
 
 #include <functional>
 #include <map>
+#include <optional>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
@@ -55,12 +57,35 @@ std::string ModelBytes(const WindowModelSet& models) {
   return SerializeGeneration(generation);
 }
 
+/// The miner's persisted state as one snapshot: the head in section
+/// "window", each retained epoch in section "epoch.<begin>".
 std::string StateBytes(const SlidingWindowMiner& miner) {
   SnapshotWriter w;
   w.BeginSection("window");
-  miner.EncodeState(&w);
+  miner.EncodeHead(&w);
   w.EndSection();
+  const std::vector<TimeMs> begins = miner.epoch_begins();
+  for (size_t i = 0; i < begins.size(); ++i) {
+    w.BeginSection("epoch." + std::to_string(begins[i]));
+    miner.EncodeEpoch(i, &w);
+    w.EndSection();
+  }
   return std::move(w).Finish();
+}
+
+/// Decodes `StateBytes` output under `config`.
+Result<SlidingWindowMiner> DecodeStateBytes(const SlidingWindowConfig& config,
+                                            const std::string& bytes) {
+  LOGMINE_ASSIGN_OR_RETURN(const SnapshotReader reader,
+                           SnapshotReader::Parse(bytes));
+  LOGMINE_ASSIGN_OR_RETURN(SectionCursor head, reader.Section("window"));
+  LOGMINE_ASSIGN_OR_RETURN(
+      SlidingWindowMiner miner,
+      SlidingWindowMiner::DecodeState(config, &head, [&](TimeMs begin) {
+        return reader.Section("epoch." + std::to_string(begin));
+      }));
+  LOGMINE_RETURN_IF_ERROR(head.ExpectEnd());
+  return miner;
 }
 
 /// Asserts MineWindow() equals a fresh batch mine of [window_begin,
@@ -230,14 +255,9 @@ TEST(SlidingWindowTest, StateRoundTripContinuesByteIdentically) {
 
   // Decode a second miner from the first's serialized state.
   const std::string snapshot = StateBytes(original);
-  auto reader = SnapshotReader::Parse(snapshot);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  auto cursor = reader.value().Section("window");
-  ASSERT_TRUE(cursor.ok()) << cursor.status();
-  auto decoded = SlidingWindowMiner::DecodeState(config, &cursor.value());
+  auto decoded = DecodeStateBytes(config, snapshot);
   ASSERT_TRUE(decoded.ok()) << decoded.status();
   SlidingWindowMiner resumed = std::move(decoded).value();
-  ASSERT_TRUE(cursor.value().ExpectEnd().ok());
   EXPECT_EQ(resumed.epochs_ingested(), original.epochs_ingested());
   EXPECT_EQ(StateBytes(resumed), snapshot);
 
@@ -258,12 +278,7 @@ TEST(SlidingWindowTest, StateRoundTripContinuesByteIdentically) {
   // A config drift is refused outright.
   SlidingWindowConfig drifted = config;
   drifted.window_epochs = 9;
-  auto reparse = SnapshotReader::Parse(snapshot);
-  ASSERT_TRUE(reparse.ok());
-  auto drifted_cursor = reparse.value().Section("window");
-  ASSERT_TRUE(drifted_cursor.ok());
-  auto refused =
-      SlidingWindowMiner::DecodeState(drifted, &drifted_cursor.value());
+  auto refused = DecodeStateBytes(drifted, snapshot);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kFailedPrecondition);
 }
@@ -434,19 +449,77 @@ TEST(SlidingWindowTest, WindowAggregatesOnlyRetainedEpochs) {
   EXPECT_EQ(window.value().window_end, 6000);
 }
 
-/// Decodes a "window" section written by `write` under `config`.
+TEST(SlidingWindowTest, WindowOutputsFollowNameOrderNotInternOrder) {
+  SlidingWindowConfig config = TinyConfig();
+  // Listed out of id order, too.
+  config.vocabulary.entries.push_back({"svc2", "http://svc2"});
+  config.vocabulary.entries.push_back({"svc1", "http://svc1"});
+  auto created = SlidingWindowMiner::Create(config);
+  ASSERT_TRUE(created.ok());
+  SlidingWindowMiner miner = std::move(created).value();
+
+  // Sources are interned in the order Z, M, A — the reverse of their
+  // names — and every epoch has each of them active.
+  LogStore store;
+  for (int e = 0; e < 3; ++e) {
+    std::vector<LogRecord> records;
+    for (int i = 0; i < 3; ++i) {
+      const TimeMs ts = e * 1000 + i * 300;
+      records.push_back(Rec(ts, "Z", "u1", "call to svc2 failed"));
+      records.push_back(Rec(ts + 10, "M", "u1", "call to svc1 failed"));
+      records.push_back(Rec(ts + 20, "A", "u2", "svc2 then svc1 timed out"));
+    }
+    for (const LogRecord& record : records) {
+      ASSERT_TRUE(store.Append(record).ok());
+    }
+    ASSERT_TRUE(
+        miner.IngestEpoch(Batch(e * 1000, e * 1000 + 1000, records)).ok())
+        << e;
+  }
+  store.BuildIndex();
+
+  auto window = miner.MineWindow();
+  ASSERT_TRUE(window.ok()) << window.status();
+  std::vector<core::NamePair> pairs;
+  for (const WindowPairStat& stat : window.value().l1_pairs) {
+    pairs.push_back(stat.names);
+  }
+  EXPECT_EQ(pairs, (std::vector<core::NamePair>{
+                       {"A", "M"}, {"A", "Z"}, {"M", "Z"}}));
+  std::vector<std::pair<core::NamePair, int64_t>> citations;
+  for (const WindowCitation& citation : window.value().citations) {
+    citations.push_back({{citation.app, citation.entry_id}, citation.count});
+  }
+  EXPECT_EQ(citations,
+            (std::vector<std::pair<core::NamePair, int64_t>>{
+                {{"A", "svc1"}, 9},
+                {{"A", "svc2"}, 9},
+                {{"M", "svc1"}, 9},
+                {{"Z", "svc2"}, 9}}));
+  // And the window still equals a batch mine of the same hours.
+  ExpectWindowMatchesBatch(miner, store, "name order");
+}
+
+/// Decodes a hand-built state under `config`: `write_head` fills the
+/// head, and `write_epoch` the payload returned for every listed epoch.
 Result<SlidingWindowMiner> DecodeHandBuilt(
     const SlidingWindowConfig& config,
-    const std::function<void(SnapshotWriter*)>& write) {
+    const std::function<void(SnapshotWriter*)>& write_head,
+    const std::function<void(SnapshotWriter*)>& write_epoch =
+        [](SnapshotWriter*) {}) {
   SnapshotWriter w;
   w.BeginSection("window");
-  write(&w);
+  write_head(&w);
+  w.EndSection();
+  w.BeginSection("epoch");
+  write_epoch(&w);
   w.EndSection();
   const std::string bytes = std::move(w).Finish();
   LOGMINE_ASSIGN_OR_RETURN(const SnapshotReader reader,
                            SnapshotReader::Parse(bytes));
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor cursor, reader.Section("window"));
-  return SlidingWindowMiner::DecodeState(config, &cursor);
+  LOGMINE_ASSIGN_OR_RETURN(SectionCursor head, reader.Section("window"));
+  return SlidingWindowMiner::DecodeState(
+      config, &head, [&](TimeMs) { return reader.Section("epoch"); });
 }
 
 TEST(SlidingWindowTest, HostileCountsInStateAreParseErrors) {
@@ -454,40 +527,47 @@ TEST(SlidingWindowTest, HostileCountsInStateAreParseErrors) {
   const uint64_t fingerprint =
       SlidingWindowMiner::Create(config).value().config_fingerprint();
   constexpr uint64_t kHostile = uint64_t{1} << 61;
-  // Counts in layout order: sources, users, epochs, then the epoch's
-  // L1 pairs, context logs and citations. Field 6 is the valid state.
+  // Counts in layout order: the head's sources, users and epochs, then
+  // the epoch's L1 pairs, context logs and citations. Field 6 is the
+  // valid state.
   for (int field = 0; field <= 6; ++field) {
-    auto decoded = DecodeHandBuilt(config, [&](SnapshotWriter* w) {
-      w->PutU64(fingerprint);
-      w->PutI64(1);  // epochs ingested
-      w->PutI64(0);  // epochs aged out
-      // Writes count `which` (hostile when under test); true once the
-      // hostile count is out, ending the section with some padding.
-      auto count = [&](int which, uint64_t valid) {
-        w->PutU64(field == which ? kHostile : valid);
-        if (field != which) return false;
-        for (int i = 0; i < 8; ++i) w->PutU64(0);
-        return true;
-      };
-      if (count(0, 1)) return;
-      w->PutString("A");
-      if (count(1, 1)) return;
-      w->PutString("u");
-      if (count(2, 1)) return;
-      w->PutI64(0);  // begin
-      w->PutI64(1);  // logs considered
-      w->PutI64(0);  // logs scanned
-      w->PutI64(0);  // logs stopped
-      if (count(3, 1)) return;
-      w->PutU32(0);
-      w->PutU32(0);
-      w->PutBool(true);
-      if (count(4, 1)) return;
-      w->PutI64(0);
-      w->PutU32(0);
-      w->PutU32(0);
-      count(5, 0);
-    });
+    // Writes count `which` (hostile when under test); true once the
+    // hostile count is out, ending the section with some padding.
+    auto count = [&](SnapshotWriter* w, int which, uint64_t valid) {
+      w->PutU64(field == which ? kHostile : valid);
+      if (field != which) return false;
+      for (int i = 0; i < 8; ++i) w->PutU64(0);
+      return true;
+    };
+    auto decoded = DecodeHandBuilt(
+        config,
+        [&](SnapshotWriter* w) {
+          w->PutU64(fingerprint);
+          w->PutI64(1);  // epochs ingested
+          w->PutI64(0);  // epochs aged out
+          if (count(w, 0, 2)) return;
+          w->PutString("A");
+          w->PutString("B");
+          if (count(w, 1, 1)) return;
+          w->PutString("u");
+          if (count(w, 2, 1)) return;
+          w->PutI64(0);  // begin
+        },
+        [&](SnapshotWriter* w) {
+          w->PutI64(0);  // begin
+          w->PutI64(1);  // logs considered
+          w->PutI64(0);  // logs scanned
+          w->PutI64(0);  // logs stopped
+          if (count(w, 3, 1)) return;
+          w->PutU32(0);
+          w->PutU32(1);
+          w->PutBool(true);
+          if (count(w, 4, 1)) return;
+          w->PutI64(0);
+          w->PutU32(0);
+          w->PutU32(0);
+          count(w, 5, 0);
+        });
     if (field == 6) {
       ASSERT_TRUE(decoded.ok()) << decoded.status();
       EXPECT_EQ(decoded.value().epochs_retained(), 1u);
@@ -496,6 +576,200 @@ TEST(SlidingWindowTest, HostileCountsInStateAreParseErrors) {
       EXPECT_EQ(decoded.status().code(), StatusCode::kParseError) << field;
     }
   }
+}
+
+/// A valid state of TinyConfig plus one vocabulary entry: sources A
+/// and B, user u, and `begins` as retained epochs, each holding one L1
+/// pair, one context log and one citation. The tests below damage one
+/// field at a time.
+struct TinyState {
+  int64_t ingested = 1;
+  int64_t aged_out = 0;
+  std::vector<TimeMs> begins = {0};
+  /// Begin the epoch payload claims; the listed begin when nullopt.
+  std::optional<TimeMs> payload_begin;
+  uint32_t pair_a = 0;
+  uint32_t pair_b = 1;
+  int64_t citation_count = 1;
+};
+
+SlidingWindowConfig TinyStateConfig() {
+  SlidingWindowConfig config = TinyConfig();
+  config.vocabulary.entries.push_back({"svc1", "http://svc1"});
+  return config;
+}
+
+Result<SlidingWindowMiner> DecodeTinyState(const TinyState& state) {
+  const SlidingWindowConfig config = TinyStateConfig();
+  const uint64_t fingerprint =
+      SlidingWindowMiner::Create(config).value().config_fingerprint();
+  SnapshotWriter w;
+  w.BeginSection("window");
+  w.PutU64(fingerprint);
+  w.PutI64(state.ingested);
+  w.PutI64(state.aged_out);
+  w.PutU64(2);
+  w.PutString("A");
+  w.PutString("B");
+  w.PutU64(1);
+  w.PutString("u");
+  w.PutU64(state.begins.size());
+  for (const TimeMs begin : state.begins) w.PutI64(begin);
+  w.EndSection();
+  for (const TimeMs begin : state.begins) {
+    w.BeginSection("epoch." + std::to_string(begin));
+    w.PutI64(state.payload_begin.value_or(begin));
+    for (int i = 0; i < 3; ++i) w.PutI64(1);  // log counts
+    w.PutU64(1);
+    w.PutU32(state.pair_a);
+    w.PutU32(state.pair_b);
+    w.PutBool(true);
+    w.PutU64(1);
+    w.PutI64(begin);
+    w.PutU32(0);
+    w.PutU32(0);
+    w.PutU64(1);
+    w.PutU32(0);
+    w.PutU64(0);
+    w.PutI64(state.citation_count);
+    w.EndSection();
+  }
+  const std::string bytes = std::move(w).Finish();
+  LOGMINE_ASSIGN_OR_RETURN(const SnapshotReader reader,
+                           SnapshotReader::Parse(bytes));
+  LOGMINE_ASSIGN_OR_RETURN(SectionCursor head, reader.Section("window"));
+  return SlidingWindowMiner::DecodeState(config, &head, [&](TimeMs begin) {
+    return reader.Section("epoch." + std::to_string(begin));
+  });
+}
+
+void ExpectParseError(const TinyState& state, const std::string& what) {
+  auto decoded = DecodeTinyState(state);
+  ASSERT_FALSE(decoded.ok()) << what;
+  EXPECT_EQ(decoded.status().code(), StatusCode::kParseError)
+      << what << ": " << decoded.status();
+}
+
+TEST(SlidingWindowTest, TinyStateDecodesWhenUndamaged) {
+  auto decoded = DecodeTinyState({});
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto window = decoded.value().MineWindow();
+  ASSERT_TRUE(window.ok()) << window.status();
+  ASSERT_EQ(window.value().l1_pairs.size(), 1u);
+  EXPECT_EQ(window.value().l1_pairs[0].names, core::NamePair("A", "B"));
+  ASSERT_EQ(window.value().citations.size(), 1u);
+  EXPECT_EQ(window.value().citations[0].count, 1);
+
+  TinyState full_window;  // 4 epochs, the most TinyConfig retains
+  full_window.begins = {3000, 4000, 5000, 6000};
+  full_window.ingested = 7;
+  full_window.aged_out = 3;
+  EXPECT_TRUE(DecodeTinyState(full_window).ok());
+}
+
+TEST(SlidingWindowTest, HostileEpochCountersInStateAreParseErrors) {
+  TinyState state;
+  state.ingested = -1;
+  ExpectParseError(state, "negative epochs ingested");
+  state = {};
+  state.ingested = -1;
+  state.aged_out = -2;  // -1 - -2 would otherwise add up to 1 retained
+  ExpectParseError(state, "negative epochs aged out");
+  state = {};
+  state.ingested = 5;  // 5 ingested, 0 aged out, but 1 retained
+  ExpectParseError(state, "counters that do not add up");
+}
+
+TEST(SlidingWindowTest, HostileEpochBeginsInStateAreParseErrors) {
+  TinyState state;
+  state.begins = {500};
+  ExpectParseError(state, "off the epoch grid");
+  state = {};
+  state.begins = {2000, 1000};
+  state.ingested = 2;
+  ExpectParseError(state, "decreasing");
+  state.begins = {1000, 1000};
+  ExpectParseError(state, "repeated");
+  state.begins = {0, 1000, 2000, 3000, 4000};
+  state.ingested = 5;
+  ExpectParseError(state, "more epochs than the window holds");
+  state.begins = {0, 4000};
+  state.ingested = 2;
+  ExpectParseError(state, "outside one window");
+  state.begins = {INT64_MIN - INT64_MIN % 1000, INT64_MAX - INT64_MAX % 1000};
+  ExpectParseError(state, "a span wider than int64");
+  state = {};
+  state.payload_begin = 1000;
+  ExpectParseError(state, "a payload of another epoch");
+}
+
+TEST(SlidingWindowTest, UnorderedL1PairInStateIsParseError) {
+  TinyState state;
+  state.pair_a = 1;
+  state.pair_b = 1;
+  ExpectParseError(state, "a == b");
+  state.pair_a = 1;
+  state.pair_b = 0;
+  ExpectParseError(state, "name(a) > name(b)");
+}
+
+TEST(SlidingWindowTest, CitationCountBelowOneInStateIsParseError) {
+  for (const int64_t count : {int64_t{0}, int64_t{-3}}) {
+    TinyState state;
+    state.citation_count = count;
+    ExpectParseError(state, "count " + std::to_string(count));
+  }
+}
+
+TEST(SlidingWindowTest, EntriesSharingAnIdMergeTheirCitations) {
+  // Entries 0 and 2 share the id "svc"; the window keys citations by
+  // (app, id), so their counts merge into one citation.
+  SlidingWindowConfig config = TinyConfig();
+  config.l3.min_citations = 5;
+  config.vocabulary.entries = {{"svc", "http://svc-a"},
+                               {"other", "http://other"},
+                               {"svc", "http://svc-b"}};
+  const uint64_t fingerprint =
+      SlidingWindowMiner::Create(config).value().config_fingerprint();
+  auto decoded = DecodeHandBuilt(
+      config,
+      [&](SnapshotWriter* w) {
+        w->PutU64(fingerprint);
+        w->PutI64(1);  // epochs ingested
+        w->PutI64(0);  // epochs aged out
+        w->PutU64(1);
+        w->PutString("A");
+        w->PutU64(0);  // users
+        w->PutU64(1);
+        w->PutI64(0);  // the one epoch's begin
+      },
+      [&](SnapshotWriter* w) {
+        for (int i = 0; i < 4; ++i) w->PutI64(0);  // begin and log counts
+        w->PutU64(0);  // L1 pairs
+        w->PutU64(0);  // context logs
+        w->PutU64(3);  // citations: (app, entry, count)
+        for (const auto& [entry, count] :
+             {std::pair{2, 3}, std::pair{1, 1}, std::pair{0, 2}}) {
+          w->PutU32(0);
+          w->PutU64(static_cast<uint64_t>(entry));
+          w->PutI64(count);
+        }
+      });
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto window = decoded.value().MineWindow();
+  ASSERT_TRUE(window.ok()) << window.status();
+  const std::vector<WindowCitation>& citations = window.value().citations;
+  ASSERT_EQ(citations.size(), 2u);
+  EXPECT_EQ(citations[0].app, "A");
+  EXPECT_EQ(citations[0].entry_id, "other");
+  EXPECT_EQ(citations[0].count, 1);
+  EXPECT_FALSE(citations[0].dependent);
+  EXPECT_EQ(citations[1].app, "A");
+  EXPECT_EQ(citations[1].entry_id, "svc");
+  EXPECT_EQ(citations[1].count, 5);  // 3 + 2, over min_citations
+  EXPECT_TRUE(citations[1].dependent);
+  EXPECT_EQ(window.value().l3.pairs(),
+            (std::set<core::NamePair>{{"A", "svc"}}));
 }
 
 TEST(SlidingWindowTest, DuplicateNameInStateIsParseError) {

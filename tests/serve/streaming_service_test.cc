@@ -2,8 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <filesystem>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
@@ -580,39 +582,285 @@ TEST(StreamingServiceTest, HostileGenerationCountsAreParseErrors) {
   }
 }
 
-TEST(StreamingServiceTest, HostileStateFileFailsCreateWithParseError) {
-  const std::string state_path = FreshStatePath("hostile_state");
-  auto clock = std::make_shared<int64_t>(0);
-  ServiceConfig config = TinyConfig(clock);
-  config.state_path = state_path;
+/// The service fields of a hand-built head; the defaults are valid.
+struct HandBuiltHead {
+  TimeMs watermark = 0;
+  int64_t since_publish = 0;
+  int64_t next_generation = 1;
+};
+
+/// Writes a CRC-valid state for `config` at `state_path`: a head with
+/// the `head` service fields and a window retaining the epoch at 0 (no
+/// names), and that epoch's file, whose payload after its begin and log
+/// counts is `write_epoch`'s (by default: no pairs, logs or citations).
+void WriteHandBuiltState(
+    const ServiceConfig& config, const std::string& state_path,
+    const HandBuiltHead& head,
+    const std::function<void(SnapshotWriter*)>& write_epoch =
+        [](SnapshotWriter* w) {
+          for (int i = 0; i < 3; ++i) w->PutU64(0);
+        }) {
   const uint64_t fingerprint =
       SlidingWindowMiner::Create(config.window).value().config_fingerprint();
-  // A CRC-valid state file whose one epoch claims 2^61 L1 pairs.
+  SnapshotWriter epoch;
+  epoch.BeginSection("epoch");
+  for (int i = 0; i < 4; ++i) epoch.PutI64(0);  // begin and log counts
+  write_epoch(&epoch);
+  epoch.EndSection();
+  ASSERT_TRUE(
+      WriteFileAtomic(state_path + ".epoch.0", std::move(epoch).Finish())
+          .ok());
+
   SnapshotWriter w;
   w.BeginSection("service");
   w.PutU64(fingerprint);
-  w.PutI64(0);  // ingest watermark
-  w.PutI64(0);  // epochs since publish
-  w.PutI64(1);  // next generation number
+  w.PutI64(head.watermark);
+  w.PutI64(head.since_publish);
+  w.PutI64(head.next_generation);
   w.EndSection();
   w.BeginSection("window");
   w.PutU64(fingerprint);
   w.PutI64(1);  // epochs ingested
   w.PutI64(0);  // epochs aged out
-  w.PutU64(1);  // sources
-  w.PutString("A");
+  w.PutU64(0);  // sources
   w.PutU64(0);  // users
   w.PutU64(1);  // epochs
-  for (int i = 0; i < 4; ++i) w.PutI64(0);  // begin and log counts
-  w.PutU64(kHostileCount);
-  for (int i = 0; i < 8; ++i) w.PutU64(0);
+  w.PutI64(0);
+  w.EndSection();
+  w.BeginSection("tracker");
+  core::EncodeModelTracker(core::ModelTracker(config.tracker), &w);
   w.EndSection();
   ASSERT_TRUE(WriteFileAtomic(state_path, std::move(w).Finish()).ok());
+}
 
+TEST(StreamingServiceTest, HostileStateFileFailsCreateWithParseError) {
+  const std::string state_path = FreshStatePath("hostile_state");
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = state_path;
+  // A CRC-valid state whose one epoch file claims 2^61 L1 pairs.
+  WriteHandBuiltState(config, state_path, {}, [](SnapshotWriter* w) {
+    w->PutU64(kHostileCount);
+    for (int i = 0; i < 8; ++i) w->PutU64(0);
+  });
   auto created = StreamingMiningService::Create(config);
   ASSERT_FALSE(created.ok());
   EXPECT_EQ(created.status().code(), StatusCode::kParseError)
       << created.status();
+}
+
+TEST(StreamingServiceTest, HostileServiceCountersInStateAreParseErrors) {
+  const std::string state_path = FreshStatePath("hostile_counters");
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = state_path;
+  config.publish_every_epochs = 3;
+  struct Case {
+    const char* what;
+    HandBuiltHead head;
+  };
+  for (const Case& hostile : {
+           Case{"negative epochs since publish", {0, -1, 1}},
+           Case{"publish overdue", {0, 3, 1}},
+           Case{"truncates to a valid int", {0, int64_t{1} << 32, 1}},
+           Case{"negative generation number", {0, 0, -5}},
+           Case{"generation number zero", {0, 0, 0}},
+           Case{"watermark past the newest epoch", {1000, 0, 1}},
+       }) {
+    WriteHandBuiltState(config, state_path, hostile.head);
+    auto created = StreamingMiningService::Create(config);
+    ASSERT_FALSE(created.ok()) << hostile.what;
+    EXPECT_EQ(created.status().code(), StatusCode::kParseError)
+        << hostile.what << ": " << created.status();
+  }
+  WriteHandBuiltState(config, state_path, {0, 2, 1});
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  EXPECT_TRUE(created.value()->recovered());
+}
+
+/// Names of the epoch files beside `state_path`, sorted.
+std::vector<std::string> EpochFiles(const std::string& state_path) {
+  const std::filesystem::path state(state_path);
+  const std::string prefix = state.filename().string() + ".epoch.";
+  std::vector<std::string> names;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(state.parent_path())) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(prefix, 0) == 0) names.push_back(name);
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+/// Runs a fresh service over epochs [0, epochs) with state at
+/// `state_path`.
+void RunEpochs(const ServiceConfig& config, int epochs) {
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  for (int epoch = 0; epoch < epochs; ++epoch) {
+    created.value()->SubmitBatch(Batch(epoch, {Rec(epoch * 1000 + 10, "A",
+                                                   "u", "x"),
+                                               Rec(epoch * 1000 + 20, "B",
+                                                   "u", "y")}));
+  }
+  auto drained = created.value()->Drain();
+  ASSERT_TRUE(drained.ok()) << drained.status();
+}
+
+TEST(StreamingServiceTest, PersistWritesTheHeadAndOneFilePerRetainedEpoch) {
+  const std::string state_path = FreshStatePath("epoch_files");
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = state_path;
+  RunEpochs(config, 6);
+  // The 4-epoch window holds epochs 2..5; 0 and 1 were deleted as they
+  // aged out.
+  EXPECT_TRUE(std::filesystem::exists(state_path));
+  EXPECT_EQ(EpochFiles(state_path),
+            (std::vector<std::string>{
+                "state.snapshot.epoch.2000", "state.snapshot.epoch.3000",
+                "state.snapshot.epoch.4000", "state.snapshot.epoch.5000"}));
+}
+
+TEST(StreamingServiceTest, TornEpochFilePastTheWatermarkIsReingested) {
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig reference = TinyConfig(clock);
+  reference.state_path = FreshStatePath("torn_reference");
+  RunEpochs(reference, 4);
+  const std::string epoch3 =
+      ReadFileToString(reference.state_path + ".epoch.3000").value();
+
+  // A crash after epoch 3's file was renamed into place (here: torn
+  // anyway) but before the head moved past epoch 2.
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = FreshStatePath("torn_epoch");
+  RunEpochs(config, 3);
+  ASSERT_TRUE(WriteFileAtomic(config.state_path + ".epoch.3000",
+                              epoch3.substr(0, epoch3.size() / 2))
+                  .ok());
+  auto recovered = StreamingMiningService::Create(config);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered.value()->recovered());
+  EXPECT_FALSE(std::filesystem::exists(config.state_path + ".epoch.3000"));
+
+  // The resubmitted epoch 3 is new to the head, so it re-ingests, and
+  // every file ends up as the uninterrupted run wrote it.
+  EXPECT_EQ(recovered.value()
+                ->SubmitBatch(Batch(3, {Rec(3010, "A", "u", "x"),
+                                        Rec(3020, "B", "u", "y")}))
+                .outcome,
+            SubmitOutcome::kAccepted);
+  ASSERT_TRUE(recovered.value()->Drain().ok());
+  // Reads file `name` beside the state at `run`'s state_path.
+  auto read = [](const ServiceConfig& run, const std::string& name) {
+    const std::filesystem::path dir =
+        std::filesystem::path(run.state_path).parent_path();
+    return ReadFileToString((dir / name).string()).value();
+  };
+  const std::vector<std::string> names = EpochFiles(reference.state_path);
+  EXPECT_EQ(EpochFiles(config.state_path), names);
+  for (const std::string& name : names) {
+    EXPECT_EQ(read(config, name), read(reference, name)) << name;
+  }
+  EXPECT_EQ(ReadFileToString(config.state_path).value(),
+            ReadFileToString(reference.state_path).value());
+}
+
+TEST(StreamingServiceTest, StrayEpochFilesWithoutAHeadAreDeletedUnread) {
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig earlier = TinyConfig(clock);
+  earlier.state_path = FreshStatePath("stray_earlier");
+  RunEpochs(earlier, 2);
+
+  // An earlier run's epoch files — one valid, one garbage — but no head.
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = FreshStatePath("stray_epochs");
+  std::filesystem::copy_file(earlier.state_path + ".epoch.1000",
+                             config.state_path + ".epoch.1000");
+  ASSERT_TRUE(
+      WriteFileAtomic(config.state_path + ".epoch.-5000", "garbage").ok());
+  // Files that only look alike are not the service's to delete.
+  const std::filesystem::path dir =
+      std::filesystem::path(config.state_path).parent_path();
+  for (const char* other : {"state.snapshot.epoch.12x", "other.epoch.0"}) {
+    ASSERT_TRUE(WriteFileAtomic((dir / other).string(), "keep").ok());
+  }
+
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  EXPECT_FALSE(created.value()->recovered());
+  EXPECT_EQ(created.value()->CurrentModel(), nullptr);
+  EXPECT_EQ(EpochFiles(config.state_path),
+            (std::vector<std::string>{"state.snapshot.epoch.12x"}));
+  EXPECT_TRUE(std::filesystem::exists(dir / "other.epoch.0"));
+
+  // The window starts empty: epoch 0 is accepted and the model holds
+  // nothing from the stray epoch 1.
+  created.value()->SubmitBatch(Batch(0));
+  ASSERT_TRUE(created.value()->Drain().ok());
+  EXPECT_TRUE(created.value()->CurrentModel()->models.l1_pairs.empty());
+  EXPECT_EQ(created.value()->CurrentModel()->epochs_ingested, 1);
+}
+
+TEST(StreamingServiceTest, AgedOutEpochFileLeftByACrashIsRemovedAtRecovery) {
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = FreshStatePath("aged_out");
+  RunEpochs(config, 4);
+  const std::string epoch0 =
+      ReadFileToString(config.state_path + ".epoch.0").value();
+  // Epoch 4 ages epoch 0 out; put its file back, as a crash between the
+  // head write and the delete would have left it.
+  {
+    auto created = StreamingMiningService::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status();
+    created.value()->SubmitBatch(Batch(4));
+    ASSERT_TRUE(created.value()->Drain().ok());
+  }
+  ASSERT_FALSE(std::filesystem::exists(config.state_path + ".epoch.0"));
+  ASSERT_TRUE(WriteFileAtomic(config.state_path + ".epoch.0", epoch0).ok());
+
+  auto recovered = StreamingMiningService::Create(config);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  EXPECT_TRUE(recovered.value()->recovered());
+  EXPECT_EQ(recovered.value()->CurrentModel()->models.window_begin, 1000);
+  EXPECT_EQ(EpochFiles(config.state_path),
+            (std::vector<std::string>{
+                "state.snapshot.epoch.1000", "state.snapshot.epoch.2000",
+                "state.snapshot.epoch.3000", "state.snapshot.epoch.4000"}));
+}
+
+TEST(StreamingServiceTest, MissingOrDamagedListedEpochFileFailsCreate) {
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = FreshStatePath("listed_epoch");
+  RunEpochs(config, 3);
+  const std::string path = config.state_path + ".epoch.1000";
+  const std::string bytes = ReadFileToString(path).value();
+
+  std::string damaged = bytes;
+  damaged[damaged.size() / 2] ^= 0x40;
+  ASSERT_TRUE(WriteFileAtomic(path, damaged).ok());
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kParseError)
+      << created.status();
+
+  std::filesystem::remove(path);
+  created = StreamingMiningService::Create(config);
+  ASSERT_FALSE(created.ok());
+  EXPECT_EQ(created.status().code(), StatusCode::kNotFound)
+      << created.status();
+  EXPECT_NE(created.status().message().find("epoch.1000"), std::string::npos)
+      << created.status();
+
+  // A failed recovery deletes nothing: restoring the file recovers.
+  EXPECT_EQ(EpochFiles(config.state_path).size(), 2u);
+  ASSERT_TRUE(WriteFileAtomic(path, bytes).ok());
+  created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  EXPECT_TRUE(created.value()->recovered());
 }
 
 }  // namespace
