@@ -341,7 +341,6 @@ int main(int argc, char** argv) {
   constexpr int kSweepRanges = 4;
   eval::ShardSupervisorConfig sweep_supervisor;
   sweep_supervisor.num_ranges = kSweepRanges;
-  sweep_supervisor.poll_ms = 1;
   core::L1Config sweep_l1_config;
   sweep_l1_config.num_threads = 1;
   eval::ShardedSweepResult sweep_result;
@@ -368,7 +367,6 @@ int main(int argc, char** argv) {
   eval::SweepConfig sweep_config;
   sweep_config.run_l1 = false;
   eval::ShardSupervisorConfig ckpt_off_supervisor;
-  ckpt_off_supervisor.poll_ms = 1;
   const double ckpt_off_ms = MeasureMs(reps, [&] {
     auto result = eval::RunSweep(dataset, sweep_config, ckpt_off_supervisor);
     if (!result.ok()) std::abort();

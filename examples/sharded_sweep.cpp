@@ -8,10 +8,11 @@
 //      missing — which must load every other cell, discard the torn one,
 //      re-mine both and produce byte-identical merged output,
 //   3. a recoverable-chaos run — injected kills, hangs, corrupt partial
-//      models and slowdowns, all retried or hedged away — which must
-//      produce byte-identical merged output, and
+//      models and slowdowns, all retried away — which must produce
+//      byte-identical merged output, and
 //   4. a degraded run with one permanently poisoned shard, which still
-//      delivers a usable model annotated with exactly what is missing.
+//      delivers a usable model annotated with exactly what is missing,
+//      after exactly one breaker trip at retry.max_attempts attempts.
 //
 // Flags: --seed=1 --days=2 --scale=0.1 --ranges=3 --chaos (enable the
 // recoverable-chaos pass) --coverage-out=coverage.json (write the
@@ -65,10 +66,8 @@ int main(int argc, char** argv) {
 
   eval::ShardSupervisorConfig supervisor;
   supervisor.num_ranges = num_ranges;
-  supervisor.shard_deadline_ms = 2000;
   supervisor.retry.initial_backoff_ms = 1;
   supervisor.retry.max_backoff_ms = 5;
-  supervisor.poll_ms = 1;
 
   auto describe = [](const char* label, const eval::ShardedSweepResult& run) {
     std::cout << label << ": " << eval::SweepOutcomeName(run.outcome) << ", "
@@ -76,9 +75,8 @@ int main(int argc, char** argv) {
               << run.merged.coverage.total_cells() << " shards, "
               << run.merged.model.size() << " dependencies; "
               << run.stats.attempts << " attempts, " << run.stats.failures
-              << " failures, " << run.stats.retries << " retries, "
-              << run.stats.hedges_launched << " hedges, "
-              << run.stats.breaker_trips << " breaker trips\n";
+              << " failures, " << run.stats.breaker_trips
+              << " breaker trips\n";
   };
 
   // 1. Fault-free baseline, persisting one partial per cell.
@@ -183,6 +181,19 @@ int main(int argc, char** argv) {
           poison.PermanentlyPoisoned()) {
     std::cerr << "INVARIANT VIOLATED: degraded run did not report exactly "
                  "the poisoned shard as missing\n";
+    return 1;
+  }
+  // The breaker: the poisoned cell took exactly one retry loop of
+  // retry.max_attempts attempts, then tripped once.
+  const eval::ShardReport& poisoned =
+      degraded.value().shards[static_cast<size_t>(num_ranges - 1)];
+  if (degraded.value().stats.breaker_trips != 1 || !poisoned.poisoned ||
+      poisoned.attempts != supervisor.retry.max_attempts) {
+    std::cerr << "INVARIANT VIOLATED: the poisoned shard took "
+              << poisoned.attempts << " attempts and tripped "
+              << degraded.value().stats.breaker_trips
+              << " breakers; expected " << supervisor.retry.max_attempts
+              << " attempts and exactly 1 trip\n";
     return 1;
   }
   std::cout << "  missing cells match the injected permanent fault; "

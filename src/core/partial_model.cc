@@ -95,7 +95,7 @@ Result<MergedPartialModel> MergePartialModels(
         part.shard.range_index;
     merged.coverage.covered[cell] = 1;
     // Set union commutes and is idempotent: any arrival order — and a
-    // hedged shard landing twice — produces the same merged sets.
+    // shard's partial listed twice — produces the same merged sets.
     merged.daily[static_cast<size_t>(part.shard.day)] =
         merged.daily[static_cast<size_t>(part.shard.day)].Union(part.model);
     merged.model = merged.model.Union(part.model);

@@ -76,8 +76,8 @@ struct MergedPartialModel {
 };
 
 /// Merges partial models over a `num_days` × `num_ranges` grid. Order
-/// independent and duplicate tolerant (set union commutes, a hedged
-/// shard delivering twice is a no-op), so any permutation of `parts`
+/// independent and duplicate tolerant (set union commutes, a shard
+/// whose partial appears twice is a no-op), so any permutation of `parts`
 /// yields byte-identical serialized output. Fails with InvalidArgument
 /// when a part's grid dimensions or state hash disagree with the rest,
 /// or a shard id falls outside the grid — mixing shards of different

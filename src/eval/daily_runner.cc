@@ -11,13 +11,12 @@
 namespace logmine::eval {
 namespace {
 
-/// The supervisor behind RunL{1,2,3}Daily: one day at a time (each miner
-/// keeps its own num_threads parallelism), no partials and no hedging —
-/// an in-process run has no stragglers, only days queued behind others.
+/// The supervisor behind RunL{1,2,3}Daily: one day at a time on the
+/// caller (each miner keeps its own num_threads parallelism), no
+/// partials.
 ShardSupervisorConfig PlainSupervisor() {
   ShardSupervisorConfig config;
   config.max_in_flight = 1;
-  config.max_hedges_per_shard = 0;
   return config;
 }
 

@@ -29,19 +29,6 @@ struct ShardGrid {
   int cells() const { return num_days * num_ranges; }
 };
 
-/// What a shard attempt is handed. Attempts must be *pure* in the shard
-/// id — re-running one (retry or hedge) yields the same model — and
-/// cooperative about the rest: check `cancel` between units of work and
-/// give up with DeadlineExceeded once `deadline_ms` of wall clock is
-/// spent (<= 0 = no deadline). `attempt` is 1-based and counts every
-/// launch of the shard, hedges included.
-struct ShardContext {
-  const CancelToken* cancel = nullptr;
-  int64_t deadline_ms = 0;
-  int attempt = 1;
-  bool hedged = false;
-};
-
 /// What one shard attempt mined: the cell's model plus opaque bytes
 /// that ride with it in the cell's partial (L2: that day's
 /// SessionBuildStats; empty for L1 and L3).
@@ -51,60 +38,44 @@ struct ShardOutput {
 };
 
 /// One shard's mining function: the supervisor is generic over what a
-/// shard actually computes (the L1/L2/L3 bindings below).
-using ShardMineFn =
-    std::function<Result<ShardOutput>(core::ShardId, const ShardContext&)>;
+/// shard actually computes (the L1/L2/L3 bindings below). It must be
+/// *pure* in the shard id — a retry yields the same model. A throw is
+/// contained as an Internal failure of that attempt.
+using ShardMineFn = std::function<Result<ShardOutput>(core::ShardId)>;
 
 /// Knobs of one sharded sweep. The defaults favor the paper-scale
-/// workloads: retry transients a couple of times with jittered backoff,
-/// hedge stragglers once the latency distribution is known, and give up
-/// on a shard only after `breaker_threshold` distinct failures.
+/// workloads: retry transients a couple of times with jittered backoff
+/// and give up on a shard after `retry.max_attempts` failed attempts.
 struct ShardSupervisorConfig {
   /// Pair-range slices per day (the second shard axis); 1 = per-day
   /// sharding only.
   int num_ranges = 1;
-  /// Cooperative per-attempt wall-clock budget, passed to the mine
-  /// function via ShardContext; <= 0 = none.
-  int64_t shard_deadline_ms = 0;
-  /// Backoff schedule between attempts of one shard. When `retryable`
-  /// is unset the supervisor installs its own classification —
-  /// kInternal (worker death), kDeadlineExceeded (tripped shard
-  /// deadline) and kParseError (corrupt partial model) are all worth
-  /// re-mining. Partial-model *persistence* always keeps the strict
-  /// kInternal-only default regardless of this predicate.
+  /// Backoff schedule between attempts of one shard, and its breaker:
+  /// after `max_attempts` (>= 1) failed attempts the shard is poisoned
+  /// and never mined again. When `retryable` is unset the supervisor
+  /// installs its own classification — kInternal (worker death or a
+  /// thrown mine), kDeadlineExceeded (a hung attempt) and kParseError
+  /// (corrupt partial model) are all worth re-mining; any other failure
+  /// poisons the shard at once. Partial-model *persistence* always
+  /// keeps the strict kInternal-only default regardless of this
+  /// predicate.
   RetryPolicy retry;
-  /// Circuit breaker: after this many distinct failed attempts the
-  /// shard is quarantined as poisoned and never launched again.
-  int breaker_threshold = 3;
-  /// Straggler hedging: once `min_hedge_completions` shards have
-  /// completed, a shard still running after
-  ///   max(hedge_min_ms, hedge_factor * quantile(latencies, hedge_quantile))
-  /// gets up to `max_hedges_per_shard` concurrent duplicate launches;
-  /// first completion wins, the twin is cancelled.
-  int min_hedge_completions = 3;
-  double hedge_quantile = 0.9;
-  double hedge_factor = 2.0;
-  /// Floor under the hedge bar, so sub-millisecond completions at toy
-  /// scale do not make every remaining shard a "straggler".
-  int64_t hedge_min_ms = 50;
-  int max_hedges_per_shard = 1;
-  /// Concurrent first launches (retries and hedges ride on top);
-  /// 0 = launch every shard immediately.
+  /// Cells mined at once, retries included: ParallelFor's
+  /// max_parallelism, the calling thread counted (1 = one cell at a
+  /// time on the caller; 0 = the pool size plus the caller).
   int max_in_flight = 0;
-  /// Supervisor wake-up period for hedge checks, in milliseconds.
-  int64_t poll_ms = 2;
   /// When non-empty, the sweep is resumable: the directory is created
   /// at start, every cell whose `partial-d<day>-r<range>.snap` parses
   /// with this sweep's grid and state hash is loaded instead of mined,
   /// and every newly mined partial is persisted there (atomic
   /// tmp+rename). Reads and writes share the kInternal-only retry.
   std::string partial_dir;
-  /// Pool to run shard attempts on; nullptr = Executor::Shared().
+  /// Pool to mine cells on; nullptr = Executor::Shared().
   Executor* executor = nullptr;
   /// Observability; nullptr = off (see obs/obs.h). With a context the
-  /// sweep also journals every shard boundary (attempt, failure, retry,
-  /// hedge, breaker trip, terminal phase) under one "sweep-<n>" root
-  /// span of the context's journal.
+  /// sweep also journals every shard boundary (attempt, failure,
+  /// breaker trip, terminal phase) under one "sweep-<n>" root span of
+  /// the context's journal.
   obs::ObsContext* obs = nullptr;
   /// Dump-on-failure: a sweep ending degraded or failed captures a
   /// postmortem bundle into `postmortem.dir` (empty = disabled;
@@ -132,20 +103,17 @@ struct ShardReport {
   bool poisoned = false;
   int attempts = 0;
   int failures = 0;
-  int hedges = 0;
   std::string last_error;  ///< empty when the shard never failed
   std::string payload;     ///< the covered cell's ShardOutput::payload
 };
 
-/// Whole-sweep tallies (mirrored into the shard.* metrics, the resume
-/// counts into checkpoint.snapshots_read / checkpoint.partials_discarded).
+/// Whole-sweep tallies, summed from the cells once they are all settled
+/// (mirrored into the shard.* metrics, the resume counts into
+/// checkpoint.snapshots_read / checkpoint.partials_discarded).
 struct ShardedSweepStats {
   int64_t attempts = 0;
   int64_t failures = 0;
-  int64_t retries = 0;  ///< re-submissions after an exhausted backoff run
-  int64_t hedges_launched = 0;
-  int64_t hedges_won = 0;
-  int64_t breaker_trips = 0;
+  int64_t breaker_trips = 0;  ///< shards poisoned after max_attempts failures
   int64_t shards_completed = 0;
   int64_t shards_poisoned = 0;
   int64_t shards_loaded = 0;       ///< cells resumed from partial_dir
@@ -162,16 +130,15 @@ struct ShardedSweepResult {
   uint64_t state_hash = 0;
 };
 
-/// Runs one sharded sweep: launches every cell of `grid` on the
-/// executor, retries retryable failures with jittered backoff, hedges
-/// stragglers, quarantines shards that keep failing, and merges the
+/// Runs one sharded sweep: mines every cell of `grid` in one ParallelFor
+/// on the executor, each cell one RetryWithBackoff run over its
+/// attempts, quarantines shards that keep failing, and merges the
 /// surviving partial models (core/partial_model.h) into one
 /// coverage-annotated result.
 ///
 /// Determinism: when every shard eventually succeeds the merged bytes
-/// are identical to a fault-free run for any schedule, hedge outcome or
-/// retry count — attempts are pure in the shard id and the merge is a
-/// set union. When shards are lost the coverage report names exactly
+/// are identical to a fault-free run for any schedule or retry count —
+/// attempts are pure in the shard id and the merge is a set union. When shards are lost the coverage report names exactly
 /// the missing cells and the merged model is exactly the union of the
 /// survivors.
 ///
@@ -183,8 +150,9 @@ struct ShardedSweepResult {
 /// before anything is mined.
 ///
 /// Returns OK with outcome kComplete or kDegraded; an error Status when
-/// no shard survived (kFailed), the grid is invalid, `partial_dir`
-/// cannot be created (Internal) or holds another sweep's partials.
+/// no shard survived (kFailed), the grid or `retry.max_attempts` is
+/// invalid, `partial_dir` cannot be created (Internal) or holds another
+/// sweep's partials.
 Result<ShardedSweepResult> RunShardedSweep(const ShardGrid& grid,
                                            const ShardMineFn& mine,
                                            const ShardSupervisorConfig& config,

@@ -60,7 +60,6 @@ constexpr MetricDef kMetricDefs[] = {
     {"l3.mine_ns", MetricKind::kSketch},
     {"agrawal.runs", MetricKind::kCounter},
     {"agrawal.mine_ns", MetricKind::kSketch},
-    {"executor.tasks_submitted", MetricKind::kCounter},
     {"executor.tasks_completed", MetricKind::kCounter},
     {"executor.parallel_loops", MetricKind::kCounter},
     {"executor.indices_skipped", MetricKind::kCounter},
@@ -83,9 +82,6 @@ constexpr MetricDef kMetricDefs[] = {
     {"retry.backoff_ms_total", MetricKind::kCounter},
     {"shard.attempts", MetricKind::kCounter},
     {"shard.failures", MetricKind::kCounter},
-    {"shard.retries", MetricKind::kCounter},
-    {"shard.hedges_launched", MetricKind::kCounter},
-    {"shard.hedges_won", MetricKind::kCounter},
     {"shard.breaker_trips", MetricKind::kCounter},
     {"shard.completed", MetricKind::kCounter},
     {"shard.poisoned", MetricKind::kCounter},

@@ -81,7 +81,6 @@ enum class Metric : uint32_t {
   kAgrawalRuns,
   kAgrawalMineNs,
   // --- executor (util/executor.cc) ---
-  kExecutorTasksSubmitted,
   kExecutorTasksCompleted,
   kExecutorParallelLoops,
   kExecutorIndicesSkipped,
@@ -112,9 +111,6 @@ enum class Metric : uint32_t {
   // --- sharded sweep supervisor (eval/shard_supervisor.cc) ---
   kShardAttempts,
   kShardFailures,
-  kShardRetries,
-  kShardHedgesLaunched,
-  kShardHedgesWon,
   kShardBreakerTrips,
   kShardsCompleted,
   kShardsPoisoned,

@@ -1,6 +1,7 @@
 #include "serve/sliding_window.h"
 
 #include <algorithm>
+#include <cstdint>
 #include <numeric>
 #include <string>
 #include <string_view>
@@ -447,6 +448,9 @@ Result<SlidingWindowMiner> SlidingWindowMiner::DecodeState(
   }
 
   const size_t num_sources = miner.sources_.size();
+  // MineWindow sums every counter over up to window_epochs epochs in
+  // int64, so one epoch may carry at most that share of the range.
+  const int64_t epoch_count_max = INT64_MAX / normalized.window_epochs;
   for (const TimeMs begin : begins) {
     LOGMINE_ASSIGN_OR_RETURN(SectionCursor c, epoch_payload(begin));
     EpochState epoch;
@@ -459,6 +463,13 @@ Result<SlidingWindowMiner> SlidingWindowMiner::DecodeState(
     LOGMINE_ASSIGN_OR_RETURN(epoch.logs_considered, c.ReadI64());
     LOGMINE_ASSIGN_OR_RETURN(epoch.logs_scanned, c.ReadI64());
     LOGMINE_ASSIGN_OR_RETURN(epoch.logs_stopped, c.ReadI64());
+    for (const int64_t count :
+         {epoch.logs_considered, epoch.logs_scanned, epoch.logs_stopped}) {
+      if (count < 0 || count > epoch_count_max) {
+        return Status::ParseError(
+            "epoch log count outside [0, INT64_MAX / window_epochs]");
+      }
+    }
     LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_pairs, c.ReadCount(3 * 4));
     epoch.l1_pairs.reserve(num_pairs);
     for (uint64_t i = 0; i < num_pairs; ++i) {
@@ -491,6 +502,9 @@ Result<SlidingWindowMiner> SlidingWindowMiner::DecodeState(
     LOGMINE_ASSIGN_OR_RETURN(const uint64_t num_citations,
                              c.ReadCount(4 + 8 + 8));
     epoch.citations.reserve(num_citations);
+    // Citations of one epoch can share a window cell (an app citing
+    // entries with one id), so the bound holds for their sum.
+    int64_t citations_total = 0;
     for (uint64_t i = 0; i < num_citations; ++i) {
       EpochCitation citation;
       LOGMINE_ASSIGN_OR_RETURN(citation.app, c.ReadU32());
@@ -503,6 +517,11 @@ Result<SlidingWindowMiner> SlidingWindowMiner::DecodeState(
       if (citation.count < 1) {
         return Status::ParseError("citation count below one");
       }
+      if (citation.count > epoch_count_max - citations_total) {
+        return Status::ParseError(
+            "epoch citation counts sum past INT64_MAX / window_epochs");
+      }
+      citations_total += citation.count;
       epoch.citations.push_back(citation);
     }
     LOGMINE_RETURN_IF_ERROR(c.ExpectEnd());

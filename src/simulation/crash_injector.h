@@ -15,7 +15,7 @@ namespace logmine::sim {
 
 // Shard fault plans: the chaos axis of the sharded sweep supervisor. A
 // plan misbehaves individual (day × pair-range) shard attempts — fail,
-// hang, corrupt, or slow them — so the supervisor's retry, hedge and
+// hang, corrupt, or slow them — so the supervisor's retry and
 // circuit-breaker machinery can be driven deterministically. (A crash
 // of the whole sweep needs no injector: it leaves some subset of the
 // cells' partials on disk, which tests build directly.)
@@ -26,16 +26,15 @@ enum class ShardFault : uint32_t {
   /// The attempt fails with Internal before mining — the classic
   /// transient worker death; retryable.
   kFailTransient,
-  /// The attempt never finishes on its own: it waits cooperatively
-  /// until the shard deadline (or cancellation) trips, then returns
-  /// DeadlineExceeded. Exercises the deadline + hedging paths.
+  /// The attempt stands in for a hung worker: it waits `slow_ms`, then
+  /// fails with DeadlineExceeded; retryable.
   kHang,
   /// The attempt mines correctly but its serialized partial model is
   /// corrupted in flight; validation rejects it (ParseError) and the
   /// retry must re-mine.
   kCorruptModel,
-  /// The attempt sleeps before mining, then succeeds. Not a failure —
-  /// exercises the straggler-hedging path without losing work.
+  /// The attempt sleeps `slow_ms` before mining, then succeeds. Not a
+  /// failure — a straggler that costs time but no work.
   kSlow,
 };
 
@@ -50,14 +49,13 @@ Result<ShardFault> ShardFaultFromName(std::string_view name);
 inline constexpr int kShardFaultAlways = INT32_MAX;
 
 /// One shard's misbehaviour: fault `fault` on its first `times`
-/// attempts (hedges count as attempts), then behave normally.
+/// attempts, then behave normally.
 struct ShardFaultSpec {
   int day = 0;
   int range_index = 0;
   ShardFault fault = ShardFault::kNone;
   int times = 1;
-  /// Delay for kSlow (and the bounded wait for kHang when the run has
-  /// no deadline to trip).
+  /// Delay of kSlow before it mines, and of kHang before it fails.
   int64_t slow_ms = 20;
 };
 
@@ -91,8 +89,8 @@ class ShardFaultInjector {
   explicit ShardFaultInjector(ShardFaultPlan plan) : plan_(std::move(plan)) {}
 
   /// The fault this attempt should exhibit; `attempt` is 1-based and
-  /// counts every launch of the shard, hedges included. kNone once the
-  /// spec's `times` are spent.
+  /// counts every attempt of the shard. kNone once the spec's `times`
+  /// are spent.
   ShardFault OnAttempt(int day, int range_index, int attempt) const;
 
   /// The spec covering a shard, or nullptr when it behaves normally.

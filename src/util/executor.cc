@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <exception>
 #include <memory>
 
 #include "obs/obs.h"
@@ -143,8 +144,8 @@ void Executor::WorkerMain() {
     const int64_t dequeue_ns = obs::MonotonicNowNs();
     // The queue-depth gauge and per-task latency use whatever context
     // is globally installed at execution time; per-task timing is cheap
-    // here because tasks are coarse (whole ParallelFor drains, Submit
-    // closures), never per-index work.
+    // here because tasks are coarse (whole ParallelFor drains), never
+    // per-index work.
     // Pinned, not just loaded: a ParallelFor task signals its waiters
     // from inside task(), so the context owner can uninstall and destroy
     // the context before the post-task writes below run. The pin makes
@@ -164,25 +165,6 @@ void Executor::WorkerMain() {
       task.fn();
     }
   }
-}
-
-std::future<void> Executor::Submit(std::function<void()> fn) {
-  auto task = std::make_shared<std::packaged_task<void()>>(std::move(fn));
-  std::future<void> future = task->get_future();
-  obs::Count(obs::Metric::kExecutorTasksSubmitted);
-  obs::Count(obs::Metric::kExecutorQueueDepth, 1);
-  bool saturated;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    // A non-empty queue at submission time means every worker is busy
-    // and this task will wait — the backpressure signal the serve layer
-    // watches alongside the depth gauge.
-    saturated = !queue_.empty();
-    queue_.push_back({[task] { (*task)(); }, obs::MonotonicNowNs()});
-  }
-  if (saturated) obs::Count(obs::Metric::kExecutorSaturation);
-  cv_.notify_one();
-  return future;
 }
 
 void Executor::ParallelFor(size_t count,

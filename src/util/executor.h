@@ -8,7 +8,6 @@
 #include <cstdint>
 #include <deque>
 #include <functional>
-#include <future>
 #include <mutex>
 #include <thread>
 #include <vector>
@@ -83,7 +82,7 @@ RunOptions RemainingOptions(const RunOptions& base,
 ///
 /// Failure isolation: an exception thrown by one index never wedges the
 /// pool — the loop drains, the first exception is rethrown to the
-/// submitting caller, and the workers return to the queue, so subsequent
+/// calling thread, and the workers return to the queue, so subsequent
 /// loops on the same pool are unaffected.
 class Executor {
  public:
@@ -100,11 +99,6 @@ class Executor {
   static Executor& Shared();
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  /// Enqueues one task. The future rethrows the task's exception.
-  /// Tasks run in submission order (single FIFO queue) but may overlap
-  /// across workers; do not submit tasks that block on later tasks.
-  std::future<void> Submit(std::function<void()> fn);
 
   /// Runs fn(i) for every i in [0, count), blocking until all are done.
   /// The calling thread participates; up to max_parallelism - 1 workers

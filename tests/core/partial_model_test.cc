@@ -1,6 +1,6 @@
 // Merge determinism is what lets a fault-tolerant sharded sweep promise
 // byte-identical output: whatever order shards finish in — and however
-// many times a hedged shard delivers — merging the surviving partial
+// many times a shard's partial is listed — merging the surviving partial
 // models must produce the same bytes. The property tests here drive
 // MergePartialModels over seeded random corpora, shard counts and
 // permutations and assert identity on MergedModelBytes, the exact
@@ -81,7 +81,7 @@ TEST(PartialModelMergeTest, DuplicateShardsAreIdempotent) {
   Rng rng(7);
   std::vector<PartialModel> parts = RandomCorpus(&rng, 2, 3, 1);
   const std::string reference = MergedBytes(2, 3, parts);
-  // A hedged shard delivering its (identical) model twice changes nothing.
+  // A shard's (identical) partial listed twice changes nothing.
   std::vector<PartialModel> with_dups = parts;
   with_dups.push_back(parts[2]);
   with_dups.push_back(parts[5]);

@@ -1,7 +1,7 @@
 // Unit tests of the sharded sweep supervisor over synthetic mine
 // functions: each scenario scripts exactly which shard attempts fail,
-// hang or dawdle, so the retry / hedge / circuit-breaker machinery can
-// be asserted deterministically without a real corpus. The resume
+// hang or throw, so the retry and circuit-breaker machinery can be
+// asserted deterministically without a real corpus. The resume
 // (loading a cell's partial instead of mining it) is tested both on
 // synthetic cells and, through RunSweep, on a small real corpus; the
 // exhaustive post-crash states live in
@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <stdexcept>
 #include <string>
 #include <thread>
 #include <utility>
@@ -57,12 +58,12 @@ ShardOutput CellOutput(ShardId shard) {
 }
 
 ShardMineFn CleanMiner() {
-  return [](ShardId shard, const ShardContext&) -> Result<ShardOutput> {
+  return [](ShardId shard) -> Result<ShardOutput> {
     return CellOutput(shard);
   };
 }
 
-/// Counts attempts per shard across all launches (thread-safe).
+/// Counts attempts per shard (thread-safe).
 class AttemptLog {
  public:
   int Record(ShardId shard) {
@@ -81,7 +82,7 @@ class AttemptLog {
 
 /// A CleanMiner that also counts its attempts in `log`.
 ShardMineFn CountingMiner(std::shared_ptr<AttemptLog> log) {
-  return [log](ShardId shard, const ShardContext&) -> Result<ShardOutput> {
+  return [log](ShardId shard) -> Result<ShardOutput> {
     log->Record(shard);
     return CellOutput(shard);
   };
@@ -107,7 +108,6 @@ ShardSupervisorConfig FastConfig() {
   config.retry.initial_backoff_ms = 1;
   config.retry.max_backoff_ms = 2;
   config.retry.jitter = 0.0;
-  config.poll_ms = 1;
   return config;
 }
 
@@ -144,8 +144,7 @@ TEST(ShardSupervisorTest, TransientFailuresRetryToByteIdenticalBytes) {
   ASSERT_TRUE(clean.ok());
 
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn flaky = [log](ShardId shard,
-                            const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn flaky = [log](ShardId shard) -> Result<ShardOutput> {
     // Shard (1, 0) fails its first two attempts, then recovers.
     if (shard == ShardId{1, 0} && log->Record(shard) <= 2) {
       return Status::Internal("flaky worker");
@@ -166,10 +165,10 @@ TEST(ShardSupervisorTest, TransientFailuresRetryToByteIdenticalBytes) {
 }
 
 TEST(ShardSupervisorTest, BreakerPoisonsAfterExactlyThresholdFailures) {
+  // The breaker is retry.max_attempts: one backoff run per cell.
   const ShardGrid grid{2, 1};
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn doomed = [log](ShardId shard,
-                             const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn doomed = [log](ShardId shard) -> Result<ShardOutput> {
     if (shard.day == 1) {
       log->Record(shard);
       return Status::Internal("permanently broken");
@@ -177,22 +176,20 @@ TEST(ShardSupervisorTest, BreakerPoisonsAfterExactlyThresholdFailures) {
     return CellOutput(shard);
   };
   ShardSupervisorConfig config = FastConfig();
-  config.breaker_threshold = 4;
-  config.retry.max_attempts = 2;  // forces supervisor-level resubmission
+  config.retry.max_attempts = 4;
   auto result = RunShardedSweep(grid, doomed, config, 7);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result.value().outcome, SweepOutcome::kDegraded);
-  // The breaker stopped the shard after exactly `breaker_threshold`
-  // distinct failed attempts, no matter how attempts were grouped into
-  // backoff runs.
+  // The breaker stopped the shard after exactly `max_attempts` failed
+  // attempts.
   EXPECT_EQ(log->count({1, 0}), 4);
   EXPECT_EQ(result.value().stats.failures, 4);
   EXPECT_EQ(result.value().stats.breaker_trips, 1);
   EXPECT_EQ(result.value().stats.shards_poisoned, 1);
-  EXPECT_GE(result.value().stats.retries, 1);
   const ShardReport& report = result.value().shards[1];
   EXPECT_TRUE(report.poisoned);
   EXPECT_FALSE(report.covered);
+  EXPECT_EQ(report.attempts, 4);
   EXPECT_EQ(report.failures, 4);
   EXPECT_NE(report.last_error.find("permanently broken"), std::string::npos);
   // Coverage names exactly the poisoned cell.
@@ -204,8 +201,7 @@ TEST(ShardSupervisorTest, BreakerPoisonsAfterExactlyThresholdFailures) {
 TEST(ShardSupervisorTest, NonRetryableFailurePoisonsImmediately) {
   const ShardGrid grid{2, 1};
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn broken = [log](ShardId shard,
-                             const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn broken = [log](ShardId shard) -> Result<ShardOutput> {
     if (shard.day == 0) {
       log->Record(shard);
       return Status::InvalidArgument("config rejects this shard");
@@ -217,14 +213,13 @@ TEST(ShardSupervisorTest, NonRetryableFailurePoisonsImmediately) {
   EXPECT_EQ(result.value().outcome, SweepOutcome::kDegraded);
   // No retries for a deterministic failure: one attempt, quarantined.
   EXPECT_EQ(log->count({0, 0}), 1);
-  EXPECT_EQ(result.value().stats.retries, 0);
+  EXPECT_EQ(result.value().stats.failures, 1);
   EXPECT_EQ(result.value().stats.breaker_trips, 0);
   EXPECT_TRUE(result.value().shards[0].poisoned);
 }
 
 TEST(ShardSupervisorTest, AllShardsPoisonedIsAFailedSweep) {
-  ShardMineFn hopeless = [](ShardId,
-                            const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn hopeless = [](ShardId) -> Result<ShardOutput> {
     return Status::InvalidArgument("nothing works");
   };
   auto result = RunShardedSweep(ShardGrid{2, 2}, hopeless, FastConfig(), 7);
@@ -237,9 +232,7 @@ TEST(ShardSupervisorTest, AllShardsPoisonedIsAFailedSweep) {
 TEST(ShardSupervisorTest, DeadlineExceededIsRetryableByDefault) {
   const ShardGrid grid{1, 2};
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn slow_start = [log](
-                               ShardId shard,
-                               const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn slow_start = [log](ShardId shard) -> Result<ShardOutput> {
     // First attempt of (0, 1) trips its deadline; the retry succeeds.
     if (shard == ShardId{0, 1} && log->Record(shard) == 1) {
       return Status::DeadlineExceeded("shard deadline tripped");
@@ -256,8 +249,7 @@ TEST(ShardSupervisorTest, DeadlineExceededIsRetryableByDefault) {
 TEST(ShardSupervisorTest, CustomRetryPredicateNarrowsTheDefault) {
   // With a kInternal-only predicate installed, a deadline trip is fatal.
   const ShardGrid grid{1, 2};
-  ShardMineFn trips = [](ShardId shard,
-                         const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn trips = [](ShardId shard) -> Result<ShardOutput> {
     if (shard.range_index == 1) {
       return Status::DeadlineExceeded("always late");
     }
@@ -272,53 +264,54 @@ TEST(ShardSupervisorTest, CustomRetryPredicateNarrowsTheDefault) {
   EXPECT_TRUE(result.value().shards[1].poisoned);
 }
 
-TEST(ShardSupervisorTest, HedgeRescuesAStuckShard) {
-  // Shard (0, 2)'s first attempt blocks until its cancel token fires —
-  // only a winning hedge can release it. Success therefore proves the
-  // hedge launched, won, and cancelled the stuck twin.
-  const ShardGrid grid{1, 3};
+TEST(ShardSupervisorTest, ThrowingMineIsContainedAsAPoisonedShard) {
+  // A throw escapes no further than its attempt: it fails as Internal,
+  // retries like any worker death, and poisons the cell after
+  // max_attempts while the other cells merge.
+  const ShardGrid grid{3, 1};
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn sticky = [log](ShardId shard,
-                             const ShardContext& context)
-      -> Result<ShardOutput> {
-    if (shard == ShardId{0, 2} && log->Record(shard) == 1) {
-      while (context.cancel != nullptr && !context.cancel->cancelled()) {
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      }
-      return Status::Cancelled("first attempt lost the hedge race");
+  ShardMineFn throwing = [log](ShardId shard) -> Result<ShardOutput> {
+    if (shard.day == 1) {
+      log->Record(shard);
+      throw std::runtime_error("miner blew up");
     }
     return CellOutput(shard);
   };
-  // A private pool with enough workers that the hedge can run while the
-  // stuck attempt occupies a thread.
-  Executor executor(4);
   ShardSupervisorConfig config = FastConfig();
-  config.executor = &executor;
-  config.min_hedge_completions = 2;  // the two clean shards qualify
-  config.hedge_factor = 1.0;
-  config.hedge_min_ms = 5;
-  auto result = RunShardedSweep(grid, sticky, config, 7);
+  auto result = RunShardedSweep(grid, throwing, config, 7);
   ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.value().outcome, SweepOutcome::kComplete);
-  EXPECT_EQ(result.value().stats.hedges_launched, 1);
-  EXPECT_EQ(result.value().stats.hedges_won, 1);
-  EXPECT_EQ(result.value().shards[2].hedges, 1);
-  // The stuck attempt's Cancelled return is not a failure.
-  EXPECT_EQ(result.value().stats.failures, 0);
+  EXPECT_EQ(result.value().outcome, SweepOutcome::kDegraded);
+  EXPECT_EQ(log->count({1, 0}), config.retry.max_attempts);
+  const ShardReport& report = result.value().shards[1];
+  EXPECT_TRUE(report.poisoned);
+  EXPECT_EQ(report.attempts, config.retry.max_attempts);
+  EXPECT_NE(report.last_error.find("miner blew up"), std::string::npos)
+      << report.last_error;
+  EXPECT_EQ(result.value().stats.breaker_trips, 1);
+  EXPECT_TRUE(result.value().shards[0].covered);
+  EXPECT_TRUE(result.value().shards[2].covered);
+  EXPECT_EQ(result.value().merged.model.pairs(),
+            CellModel({0, 0}).Union(CellModel({2, 0})).pairs());
 }
 
 TEST(ShardSupervisorTest, MaxInFlightThrottlesFirstLaunches) {
+  // max_in_flight bounds every cell being mined, retries included: a
+  // cell retries inside its own task, so (0, 0)'s second attempt takes
+  // no extra slot.
   auto peak = std::make_shared<std::atomic<int>>(0);
   auto running = std::make_shared<std::atomic<int>>(0);
-  ShardMineFn tracked = [peak, running](
-                            ShardId shard,
-                            const ShardContext&) -> Result<ShardOutput> {
+  auto log = std::make_shared<AttemptLog>();
+  ShardMineFn tracked = [peak, running,
+                         log](ShardId shard) -> Result<ShardOutput> {
     const int now = running->fetch_add(1) + 1;
     int seen = peak->load();
     while (now > seen && !peak->compare_exchange_weak(seen, now)) {
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(3));
     running->fetch_sub(1);
+    if (shard == ShardId{0, 0} && log->Record(shard) == 1) {
+      return Status::Internal("one flake");
+    }
     return CellOutput(shard);
   };
   Executor executor(8);
@@ -328,6 +321,7 @@ TEST(ShardSupervisorTest, MaxInFlightThrottlesFirstLaunches) {
   auto result = RunShardedSweep(ShardGrid{4, 2}, tracked, config, 7);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result.value().outcome, SweepOutcome::kComplete);
+  EXPECT_EQ(result.value().stats.attempts, 9);
   EXPECT_LE(peak->load(), 2);
 }
 
@@ -336,8 +330,10 @@ TEST(ShardSupervisorTest, RejectsBadGridsAndConfigs) {
   EXPECT_FALSE(RunShardedSweep(ShardGrid{1, 0}, CleanMiner(), {}, 7).ok());
   EXPECT_FALSE(RunShardedSweep(ShardGrid{1, 1}, ShardMineFn(), {}, 7).ok());
   ShardSupervisorConfig config;
-  config.breaker_threshold = 0;
-  EXPECT_FALSE(RunShardedSweep(ShardGrid{1, 1}, CleanMiner(), config, 7).ok());
+  config.retry.max_attempts = 0;
+  auto refused = RunShardedSweep(ShardGrid{1, 1}, CleanMiner(), config, 7);
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST(ShardSupervisorTest, SweepOutcomeNamesAreStable) {
@@ -349,8 +345,7 @@ TEST(ShardSupervisorTest, SweepOutcomeNamesAreStable) {
 TEST(ShardSupervisorTest, MetricsMirrorTheSweepStats) {
   obs::ObsContext obs;
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn flaky = [log](ShardId shard,
-                            const ShardContext&) -> Result<ShardOutput> {
+  ShardMineFn flaky = [log](ShardId shard) -> Result<ShardOutput> {
     if (shard == ShardId{0, 0} && log->Record(shard) == 1) {
       return Status::Internal("one flake");
     }
@@ -366,6 +361,37 @@ TEST(ShardSupervisorTest, MetricsMirrorTheSweepStats) {
   EXPECT_EQ(snapshot.Value("shard.completed"), 2);
   EXPECT_EQ(snapshot.Value("shard.poisoned"), 0);
   EXPECT_EQ(snapshot.Value("sweep.coverage_permille"), 1000);
+
+  // A degraded resume: stats are summed from the cells after the loop,
+  // metrics are counted as the cells run, and the two must agree — cell
+  // (0, 0) loads from its partial, (0, 1) trips the breaker.
+  ShardSupervisorConfig resumable = FastConfig();
+  resumable.partial_dir = FreshPath("partials_metrics");
+  ASSERT_TRUE(
+      RunShardedSweep(ShardGrid{1, 2}, CleanMiner(), resumable, 7).ok());
+  fs::remove(CellPath(resumable.partial_dir, {0, 1}));
+  ShardMineFn doomed = [](ShardId shard) -> Result<ShardOutput> {
+    if (shard == ShardId{0, 1}) return Status::Internal("always down");
+    return CellOutput(shard);
+  };
+  obs::ObsContext resume_obs;
+  resumable.obs = &resume_obs;
+  auto degraded = RunShardedSweep(ShardGrid{1, 2}, doomed, resumable, 7);
+  ASSERT_TRUE(degraded.ok()) << degraded.status();
+  EXPECT_EQ(degraded.value().outcome, SweepOutcome::kDegraded);
+  const ShardedSweepStats& stats = degraded.value().stats;
+  EXPECT_EQ(stats.shards_loaded, 1);
+  EXPECT_EQ(stats.breaker_trips, 1);
+  EXPECT_EQ(stats.shards_poisoned, 1);
+  const obs::MetricsSnapshot resumed = resume_obs.metrics().Snapshot();
+  EXPECT_EQ(resumed.Value("shard.breaker_trips"), stats.breaker_trips);
+  EXPECT_EQ(resumed.Value("shard.poisoned"), stats.shards_poisoned);
+  EXPECT_EQ(resumed.Value("checkpoint.snapshots_read"), stats.shards_loaded);
+  EXPECT_EQ(resumed.Value("shard.attempts"), stats.attempts);
+  EXPECT_EQ(resumed.Value("shard.failures"), stats.failures);
+  EXPECT_EQ(resumed.Value("shard.completed"), stats.shards_completed);
+  EXPECT_EQ(stats.attempts, FastConfig().retry.max_attempts);
+  EXPECT_EQ(stats.shards_completed, 0);
 }
 
 TEST(ShardSupervisorTest, CreatesAMissingPartialDirAtStart) {

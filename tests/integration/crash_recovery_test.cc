@@ -74,7 +74,6 @@ class CrashRecoveryTest : public ::testing::Test {
     config.num_ranges = kL1Ranges;  // L1 runs a 2x3 grid, L2/L3 2x1
     config.retry.initial_backoff_ms = 1;
     config.retry.max_backoff_ms = 2;
-    config.poll_ms = 1;
     config.partial_dir = dir;
     return config;
   }
@@ -304,7 +303,7 @@ TEST_F(CrashRecoveryTest, DoubleCrashStillConverges) {
   sim::ShardFaultInjector injector(plan);
   ShardSupervisorConfig dying = Supervisor(dir);
   dying.faults = &injector;
-  dying.breaker_threshold = 1;
+  dying.retry.max_attempts = 1;
   auto second = RunSweep(*dataset_, Config(), dying);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kInternal);

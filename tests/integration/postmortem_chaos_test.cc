@@ -81,7 +81,6 @@ TEST(PostmortemChaosTest, DegradedSweepCapturesABundle) {
   config.num_ranges = 2;
   config.retry.initial_backoff_ms = 1;
   config.retry.max_backoff_ms = 2;
-  config.poll_ms = 1;
   config.faults = &injector;
   config.obs = &context;
   config.postmortem.dir = FreshDir("pm_sweep");

@@ -50,7 +50,7 @@ TEST(JournalTest, EmitsWideEventsWithRunAndSpanIds) {
   EXPECT_EQ(span, "sweep-1");
   journal.Emit(span + "/d0.r1/a2", "shard_attempt",
                {JournalField::Num("attempt", 2),
-                JournalField::Flag("hedged", true),
+                JournalField::Flag("recovered", true),
                 JournalField::Str("note", "with \"quotes\"\n")});
 
   const std::string content = ReadAll(options.path);
@@ -59,7 +59,7 @@ TEST(JournalTest, EmitsWideEventsWithRunAndSpanIds) {
   EXPECT_NE(content.find("\"span\":\"sweep-1/d0.r1/a2\""), std::string::npos);
   EXPECT_NE(content.find("\"event\":\"shard_attempt\""), std::string::npos);
   EXPECT_NE(content.find("\"attempt\":2"), std::string::npos);
-  EXPECT_NE(content.find("\"hedged\":true"), std::string::npos);
+  EXPECT_NE(content.find("\"recovered\":true"), std::string::npos);
   // Quotes and newlines inside string fields are escaped, so the file
   // stays one event per line.
   EXPECT_NE(content.find("with \\\"quotes\\\"\\n"), std::string::npos);

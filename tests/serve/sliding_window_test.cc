@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
 #include <functional>
 #include <map>
 #include <optional>
@@ -590,6 +591,8 @@ struct TinyState {
   std::optional<TimeMs> payload_begin;
   uint32_t pair_a = 0;
   uint32_t pair_b = 1;
+  /// Logs considered, scanned and stopped, in layout order.
+  std::array<int64_t, 3> log_counts = {1, 1, 1};
   int64_t citation_count = 1;
 };
 
@@ -619,7 +622,7 @@ Result<SlidingWindowMiner> DecodeTinyState(const TinyState& state) {
   for (const TimeMs begin : state.begins) {
     w.BeginSection("epoch." + std::to_string(begin));
     w.PutI64(state.payload_begin.value_or(begin));
-    for (int i = 0; i < 3; ++i) w.PutI64(1);  // log counts
+    for (const int64_t count : state.log_counts) w.PutI64(count);
     w.PutU64(1);
     w.PutU32(state.pair_a);
     w.PutU32(state.pair_b);
@@ -719,6 +722,39 @@ TEST(SlidingWindowTest, CitationCountBelowOneInStateIsParseError) {
     state.citation_count = count;
     ExpectParseError(state, "count " + std::to_string(count));
   }
+}
+
+TEST(SlidingWindowTest, HostileEpochLogCountsInStateAreParseErrors) {
+  // MineWindow sums each count over TinyConfig's 4 epochs in int64, so
+  // an epoch may hold at most INT64_MAX / 4 of it.
+  constexpr int64_t kMax = INT64_MAX / 4;
+  for (size_t field = 0; field < 3; ++field) {
+    for (const int64_t count : {int64_t{-1}, kMax + 1, INT64_MAX}) {
+      TinyState state;
+      state.log_counts[field] = count;
+      ExpectParseError(state, "log count " + std::to_string(field) + " = " +
+                                  std::to_string(count));
+    }
+  }
+  for (const int64_t count : {kMax + 1, INT64_MAX}) {
+    TinyState state;
+    state.citation_count = count;
+    ExpectParseError(state, "citation count " + std::to_string(count));
+  }
+
+  // At the bound a full window sums to at most INT64_MAX, exactly.
+  TinyState full_window;
+  full_window.begins = {3000, 4000, 5000, 6000};
+  full_window.ingested = 4;
+  full_window.log_counts = {kMax, kMax, kMax};
+  full_window.citation_count = kMax;
+  auto decoded = DecodeTinyState(full_window);
+  ASSERT_TRUE(decoded.ok()) << decoded.status();
+  auto window = decoded.value().MineWindow();
+  ASSERT_TRUE(window.ok()) << window.status();
+  EXPECT_EQ(window.value().logs_scanned, 4 * kMax);
+  ASSERT_EQ(window.value().citations.size(), 1u);
+  EXPECT_EQ(window.value().citations[0].count, 4 * kMax);
 }
 
 TEST(SlidingWindowTest, EntriesSharingAnIdMergeTheirCitations) {

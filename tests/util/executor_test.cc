@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <future>
 #include <mutex>
 #include <numeric>
 #include <stdexcept>
@@ -119,16 +120,6 @@ TEST(ExecutorTest, ChunksPartitionTheRangeWithFixedBoundaries) {
   EXPECT_EQ(expected_begin, 103u);
 }
 
-TEST(ExecutorTest, SubmitRunsTaskAndPropagatesException) {
-  Executor executor(2);
-  std::atomic<bool> ran{false};
-  auto ok = executor.Submit([&] { ran.store(true); });
-  ok.get();
-  EXPECT_TRUE(ran.load());
-  auto bad = executor.Submit([] { throw std::logic_error("bad task"); });
-  EXPECT_THROW(bad.get(), std::logic_error);
-}
-
 TEST(ExecutorTest, SharedPoolIsAProcessWideSingleton) {
   Executor& a = Executor::Shared();
   Executor& b = Executor::Shared();
@@ -158,19 +149,6 @@ TEST(ExecutorTest, ThrowingTaskDoesNotPoisonSubsequentLoops) {
     executor.ParallelFor(64, [&](size_t) { visited.fetch_add(1); });
     EXPECT_EQ(visited.load(), 64u);
   }
-}
-
-TEST(ExecutorTest, ThrowingSubmittedTaskConfinesToItsFuture) {
-  Executor executor(2);
-  auto bad = executor.Submit([] { throw std::logic_error("task"); });
-  EXPECT_THROW(bad.get(), std::logic_error);
-  // The worker that ran the throwing task is still serving the queue.
-  std::atomic<bool> ran{false};
-  executor.Submit([&] { ran.store(true); }).get();
-  EXPECT_TRUE(ran.load());
-  std::vector<size_t> out(32, 0);
-  executor.ParallelFor(out.size(), [&](size_t i) { out[i] = i + 1; });
-  for (size_t i = 0; i < out.size(); ++i) EXPECT_EQ(out[i], i + 1);
 }
 
 TEST(ExecutorTest, SerialLoopAlsoDrainsPastAnException) {
@@ -282,27 +260,35 @@ TEST(ExecutorTest, GlobalObsContextCanBeTornDownRightAfterAWait) {
 TEST(ExecutorTest, SubmitBeyondBusyWorkersCountsSaturation) {
   obs::ObsContext context;
   obs::ScopedGlobalObs scoped(&context);
-  Executor executor(1);
+  {
+    Executor executor(1);
 
-  // Occupy the lone worker and wait until it has actually dequeued the
-  // blocker, so everything submitted next sits in the queue.
-  std::promise<void> release;
-  std::shared_future<void> gate(release.get_future());
-  std::atomic<bool> started{false};
-  auto blocker = executor.Submit([&] {
-    started.store(true);
-    gate.wait();
-  });
-  while (!started.load()) std::this_thread::yield();
+    // Occupy the lone worker: a two-index loop whose indices both block
+    // needs the caller and the worker, so once both started the worker
+    // is busy and every helper task enqueued next sits in the queue.
+    std::promise<void> release;
+    std::shared_future<void> gate(release.get_future());
+    std::atomic<int> started{0};
+    std::thread blocker([&] {
+      executor.ParallelFor(2, [&](size_t) {
+        started.fetch_add(1);
+        gate.wait();
+      });
+    });
+    while (started.load() < 2) std::this_thread::yield();
 
-  // First waiter finds an empty queue (the blocker already left it);
-  // the second finds the first still waiting — that is saturation.
-  auto second = executor.Submit([] {});
-  auto third = executor.Submit([] {});
-  release.set_value();
-  blocker.wait();
-  second.wait();
-  third.wait();
+    // Each loop below enqueues one helper and, finding the worker busy,
+    // runs both indices on the caller, leaving its helper queued. The
+    // first finds an empty queue (the blocker's helper already left
+    // it); the second finds the first's helper still waiting — that is
+    // saturation.
+    std::atomic<int> ran{0};
+    executor.ParallelFor(2, [&](size_t) { ran.fetch_add(1); });
+    executor.ParallelFor(2, [&](size_t) { ran.fetch_add(1); });
+    EXPECT_EQ(ran.load(), 4);
+    release.set_value();
+    blocker.join();
+  }  // the destructor drains the queued helpers
 
   const obs::MetricsSnapshot snapshot = context.metrics().Snapshot();
   EXPECT_GE(snapshot.Value(
@@ -317,18 +303,20 @@ TEST(ExecutorTest, SubmitBeyondBusyWorkersCountsSaturation) {
 TEST(ExecutorTest, SubmitRecordsQueueWaitSketch) {
   obs::ObsContext context;
   obs::ScopedGlobalObs scoped(&context);
-  Executor executor(2);
-
-  for (int i = 0; i < 32; ++i) {
-    executor.Submit([] {}).wait();
-  }
+  {
+    // One worker, so each two-index loop enqueues exactly one helper.
+    Executor executor(1);
+    for (int i = 0; i < 32; ++i) {
+      executor.ParallelFor(2, [](size_t) {});
+    }
+  }  // the destructor drains helpers the callers outran
 
   const obs::MetricsSnapshot snapshot = context.metrics().Snapshot();
   const obs::MetricsSnapshot::Entry* wait = snapshot.Find(
       obs::MetricName(obs::Metric::kExecutorQueueWaitNs));
   ASSERT_NE(wait, nullptr);
-  // Every submitted task records its enqueue->dequeue wait, so the
-  // sketch count matches the task count even with zero saturation.
+  // Every helper task records its enqueue->dequeue wait, so the sketch
+  // count matches the task count even with zero saturation.
   EXPECT_EQ(wait->sketch.count(), 32);
   EXPECT_GE(wait->sketch.Quantile(0.5), 0);
   EXPECT_GE(wait->sketch.max(), wait->sketch.Quantile(0.5));
