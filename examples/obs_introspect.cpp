@@ -1,6 +1,6 @@
 // Live introspection of a streaming mining service under chaos: the
-// main thread replays a simulated day through a service with a poison
-// batch and a stalled epoch injected, while a second thread scrapes the
+// main thread replays a simulated day through a service, one hour of it
+// malformed and another sent twice, while a second thread scrapes the
 // service's UNIX-socket introspection endpoint — exactly what an
 // external prober would do — printing every health transition it
 // observes. At the end, tail query latency (p50/p99/p999 from the
@@ -24,12 +24,12 @@
 #include <thread>
 
 #include "eval/dataset.h"
+#include "log/filter.h"
 #include "obs/export.h"
 #include "obs/introspect.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
 #include "serve/streaming_service.h"
-#include "simulation/service_faults.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) {
@@ -77,14 +77,6 @@ int main(int argc, char** argv) {
   config.postmortem.dir = (work_dir / "postmortems").string();
   config.introspection_socket = socket_path;
 
-  // A deliberately bad day: one undecodable batch, one stalled epoch.
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/3, sim::ServiceFault::kPoisonBatch});
-  plan.faults.push_back(
-      {/*index=*/9, sim::ServiceFault::kStallEpoch, /*times=*/2});
-  const sim::ServiceFaultInjector injector(plan);
-  config.faults = &injector;
-
   auto service_or = serve::StreamingMiningService::Create(config);
   if (!service_or.ok()) {
     std::cerr << service_or.status() << "\n";
@@ -118,7 +110,9 @@ int main(int argc, char** argv) {
   });
 
   // 4. Replay the day hour by hour, querying the live model as we go so
-  //    the query-latency sketch fills up.
+  //    the query-latency sketch fills up. A deliberately bad day: hour 3
+  //    arrives malformed (its records never indexed) and hour 9 is sent
+  //    a second time.
   auto batches = serve::SplitIntoEpochBatches(
       dataset.store, dataset.day_begin(0), dataset.day_end(0),
       kMillisPerHour);
@@ -130,21 +124,20 @@ int main(int argc, char** argv) {
                                  ? std::string("app")
                                  : dataset.entry_owner.begin()->second;
   int64_t queries = 0;
-  for (serve::EpochBatch& batch : batches.value()) {
+  for (size_t hour = 0; hour < batches.value().size(); ++hour) {
+    serve::EpochBatch& batch = batches.value()[hour];
+    if (hour == 3) batch.records = LogStore();
+    if (hour == 9) {
+      service.SubmitBatch({batch.begin, batch.end,
+                           SliceByTime(batch.records, batch.begin, batch.end)});
+    }
     service.SubmitBatch(std::move(batch));
     (void)service.Step();
     for (int i = 0; i < 8; ++i) {
       if (service.WhatDependsOn(target).ok()) ++queries;
     }
   }
-  int guard = 0;
-  while (true) {
-    auto step = service.Step();
-    if (!step.ok() || step.value() == serve::StepOutcome::kIdle ||
-        ++guard > 200) {
-      break;
-    }
-  }
+  (void)service.Drain();
   stop_scraper.store(true);
   scraper.join();
 
@@ -152,7 +145,8 @@ int main(int argc, char** argv) {
   const serve::ServiceStats stats = service.stats();
   std::cout << "\nDay done: " << stats.epochs_ingested
             << " epochs ingested, " << stats.batches_poisoned
-            << " poisoned, " << stats.epochs_stalled << " stall retries, "
+            << " poisoned, " << stats.clock_regressions
+            << " replayed hour rejected, "
             << queries << " queries answered\n";
 
   const obs::MetricsSnapshot snapshot = context.metrics().Snapshot();

@@ -7,9 +7,9 @@
 //   2. a resume after a simulated crash — one partial torn, another
 //      missing — which must load every other cell, discard the torn one,
 //      re-mine both and produce byte-identical merged output,
-//   3. a recoverable-chaos run — injected kills, hangs, corrupt partial
-//      models and slowdowns, all retried away — which must produce
-//      byte-identical merged output, and
+//   3. a recoverable-chaos run — seeded mine attempts that fail or
+//      throw, all retried away — which must produce byte-identical
+//      merged output, and
 //   4. a degraded run with one permanently poisoned shard, which still
 //      delivers a usable model annotated with exactly what is missing,
 //      after exactly one breaker trip at retry.max_attempts attempts.
@@ -22,16 +22,57 @@
 
 #include <unistd.h>
 
+#include <climits>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
+#include <map>
+#include <memory>
+#include <mutex>
+#include <stdexcept>
+#include <utility>
+#include <vector>
 
 #include "core/serialization.h"
 #include "eval/dataset.h"
 #include "eval/shard_supervisor.h"
-#include "simulation/crash_injector.h"
 #include "util/cli.h"
 #include "util/rng.h"
+
+namespace {
+
+using logmine::Result;
+using logmine::Status;
+using logmine::core::ShardId;
+using logmine::eval::ShardMineFn;
+using logmine::eval::ShardOutput;
+
+/// `mine` with faults: cell (day, range) of `failures` fails its first
+/// `times` attempts (INT_MAX = every attempt) — by throwing when the
+/// day is odd, by returning Internal otherwise — then mines normally.
+ShardMineFn FailingMine(ShardMineFn mine,
+                        std::map<std::pair<int, int>, int> failures) {
+  struct Budget {
+    std::mutex mu;
+    std::map<std::pair<int, int>, int> left;
+  };
+  auto budget = std::make_shared<Budget>();
+  budget->left = std::move(failures);
+  return [mine = std::move(mine), budget](ShardId shard) -> Result<ShardOutput> {
+    {
+      std::lock_guard<std::mutex> lock(budget->mu);
+      auto it = budget->left.find({shard.day, shard.range_index});
+      if (it != budget->left.end() && it->second > 0) {
+        if (it->second != INT_MAX) --it->second;
+        if (shard.day % 2 == 1) throw std::runtime_error("worker crashed");
+        return Status::Internal("worker died");
+      }
+    }
+    return mine(shard);
+  };
+}
+
+}  // namespace
 
 int main(int argc, char** argv) {
   using namespace logmine;
@@ -68,6 +109,18 @@ int main(int argc, char** argv) {
   supervisor.num_ranges = num_ranges;
   supervisor.retry.initial_backoff_ms = 1;
   supervisor.retry.max_backoff_ms = 5;
+
+  // Passes 3 and 4 run RunL1ShardedSweep's sweep with a failing mine.
+  const eval::ShardGrid grid{dataset.num_days(), num_ranges};
+  const uint64_t state_hash = eval::SweepStateHash(
+      dataset, eval::Technique::kL1, core::ConfigFingerprint(l1), num_ranges);
+  auto faulty_sweep = [&](std::map<std::pair<int, int>, int> failures) {
+    return eval::RunShardedSweep(
+        grid,
+        FailingMine(eval::MakeL1ShardMiner(dataset, l1, num_ranges),
+                    std::move(failures)),
+        supervisor, state_hash);
+  };
 
   auto describe = [](const char* label, const eval::ShardedSweepResult& run) {
     std::cout << label << ": " << eval::SweepOutcomeName(run.outcome) << ", "
@@ -132,21 +185,19 @@ int main(int argc, char** argv) {
   //    converge to the exact same bytes.
   if (flags.GetBool("chaos", true)) {
     Rng rng(seed);
-    sim::ShardFaultPlanOptions chaos;
-    chaos.max_faulty_shards = 3;
-    chaos.max_times = 2;
-    chaos.permanent_fraction = 0.0;
-    const sim::ShardFaultPlan plan = sim::RandomShardFaultPlan(
-        &rng, dataset.num_days(), num_ranges, chaos);
-    for (const sim::ShardFaultSpec& spec : plan.faults) {
-      std::cout << "  injecting " << sim::ShardFaultName(spec.fault)
-                << " x" << spec.times << " into shard (" << spec.day << ", "
-                << spec.range_index << ")\n";
+    std::map<std::pair<int, int>, int> failures;
+    const int64_t faulty = rng.UniformInt(1, 3);
+    for (int64_t i = 0; i < faulty; ++i) {
+      failures[{static_cast<int>(rng.UniformInt(0, dataset.num_days() - 1)),
+                static_cast<int>(rng.UniformInt(0, num_ranges - 1))}] =
+          static_cast<int>(
+              rng.UniformInt(1, supervisor.retry.max_attempts - 1));
     }
-    sim::ShardFaultInjector injector(plan);
-    eval::ShardSupervisorConfig chaotic = supervisor;
-    chaotic.faults = &injector;
-    auto survived = eval::RunL1ShardedSweep(dataset, l1, chaotic);
+    for (const auto& [cell, times] : failures) {
+      std::cout << "  failing shard (" << cell.first << ", " << cell.second
+                << ") x" << times << "\n";
+    }
+    auto survived = faulty_sweep(failures);
     if (!survived.ok()) {
       std::cerr << "chaos sweep failed: " << survived.status() << "\n";
       return 1;
@@ -162,14 +213,8 @@ int main(int argc, char** argv) {
 
   // 4. Degraded run: one shard permanently broken. The sweep must
   //    degrade gracefully and account for the loss exactly.
-  sim::ShardFaultPlan poison_plan;
-  poison_plan.faults.push_back({/*day=*/0, /*range_index=*/num_ranges - 1,
-                                sim::ShardFault::kFailTransient,
-                                sim::kShardFaultAlways});
-  sim::ShardFaultInjector poison(poison_plan);
-  eval::ShardSupervisorConfig degraded_config = supervisor;
-  degraded_config.faults = &poison;
-  auto degraded = eval::RunL1ShardedSweep(dataset, l1, degraded_config);
+  const std::pair<int, int> broken{0, num_ranges - 1};
+  auto degraded = faulty_sweep({{broken, INT_MAX}});
   if (!degraded.ok()) {
     std::cerr << "degraded sweep failed outright: " << degraded.status()
               << "\n";
@@ -178,7 +223,7 @@ int main(int argc, char** argv) {
   describe("degraded", degraded.value());
   if (degraded.value().outcome != eval::SweepOutcome::kDegraded ||
       degraded.value().merged.coverage.MissingCells() !=
-          poison.PermanentlyPoisoned()) {
+          std::vector<std::pair<int, int>>{broken}) {
     std::cerr << "INVARIANT VIOLATED: degraded run did not report exactly "
                  "the poisoned shard as missing\n";
     return 1;
@@ -196,7 +241,7 @@ int main(int argc, char** argv) {
               << " attempts and exactly 1 trip\n";
     return 1;
   }
-  std::cout << "  missing cells match the injected permanent fault; "
+  std::cout << "  missing cells match the permanent fault; "
             << "the other " << degraded.value().merged.coverage.covered_cells()
             << " shards' dependencies survive\n";
 

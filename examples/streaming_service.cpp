@@ -1,22 +1,25 @@
 // The streaming mining service end to end: feed a simulated day of
 // logs hour by hour, watch generations publish, query the live model,
-// then turn on chaos — poison, stalls, a crash mid-publish — and watch
-// the service shed, quarantine, stale-serve and recover instead of
-// falling over (DESIGN.md §13). Exits non-zero when any stage fails,
-// the chaos run's counts differ from its fault plan, or the state
-// directory ends with a leaked or missing file.
+// then feed it a bad day — a malformed hour, an hour sent twice, a
+// consumer that stops stepping while the clock runs, a process that
+// dies — and watch the service quarantine, reject, shed, degrade and
+// recover instead of falling over (DESIGN.md §13). Exits non-zero when
+// any stage fails, the bad day's counts differ from what was fed, or
+// the state directory ends with a leaked or missing file.
 //
 //   ./streaming_service [--scale=0.05] [--seed=7]
 
 #include <filesystem>
 #include <iostream>
+#include <memory>
 #include <set>
 #include <string>
+#include <utility>
 
 #include "eval/dataset.h"
 #include "eval/stream_replay.h"
+#include "log/filter.h"
 #include "serve/streaming_service.h"
-#include "simulation/service_faults.h"
 #include "util/cli.h"
 
 int main(int argc, char** argv) {
@@ -89,48 +92,67 @@ int main(int argc, char** argv) {
     }
   }
 
-  // 3. A bad day: a poison batch, a stalled epoch, and a crash right in
-  //    the middle of a publish — all deterministic, all survivable.
+  // 3. A bad day, every fault a real input: hour 3 arrives malformed
+  //    (its records never indexed), hour 5 is sent twice, the consumer
+  //    stops stepping for hours 8-12 while a manual clock runs on (the
+  //    queue of 4 sheds hours 8 and 9), and the process dies right after
+  //    hour 14 is persisted.
   const std::filesystem::path state_dir =
       std::filesystem::temp_directory_path() / "logmine_streaming_example";
   std::filesystem::remove_all(state_dir);
   std::filesystem::create_directories(state_dir);
 
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/3, sim::ServiceFault::kPoisonBatch});
-  plan.faults.push_back(
-      {/*index=*/8, sim::ServiceFault::kStallEpoch, /*times=*/2});
-  plan.faults.push_back({/*index=*/14, sim::ServiceFault::kCrashMidPublish});
-  const sim::ServiceFaultInjector injector(plan);
-
+  auto clock = std::make_shared<int64_t>(0);
   serve::ServiceConfig chaos_config = base_config();
   chaos_config.state_path = (state_dir / "state.snapshot").string();
-  chaos_config.faults = &injector;
+  chaos_config.now_ms = [clock] { return *clock; };
 
   auto service_or = serve::StreamingMiningService::Create(chaos_config);
   if (!service_or.ok()) {
     std::cerr << service_or.status() << "\n";
     return 1;
   }
-  auto replay =
-      eval::ReplayDatasetStream(dataset, service_or.value().get());
-  if (replay.ok()) {
-    std::cerr << "expected the injected crash to surface\n";
+  serve::StreamingMiningService& service = *service_or.value();
+  auto batches = serve::SplitIntoEpochBatches(
+      dataset.store, dataset.day_begin(0), dataset.day_end(0), kMillisPerHour);
+  if (!batches.ok() || batches.value().size() < 15) {
+    std::cerr << "the bad day needs 15 hourly batches\n";
     return 1;
   }
-  std::cout << "Chaos replay died as planned: " << replay.status() << "\n";
-  {
-    const serve::ServiceStats stats = service_or.value()->stats();
-    std::cout << "  before dying: " << stats.epochs_ingested
-              << " epochs ingested, " << stats.batches_poisoned
-              << " poisoned, " << stats.epochs_stalled << " stall retries, "
-              << stats.batches_shed << " shed\n";
-    if (stats.batches_poisoned != 1 || stats.epochs_stalled != 2) {
-      std::cerr << "expected one quarantined batch and two stall retries\n";
+  serve::HealthState backlog_health = serve::HealthState::kStarting;
+  for (int hour = 0; hour <= 14; ++hour) {
+    serve::EpochBatch& batch = batches.value()[static_cast<size_t>(hour)];
+    if (hour == 3) batch.records = LogStore();
+    if (hour == 5) {
+      service.SubmitBatch({batch.begin, batch.end,
+                           SliceByTime(batch.records, batch.begin, batch.end)});
+    }
+    service.SubmitBatch(std::move(batch));
+    *clock += 2'000;
+    if (hour >= 8 && hour <= 12) {
+      backlog_health = service.Health().state;
+      continue;
+    }
+    if (auto drained = service.Drain(); !drained.ok()) {
+      std::cerr << drained.status() << "\n";
       return 1;
     }
   }
-  service_or.value().reset();
+  const serve::ServiceStats stats = service.stats();
+  std::cout << "Bad day up to hour 14: " << stats.epochs_ingested
+            << " epochs ingested, " << stats.batches_poisoned
+            << " poisoned, " << stats.clock_regressions
+            << " replayed hour rejected, " << stats.batches_shed
+            << " shed; health during the backlog: "
+            << serve::HealthStateName(backlog_health) << "\n";
+  if (stats.batches_poisoned != 1 || stats.clock_regressions != 1 ||
+      stats.batches_shed != 2 ||
+      backlog_health != serve::HealthState::kDegraded) {
+    std::cerr << "expected one quarantined batch, one rejected replay, two "
+                 "shed batches and a degraded backlog\n";
+    return 1;
+  }
+  service_or.value().reset();  // the process dies
 
   // 4. Recovery: rebuild from the snapshot and replay the whole day
   //    blindly — already-ingested hours bounce off the watermark, the

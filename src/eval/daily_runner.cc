@@ -79,10 +79,13 @@ Result<DailyRunResult> RunTechnique(const Dataset& dataset,
 Result<DailyRunResult> RunL1(const Dataset& dataset,
                              const core::L1Config& config,
                              const ShardSupervisorConfig& supervisor) {
-  const int num_ranges = std::max(supervisor.num_ranges, 1);
+  if (supervisor.num_ranges < 1) {
+    return Status::InvalidArgument("num_ranges must be >= 1, got " +
+                                   std::to_string(supervisor.num_ranges));
+  }
   return RunTechnique(dataset, Technique::kL1, core::ConfigFingerprint(config),
-                      num_ranges,
-                      MakeL1ShardMiner(dataset, config, num_ranges),
+                      supervisor.num_ranges,
+                      MakeL1ShardMiner(dataset, config, supervisor.num_ranges),
                       supervisor);
 }
 

@@ -82,7 +82,8 @@ struct SweepResult {
 /// a `partial_dir`, each technique keeps its partials in
 /// `<partial_dir>/<l1|l2|l3>`, so a re-run after a crash loads every
 /// finished cell of every technique and mines only the rest. Returns an
-/// error unless every technique's sweep is kComplete.
+/// error unless every technique's sweep is kComplete; InvalidArgument
+/// when `supervisor.num_ranges` < 1.
 Result<SweepResult> RunSweep(const Dataset& dataset, const SweepConfig& config,
                              const ShardSupervisorConfig& supervisor);
 

@@ -1,11 +1,9 @@
 #include "eval/shard_supervisor.h"
 
-#include <algorithm>
 #include <chrono>
 #include <exception>
 #include <filesystem>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -21,15 +19,6 @@ int64_t ElapsedNs(Clock::time_point since) {
   return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
                                                               since)
       .count();
-}
-
-/// The supervisor's default transient class: worker death (or a thrown
-/// mine), a hung attempt, and a corrupt partial model all deserve a
-/// re-mine.
-bool SupervisorRetryable(StatusCode code) {
-  return code == StatusCode::kInternal ||
-         code == StatusCode::kDeadlineExceeded ||
-         code == StatusCode::kParseError;
 }
 
 /// One cell's lifecycle. Only the task mining the cell writes it, so no
@@ -50,8 +39,6 @@ struct Sweep {
   const ShardMineFn* mine = nullptr;
   const ShardSupervisorConfig* config = nullptr;
   uint64_t state_hash = 0;
-  /// config.retry with the supervisor's retry class installed.
-  RetryPolicy policy;
   /// Journal root span of this sweep ("sweep-<n>"); empty without obs.
   std::string span;
 };
@@ -60,14 +47,6 @@ struct Sweep {
 std::string PartialPath(const std::string& dir, core::ShardId shard) {
   return dir + "/partial-d" + std::to_string(shard.day) + "-r" +
          std::to_string(shard.range_index) + ".snap";
-}
-
-/// Partial-file I/O keeps the strict kInternal-only retry class: a parse
-/// or deadline failure is not transient I/O.
-RetryPolicy PartialIoPolicy(const ShardSupervisorConfig& config) {
-  RetryPolicy policy = config.retry;
-  policy.retryable = nullptr;
-  return policy;
 }
 
 /// Journal span of one shard cell under the sweep's root span.
@@ -99,10 +78,9 @@ Result<ShardOutput> MineContained(const ShardMineFn& mine,
   }
 }
 
-/// One attempt of one shard: chaos injection, the mine itself, then the
-/// serialize → (maybe corrupt) → parse validation round-trip every
-/// surviving model must pass before it may merge. On success stores the
-/// validated model and payload into *out.
+/// One attempt of one shard: the mine itself, then — with a partial
+/// dir — the cell's partial written to disk. On success stores the
+/// mined model and payload into *out.
 Status AttemptShard(const Sweep& sweep, ShardState* state, ShardOutput* out) {
   const ShardSupervisorConfig& config = *sweep.config;
   const int attempt_no = ++state->attempts;
@@ -126,85 +104,43 @@ Status AttemptShard(const Sweep& sweep, ShardState* state, ShardOutput* out) {
     return status;
   };
 
-  // Chaos: the injector decides how this attempt misbehaves.
-  sim::ShardFault fault = sim::ShardFault::kNone;
-  int64_t fault_slow_ms = 0;
-  if (config.faults != nullptr) {
-    fault = config.faults->OnAttempt(state->shard.day,
-                                     state->shard.range_index, attempt_no);
-    if (const sim::ShardFaultSpec* spec = config.faults->SpecFor(
-            state->shard.day, state->shard.range_index)) {
-      fault_slow_ms = std::max<int64_t>(spec->slow_ms, 0);
-    }
-  }
-  switch (fault) {
-    case sim::ShardFault::kFailTransient:
-      return fail(Status::Internal("injected transient fault (attempt " +
-                                   std::to_string(attempt_no) + ")"));
-    case sim::ShardFault::kHang:
-      std::this_thread::sleep_for(std::chrono::milliseconds(fault_slow_ms));
-      return fail(Status::DeadlineExceeded(
-          "injected hang outlived its " + std::to_string(fault_slow_ms) +
-          " ms (attempt " + std::to_string(attempt_no) + ")"));
-    case sim::ShardFault::kSlow:
-      // Slow, not wrong: sleep, then mine normally.
-      std::this_thread::sleep_for(std::chrono::milliseconds(fault_slow_ms));
-      break;
-    case sim::ShardFault::kNone:
-    case sim::ShardFault::kCorruptModel:
-      break;
-  }
-
   Result<ShardOutput> mined = MineContained(*sweep.mine, state->shard);
   obs::Observe(config.obs, obs::Metric::kShardAttemptNs, ElapsedNs(start));
   if (!mined.ok()) return fail(mined.status());
 
-  // Every surviving model goes through the serialized form — the same
-  // bytes a worker process would ship — and must parse back cleanly.
-  // This is where a corrupt partial is caught (ParseError, retryable:
-  // the model itself is fine, only this copy of it is not).
-  core::PartialModel part;
-  part.shard = state->shard;
-  part.num_days = sweep.grid.num_days;
-  part.num_ranges = sweep.grid.num_ranges;
-  part.state_hash = sweep.state_hash;
-  part.model = std::move(mined.value().model);
-  part.payload = std::move(mined.value().payload);
-  std::string bytes = core::PartialModelBytes(part);
-  if (fault == sim::ShardFault::kCorruptModel) {
-    bytes[bytes.size() / 2] ^= 0x5A;  // deterministic torn-write stand-in
-  }
-  Result<core::PartialModel> parsed =
-      core::ParsePartialModelBytes(std::move(bytes));
-  if (!parsed.ok()) return fail(parsed.status());
-
+  ShardOutput& output = mined.value();
   if (!config.partial_dir.empty()) {
+    // Encoding is lossless, so the mined output itself is what merges;
+    // the bytes exist only to be written.
+    core::PartialModel part{state->shard, sweep.grid.num_days,
+                            sweep.grid.num_ranges, sweep.state_hash,
+                            std::move(output.model), std::move(output.payload)};
+    const std::string bytes = core::PartialModelBytes(part);
+    output = {std::move(part.model), std::move(part.payload)};
     const std::string path = PartialPath(config.partial_dir, state->shard);
-    const std::string persist_bytes = core::PartialModelBytes(parsed.value());
-    const Status written = RetryWithBackoff(
-        PartialIoPolicy(config), "shard-partial-write",
-        [&] { return WriteSnapshotFile(path, persist_bytes); });
+    const Status written =
+        RetryWithBackoff(config.retry, "shard-partial-write",
+                         [&] { return WriteSnapshotFile(path, bytes); });
     if (!written.ok()) return fail(written);
   }
 
-  out->model = std::move(parsed.value().model);
-  out->payload = std::move(parsed.value().payload);
+  *out = std::move(output);
   JournalEmit(sweep, attempt_span, "shard_attempt_done",
               {obs::JournalField::Num("dur_ns", ElapsedNs(start))});
   return Status::OK();
 }
 
-/// Mines one cell: a single RetryWithBackoff run over AttemptShard. A
-/// retryable failure is retried until `max_attempts` attempts have
-/// failed — the breaker — and a non-retryable one poisons the shard at
-/// once, since it would fail identically forever.
+/// Mines one cell: a single RetryWithBackoff run over AttemptShard. An
+/// Internal failure is retried until `max_attempts` attempts have
+/// failed — the breaker — and any other poisons the shard at once, since
+/// it would fail identically forever.
 void MineShard(const Sweep& sweep, ShardState* state) {
   const ShardSupervisorConfig& config = *sweep.config;
   const std::string op_name = "shard-d" + std::to_string(state->shard.day) +
                               "-r" + std::to_string(state->shard.range_index);
   ShardOutput output;
   const Status final = RetryWithBackoff(
-      sweep.policy, op_name,
+      config.retry, op_name,
       [&] { return AttemptShard(sweep, state, &output); });
   if (final.ok()) {
     state->covered = true;
@@ -215,7 +151,7 @@ void MineShard(const Sweep& sweep, ShardState* state) {
                  obs::JournalField::Num("failures", state->failures)});
     return;
   }
-  if (state->failures >= sweep.policy.max_attempts) {
+  if (state->failures >= config.retry.max_attempts) {
     obs::Count(config.obs, obs::Metric::kShardBreakerTrips);
     JournalEmit(sweep, ShardSpan(sweep, *state), "breaker_trip",
                 {obs::JournalField::Num("failures", state->failures)});
@@ -242,7 +178,7 @@ Status LoadPartials(const Sweep& sweep, std::vector<ShardState>* states,
     const int64_t read_start_ns = obs::MonotonicNowNs();
     std::string bytes;
     const Status read = RetryWithBackoff(
-        PartialIoPolicy(config), "shard-partial-read", [&]() -> Status {
+        config.retry, "shard-partial-read", [&]() -> Status {
           LOGMINE_ASSIGN_OR_RETURN(bytes, ReadFileToString(path));
           return Status::OK();
         });
@@ -326,8 +262,6 @@ Result<ShardedSweepResult> RunShardedSweep(
   sweep.mine = &mine;
   sweep.config = &config;
   sweep.state_hash = state_hash;
-  sweep.policy = config.retry;
-  if (!sweep.policy.retryable) sweep.policy.retryable = SupervisorRetryable;
   if (config.obs != nullptr) {
     sweep.span = config.obs->journal().BeginRootSpan("sweep");
     JournalEmit(sweep, sweep.span, "sweep_start",
@@ -374,7 +308,7 @@ Result<ShardedSweepResult> RunShardedSweep(
       if (!state.loaded) ++stats.shards_completed;
     } else {
       ++stats.shards_poisoned;
-      if (state.failures >= sweep.policy.max_attempts) ++stats.breaker_trips;
+      if (state.failures >= config.retry.max_attempts) ++stats.breaker_trips;
     }
     ShardReport report;
     report.shard = state.shard;
@@ -547,7 +481,11 @@ uint64_t SweepStateHash(const Dataset& dataset, Technique technique,
 Result<ShardedSweepResult> RunL1ShardedSweep(
     const Dataset& dataset, const core::L1Config& config,
     const ShardSupervisorConfig& supervisor) {
-  const ShardGrid grid{dataset.num_days(), std::max(supervisor.num_ranges, 1)};
+  if (supervisor.num_ranges < 1) {
+    return Status::InvalidArgument("num_ranges must be >= 1, got " +
+                                   std::to_string(supervisor.num_ranges));
+  }
+  const ShardGrid grid{dataset.num_days(), supervisor.num_ranges};
   return RunShardedSweep(
       grid, MakeL1ShardMiner(dataset, config, grid.num_ranges), supervisor,
       SweepStateHash(dataset, Technique::kL1, core::ConfigFingerprint(config),

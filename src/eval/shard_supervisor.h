@@ -14,7 +14,6 @@
 #include "eval/dataset.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
-#include "simulation/crash_injector.h"
 #include "util/executor.h"
 #include "util/result.h"
 #include "util/retry.h"
@@ -52,13 +51,10 @@ struct ShardSupervisorConfig {
   int num_ranges = 1;
   /// Backoff schedule between attempts of one shard, and its breaker:
   /// after `max_attempts` (>= 1) failed attempts the shard is poisoned
-  /// and never mined again. When `retryable` is unset the supervisor
-  /// installs its own classification — kInternal (worker death or a
-  /// thrown mine), kDeadlineExceeded (a hung attempt) and kParseError
-  /// (corrupt partial model) are all worth re-mining; any other failure
-  /// poisons the shard at once. Partial-model *persistence* always
-  /// keeps the strict kInternal-only default regardless of this
-  /// predicate.
+  /// and never mined again. Only kInternal (worker death, a thrown mine,
+  /// a failed partial write) is worth re-mining (`IsRetryable`); any
+  /// other failure would repeat identically and poisons the shard at
+  /// once.
   RetryPolicy retry;
   /// Cells mined at once, retries included: ParallelFor's
   /// max_parallelism, the calling thread counted (1 = one cell at a
@@ -68,7 +64,7 @@ struct ShardSupervisorConfig {
   /// at start, every cell whose `partial-d<day>-r<range>.snap` parses
   /// with this sweep's grid and state hash is loaded instead of mined,
   /// and every newly mined partial is persisted there (atomic
-  /// tmp+rename). Reads and writes share the kInternal-only retry.
+  /// tmp+rename). Reads and writes retry under `retry`.
   std::string partial_dir;
   /// Pool to mine cells on; nullptr = Executor::Shared().
   Executor* executor = nullptr;
@@ -81,9 +77,6 @@ struct ShardSupervisorConfig {
   /// postmortem bundle into `postmortem.dir` (empty = disabled;
   /// requires `obs`). See obs/postmortem.h.
   obs::PostmortemOptions postmortem;
-  /// Chaos harness: when non-null, every attempt first consults the
-  /// injector and misbehaves accordingly (tests only).
-  const sim::ShardFaultInjector* faults = nullptr;
 };
 
 /// How complete the sweep's merged model is.
@@ -138,9 +131,9 @@ struct ShardedSweepResult {
 ///
 /// Determinism: when every shard eventually succeeds the merged bytes
 /// are identical to a fault-free run for any schedule or retry count —
-/// attempts are pure in the shard id and the merge is a set union. When shards are lost the coverage report names exactly
-/// the missing cells and the merged model is exactly the union of the
-/// survivors.
+/// attempts are pure in the shard id and the merge is a set union. When
+/// shards are lost the coverage report names exactly the missing cells
+/// and the merged model is exactly the union of the survivors.
 ///
 /// Resume: with a `partial_dir`, cells whose persisted partial is valid
 /// are loaded, not mined, so a sweep killed at any instant and run again
@@ -189,8 +182,8 @@ Result<core::SessionBuildStats> L2SessionStats(std::string payload);
 uint64_t SweepStateHash(const Dataset& dataset, Technique technique,
                         uint64_t config_fingerprint, int num_ranges);
 
-/// Convenience wrapper: grid = dataset days × config.num_ranges, L1
-/// miner, L1 state hash.
+/// Convenience wrapper: grid = dataset days × supervisor.num_ranges, L1
+/// miner, L1 state hash. InvalidArgument when num_ranges < 1.
 Result<ShardedSweepResult> RunL1ShardedSweep(
     const Dataset& dataset, const core::L1Config& config,
     const ShardSupervisorConfig& supervisor);

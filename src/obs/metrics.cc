@@ -95,7 +95,6 @@ constexpr MetricDef kMetricDefs[] = {
     {"serve.queue_depth", MetricKind::kGauge},
     {"serve.generations_published", MetricKind::kCounter},
     {"serve.queries", MetricKind::kCounter},
-    {"serve.query_deadline_exceeded", MetricKind::kCounter},
     {"serve.state_snapshots_written", MetricKind::kCounter},
     {"serve.recoveries", MetricKind::kCounter},
     {"serve.clock_regressions", MetricKind::kCounter},

@@ -125,7 +125,6 @@ enum class Metric : uint32_t {
   kServeQueueDepth,
   kServeGenerationsPublished,
   kServeQueries,
-  kServeQueryDeadlineExceeded,
   kServeStateSnapshotsWritten,
   kServeRecoveries,
   kServeClockRegressions,

@@ -33,7 +33,7 @@ struct PostmortemBundle {
 
   std::string run_id;
   /// Machine-readable trigger, e.g. "sweep_degraded", "sweep_failed",
-  /// "health_regression", "chaos_fault", "crash_mid_publish".
+  /// "batch_quarantined", "health_regression".
   std::string reason;
   /// Hierarchical span id of the failing unit ("sweep-1/d0.r2/a3").
   std::string trigger_span;

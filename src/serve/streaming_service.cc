@@ -118,17 +118,9 @@ StreamingMiningService::~StreamingMiningService() {
   // The introspection server's thread calls Health() on this service;
   // join it before any state it reads starts dying.
   introspection_.reset();
-  Stop();
 }
 
 int64_t StreamingMiningService::NowMs() const { return config_.now_ms(); }
-
-sim::ServiceFault StreamingMiningService::FaultOnEpoch(int64_t index,
-                                                       int attempts) const {
-  return config_.faults == nullptr
-             ? sim::ServiceFault::kNone
-             : config_.faults->OnEpoch(index, attempts);
-}
 
 SubmitResult StreamingMiningService::SubmitBatch(EpochBatch batch) {
   SubmitResult result;
@@ -140,13 +132,10 @@ SubmitResult StreamingMiningService::SubmitBatch(EpochBatch batch) {
   }
   obs::Count(obs_, obs::Metric::kServeBatchesSubmitted);
   // A batch at or before an already-accepted epoch means the upstream
-  // clock ran backwards (or replayed) — injectable as chaos, too.
-  // submit_watermark_ >= the ingested watermark always (accepted-at
-  // covers ingested, and recovery resets it to the ingested one).
-  const bool regressed =
-      batch.begin <= submit_watermark_ ||
-      FaultOnEpoch(index, 1) == sim::ServiceFault::kClockRegression;
-  if (regressed) {
+  // clock ran backwards (or replayed). submit_watermark_ >= the ingested
+  // watermark always (accepted-at covers ingested, and recovery resets
+  // it to the ingested one).
+  if (batch.begin <= submit_watermark_) {
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.clock_regressions;
@@ -186,68 +175,41 @@ SubmitResult StreamingMiningService::SubmitBatch(EpochBatch batch) {
   queue_.push_back(std::move(queued));
   result.queue_depth = queue_.size();
   obs::Count(obs_, obs::Metric::kServeQueueDepth, 1);
-  queue_cv_.notify_one();
   return result;
 }
 
 Result<StepOutcome> StreamingMiningService::Step() {
   std::lock_guard<std::mutex> step_lock(step_mu_);
-  if (dead_) {
-    return Status::FailedPrecondition(
-        "service crashed; rebuild via Create to recover");
-  }
   CheckHealthRegression();
   QueuedBatch work;
-  sim::ServiceFault fault = sim::ServiceFault::kNone;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     if (queue_.empty()) return StepOutcome::kIdle;
-    QueuedBatch& front = queue_.front();
-    ++front.attempts;
-    fault = FaultOnEpoch(front.index, front.attempts);
-    if (fault == sim::ServiceFault::kStallEpoch) {
-      {
-        std::lock_guard<std::mutex> stats_lock(stats_mu_);
-        ++stats_.epochs_stalled;
-      }
-      if (obs_ != nullptr) {
-        obs_->journal().Emit(
-            journal_span_ + "/e" + std::to_string(front.index),
-            "epoch_stalled",
-            {obs::JournalField::Num("attempts", front.attempts)});
-      }
-      return StepOutcome::kStalled;
-    }
-    work = std::move(front);
+    work = std::move(queue_.front());
     queue_.pop_front();
     obs::Count(obs_, obs::Metric::kServeQueueDepth, -1);
   }
   const std::string epoch_span =
       journal_span_ + "/e" + std::to_string(work.index);
 
-  auto quarantine = [&]() -> StepOutcome {
+  const int64_t aged_before = miner_->epochs_aged_out();
+  const int64_t ingest_start_ns = obs_ != nullptr ? obs::MonotonicNowNs() : 0;
+  // A malformed batch (an unindexed store, a record outside its epoch) is
+  // quarantined: count it, drop it, keep serving the current generation.
+  if (!miner_->IngestEpoch(work.batch).ok()) {
     {
       std::lock_guard<std::mutex> stats_lock(stats_mu_);
       ++stats_.batches_poisoned;
     }
     obs::Count(obs_, obs::Metric::kServeBatchesPoisoned);
     if (obs_ != nullptr) {
-      obs_->journal().Emit(
-          epoch_span, "batch_quarantined",
-          {obs::JournalField::Num("attempts", work.attempts)});
+      obs_->journal().Emit(epoch_span, "batch_quarantined");
       (void)obs::CapturePostmortem(config_.postmortem, obs_,
                                    "batch_quarantined", epoch_span,
                                    miner_->config_fingerprint());
     }
     return StepOutcome::kPoisoned;
-  };
-  if (fault == sim::ServiceFault::kPoisonBatch) return quarantine();
-
-  const int64_t aged_before = miner_->epochs_aged_out();
-  const int64_t ingest_start_ns = obs_ != nullptr ? obs::MonotonicNowNs() : 0;
-  // A malformed batch is quarantined like an injected poison batch:
-  // count it, drop it, keep serving the current generation.
-  if (!miner_->IngestEpoch(work.batch).ok()) return quarantine();
+  }
   ingest_watermark_ = work.batch.begin;
   ++epochs_since_publish_;
   {
@@ -263,7 +225,6 @@ Result<StepOutcome> StreamingMiningService::Step() {
     obs_->journal().Emit(
         epoch_span, "epoch_ingested",
         {obs::JournalField::Num("begin_ms", work.batch.begin),
-         obs::JournalField::Num("attempts", work.attempts),
          obs::JournalField::Num("aged_out", aged),
          obs::JournalField::Num("dur_ns", ingest_ns)});
   }
@@ -302,16 +263,6 @@ Result<StepOutcome> StreamingMiningService::Step() {
   // a state file from which recovery reproduces exactly what readers
   // were able to observe.
   LOGMINE_RETURN_IF_ERROR(Persist());
-  if (fault == sim::ServiceFault::kCrashMidPublish) {
-    dead_ = true;
-    if (obs_ != nullptr) {
-      obs_->journal().Emit(epoch_span, "crash_mid_publish");
-      (void)obs::CapturePostmortem(config_.postmortem, obs_,
-                                   "crash_mid_publish", epoch_span,
-                                   miner_->config_fingerprint());
-    }
-    return sim::ServiceFaultInjector::KilledStatus(work.index);
-  }
   if (generation != nullptr) {
     publisher_.Publish(generation);
     {
@@ -340,36 +291,9 @@ Result<int> StreamingMiningService::Drain() {
   int processed = 0;
   for (;;) {
     LOGMINE_ASSIGN_OR_RETURN(const StepOutcome outcome, Step());
-    if (outcome == StepOutcome::kIdle || outcome == StepOutcome::kStalled) {
-      return processed;
-    }
+    if (outcome == StepOutcome::kIdle) return processed;
     ++processed;
   }
-}
-
-void StreamingMiningService::Start() {
-  if (worker_running_) return;
-  worker_stop_.store(false);
-  worker_running_ = true;
-  worker_ = std::thread([this]() {
-    while (!worker_stop_.load()) {
-      Result<StepOutcome> outcome = Step();
-      if (!outcome.ok()) return;  // crashed or dead: the loop is over
-      if (outcome.value() == StepOutcome::kIdle ||
-          outcome.value() == StepOutcome::kStalled) {
-        std::unique_lock<std::mutex> lock(queue_mu_);
-        queue_cv_.wait_for(lock, std::chrono::milliseconds(5));
-      }
-    }
-  });
-}
-
-void StreamingMiningService::Stop() {
-  if (!worker_running_) return;
-  worker_stop_.store(true);
-  queue_cv_.notify_all();
-  if (worker_.joinable()) worker_.join();
-  worker_running_ = false;
 }
 
 std::shared_ptr<const ModelGeneration> StreamingMiningService::CurrentModel()
@@ -377,7 +301,8 @@ std::shared_ptr<const ModelGeneration> StreamingMiningService::CurrentModel()
   return publisher_.Current();
 }
 
-HealthState StreamingMiningService::ObserveHealth(int64_t now) const {
+HealthState StreamingMiningService::ObserveHealth(
+    int64_t now, int64_t* ms_since_publish) const {
   HealthState state = HealthState::kStarting;
   HealthState previous = HealthState::kStarting;
   bool transitioned = false;
@@ -397,6 +322,7 @@ HealthState StreamingMiningService::ObserveHealth(int64_t now) const {
       transitioned = true;
     }
   }
+  if (ms_since_publish != nullptr) *ms_since_publish = age;
   // Journal the boundary outside stats_mu_: the journal flushes to disk
   // per line, and the query path shares this lock.
   if (transitioned) {
@@ -428,13 +354,12 @@ void StreamingMiningService::CheckHealthRegression() {
 
 HealthReport StreamingMiningService::Health() const {
   HealthReport report;
-  report.state = ObserveHealth(NowMs());
+  // One clock reading, so the state and the age it reports agree.
+  report.state = ObserveHealth(NowMs(), &report.ms_since_publish);
   const std::shared_ptr<const ModelGeneration> current = publisher_.Current();
   report.generation = current == nullptr ? 0 : current->number;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    report.ms_since_publish =
-        last_publish_ms_ < 0 ? -1 : NowMs() - last_publish_ms_;
     report.shed_total = stats_.batches_shed;
   }
   {
@@ -458,63 +383,25 @@ uint64_t StreamingMiningService::config_fingerprint() const {
   return miner_->config_fingerprint();
 }
 
-Result<QueryResult> StreamingMiningService::Query(
-    const std::string& component, bool transitive,
-    const QueryOptions& options) {
+Result<QueryResult> StreamingMiningService::Query(const std::string& component,
+                                                  bool transitive) {
   // Latency only: a journal line per query would put a flushed disk
   // write on the query path.
-  if (obs_ == nullptr) return AnswerQuery(component, transitive, options);
+  if (obs_ == nullptr) return AnswerQuery(component, transitive);
   const int64_t start_ns = obs::MonotonicNowNs();
-  Result<QueryResult> result = AnswerQuery(component, transitive, options);
+  Result<QueryResult> result = AnswerQuery(component, transitive);
   obs_->metrics().Observe(obs::Metric::kServeQueryNs,
                           obs::MonotonicNowNs() - start_ns);
   return result;
 }
 
 Result<QueryResult> StreamingMiningService::AnswerQuery(
-    const std::string& component, bool transitive,
-    const QueryOptions& options) {
+    const std::string& component, bool transitive) {
   obs::Count(obs_, obs::Metric::kServeQueries);
-  int64_t query_index;
   {
     std::lock_guard<std::mutex> lock(stats_mu_);
-    query_index = stats_.queries_served++;
+    ++stats_.queries_served;
   }
-  RunOptions run;
-  run.cancel = options.cancel;
-  const int64_t deadline_ms = options.deadline_ms > 0
-                                  ? options.deadline_ms
-                                  : config_.default_query_deadline_ms;
-  if (deadline_ms > 0) run.deadline = std::chrono::milliseconds(deadline_ms);
-  const auto deadline = StopDeadline(run);
-
-  auto fail = [&](Status status) -> Status {
-    if (status.code() == StatusCode::kDeadlineExceeded) {
-      std::lock_guard<std::mutex> lock(stats_mu_);
-      ++stats_.query_deadline_exceeded;
-      obs::Count(obs_, obs::Metric::kServeQueryDeadlineExceeded);
-    }
-    return status;
-  };
-
-  // Slow-consumer chaos: wait out the injected latency cooperatively,
-  // so a per-query deadline or cancellation trips exactly as it would
-  // against a genuinely slow downstream.
-  if (config_.faults != nullptr &&
-      config_.faults->OnQuery(query_index) ==
-          sim::ServiceFault::kSlowConsumer) {
-    const sim::ServiceFaultSpec* spec =
-        config_.faults->SpecFor(query_index, sim::ServiceFault::kSlowConsumer);
-    const auto slow_until =
-        std::chrono::steady_clock::now() +
-        std::chrono::milliseconds(spec == nullptr ? 0 : spec->slow_ms);
-    while (std::chrono::steady_clock::now() < slow_until) {
-      Status stop = CheckStop(options.cancel, deadline, "query");
-      if (!stop.ok()) return fail(stop);
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-  }
-
   const std::shared_ptr<const ModelGeneration> generation =
       publisher_.Current();
   if (generation == nullptr) {
@@ -525,19 +412,17 @@ Result<QueryResult> StreamingMiningService::AnswerQuery(
   result.health = ObserveHealth(NowMs());
   result.components = transitive ? generation->graph.ImpactSet(component)
                                  : generation->graph.DependentsOf(component);
-  Status stop = CheckStop(options.cancel, deadline, "query");
-  if (!stop.ok()) return fail(stop);
   return result;
 }
 
 Result<QueryResult> StreamingMiningService::WhatDependsOn(
-    const std::string& component, const QueryOptions& options) {
-  return Query(component, /*transitive=*/false, options);
+    const std::string& component) {
+  return Query(component, /*transitive=*/false);
 }
 
 Result<QueryResult> StreamingMiningService::ImpactOf(
-    const std::string& component, const QueryOptions& options) {
-  return Query(component, /*transitive=*/true, options);
+    const std::string& component) {
+  return Query(component, /*transitive=*/true);
 }
 
 std::string StreamingMiningService::EpochPath(TimeMs begin) const {

@@ -1,8 +1,6 @@
 #ifndef LOGMINE_SERVE_STREAMING_SERVICE_H_
 #define LOGMINE_SERVE_STREAMING_SERVICE_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -12,7 +10,6 @@
 #include <set>
 #include <string>
 #include <string_view>
-#include <thread>
 #include <vector>
 
 #include "core/model_tracker.h"
@@ -21,8 +18,6 @@
 #include "obs/postmortem.h"
 #include "serve/model_publisher.h"
 #include "serve/sliding_window.h"
-#include "simulation/service_faults.h"
-#include "util/executor.h"
 #include "util/result.h"
 
 namespace logmine::serve {
@@ -63,7 +58,6 @@ enum class StepOutcome : uint32_t {
   kIdle = 0,    ///< queue empty
   kIngested,    ///< one epoch ingested, no publish due
   kPublished,   ///< one epoch ingested and a new generation published
-  kStalled,     ///< injected stall: the batch stays queued
   kPoisoned,    ///< the batch was quarantined; the service keeps serving
 };
 
@@ -75,10 +69,8 @@ struct ServiceStats {
   int64_t batches_poisoned = 0;
   int64_t clock_regressions = 0;
   int64_t epochs_ingested = 0;
-  int64_t epochs_stalled = 0;
   int64_t generations_published = 0;
   int64_t queries_served = 0;
-  int64_t query_deadline_exceeded = 0;
   int64_t snapshots_written = 0;
   int64_t health_transitions = 0;
 };
@@ -89,14 +81,6 @@ struct HealthReport {
   int64_t ms_since_publish = -1;  ///< -1 = never published
   size_t queue_depth = 0;
   int64_t shed_total = 0;
-};
-
-/// Per-query controls; the deadline rides the same CancelToken/deadline
-/// machinery as the miners (util/executor.h).
-struct QueryOptions {
-  /// 0 = use ServiceConfig::default_query_deadline_ms (0 there = none).
-  int64_t deadline_ms = 0;
-  const CancelToken* cancel = nullptr;
 };
 
 struct QueryResult {
@@ -122,7 +106,6 @@ struct ServiceConfig {
   /// Health thresholds on time since the last publish.
   int64_t degraded_after_ms = 5'000;
   int64_t stale_after_ms = 30'000;
-  int64_t default_query_deadline_ms = 0;
   /// Crash-safe state; empty = in-memory only (no recovery). The path
   /// names the head file — service counters, watermark, window name
   /// tables and retained epoch begins, tracker, current generation —
@@ -139,30 +122,27 @@ struct ServiceConfig {
   /// quarantine / shed / health boundary under one "serve-<n>" root
   /// span of the context's journal.
   obs::ObsContext* obs = nullptr;
-  /// Dump-on-failure: quarantines, injected crashes and health-ladder
-  /// regressions capture a postmortem bundle into `postmortem.dir`
-  /// (empty = disabled; needs an obs context). See obs/postmortem.h.
+  /// Dump-on-failure: quarantines and health-ladder regressions capture
+  /// a postmortem bundle into `postmortem.dir` (empty = disabled; needs
+  /// an obs context). See obs/postmortem.h.
   obs::PostmortemOptions postmortem;
   /// When non-empty, Create binds a live introspection endpoint (an
   /// AF_UNIX line-protocol server, obs/introspect.h) at this path,
   /// serving STATUSZ / METRICS / HEALTH / JOURNAL TAIL over the
   /// service's obs context. Requires an obs context.
   std::string introspection_socket;
-  /// Chaos: when set, submissions, steps and queries consult the
-  /// injector (see simulation/service_faults.h). Not owned.
-  const sim::ServiceFaultInjector* faults = nullptr;
 };
 
 /// The overload-resilient streaming mining service: feeds epoch batches
 /// through the sliding-window miner, publishes immutable model
 /// generations through an atomic pointer swap, and degrades gracefully
 /// — shedding load, quarantining poison, stale-serving — instead of
-/// erroring, under a deterministic chaos harness.
+/// erroring.
 ///
 /// Threading: SubmitBatch, the query methods, Health and stats are
 /// thread-safe and may run concurrently with Step. Step itself is
 /// internally serialized (one batch is processed at a time); call it
-/// from your own loop, or Start() the built-in worker thread.
+/// from your own loop.
 ///
 /// Crash protocol (state_path set): every successful Step persists
 /// *before* the in-memory generation swap, in three moves — the new
@@ -177,7 +157,9 @@ struct ServiceConfig {
 /// and its batch is resubmitted. A process killed at any instant
 /// therefore recovers to a state from which re-feeding the unprocessed
 /// batches produces byte-identical files and generations to a run that
-/// never crashed (the chaos suite's identity check).
+/// never crashed (the chaos suite's identity check). Destroying the
+/// service after any Step and calling Create again on the same
+/// `state_path` is such a crash: the disk already holds that Step.
 class StreamingMiningService {
  public:
   /// Builds the service; when `state_path` holds a head, recovers from
@@ -196,20 +178,13 @@ class StreamingMiningService {
   SubmitResult SubmitBatch(EpochBatch batch);
 
   /// Processes at most one queued batch (ingest + publish when due +
-  /// persist). Only a crash fault or an unrecoverable internal error
-  /// returns a non-OK status; poison batches and stalls are normal
-  /// outcomes. After a crash status the service is dead: rebuild via
-  /// Create to recover.
+  /// persist). Only an unrecoverable error (a failed persist or window
+  /// mine) returns a non-OK status; a poison batch is a normal outcome.
   Result<StepOutcome> Step();
 
-  /// Steps until the queue is idle (stalled batches count as idle once
-  /// they stop making progress); returns the number of batches
+  /// Steps until the queue is idle; returns the number of batches
   /// processed.
   Result<int> Drain();
-
-  /// Starts the built-in worker thread (idempotent); Stop() joins it.
-  void Start();
-  void Stop();
 
   /// The latest generation; nullptr before the first publish.
   std::shared_ptr<const ModelGeneration> CurrentModel() const;
@@ -228,23 +203,19 @@ class StreamingMiningService {
   }
 
   /// Direct dependents of `component` ("what depends on S?").
-  Result<QueryResult> WhatDependsOn(const std::string& component,
-                                    const QueryOptions& options = {});
+  Result<QueryResult> WhatDependsOn(const std::string& component);
   /// Transitive impact set of `component` failing.
-  Result<QueryResult> ImpactOf(const std::string& component,
-                               const QueryOptions& options = {});
+  Result<QueryResult> ImpactOf(const std::string& component);
 
  private:
   struct QueuedBatch {
-    int64_t index = 0;  ///< submission index, the fault injector's key
-    int attempts = 0;
+    int64_t index = 0;  ///< submission index, names the journal span
     EpochBatch batch;
   };
 
   explicit StreamingMiningService(ServiceConfig config);
 
   int64_t NowMs() const;
-  sim::ServiceFault FaultOnEpoch(int64_t index, int attempts) const;
   /// Persists the step (no-op without a state_path): the files of
   /// epochs not yet on disk, then the head, then deletes the files of
   /// epochs that aged out.
@@ -258,13 +229,15 @@ class StreamingMiningService {
   /// not list; returns how many it deleted. Called by Create.
   int RemoveStrayEpochFiles();
   /// Times AnswerQuery into serve.query_ns.
-  Result<QueryResult> Query(const std::string& component, bool transitive,
-                            const QueryOptions& options);
+  Result<QueryResult> Query(const std::string& component, bool transitive);
   Result<QueryResult> AnswerQuery(const std::string& component,
-                                  bool transitive, const QueryOptions& options);
-  /// Current health; updates the transition counter under stats_mu_ and
-  /// journals the transition.
-  HealthState ObserveHealth(int64_t now) const;
+                                  bool transitive);
+  /// Health at `now`; updates the transition counter under stats_mu_ and
+  /// journals the transition. Stores the publish age the state was
+  /// derived from into `*ms_since_publish` when given (-1 = never
+  /// published).
+  HealthState ObserveHealth(int64_t now,
+                            int64_t* ms_since_publish = nullptr) const;
   /// Step-time watchdog: a health-ladder regression (healthy ->
   /// degraded/stale) journals the slide and captures a postmortem
   /// bundle. Never runs on the query path.
@@ -279,7 +252,6 @@ class StreamingMiningService {
   ModelPublisher publisher_;
 
   mutable std::mutex queue_mu_;
-  std::condition_variable queue_cv_;
   std::deque<QueuedBatch> queue_;
   int64_t submit_index_ = 0;
   /// Begin of the newest *accepted* epoch (clock-regression guard);
@@ -295,7 +267,6 @@ class StreamingMiningService {
   /// Begins of the epoch files on disk that the head lists or is
   /// about to list, oldest first.
   std::vector<TimeMs> epoch_files_;
-  bool dead_ = false;             ///< crash fault fired; service is gone
   /// Health observed by the previous Step (the regression watchdog's
   /// baseline); guarded by step_mu_.
   HealthState step_health_ = HealthState::kStarting;
@@ -306,10 +277,6 @@ class StreamingMiningService {
   mutable HealthState last_health_ = HealthState::kStarting;
 
   bool recovered_ = false;
-
-  std::thread worker_;
-  std::atomic<bool> worker_stop_{false};
-  bool worker_running_ = false;
 
   /// Declared last (and reset first in the destructor): its server
   /// thread calls back into the service, so it must die before any

@@ -19,13 +19,10 @@ Status RetryWithBackoff(const RetryPolicy& policy, std::string_view op_name,
   RetryStats local;
   Status last = Status::OK();
   double backoff = static_cast<double>(policy.initial_backoff_ms);
-  const auto retryable = [&policy](StatusCode code) {
-    return policy.retryable ? policy.retryable(code) : IsRetryable(code);
-  };
   for (int attempt = 0; attempt < max_attempts; ++attempt) {
     ++local.attempts;
     last = op();
-    if (last.ok() || !retryable(last.code())) break;
+    if (last.ok() || !IsRetryable(last.code())) break;
     if (attempt + 1 == max_attempts) break;
     const double capped =
         std::min(backoff, static_cast<double>(policy.max_backoff_ms));

@@ -23,13 +23,6 @@ struct RetryPolicy {
   int64_t max_backoff_ms = 500;
   double jitter = 0.5;  ///< in [0, 1); 0 = deterministic delays
   uint64_t seed = 0x5EED5EEDULL;
-  /// What counts as retryable. Unset (the default) keeps the
-  /// `IsRetryable` classification — kInternal only, which is what
-  /// snapshot/checkpoint I/O wants. Callers with a wider transient
-  /// class (the shard supervisor treats a tripped per-shard deadline
-  /// and a corrupt partial snapshot as worth re-mining) install their
-  /// own predicate here without loosening anyone else's behavior.
-  std::function<bool(StatusCode)> retryable;
 };
 
 /// What one RetryWithBackoff call did, for reporting and tests.
@@ -49,8 +42,8 @@ bool IsRetryable(StatusCode code);
 using SleepFn = std::function<void(int64_t ms)>;
 
 /// Runs `op` up to `policy.max_attempts` times, sleeping between
-/// attempts per the policy, until it returns OK or a non-retryable
-/// status (per `policy.retryable` when set, `IsRetryable` otherwise).
+/// attempts per the policy, until it returns OK or a status
+/// `IsRetryable` refuses.
 /// Returns the last status; fills `stats` (optional) with the
 /// attempt count and the total backoff requested. `sleep` defaults to a
 /// real std::this_thread::sleep_for.

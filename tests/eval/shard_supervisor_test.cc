@@ -1,6 +1,6 @@
 // Unit tests of the sharded sweep supervisor over synthetic mine
-// functions: each scenario scripts exactly which shard attempts fail,
-// hang or throw, so the retry and circuit-breaker machinery can be
+// functions: each scenario scripts exactly which shard attempts fail
+// or throw, so the retry and circuit-breaker machinery can be
 // asserted deterministically without a real corpus. The resume
 // (loading a cell's partial instead of mining it) is tested both on
 // synthetic cells and, through RunSweep, on a small real corpus; the
@@ -229,39 +229,42 @@ TEST(ShardSupervisorTest, AllShardsPoisonedIsAFailedSweep) {
             std::string::npos);
 }
 
-TEST(ShardSupervisorTest, DeadlineExceededIsRetryableByDefault) {
-  const ShardGrid grid{1, 2};
+TEST(ShardSupervisorTest, OnlyInternalFailuresAndThrowsRetry) {
+  // Cell r0 trips a deadline and r1 fails to parse: neither would go
+  // differently on a re-mine, so each poisons after one attempt. Cell
+  // r2 fails Internal and r3 throws: both retry to max_attempts. Cell
+  // r4 mines cleanly, so the sweep degrades instead of failing.
+  const ShardGrid grid{1, 5};
   auto log = std::make_shared<AttemptLog>();
-  ShardMineFn slow_start = [log](ShardId shard) -> Result<ShardOutput> {
-    // First attempt of (0, 1) trips its deadline; the retry succeeds.
-    if (shard == ShardId{0, 1} && log->Record(shard) == 1) {
-      return Status::DeadlineExceeded("shard deadline tripped");
+  ShardMineFn mixed = [log](ShardId shard) -> Result<ShardOutput> {
+    log->Record(shard);
+    switch (shard.range_index) {
+      case 0:
+        return Status::DeadlineExceeded("late");
+      case 1:
+        return Status::ParseError("garbled");
+      case 2:
+        return Status::Internal("worker died");
+      case 3:
+        throw std::runtime_error("miner blew up");
+      default:
+        return CellOutput(shard);
     }
-    return CellOutput(shard);
-  };
-  auto result = RunShardedSweep(grid, slow_start, FastConfig(), 7);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_EQ(result.value().outcome, SweepOutcome::kComplete);
-  EXPECT_EQ(log->count({0, 1}), 2);
-  EXPECT_EQ(result.value().stats.failures, 1);
-}
-
-TEST(ShardSupervisorTest, CustomRetryPredicateNarrowsTheDefault) {
-  // With a kInternal-only predicate installed, a deadline trip is fatal.
-  const ShardGrid grid{1, 2};
-  ShardMineFn trips = [](ShardId shard) -> Result<ShardOutput> {
-    if (shard.range_index == 1) {
-      return Status::DeadlineExceeded("always late");
-    }
-    return CellOutput(shard);
   };
   ShardSupervisorConfig config = FastConfig();
-  config.retry.retryable = IsRetryable;  // kInternal only
-  auto result = RunShardedSweep(grid, trips, config, 7);
+  auto result = RunShardedSweep(grid, mixed, config, 7);
   ASSERT_TRUE(result.ok()) << result.status();
   EXPECT_EQ(result.value().outcome, SweepOutcome::kDegraded);
-  EXPECT_EQ(result.value().shards[1].attempts, 1);
-  EXPECT_TRUE(result.value().shards[1].poisoned);
+  const int expected_attempts[] = {1, 1, config.retry.max_attempts,
+                                   config.retry.max_attempts, 1};
+  for (int range = 0; range < 5; ++range) {
+    const ShardReport& report = result.value().shards[range];
+    EXPECT_EQ(log->count({0, range}), expected_attempts[range]) << range;
+    EXPECT_EQ(report.attempts, expected_attempts[range]) << range;
+    EXPECT_EQ(report.poisoned, range < 4) << range;
+  }
+  EXPECT_EQ(result.value().stats.breaker_trips, 2);
+  EXPECT_EQ(result.value().stats.shards_poisoned, 4);
 }
 
 TEST(ShardSupervisorTest, ThrowingMineIsContainedAsAPoisonedShard) {
@@ -334,6 +337,18 @@ TEST(ShardSupervisorTest, RejectsBadGridsAndConfigs) {
   auto refused = RunShardedSweep(ShardGrid{1, 1}, CleanMiner(), config, 7);
   ASSERT_FALSE(refused.ok());
   EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  // The dataset wrappers hold num_ranges to the same rule as the grid.
+  const Dataset dataset;
+  for (int num_ranges : {0, -2}) {
+    ShardSupervisorConfig sliced;
+    sliced.num_ranges = num_ranges;
+    EXPECT_EQ(RunL1ShardedSweep(dataset, {}, sliced).status().code(),
+              StatusCode::kInvalidArgument)
+        << num_ranges;
+    EXPECT_EQ(RunSweep(dataset, {}, sliced).status().code(),
+              StatusCode::kInvalidArgument)
+        << num_ranges;
+  }
 }
 
 TEST(ShardSupervisorTest, SweepOutcomeNamesAreStable) {

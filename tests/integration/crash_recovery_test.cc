@@ -22,7 +22,6 @@
 #include "eval/daily_runner.h"
 #include "eval/dataset.h"
 #include "eval/shard_supervisor.h"
-#include "simulation/crash_injector.h"
 #include "util/rng.h"
 
 namespace logmine::eval {
@@ -285,9 +284,10 @@ TEST_F(CrashRecoveryTest, TornPartialAndStrayTmpRecoverToIdenticalBytes) {
 
 TEST_F(CrashRecoveryTest, DoubleCrashStillConverges) {
   // First crash: one L1 cell written, another torn. The re-run then
-  // dies too — a permanently failing L1 cell stops the sweep before L2
-  // starts — having persisted every other L1 cell. The third run must
-  // still converge.
+  // dies too — an L1 cell whose partial cannot be written (a non-empty
+  // directory squats on its path) stops the sweep before L2 starts —
+  // having persisted every other L1 cell. Once the squatter is gone the
+  // third run must still converge.
   const std::string dir = FreshDir("crash_double");
   Keep(dir, Technique::kL1, {{1, 1}});
   {
@@ -295,21 +295,19 @@ TEST_F(CrashRecoveryTest, DoubleCrashStillConverges) {
                        std::ios::binary);
     torn << "torn";
   }
+  const fs::path squatter = CellPath(dir, Technique::kL1, {1, 2});
+  fs::create_directories(squatter);
+  { std::ofstream(squatter / "occupant") << "keeps the directory non-empty"; }
 
-  sim::ShardFaultPlan plan;
-  plan.faults.push_back({/*day=*/1, /*range_index=*/2,
-                         sim::ShardFault::kFailTransient,
-                         sim::kShardFaultAlways});
-  sim::ShardFaultInjector injector(plan);
   ShardSupervisorConfig dying = Supervisor(dir);
-  dying.faults = &injector;
   dying.retry.max_attempts = 1;
   auto second = RunSweep(*dataset_, Config(), dying);
   ASSERT_FALSE(second.ok());
   EXPECT_EQ(second.status().code(), StatusCode::kInternal);
-  EXPECT_FALSE(fs::exists(CellPath(dir, Technique::kL1, {1, 2})));
+  EXPECT_TRUE(fs::is_directory(squatter));
   EXPECT_TRUE(fs::exists(CellPath(dir, Technique::kL1, {0, 2})));
   EXPECT_FALSE(fs::exists(fs::path(dir) / "l2"));
+  fs::remove_all(squatter);
 
   SweepResult recovered;
   RecoverAndExpectIdentical(dir, "double crash", &recovered);

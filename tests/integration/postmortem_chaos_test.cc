@@ -16,14 +16,13 @@
 #include <utility>
 #include <vector>
 
+#include "core/serialization.h"
 #include "eval/dataset.h"
 #include "eval/shard_supervisor.h"
 #include "obs/introspect.h"
 #include "obs/obs.h"
 #include "obs/postmortem.h"
 #include "serve/streaming_service.h"
-#include "simulation/crash_injector.h"
-#include "simulation/service_faults.h"
 
 namespace logmine {
 namespace {
@@ -70,22 +69,25 @@ TEST(PostmortemChaosTest, DegradedSweepCapturesABundle) {
 
   // One permanently broken shard: the sweep degrades instead of failing
   // and must dump exactly one bundle on the way out.
-  sim::ShardFaultPlan plan;
-  plan.faults.push_back({/*day=*/0, /*range_index=*/1,
-                         sim::ShardFault::kFailTransient,
-                         sim::kShardFaultAlways});
-  sim::ShardFaultInjector injector(plan);
+  const eval::ShardMineFn l1_mine =
+      eval::MakeL1ShardMiner(dataset.value(), l1, /*num_ranges=*/2);
+  const eval::ShardMineFn broken =
+      [&l1_mine](core::ShardId shard) -> Result<eval::ShardOutput> {
+    if (shard == core::ShardId{0, 1}) return Status::Internal("always down");
+    return l1_mine(shard);
+  };
 
   obs::ObsContext context;
   eval::ShardSupervisorConfig config;
-  config.num_ranges = 2;
   config.retry.initial_backoff_ms = 1;
   config.retry.max_backoff_ms = 2;
-  config.faults = &injector;
   config.obs = &context;
   config.postmortem.dir = FreshDir("pm_sweep");
 
-  auto swept = eval::RunL1ShardedSweep(dataset.value(), l1, config);
+  auto swept = eval::RunShardedSweep(
+      eval::ShardGrid{1, 2}, broken, config,
+      eval::SweepStateHash(dataset.value(), eval::Technique::kL1,
+                           core::ConfigFingerprint(l1), 2));
   ASSERT_TRUE(swept.ok()) << swept.status();
   ASSERT_EQ(swept.value().outcome, eval::SweepOutcome::kDegraded);
 
@@ -144,17 +146,14 @@ TEST(PostmortemChaosTest, QuarantinedBatchCapturesABundle) {
   serve::ServiceConfig config = ServeConfig(dataset, clock, &context);
   config.postmortem.dir = FreshDir("pm_poison");
 
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/2, sim::ServiceFault::kPoisonBatch});
-  const sim::ServiceFaultInjector injector(plan);
-  config.faults = &injector;
-
   auto created = serve::StreamingMiningService::Create(config);
   ASSERT_TRUE(created.ok()) << created.status();
   auto batches = serve::SplitIntoEpochBatches(
       dataset.store, dataset.day_begin(0), dataset.day_end(0),
       kMillisPerHour);
   ASSERT_TRUE(batches.ok()) << batches.status();
+  // Hour 2 arrives malformed: its records were never indexed.
+  batches.value()[2].records = LogStore();
   for (serve::EpochBatch& batch : batches.value()) {
     created.value()->SubmitBatch(std::move(batch));
   }
@@ -174,49 +173,6 @@ TEST(PostmortemChaosTest, QuarantinedBatchCapturesABundle) {
             created.value()->config_fingerprint());
   EXPECT_NE(JoinedTail(bundle.value()).find("batch_quarantined"),
             std::string::npos);
-}
-
-TEST(PostmortemChaosTest, CrashMidPublishCapturesABundle) {
-  const eval::Dataset dataset = ServeDataset(7);
-  auto clock = std::make_shared<int64_t>(0);
-  obs::ObsContext context;
-  serve::ServiceConfig config = ServeConfig(dataset, clock, &context);
-  config.postmortem.dir = FreshDir("pm_crash");
-  config.state_path = FreshDir("pm_crash_state") + "/state.snapshot";
-
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/2, sim::ServiceFault::kCrashMidPublish});
-  const sim::ServiceFaultInjector injector(plan);
-  config.faults = &injector;
-
-  auto created = serve::StreamingMiningService::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status();
-  auto batches = serve::SplitIntoEpochBatches(
-      dataset.store, dataset.day_begin(0), dataset.day_end(0),
-      kMillisPerHour);
-  ASSERT_TRUE(batches.ok()) << batches.status();
-  for (serve::EpochBatch& batch : batches.value()) {
-    created.value()->SubmitBatch(std::move(batch));
-  }
-  // The injected death surfaces as the usual kInternal...
-  auto drained = created.value()->Drain();
-  ASSERT_FALSE(drained.ok());
-  EXPECT_EQ(drained.status().code(), StatusCode::kInternal);
-
-  // ...but the dying process left its black box behind: the bundle
-  // correlates (by run id and span) the fault with the journal trail
-  // the crash interrupted.
-  const std::vector<std::string> bundles =
-      BundlePaths(config.postmortem.dir);
-  ASSERT_EQ(bundles.size(), 1u);
-  auto bundle = obs::ReadPostmortemBundle(bundles[0]);
-  ASSERT_TRUE(bundle.ok()) << bundle.status();
-  EXPECT_EQ(bundle.value().reason, "crash_mid_publish");
-  EXPECT_EQ(bundle.value().run_id, context.journal().run_id());
-  EXPECT_NE(bundle.value().trigger_span.find("/e"), std::string::npos);
-  const std::string tail = JoinedTail(bundle.value());
-  EXPECT_NE(tail.find("crash_mid_publish"), std::string::npos);
-  EXPECT_NE(tail.find("epoch_ingested"), std::string::npos);
 }
 
 TEST(PostmortemChaosTest, HealthRegressionCapturesABundle) {

@@ -1,12 +1,15 @@
 // Chaos acceptance of the streaming mining service: across a seed
-// matrix of randomized fault plans the service must never serve a torn
-// or config-mismatched generation, shed load instead of erroring while
-// overloaded, report a health state consistent with its publish age,
-// and recover from an injected crash to the byte-identical state of a
-// run that never crashed.
+// matrix of randomized fault plans — each fault a real input: a
+// malformed batch, an hour submitted again, a consumer that stops
+// stepping while the clock runs, a process destroyed after a step —
+// the service must never serve a torn or config-mismatched generation,
+// shed load instead of erroring while overloaded, report a health state
+// consistent with its publish age, and recover from a crash to the
+// byte-identical state of a run that never crashed.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
 #include <filesystem>
 #include <map>
@@ -18,7 +21,6 @@
 #include "eval/dataset.h"
 #include "log/filter.h"
 #include "serve/streaming_service.h"
-#include "simulation/service_faults.h"
 #include "util/rng.h"
 #include "util/snapshot.h"
 
@@ -87,24 +89,46 @@ EpochBatch Clone(const EpochBatch& batch) {
           SliceByTime(batch.records, batch.begin, batch.end)};
 }
 
-/// Drives one service through a day of batches under a seeded fault
-/// plan, shadowing the queue so every externally visible effect —
-/// queue depth, sheds, the ingest watermark, health — can be checked
-/// against first principles at every step.
+/// What happens around one hour of the chaos day.
+enum class HourFault {
+  kNone,
+  kPoison,   ///< the hour arrives malformed (its store never indexed)
+  kReplay,   ///< the hour is submitted a second time
+  kBacklog,  ///< the consumer skips its step while the clock runs on
+  kCrash,    ///< the process is destroyed after the hour's step
+};
+
+/// Draws up to `max_faults` faulty hours in [1, hours) from `rng`; a
+/// backlog covers 3 consecutive hours, enough to shed and to go stale.
+std::vector<HourFault> RandomHourFaults(Rng* rng, size_t hours,
+                                        int max_faults) {
+  std::vector<HourFault> plan(hours, HourFault::kNone);
+  const int64_t faults = rng->UniformInt(1, max_faults);
+  for (int64_t f = 0; f < faults; ++f) {
+    const auto hour =
+        static_cast<size_t>(rng->UniformInt(1, static_cast<int64_t>(hours) - 1));
+    const auto fault = static_cast<HourFault>(rng->UniformInt(1, 4));
+    const size_t span = fault == HourFault::kBacklog ? 3 : 1;
+    for (size_t h = hour; h < std::min(hours, hour + span); ++h) {
+      plan[h] = fault;
+    }
+  }
+  return plan;
+}
+
+/// Drives one service through a day of batches, shadowing the queue so
+/// every externally visible effect — queue depth, sheds, quarantines,
+/// the ingest watermark, health — can be checked against first
+/// principles at every step.
 class ChaosDriver {
  public:
-  ChaosDriver(const eval::Dataset& dataset, ServiceConfig config,
-              const sim::ServiceFaultInjector& injector,
-              std::shared_ptr<int64_t> clock)
-      : config_(std::move(config)),
-        injector_(injector),
-        clock_(std::move(clock)) {
+  ChaosDriver(const eval::Dataset& dataset, ServiceConfig config)
+      : config_(std::move(config)) {
     auto batches =
         SplitIntoEpochBatches(dataset.store, dataset.day_begin(0),
                               dataset.day_end(0), kMillisPerHour);
     EXPECT_TRUE(batches.ok()) << batches.status();
     batches_ = std::move(batches).value();
-    config_.faults = &injector_;
     auto created = StreamingMiningService::Create(config_);
     EXPECT_TRUE(created.ok()) << created.status();
     service_ = std::move(created).value();
@@ -115,15 +139,16 @@ class ChaosDriver {
   int64_t crashes() const { return crashes_; }
   size_t shadow_depth() const { return shadow_.size(); }
 
-  void Submit(const EpochBatch& batch) {
-    const int64_t index = submit_calls_++;
-    const bool injected = injector_.OnEpoch(index, 1) ==
-                          sim::ServiceFault::kClockRegression;
-    const bool genuine = batch.begin <= submit_watermark_;
-    const SubmitResult result = service_->SubmitBatch(Clone(batch));
-    if (injected || genuine) {
+  /// Submits `batch`, or — when `poison` — a batch of the same hour whose
+  /// store was never indexed.
+  void Submit(const EpochBatch& batch, bool poison = false) {
+    const bool regressed = batch.begin <= submit_watermark_;
+    const SubmitResult result = service_->SubmitBatch(
+        poison ? EpochBatch{batch.begin, batch.end, LogStore()}
+               : Clone(batch));
+    if (regressed) {
       EXPECT_EQ(result.outcome, SubmitOutcome::kRejectedClockRegression)
-          << "submission " << index;
+          << "hour at " << batch.begin;
     } else {
       submit_watermark_ = batch.begin;
       if (result.outcome == SubmitOutcome::kAcceptedShedOldest) {
@@ -131,75 +156,62 @@ class ChaosDriver {
         shadow_.pop_front();
       } else {
         EXPECT_EQ(result.outcome, SubmitOutcome::kAccepted)
-            << "submission " << index;
+            << "hour at " << batch.begin;
       }
-      shadow_.push_back(batch.begin);
+      shadow_.push_back({batch.begin, poison});
     }
     EXPECT_EQ(service_->queue_depth(), shadow_.size());
   }
 
-  /// One Step, absorbing an injected crash by rebuilding the service
-  /// from its snapshot and blindly resubmitting the whole day (the
-  /// feeder has no memory of what was already ingested — the watermark
-  /// guard must make that safe). Returns false once idle.
+  /// One Step; returns false once idle.
   bool StepOnce() {
     auto step = service_->Step();
     if (!step.ok()) {
-      EXPECT_EQ(step.status().code(), StatusCode::kInternal)
-          << step.status();
-      ++crashes_;
-      // The dying step ingested and persisted the queue head; the rest
-      // of the queue died with the process.
-      if (shadow_.empty()) {
-        ADD_FAILURE() << "crash with nothing queued";
-        return false;
-      }
-      ingest_watermark_ = shadow_.front();
-      shadow_.clear();
-      service_.reset();
-      auto rebuilt = StreamingMiningService::Create(config_);
-      if (!rebuilt.ok()) {
-        ADD_FAILURE() << "rebuild after crash: " << rebuilt.status();
-        return false;
-      }
-      service_ = std::move(rebuilt).value();
-      EXPECT_TRUE(service_->recovered());
-      auto model = service_->CurrentModel();
-      if (model == nullptr) {
-        ADD_FAILURE() << "recovery served no generation";
-        return false;
-      }
-      // Recovery re-serves the generation the crash tore mid-publish.
-      EXPECT_EQ(model->models.window_end,
-                ingest_watermark_ + kMillisPerHour);
-      submit_calls_ = 0;
-      submit_watermark_ = ingest_watermark_;
-      for (const EpochBatch& batch : batches_) Submit(batch);
-      return true;
+      ADD_FAILURE() << step.status();
+      return false;
     }
-    switch (step.value()) {
-      case StepOutcome::kIdle:
-        return false;
-      case StepOutcome::kStalled:
-        return true;  // the attempt still consumed stall budget
-      case StepOutcome::kIngested:
-      case StepOutcome::kPublished:
-        if (shadow_.empty()) {
-          ADD_FAILURE() << "ingest with nothing queued";
-          return false;
-        }
-        ingest_watermark_ = shadow_.front();
-        shadow_.pop_front();
-        return true;
-      case StepOutcome::kPoisoned:
-        if (shadow_.empty()) {
-          ADD_FAILURE() << "poison with nothing queued";
-          return false;
-        }
-        shadow_.pop_front();  // quarantined, never ingested
-        return true;
+    if (step.value() == StepOutcome::kIdle) {
+      EXPECT_TRUE(shadow_.empty());
+      return false;
+    }
+    if (shadow_.empty()) {
+      ADD_FAILURE() << "a step with nothing queued";
+      return false;
+    }
+    const Queued front = shadow_.front();
+    shadow_.pop_front();
+    if (front.poison) {
+      EXPECT_EQ(step.value(), StepOutcome::kPoisoned) << front.begin;
+    } else {
+      EXPECT_NE(step.value(), StepOutcome::kPoisoned) << front.begin;
+      ingest_watermark_ = front.begin;
     }
     return true;
+  }
+
+  /// The process dies right after its last Step: destroy the service,
+  /// rebuild it from its state files and blindly resubmit the whole day
+  /// (the feeder has no memory of what was already ingested — the
+  /// watermark guard must make that safe). The queue died with it.
+  void Crash() {
+    ++crashes_;
+    service_.reset();
+    shadow_.clear();
+    auto rebuilt = StreamingMiningService::Create(config_);
+    ASSERT_TRUE(rebuilt.ok()) << "rebuild after crash: " << rebuilt.status();
+    service_ = std::move(rebuilt).value();
+    auto model = service_->CurrentModel();
+    if (ingest_watermark_ == INT64_MIN) {
+      EXPECT_FALSE(service_->recovered());
+      EXPECT_EQ(model, nullptr);
+    } else {
+      EXPECT_TRUE(service_->recovered());
+      ASSERT_NE(model, nullptr) << "recovery served no generation";
+      // Recovery serves the generation of the last persisted step.
+      EXPECT_EQ(model->models.window_end, ingest_watermark_ + kMillisPerHour);
+    }
+    submit_watermark_ = ingest_watermark_;
+    for (const EpochBatch& batch : batches_) Submit(batch);
   }
 
   /// The torn-model check: whatever generation a reader can hold right
@@ -234,13 +246,15 @@ class ChaosDriver {
   const std::vector<EpochBatch>& batches() const { return batches_; }
 
  private:
+  struct Queued {
+    TimeMs begin = 0;
+    bool poison = false;
+  };
+
   ServiceConfig config_;
-  const sim::ServiceFaultInjector& injector_;
-  std::shared_ptr<int64_t> clock_;
   std::vector<EpochBatch> batches_;
   std::unique_ptr<StreamingMiningService> service_;
-  std::deque<TimeMs> shadow_;       ///< begins of the queued batches
-  int64_t submit_calls_ = 0;        ///< per service incarnation
+  std::deque<Queued> shadow_;  ///< the batches queued, oldest first
   TimeMs submit_watermark_ = INT64_MIN;
   TimeMs ingest_watermark_ = INT64_MIN;
   int64_t checked_generation_ = 0;
@@ -252,51 +266,47 @@ class StreamingChaosTest : public ::testing::TestWithParam<uint64_t> {};
 TEST_P(StreamingChaosTest, ServiceSurvivesARandomFaultPlan) {
   const uint64_t seed = GetParam();
   const eval::Dataset dataset = BuildSeededDataset(seed);
-  Rng rng(seed * 977 + 11);
-  sim::ServiceFaultPlanOptions fault_options;
-  fault_options.max_faults = 4;
-  fault_options.max_stall_steps = 2;
-  fault_options.slow_ms = 30;
-  const sim::ServiceFaultInjector injector(RandomServiceFaultPlan(
-      &rng, /*num_epochs=*/24, /*num_queries=*/12, fault_options));
-
   auto clock = std::make_shared<int64_t>(0);
   ChaosDriver driver(
-      dataset,
-      ChaosConfig(dataset, clock,
-                  FreshStatePath("sweep_" + std::to_string(seed))),
-      injector, clock);
+      dataset, ChaosConfig(dataset, clock,
+                           FreshStatePath("sweep_" + std::to_string(seed))));
   if (::testing::Test::HasFatalFailure()) return;
+  Rng rng(seed * 977 + 11);
+  const std::vector<HourFault> plan =
+      RandomHourFaults(&rng, driver.batches().size(), /*max_faults=*/4);
+  const int64_t planned_crashes =
+      std::count(plan.begin(), plan.end(), HourFault::kCrash);
 
   const std::string target = dataset.entry_owner.empty()
                                  ? std::string("app")
                                  : dataset.entry_owner.begin()->second;
   int64_t queries_issued = 0;
   for (size_t i = 0; i < driver.batches().size(); ++i) {
-    driver.Submit(driver.batches()[i]);
+    const EpochBatch& batch = driver.batches()[i];
+    driver.Submit(batch, /*poison=*/plan[i] == HourFault::kPoison);
+    if (plan[i] == HourFault::kReplay) driver.Submit(batch);
     *clock += 500;
-    driver.StepOnce();
+    if (plan[i] == HourFault::kBacklog) {
+      *clock += 2'500;  // three skipped steps age the model past stale
+    } else {
+      driver.StepOnce();
+      if (plan[i] == HourFault::kCrash) driver.Crash();
+    }
     if (::testing::Test::HasFatalFailure()) return;
     driver.CheckModel();
     driver.CheckHealth();
     if (i % 2 == 0) {
-      // A tight deadline so an armed slow consumer trips it; whatever
-      // happens, a query never surfaces anything but these codes.
-      QueryOptions options;
-      options.deadline_ms = 20;
-      auto result =
-          driver.service().WhatDependsOn(target, options);
+      // Before the first publish a query is refused; after it, answered.
+      auto result = driver.service().WhatDependsOn(target);
       ++queries_issued;
       const StatusCode code = result.status().code();
       EXPECT_TRUE(code == StatusCode::kOk ||
-                  code == StatusCode::kDeadlineExceeded ||
-                  code == StatusCode::kCancelled ||
                   code == StatusCode::kFailedPrecondition)
           << result.status();
     }
   }
 
-  // Drain what chaos left behind; stalls expire, so this terminates.
+  // Drain what the backlogs left behind.
   int guard = 0;
   while (driver.StepOnce() && ++guard < 500) {
     if (::testing::Test::HasFatalFailure()) return;
@@ -304,6 +314,7 @@ TEST_P(StreamingChaosTest, ServiceSurvivesARandomFaultPlan) {
   }
   ASSERT_LT(guard, 500) << "drain did not converge";
 
+  EXPECT_EQ(driver.crashes(), planned_crashes);
   EXPECT_EQ(driver.service().queue_depth(), 0u);
   EXPECT_EQ(driver.shadow_depth(), 0u);
   auto model = driver.service().CurrentModel();
@@ -351,32 +362,31 @@ TEST(StreamingChaosIdentityTest, CrashRecoveryIsByteIdenticalToCleanRun) {
   const std::string reference_generation =
       SerializeGeneration(*reference.value()->CurrentModel());
 
-  for (const int64_t crash_index : {int64_t{2}, int64_t{7}, int64_t{17}}) {
-    SCOPED_TRACE("crash at epoch " + std::to_string(crash_index));
-    sim::ServiceFaultPlan plan;
-    plan.faults.push_back(
-        {crash_index, sim::ServiceFault::kCrashMidPublish});
-    const sim::ServiceFaultInjector injector(plan);
+  for (const int crash_index : {2, 7, 17}) {
+    SCOPED_TRACE("crash after epoch " + std::to_string(crash_index));
     const std::string state_path =
         FreshStatePath("identity_" + std::to_string(crash_index));
     ServiceConfig config = ChaosConfig(dataset, clock, state_path);
     config.max_queue_batches = 25;
-    config.faults = &injector;
 
-    auto created = StreamingMiningService::Create(config);
-    ASSERT_TRUE(created.ok()) << created.status();
-    for (const EpochBatch& batch : batches.value()) {
-      created.value()->SubmitBatch(Clone(batch));
+    {
+      auto created = StreamingMiningService::Create(config);
+      ASSERT_TRUE(created.ok()) << created.status();
+      for (const EpochBatch& batch : batches.value()) {
+        created.value()->SubmitBatch(Clone(batch));
+      }
+      // The process dies right after the step of epoch `crash_index`
+      // persisted — the state a death between that persist and its
+      // swap leaves, since the swap never touches the disk.
+      for (int step = 0; step <= crash_index; ++step) {
+        auto outcome = created.value()->Step();
+        ASSERT_TRUE(outcome.ok()) << outcome.status();
+        ASSERT_NE(outcome.value(), StepOutcome::kIdle);
+      }
     }
-    auto drained = created.value()->Drain();
-    ASSERT_FALSE(drained.ok());  // the injected death
-    EXPECT_EQ(drained.status().code(), StatusCode::kInternal);
-    created.value().reset();
 
     // Rebuild and blindly replay the whole day; already-ingested hours
-    // bounce off the recovered watermark. The resubmitted epochs land
-    // on different submission indices, so the armed crash never
-    // re-fires — the fault has cleared.
+    // bounce off the recovered watermark.
     auto recovered = StreamingMiningService::Create(config);
     ASSERT_TRUE(recovered.ok()) << recovered.status();
     EXPECT_TRUE(recovered.value()->recovered());

@@ -3,18 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <chrono>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
 #include "core/serialization.h"
 #include "obs/obs.h"
-#include "simulation/service_faults.h"
 #include "util/snapshot.h"
 
 namespace logmine::serve {
@@ -135,25 +132,6 @@ TEST(StreamingServiceTest, ClockRegressionIsRejectedWithoutSideEffects) {
   EXPECT_EQ(service.CurrentModel()->models.window_end, 2000);
 }
 
-TEST(StreamingServiceTest, InjectedClockRegressionRejectsTheSubmission) {
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/1, sim::ServiceFault::kClockRegression});
-  const sim::ServiceFaultInjector injector(plan);
-  auto clock = std::make_shared<int64_t>(0);
-  ServiceConfig config = TinyConfig(clock);
-  config.faults = &injector;
-  auto created = StreamingMiningService::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status();
-  StreamingMiningService& service = *created.value();
-
-  EXPECT_EQ(service.SubmitBatch(Batch(0)).outcome, SubmitOutcome::kAccepted);
-  // Submission index 1 is armed: rejected although its hour is fresh.
-  EXPECT_EQ(service.SubmitBatch(Batch(1)).outcome,
-            SubmitOutcome::kRejectedClockRegression);
-  EXPECT_EQ(service.SubmitBatch(Batch(2)).outcome, SubmitOutcome::kAccepted);
-  EXPECT_EQ(service.stats().clock_regressions, 1);
-}
-
 TEST(StreamingServiceTest, PublishCadenceFollowsTheConfiguredStride) {
   auto clock = std::make_shared<int64_t>(0);
   ServiceConfig config = TinyConfig(clock);
@@ -235,6 +213,29 @@ TEST(StreamingServiceTest, HealthWalksTheDegradationLadder) {
   EXPECT_EQ(HealthStateName(HealthState::kStaleServing), "stale-serving");
 }
 
+TEST(StreamingServiceTest, HealthReportsTheAgeItsStateCameFrom) {
+  // A clock that advances 1 ms per read: two reads in one report would
+  // straddle the degraded threshold.
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.now_ms = [clock] { return (*clock)++; };
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  StreamingMiningService& service = *created.value();
+  service.SubmitBatch(Batch(0));
+  ASSERT_TRUE(service.Drain().ok());
+  ASSERT_EQ(service.stats().generations_published, 1);
+
+  // A report's last clock reading was *clock - 1 and saw this age, so
+  // the publish read *clock - 1 - age. Move the clock to 1 ms short of
+  // degraded after it.
+  const int64_t age = service.Health().ms_since_publish;
+  *clock += config.degraded_after_ms - 2 - age;
+  const HealthReport report = service.Health();
+  EXPECT_EQ(report.state, HealthState::kHealthy);
+  EXPECT_EQ(report.ms_since_publish, config.degraded_after_ms - 1);
+}
+
 /// One hour of appA logs citing svc1, which appB provides: the L3 layer
 /// plus the owner map yields the directed edge appA -> appB.
 std::vector<LogRecord> CitingRecords(int epoch) {
@@ -310,57 +311,24 @@ TEST(StreamingServiceTest, QueriesObserveLatencyButAddNoJournalLines) {
   EXPECT_EQ(context.metrics().Snapshot().Value("serve.query_ns"), kQueries);
 }
 
-TEST(StreamingServiceTest, QueryDeadlineTripsOnASlowConsumer) {
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/0, sim::ServiceFault::kSlowConsumer,
-                         /*times=*/1, /*slow_ms=*/200});
-  const sim::ServiceFaultInjector injector(plan);
-  auto clock = std::make_shared<int64_t>(0);
-  ServiceConfig config = QueryConfig(clock);
-  config.faults = &injector;
-  auto created = StreamingMiningService::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status();
-  StreamingMiningService& service = *created.value();
-  service.SubmitBatch(Batch(0, CitingRecords(0)));
-  ASSERT_TRUE(service.Drain().ok());
-
-  // Query 0 hits the armed slow consumer; its 5 ms deadline fires long
-  // before the 200 ms cooperative wait completes.
-  QueryOptions options;
-  options.deadline_ms = 5;
-  auto slow = service.WhatDependsOn("appB", options);
-  ASSERT_FALSE(slow.ok());
-  EXPECT_EQ(slow.status().code(), StatusCode::kDeadlineExceeded)
-      << slow.status();
-  EXPECT_EQ(service.stats().query_deadline_exceeded, 1);
-
-  // Query 1 is unfaulted: same question, instant answer.
-  auto fast = service.WhatDependsOn("appB", options);
-  ASSERT_TRUE(fast.ok()) << fast.status();
-  EXPECT_EQ(fast.value().components, std::set<std::string>{"appA"});
-
-  // A pre-cancelled caller is refused before any work happens.
-  CancelToken token;
-  token.Cancel();
-  QueryOptions cancelled;
-  cancelled.cancel = &token;
-  EXPECT_EQ(service.ImpactOf("appB", cancelled).status().code(),
-            StatusCode::kCancelled);
+/// A batch whose records were never indexed: the poison IngestEpoch
+/// rejects.
+EpochBatch Unindexed(int epoch) {
+  EpochBatch batch;
+  batch.begin = epoch * 1000;
+  batch.end = batch.begin + 1000;
+  EXPECT_TRUE(batch.records.Append(Rec(batch.begin + 500, "A", "u", "x")).ok());
+  return batch;
 }
 
 TEST(StreamingServiceTest, PoisonBatchIsQuarantinedAndServingContinues) {
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/1, sim::ServiceFault::kPoisonBatch});
-  const sim::ServiceFaultInjector injector(plan);
   auto clock = std::make_shared<int64_t>(0);
-  ServiceConfig config = TinyConfig(clock);
-  config.faults = &injector;
-  auto created = StreamingMiningService::Create(config);
+  auto created = StreamingMiningService::Create(TinyConfig(clock));
   ASSERT_TRUE(created.ok()) << created.status();
   StreamingMiningService& service = *created.value();
 
   service.SubmitBatch(Batch(0));
-  service.SubmitBatch(Batch(1));  // armed: quarantined at ingest
+  service.SubmitBatch(Unindexed(1));  // quarantined at ingest
   service.SubmitBatch(Batch(2));
   auto step = service.Step();
   ASSERT_TRUE(step.ok());
@@ -377,88 +345,41 @@ TEST(StreamingServiceTest, PoisonBatchIsQuarantinedAndServingContinues) {
   EXPECT_EQ(service.stats().batches_poisoned, 1);
   EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
 
-  // A genuinely malformed batch — a record outside its claimed hour —
-  // takes the same quarantine path without any injector.
+  // So does a record outside its claimed hour.
   service.SubmitBatch(Batch(3, {Rec(9'999, "A", "u", "x")}));
   step = service.Step();
   ASSERT_TRUE(step.ok());
   EXPECT_EQ(step.value(), StepOutcome::kPoisoned);
   EXPECT_EQ(service.stats().batches_poisoned, 2);
   EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
-
-  // So does a batch whose store was never indexed.
-  EpochBatch unindexed;
-  unindexed.begin = 4000;
-  unindexed.end = 5000;
-  ASSERT_TRUE(unindexed.records.Append(Rec(4'500, "A", "u", "x")).ok());
-  service.SubmitBatch(std::move(unindexed));
-  step = service.Step();
-  ASSERT_TRUE(step.ok());
-  EXPECT_EQ(step.value(), StepOutcome::kPoisoned);
-  EXPECT_EQ(service.stats().batches_poisoned, 3);
-  EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
-}
-
-TEST(StreamingServiceTest, StalledEpochRetriesUntilTheFaultClears) {
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back(
-      {/*index=*/0, sim::ServiceFault::kStallEpoch, /*times=*/2});
-  const sim::ServiceFaultInjector injector(plan);
-  auto clock = std::make_shared<int64_t>(0);
-  ServiceConfig config = TinyConfig(clock);
-  config.faults = &injector;
-  auto created = StreamingMiningService::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status();
-  StreamingMiningService& service = *created.value();
-
-  service.SubmitBatch(Batch(0));
-  auto step = service.Step();
-  ASSERT_TRUE(step.ok());
-  EXPECT_EQ(step.value(), StepOutcome::kStalled);
-  EXPECT_EQ(service.queue_depth(), 1u);  // the batch stays queued
-  step = service.Step();
-  ASSERT_TRUE(step.ok());
-  EXPECT_EQ(step.value(), StepOutcome::kStalled);
-  // Third attempt: the stall budget is spent, ingest goes through.
-  step = service.Step();
-  ASSERT_TRUE(step.ok());
-  EXPECT_EQ(step.value(), StepOutcome::kPublished);
-  EXPECT_EQ(service.stats().epochs_stalled, 2);
-  EXPECT_EQ(service.queue_depth(), 0u);
 }
 
 TEST(StreamingServiceTest, CrashMidPublishRecoversAndResumesNumbering) {
   const std::string state_path = FreshStatePath("crash_recover");
-  sim::ServiceFaultPlan plan;
-  plan.faults.push_back({/*index=*/2, sim::ServiceFault::kCrashMidPublish});
-  const sim::ServiceFaultInjector injector(plan);
   auto clock = std::make_shared<int64_t>(0);
   ServiceConfig config = TinyConfig(clock);
   config.state_path = state_path;
-  config.faults = &injector;
 
-  auto created = StreamingMiningService::Create(config);
-  ASSERT_TRUE(created.ok()) << created.status();
   {
+    auto created = StreamingMiningService::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status();
     StreamingMiningService& service = *created.value();
     for (int epoch = 0; epoch < 4; ++epoch) {
       service.SubmitBatch(Batch(epoch));
     }
-    auto drained = service.Drain();
-    ASSERT_FALSE(drained.ok());  // the injected death
-    EXPECT_EQ(drained.status().code(), StatusCode::kInternal);
-    EXPECT_NE(drained.status().message().find("crash-mid-publish"),
-              std::string::npos);
-    // The in-memory swap never happened; readers still hold gen 2.
-    EXPECT_EQ(service.CurrentModel()->number, 2);
-    // A dead service refuses further work until rebuilt.
-    EXPECT_EQ(service.Step().status().code(),
-              StatusCode::kFailedPrecondition);
+    // Three steps publish epochs 0-2; then the process dies with epoch 3
+    // still queued. Each step persists before its swap, so the disk
+    // holds what a death between persist and swap would have left.
+    for (int step = 0; step < 3; ++step) {
+      auto outcome = service.Step();
+      ASSERT_TRUE(outcome.ok()) << outcome.status();
+      EXPECT_EQ(outcome.value(), StepOutcome::kPublished);
+    }
+    EXPECT_EQ(service.queue_depth(), 1u);
   }
-  created.value().reset();
 
   // Rebuild from the snapshot: epoch 2 was persisted before the death,
-  // so recovery serves generation 3 — the publish the crash tore.
+  // so recovery serves generation 3.
   auto recovered = StreamingMiningService::Create(config);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   StreamingMiningService& service = *recovered.value();
@@ -485,6 +406,78 @@ TEST(StreamingServiceTest, CrashMidPublishRecoversAndResumesNumbering) {
   EXPECT_EQ(service.CurrentModel()->models.window_end, 4000);
 }
 
+/// Every ServiceStats field against the serve.* counter that mirrors it.
+void ExpectStatsMirrorMetrics(const ServiceStats& stats,
+                              const obs::ObsContext& context) {
+  const obs::MetricsSnapshot metrics = context.metrics().Snapshot();
+  EXPECT_EQ(metrics.Value("serve.batches_submitted"), stats.batches_submitted);
+  EXPECT_EQ(metrics.Value("serve.batches_shed"), stats.batches_shed);
+  EXPECT_EQ(metrics.Value("serve.batches_poisoned"), stats.batches_poisoned);
+  EXPECT_EQ(metrics.Value("serve.clock_regressions"), stats.clock_regressions);
+  EXPECT_EQ(metrics.Value("serve.epochs_ingested"), stats.epochs_ingested);
+  EXPECT_EQ(metrics.Value("serve.generations_published"),
+            stats.generations_published);
+  EXPECT_EQ(metrics.Value("serve.queries"), stats.queries_served);
+  EXPECT_EQ(metrics.Value("serve.state_snapshots_written"),
+            stats.snapshots_written);
+  EXPECT_EQ(metrics.Value("serve.health_transitions"),
+            stats.health_transitions);
+}
+
+TEST(StreamingServiceTest, StatsMirrorTheServeMetrics) {
+  const std::string state_path = FreshStatePath("stats_mirror");
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = state_path;
+  config.max_queue_batches = 2;
+  {
+    obs::ObsContext context;
+    config.obs = &context;
+    auto created = StreamingMiningService::Create(config);
+    ASSERT_TRUE(created.ok()) << created.status();
+    StreamingMiningService& service = *created.value();
+    service.SubmitBatch(Batch(0));
+    ASSERT_TRUE(service.Step().ok());  // publishes
+    EXPECT_EQ(service.Health().state, HealthState::kHealthy);
+    EXPECT_EQ(service.SubmitBatch(Batch(0)).outcome,
+              SubmitOutcome::kRejectedClockRegression);
+    service.SubmitBatch(Batch(1));
+    service.SubmitBatch(Unindexed(2));
+    EXPECT_EQ(service.SubmitBatch(Batch(3)).outcome,
+              SubmitOutcome::kAcceptedShedOldest);
+    *clock += config.degraded_after_ms;  // healthy -> degraded
+    ASSERT_TRUE(service.Drain().ok());   // poison, then a publish
+    ASSERT_TRUE(service.WhatDependsOn("A").ok());
+    ASSERT_TRUE(service.ImpactOf("A").ok());
+    EXPECT_EQ(service.Health().state, HealthState::kHealthy);
+
+    const ServiceStats stats = service.stats();
+    EXPECT_EQ(stats.batches_submitted, 5);
+    EXPECT_EQ(stats.batches_shed, 1);
+    EXPECT_EQ(stats.batches_poisoned, 1);
+    EXPECT_EQ(stats.clock_regressions, 1);
+    EXPECT_EQ(stats.generations_published, 2);
+    EXPECT_EQ(stats.queries_served, 2);
+    EXPECT_EQ(stats.health_transitions, 3);
+    ExpectStatsMirrorMetrics(stats, context);
+  }
+  // Destroy and Create again: the recovered service counts afresh, into
+  // a fresh context.
+  obs::ObsContext context;
+  config.obs = &context;
+  auto recovered = StreamingMiningService::Create(config);
+  ASSERT_TRUE(recovered.ok()) << recovered.status();
+  StreamingMiningService& service = *recovered.value();
+  EXPECT_TRUE(service.recovered());
+  EXPECT_EQ(service.SubmitBatch(Batch(3)).outcome,
+            SubmitOutcome::kRejectedClockRegression);
+  service.SubmitBatch(Batch(4));
+  ASSERT_TRUE(service.Drain().ok());
+  EXPECT_EQ(service.stats().epochs_ingested, 1);
+  ExpectStatsMirrorMetrics(service.stats(), context);
+  EXPECT_EQ(context.metrics().Snapshot().Value("serve.recoveries"), 1);
+}
+
 TEST(StreamingServiceTest, RecoveryRefusesAForeignConfigFingerprint) {
   const std::string state_path = FreshStatePath("config_mismatch");
   auto clock = std::make_shared<int64_t>(0);
@@ -505,30 +498,6 @@ TEST(StreamingServiceTest, RecoveryRefusesAForeignConfigFingerprint) {
   auto recovered = StreamingMiningService::Create(config);
   ASSERT_TRUE(recovered.ok()) << recovered.status();
   EXPECT_TRUE(recovered.value()->recovered());
-}
-
-TEST(StreamingServiceTest, WorkerThreadDrainsSubmissionsInTheBackground) {
-  auto clock = std::make_shared<int64_t>(0);
-  auto created = StreamingMiningService::Create(TinyConfig(clock));
-  ASSERT_TRUE(created.ok()) << created.status();
-  StreamingMiningService& service = *created.value();
-
-  service.Start();
-  service.Start();  // idempotent
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    service.SubmitBatch(Batch(epoch));
-  }
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(30);
-  while (std::chrono::steady_clock::now() < deadline) {
-    auto model = service.CurrentModel();
-    if (model != nullptr && model->models.window_end == 3000) break;
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  service.Stop();
-  ASSERT_NE(service.CurrentModel(), nullptr);
-  EXPECT_EQ(service.CurrentModel()->models.window_end, 3000);
-  EXPECT_EQ(service.stats().epochs_ingested, 3);
 }
 
 constexpr uint64_t kHostileCount = uint64_t{1} << 61;

@@ -137,51 +137,10 @@ TEST(RetryTest, JitterStaysWithinPolicyBounds) {
   }
 }
 
-TEST(RetryTest, PredicateHookWidensTheRetryableClass) {
-  // A caller-installed predicate can treat kDeadlineExceeded as
-  // transient (the shard supervisor's view of a tripped per-shard
-  // deadline) — the default classification never retries it.
-  RetryPolicy policy;
-  policy.retryable = [](StatusCode code) {
-    return code == StatusCode::kInternal ||
-           code == StatusCode::kDeadlineExceeded;
-  };
-  int calls = 0;
-  std::vector<int64_t> delays;
-  const Status status = RetryWithBackoff(
-      policy, "op",
-      [&] {
-        ++calls;
-        return calls < 3 ? Status::DeadlineExceeded("straggler")
-                         : Status::OK();
-      },
-      nullptr, Recorder(&delays));
-  EXPECT_TRUE(status.ok());
-  EXPECT_EQ(calls, 3);
-  EXPECT_EQ(delays.size(), 2u);
-}
-
-TEST(RetryTest, PredicateHookCanNarrowToNothing) {
-  RetryPolicy policy;
-  policy.retryable = [](StatusCode) { return false; };
-  int calls = 0;
-  std::vector<int64_t> delays;
-  const Status status = RetryWithBackoff(
-      policy, "op",
-      [&] {
-        ++calls;
-        return Status::Internal("would have been retryable");
-      },
-      nullptr, Recorder(&delays));
-  EXPECT_EQ(status.code(), StatusCode::kInternal);
-  EXPECT_EQ(calls, 1);
-  EXPECT_TRUE(delays.empty());
-}
-
 TEST(RetryTest, UnsetPredicateKeepsTheDefaultClassification) {
-  // Snapshot I/O's behavior must be unchanged: kInternal retries,
-  // kDeadlineExceeded does not.
-  RetryPolicy policy;  // no predicate installed
+  // A policy carries no classification of its own: snapshot I/O and the
+  // sweep supervisor alike retry kInternal and never kDeadlineExceeded.
+  RetryPolicy policy;
   std::vector<int64_t> delays;
   int internal_calls = 0;
   (void)RetryWithBackoff(
