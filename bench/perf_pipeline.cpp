@@ -403,8 +403,7 @@ int main(int argc, char** argv) {
   auto run_observed = [&] {
     obs::ObsContext context;
     obs::ScopedGlobalObs scoped(&context);
-    auto result = obs_pipeline.Run(dataset.store, begin, end, nullptr,
-                                   &context);
+    auto result = obs_pipeline.Run(dataset.store, begin, end, &context);
     if (!result.ok() || !result.value().all_ok()) std::abort();
   };
   run_plain();  // warm-up, once per mode
@@ -434,8 +433,7 @@ int main(int argc, char** argv) {
     const std::string text = LineCodec::EncodeAll(dataset.store.Records());
     if (!LineCodec::DecodeAll(text).ok()) std::abort();
 
-    auto run = obs_pipeline.Run(dataset.store, begin, end, nullptr,
-                                &obs_context);
+    auto run = obs_pipeline.Run(dataset.store, begin, end, &obs_context);
     if (!run.ok() || !run.value().all_ok()) std::abort();
 
     std::filesystem::remove_all(ckpt_dir);

@@ -57,7 +57,7 @@ int main(int argc, char** argv) {
   // result then carries its own metrics snapshot.
   core::MiningPipeline pipeline(dataset.vocabulary, core::PipelineConfig{});
   auto result = pipeline.Run(dataset.store, dataset.day_begin(0),
-                             dataset.day_end(0), nullptr, &context);
+                             dataset.day_end(0), &context);
   if (!result.ok()) {
     std::cerr << result.status() << "\n";
     return 1;

@@ -23,26 +23,14 @@ uint64_t PairKey(uint32_t a, uint32_t b) {
 
 Result<L2Result> L2CooccurrenceMiner::Mine(const LogStore& store,
                                            TimeMs begin, TimeMs end) const {
-  return Mine(store, begin, end, RunOptions{});
-}
-
-Result<L2Result> L2CooccurrenceMiner::Mine(const LogStore& store,
-                                           TimeMs begin, TimeMs end,
-                                           const RunOptions& options) const {
   if (!store.index_built()) {
     return Status::FailedPrecondition("LogStore index not built");
   }
-  // One budget for the whole pass: pin the deadline here, hand the
-  // remainder to each phase.
-  const auto deadline = StopDeadline(options);
   SessionBuilder builder(config_.session);
   SessionBuildStats stats;
-  LOGMINE_ASSIGN_OR_RETURN(
-      const std::vector<Session> sessions,
-      builder.Build(store, begin, end, RemainingOptions(options, deadline),
-                    &stats));
-  auto result = MineSessions(store.num_sources(), sessions,
-                             RemainingOptions(options, deadline));
+  const std::vector<Session> sessions =
+      builder.Build(store, begin, end, &stats);
+  auto result = MineSessions(store.num_sources(), sessions);
   if (!result.ok()) return result.status();
   L2Result out = std::move(result).value();
   out.session_stats = stats;
@@ -55,14 +43,12 @@ Result<L2Result> L2CooccurrenceMiner::MineSessions(
 }
 
 Result<L2Result> L2CooccurrenceMiner::MineSessions(
-    size_t num_sources, const std::vector<Session>& sessions,
-    const RunOptions& options) const {
+    size_t num_sources, const std::vector<Session>& sessions) const {
   if (config_.alpha <= 0.0 || config_.alpha >= 1.0) {
     return Status::InvalidArgument("alpha must be in (0, 1)");
   }
   LOGMINE_SPAN_GLOBAL("l2/mine", obs::Metric::kL2MineNs);
   obs::Count(obs::Metric::kL2Runs);
-  const auto deadline = StopDeadline(options);
   L2Result result;
 
   // First pass: joint bigram frequencies, sharded over sessions on the
@@ -80,12 +66,7 @@ Result<L2Result> L2CooccurrenceMiner::MineSessions(
   for (size_t i = 0; i < num_shards; ++i) {
     shards.emplace_back(expected_pairs);
   }
-  // The chunked loop rides the cancellable ParallelFor so a cancel or
-  // an expired budget stops claiming shards mid-count; parallelism
-  // stays the config's knob.
-  RunOptions count_options = RemainingOptions(options, deadline);
-  count_options.max_parallelism = config_.num_threads;
-  LOGMINE_RETURN_IF_ERROR(Executor::Shared().ParallelFor(
+  Executor::Shared().ParallelFor(
       num_shards,
       [&](size_t shard_idx) {
         const size_t begin = shard_idx * kSessionsPerShard;
@@ -105,7 +86,7 @@ Result<L2Result> L2CooccurrenceMiner::MineSessions(
           }
         }
       },
-      count_options));
+      config_.num_threads);
   FlatCounter joint(expected_pairs);
   for (const FlatCounter& shard : shards) {
     joint.MergeFrom(shard);  // shard order; addition commutes anyway
@@ -129,12 +110,7 @@ Result<L2Result> L2CooccurrenceMiner::MineSessions(
       config_.min_cooccurrence,
       static_cast<int64_t>(config_.min_cooccurrence_per_session *
                            static_cast<double>(sessions.size())));
-  size_t scored_seen = 0;
   for (const auto& [key, o11] : entries) {
-    if ((scored_seen++ & 255) == 0) {
-      LOGMINE_RETURN_IF_ERROR(
-          CheckStop(options.cancel, deadline, "L2 scoring"));
-    }
     if (o11 < floor) continue;
     const auto a = static_cast<uint32_t>(key >> 32);
     const auto b = static_cast<uint32_t>(key & 0xffffffffu);

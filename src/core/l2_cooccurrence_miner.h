@@ -77,15 +77,6 @@ class L2CooccurrenceMiner {
   Result<L2Result> Mine(const LogStore& store, TimeMs begin,
                         TimeMs end) const;
 
-  /// Cancellable/deadlined variant: `options.cancel`/`options.deadline`
-  /// are observed inside the session build, the sharded bigram count
-  /// and the scoring loop, so one wall-clock budget covers the whole
-  /// pass (`options.max_parallelism` is ignored — `L2Config::
-  /// num_threads` stays the parallelism knob). Output on OK is
-  /// identical to the plain overload.
-  Result<L2Result> Mine(const LogStore& store, TimeMs begin, TimeMs end,
-                        const RunOptions& options) const;
-
   /// Bigram extraction on pre-built sessions — exposed for tests and the
   /// timeout experiment, which re-mines the same sessions under several
   /// timeouts.
@@ -97,8 +88,7 @@ class L2CooccurrenceMiner {
   /// marginal vectors). The sliding-window miner (src/serve) feeds
   /// sessions rebuilt from its own compacted columns through this.
   Result<L2Result> MineSessions(size_t num_sources,
-                                const std::vector<Session>& sessions,
-                                const RunOptions& options = {}) const;
+                                const std::vector<Session>& sessions) const;
 
  private:
   L2Config config_;

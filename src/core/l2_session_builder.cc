@@ -8,14 +8,6 @@
 
 namespace logmine::core {
 
-std::vector<Session> SessionBuilder::Build(const LogStore& store,
-                                           TimeMs begin, TimeMs end,
-                                           SessionBuildStats* stats) const {
-  // Default options can neither cancel nor time out, so the status is
-  // always OK.
-  return Build(store, begin, end, RunOptions{}, stats).value();
-}
-
 std::vector<Session> SessionSplitter::Finish(int64_t logs_considered,
                                              SessionBuildStats* stats) && {
   for (auto& [user, session] : open_) {
@@ -32,22 +24,14 @@ std::vector<Session> SessionSplitter::Finish(int64_t logs_considered,
   return std::move(sessions_);
 }
 
-Result<std::vector<Session>> SessionBuilder::Build(
-    const LogStore& store, TimeMs begin, TimeMs end,
-    const RunOptions& options, SessionBuildStats* stats) const {
+std::vector<Session> SessionBuilder::Build(const LogStore& store,
+                                           TimeMs begin, TimeMs end,
+                                           SessionBuildStats* stats) const {
   assert(store.index_built());
   LOGMINE_SPAN_GLOBAL("l2/build_sessions", obs::Metric::kL2SessionBuildNs);
-  const auto deadline = StopDeadline(options);
-  const bool stoppable =
-      options.cancel != nullptr ||
-      deadline != std::chrono::steady_clock::time_point::max();
   SessionSplitter splitter(config_);
   int64_t logs_considered = 0;
   for (uint32_t idx : IndicesInRange(store, begin, end)) {
-    if (stoppable && (logs_considered & 1023) == 0) {
-      LOGMINE_RETURN_IF_ERROR(
-          CheckStop(options.cancel, deadline, "session build"));
-    }
     ++logs_considered;
     const LogStore::UserId user = store.user_id(idx);
     if (user == LogStore::kNoUser) continue;

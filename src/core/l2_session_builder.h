@@ -7,8 +7,6 @@
 #include <vector>
 
 #include "log/store.h"
-#include "util/executor.h"
-#include "util/result.h"
 #include "util/time_util.h"
 
 namespace logmine::core {
@@ -76,8 +74,6 @@ class SessionSplitter {
     it->second.entries.push_back(entry);
   }
 
-  int64_t logs_with_context() const { return stats_.logs_with_context; }
-
   /// Closes the open sessions in user-id order and returns the
   /// survivors in closing order. Fills every field of `stats`, with
   /// `logs_considered` the number of logs in the interval.
@@ -105,15 +101,6 @@ class SessionBuilder {
   /// Pre-condition: store.index_built(). `stats` may be null.
   std::vector<Session> Build(const LogStore& store, TimeMs begin, TimeMs end,
                              SessionBuildStats* stats) const;
-
-  /// Cancellable/deadlined variant: `options.cancel` and
-  /// `options.deadline` are checked every ~1k logs, so a long build
-  /// returns Cancelled/DeadlineExceeded within a bounded slice of work
-  /// instead of overrunning its budget. Output on OK is identical to
-  /// the plain overload; `stats` is only written on OK.
-  Result<std::vector<Session>> Build(const LogStore& store, TimeMs begin,
-                                     TimeMs end, const RunOptions& options,
-                                     SessionBuildStats* stats) const;
 
  private:
   SessionBuilderConfig config_;

@@ -1,8 +1,5 @@
 #include "core/pipeline.h"
 
-#include <chrono>
-
-#include "log/corpus_io.h"
 #include <exception>
 #include <functional>
 #include <string>
@@ -34,7 +31,6 @@ MiningPipeline::MiningPipeline(ServiceVocabulary vocabulary,
 
 Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
                                            TimeMs end,
-                                           const CancelToken* cancel,
                                            obs::ObsContext* obs_context) const {
   if (!store.index_built()) {
     return Status::FailedPrecondition("LogStore index not built");
@@ -55,18 +51,13 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
          obs::JournalField::Num("end_ms", end)});
   }
   PipelineResult out;
-  // The run's wall-clock budget, pinned up front so every miner closure
-  // and the skip checks below measure against the same instant.
-  const bool has_deadline = config_.deadline_ms != 0;
-  const auto deadline = std::chrono::steady_clock::now() +
-                        std::chrono::milliseconds(config_.deadline_ms);
 
   // One (closure, status slot) pair per enabled technique. The store is
   // read-only during mining and each miner is internally deterministic,
   // so the miners can run concurrently on the shared executor. Each
-  // status lands in its own slot, so one failing, throwing or skipped
-  // miner never discards a sibling's model: callers get partial results
-  // plus a per-miner Status.
+  // status lands in its own slot, so one failing or throwing miner never
+  // discards a sibling's model: callers get partial results plus a
+  // per-miner Status.
   std::vector<std::function<Status()>> tasks;
   std::vector<Status*> slots;
   std::vector<const char*> names;
@@ -84,18 +75,7 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
   if (config_.run_l2) {
     tasks.push_back([&]() -> Status {
       L2CooccurrenceMiner miner(config_.l2);
-      // L2 is the one miner with cancellable inner loops: give it
-      // whatever is left of the pipeline budget so a late-starting L2
-      // stops mid-pass instead of overrunning the whole run's deadline.
-      RunOptions l2_options;
-      l2_options.cancel = cancel;
-      if (config_.deadline_ms != 0) {
-        l2_options.deadline = std::max(
-            std::chrono::milliseconds{1},
-            std::chrono::duration_cast<std::chrono::milliseconds>(
-                deadline - std::chrono::steady_clock::now()));
-      }
-      auto result = miner.Mine(store, begin, end, l2_options);
+      auto result = miner.Mine(store, begin, end);
       if (!result.ok()) return result.status();
       out.l2 = std::move(result).value();
       return Status::OK();
@@ -126,25 +106,13 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
     names.push_back("agrawal");
   }
 
-  // Cooperative stop: a miner that has not started when the token fires
-  // or the budget expires is skipped (its status says so); a miner that
-  // already started runs to completion (L2 additionally observes the
-  // budget inside its own loops).
-  RunOptions options;
-  options.max_parallelism = config_.concurrent_miners ? 0 : 1;
   {
     LOGMINE_SPAN(ctx, "pipeline/run", obs::Metric::kPipelineRunNs);
     Executor::Shared().ParallelFor(
         tasks.size(),
         [&](size_t i) {
           const int64_t start_ns = ctx != nullptr ? obs::MonotonicNowNs() : 0;
-          if (cancel != nullptr && cancel->cancelled()) {
-            *slots[i] = Status::Cancelled("miner skipped: run cancelled");
-          } else if (has_deadline &&
-                     std::chrono::steady_clock::now() >= deadline) {
-            *slots[i] =
-                Status::DeadlineExceeded("miner skipped: run deadline expired");
-          } else {
+          {
             // Where the machine went, per miner: CPU vs wall vs RSS (the
             // miner_done event below answers only "how long").
             obs::ResourceProbe::ScopedStage stage(
@@ -168,7 +136,7 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
           }
           ctx->journal().Emit(run_span + "/" + names[i], "miner_done", fields);
         },
-        options);
+        config_.concurrent_miners ? 0 : 1);
   }
   for (const Status* slot : slots) {
     obs::Count(ctx, slot->ok() ? obs::Metric::kPipelineMinersOk
@@ -179,13 +147,6 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
     out.metrics = obs_context->metrics().Snapshot();
   }
   return out;
-}
-
-Result<PipelineResult> MiningPipeline::RunFromCorpusFile(
-    const std::string& path, const CancelToken* cancel,
-    obs::ObsContext* obs_context) const {
-  LOGMINE_ASSIGN_OR_RETURN(LogStore store, ReadCorpusFile(path));
-  return Run(store, store.min_ts(), store.max_ts() + 1, cancel, obs_context);
 }
 
 }  // namespace logmine::core

@@ -9,7 +9,6 @@
 #include "core/l3_text_miner.h"
 #include "log/store.h"
 #include "obs/obs.h"
-#include "util/executor.h"
 #include "util/result.h"
 
 namespace logmine::core {
@@ -25,11 +24,6 @@ struct PipelineConfig {
   /// (they only read the store, and each is deterministic regardless of
   /// scheduling). Set false to run them strictly in sequence.
   bool concurrent_miners = true;
-  /// Wall-clock budget for the whole run in milliseconds; 0 = none, and
-  /// a negative budget has already expired when the run starts.
-  /// Cooperative: miners that have not *started* when the budget expires
-  /// are skipped with DeadlineExceeded status; a running miner finishes.
-  int64_t deadline_ms = 0;
   L1Config l1;
   L2Config l2;
   L3Config l3;
@@ -74,8 +68,7 @@ struct PipelineResult {
 /// Façade running any subset of the three techniques over one interval —
 /// the one-call public entry point used by the examples.
 ///
-/// Fail-safe semantics: a miner that fails (or is skipped by
-/// cancellation / the run deadline) does not abort the run. `Run`
+/// Fail-safe semantics: a miner that fails does not abort the run. `Run`
 /// returns a non-OK Result only for run-level preconditions (index not
 /// built); per-miner failures land in `PipelineResult::*_status` next to
 /// whatever sibling models did succeed, so one broken technique still
@@ -91,24 +84,12 @@ class MiningPipeline {
   MiningPipeline(ServiceVocabulary vocabulary, PipelineConfig config);
 
   /// Pre-condition: store.index_built().
-  /// `cancel`, when non-null, cooperatively stops the run: miners that
-  /// have not started when it fires are skipped with Cancelled status.
   /// `obs_context`, when non-null, receives the run's spans and counters
   /// (in addition to whatever global context the low layers see), and
   /// `PipelineResult::metrics` carries its merged snapshot; when null the
   /// run records into the global context only and the snapshot is absent.
   Result<PipelineResult> Run(const LogStore& store, TimeMs begin, TimeMs end,
-                             const CancelToken* cancel = nullptr,
                              obs::ObsContext* obs_context = nullptr) const;
-
-  /// Convenience fast path: loads `path` via `ReadCorpusFile` — format
-  /// autodetection (binary columnar or text) and parallel chunked text
-  /// decode included — then runs over the corpus's whole time interval.
-  /// The load shares the run's fail-safe story: a corpus that fails to
-  /// read returns its read error here, before any miner starts.
-  Result<PipelineResult> RunFromCorpusFile(
-      const std::string& path, const CancelToken* cancel = nullptr,
-      obs::ObsContext* obs_context = nullptr) const;
 
   const PipelineConfig& config() const { return config_; }
   const ServiceVocabulary& vocabulary() const { return vocabulary_; }

@@ -33,14 +33,12 @@ std::string MangleMetricName(std::string_view name) {
   return out;
 }
 
-std::string ToOpenMetrics(const MetricsSnapshot& snapshot,
-                          const OpenMetricsOptions& options) {
+std::string ToOpenMetrics(const MetricsSnapshot& snapshot) {
   std::string out;
   for (const MetricsSnapshot::Entry& entry : snapshot.entries) {
-    const std::string name = options.prefix + MangleMetricName(entry.name);
+    const std::string name = "logmine_" + MangleMetricName(entry.name);
     switch (entry.kind) {
       case MetricKind::kCounter: {
-        if (!options.include_zero && entry.value == 0) continue;
         // The sample is <family>_total; a metric already named *_total
         // contributes the suffix itself rather than doubling it.
         std::string family = name;
@@ -56,13 +54,11 @@ std::string ToOpenMetrics(const MetricsSnapshot& snapshot,
         break;
       }
       case MetricKind::kGauge: {
-        if (!options.include_zero && entry.value == 0) continue;
         out += "# TYPE " + name + " gauge\n";
         AppendSeries(name, "", "", std::to_string(entry.value), &out);
         break;
       }
       case MetricKind::kSketch: {
-        if (!options.include_zero && entry.sketch.count() == 0) continue;
         out += "# TYPE " + name + " summary\n";
         for (const double q : {0.5, 0.9, 0.99, 0.999}) {
           std::string quantile = std::to_string(q);

@@ -8,19 +8,10 @@
 
 namespace logmine::obs {
 
-/// Rendering knobs for the OpenMetrics/Prometheus text exporter.
-struct OpenMetricsOptions {
-  /// Prepended to every mangled metric name.
-  std::string prefix = "logmine_";
-  /// Emit zero-valued series too (scrapers usually want a stable set;
-  /// the human-facing introspection endpoint trims them).
-  bool include_zero = true;
-};
-
 /// Mangles an internal metric name into a legal Prometheus metric name:
 /// every character outside [a-zA-Z0-9_] becomes '_' ("serve.query_ns"
 /// -> "serve_query_ns"), and a leading digit gains a '_' prefix. The
-/// exporter prepends its prefix after mangling.
+/// exporter prepends `logmine_` after mangling.
 std::string MangleMetricName(std::string_view name);
 
 /// Renders a snapshot in the Prometheus text exposition format
@@ -30,8 +21,9 @@ std::string MangleMetricName(std::string_view name);
 ///  - gauges plain,
 ///  - latency sketches as summaries (`{quantile="0.5|0.9|0.99|0.999"}`
 ///    plus `_sum`/`_count`) — quantiles carry the sketch's alpha bound.
-std::string ToOpenMetrics(const MetricsSnapshot& snapshot,
-                          const OpenMetricsOptions& options = {});
+/// Every series is named `logmine_<mangled>`, and zero-valued series are
+/// rendered too, so a scraper sees a stable set.
+std::string ToOpenMetrics(const MetricsSnapshot& snapshot);
 
 }  // namespace logmine::obs
 

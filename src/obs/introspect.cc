@@ -7,9 +7,9 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
+#include <string_view>
 
 #include "obs/export.h"
 #include "obs/obs.h"
@@ -19,6 +19,28 @@ namespace {
 
 constexpr size_t kMaxRequestBytes = 4096;
 constexpr size_t kMaxJournalTail = 4096;
+
+// "JOURNAL TAIL" (32 lines) or "JOURNAL TAIL <digits>", the count
+// clamped to [1, kMaxJournalTail]; anything else is not this command.
+bool ParseJournalTail(const std::string& line, size_t* n) {
+  constexpr std::string_view kCommand = "JOURNAL TAIL";
+  if (line == kCommand) {
+    *n = 32;
+    return true;
+  }
+  if (line.size() <= kCommand.size() + 1 || line.rfind(kCommand, 0) != 0 ||
+      line[kCommand.size()] != ' ') {
+    return false;
+  }
+  size_t count = 0;
+  for (size_t i = kCommand.size() + 1; i < line.size(); ++i) {
+    if (line[i] < '0' || line[i] > '9') return false;
+    count = std::min(count * 10 + static_cast<size_t>(line[i] - '0'),
+                     kMaxJournalTail);
+  }
+  *n = std::max<size_t>(count, 1);
+  return true;
+}
 
 Status Errno(std::string what) {
   what += ": ";
@@ -160,12 +182,7 @@ std::string IntrospectionServer::HandleRequest(const std::string& line) {
     payload = handlers_.metrics ? handlers_.metrics() : "";
   } else if (line == "HEALTH") {
     payload = handlers_.health ? handlers_.health() : "ok";
-  } else if (line.rfind("JOURNAL TAIL", 0) == 0) {
-    size_t n = 32;
-    if (line.size() > 13) {
-      n = static_cast<size_t>(std::strtoul(line.c_str() + 13, nullptr, 10));
-      n = std::min(std::max<size_t>(n, 1), kMaxJournalTail);
-    }
+  } else if (size_t n = 0; ParseJournalTail(line, &n)) {
     if (handlers_.journal_tail) {
       for (const std::string& journal_line : handlers_.journal_tail(n)) {
         payload += journal_line;

@@ -36,10 +36,11 @@ struct IntrospectionHandlers {
 ///
 ///   $ echo METRICS | socat - UNIX-CONNECT:/tmp/logmine.sock
 ///
-/// Commands: STATUSZ | METRICS | HEALTH | JOURNAL TAIL <n>. Unknown
-/// commands answer "ERR unknown command". The server owns one
-/// background thread; Stop() (or destruction) joins it and removes the
-/// socket file.
+/// Commands: STATUSZ | METRICS | HEALTH | JOURNAL TAIL [<n>], where <n>
+/// is decimal digits clamped to [1, 4096] (default 32). Anything else,
+/// a malformed count included, answers "ERR unknown command". The
+/// server owns one background thread; Stop() (or destruction) joins it
+/// and removes the socket file.
 class IntrospectionServer {
  public:
   /// Binds `socket_path` (an existing stale socket file is replaced)

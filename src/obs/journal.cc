@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdint>
 #include <cstdio>
 #include <map>
 #include <sstream>
@@ -83,18 +84,21 @@ bool FindKey(std::string_view line, std::string_view key, size_t* value_at) {
 bool ExtractInt(std::string_view line, std::string_view key, int64_t* out) {
   size_t at = 0;
   if (!FindKey(line, key, &at)) return false;
-  int64_t sign = 1;
-  if (at < line.size() && line[at] == '-') {
-    sign = -1;
-    ++at;
-  }
+  const bool negative = at < line.size() && line[at] == '-';
+  if (negative) ++at;
   if (at >= line.size() || line[at] < '0' || line[at] > '9') return false;
-  int64_t value = 0;
+  // The magnitude accumulates unsigned up to INT64_MAX (one more when
+  // negative, for INT64_MIN); a longer value fails like a torn line.
+  const uint64_t limit =
+      static_cast<uint64_t>(INT64_MAX) + (negative ? 1u : 0u);
+  uint64_t magnitude = 0;
   while (at < line.size() && line[at] >= '0' && line[at] <= '9') {
-    value = value * 10 + (line[at] - '0');
+    const auto digit = static_cast<uint64_t>(line[at] - '0');
+    if (magnitude > (limit - digit) / 10) return false;
+    magnitude = magnitude * 10 + digit;
     ++at;
   }
-  *out = sign * value;
+  *out = static_cast<int64_t>(negative ? 0 - magnitude : magnitude);
   return true;
 }
 
@@ -149,10 +153,6 @@ JournalField JournalField::Str(std::string_view key, std::string_view value) {
 }
 
 JournalField JournalField::Num(std::string_view key, int64_t value) {
-  return {std::string(key), std::to_string(value)};
-}
-
-JournalField JournalField::Real(std::string_view key, double value) {
   return {std::string(key), std::to_string(value)};
 }
 
@@ -273,21 +273,29 @@ std::string JournalToChromeTrace(std::string_view jsonl) {
         !ExtractString(line, "event", &event)) {
       continue;  // torn or foreign line
     }
+    // An event is stamped when its scope closes: a span starts dur_ns
+    // before its own timestamp. A duration that does not parse, or whose
+    // start falls outside int64, marks the line as torn too.
+    size_t dur_at = 0;
+    const bool complete = FindKey(line, "dur_ns", &dur_at);
+    int64_t dur_ns = 0;
+    int64_t start_ns = ts_ns;
+    if (complete && (!ExtractInt(line, "dur_ns", &dur_ns) ||
+                     __builtin_sub_overflow(ts_ns, dur_ns, &start_ns))) {
+      continue;
+    }
     const std::string root = span.substr(0, span.find('/'));
     const auto [it, inserted] =
         root_tids.emplace(root, static_cast<int>(root_tids.size()) + 1);
     const int tid = it->second;
-    int64_t dur_ns = 0;
-    const bool complete = ExtractInt(line, "dur_ns", &dur_ns);
     if (!first) out += ',';
     first = false;
     std::string name;
     AppendEscaped(span + " " + event, &name);
-    // An event is stamped when its scope closes: a span starts dur_ns
-    // before its own timestamp. Both ends are rounded to microseconds
-    // separately, so nesting in nanoseconds stays nesting in the trace.
+    // Both ends are rounded to microseconds separately, so nesting in
+    // nanoseconds stays nesting in the trace.
     const int64_t end_us = ts_ns / 1000;
-    const int64_t start_us = complete ? (ts_ns - dur_ns) / 1000 : end_us;
+    const int64_t start_us = start_ns / 1000;
     out += "{\"name\":" + name + ",\"pid\":1,\"tid\":" +
            std::to_string(tid) + ",\"ts\":" + std::to_string(start_us);
     if (complete) {

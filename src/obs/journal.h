@@ -33,7 +33,6 @@ struct JournalField {
 
   static JournalField Str(std::string_view key, std::string_view value);
   static JournalField Num(std::string_view key, int64_t value);
-  static JournalField Real(std::string_view key, double value);
   static JournalField Flag(std::string_view key, bool value);
 };
 

@@ -102,9 +102,4 @@ int64_t LatencySketch::Quantile(double q) const {
   return max_;
 }
 
-void LatencySketch::Clear() {
-  count_ = sum_ = min_ = max_ = zero_count_ = 0;
-  buckets_.clear();
-}
-
 }  // namespace logmine::obs

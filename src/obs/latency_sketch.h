@@ -59,8 +59,6 @@ class LatencySketch {
   /// Touched buckets (the sparse table's size), for memory accounting.
   size_t num_buckets() const { return buckets_.size(); }
 
-  void Clear();
-
  private:
   /// Bucket index of a positive value: ceil(log(v) / log(gamma)),
   /// computed in double precision (exactness of the *count* is what

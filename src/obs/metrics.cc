@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <atomic>
 #include <cassert>
 #include <sstream>
 
@@ -15,8 +16,8 @@ struct MetricDef {
   MetricKind kind;
 };
 
-// Must mirror the Metric enum exactly; VerifyMetricTable() below checks
-// the count, and the unit test checks a few names by position.
+// Must mirror the Metric enum exactly; the static_assert below checks
+// the count, and the unit test checks the snapshot order.
 constexpr MetricDef kMetricDefs[] = {
     {"ingest.lines_total", MetricKind::kCounter},
     {"ingest.records_decoded", MetricKind::kCounter},
@@ -62,7 +63,6 @@ constexpr MetricDef kMetricDefs[] = {
     {"agrawal.mine_ns", MetricKind::kSketch},
     {"executor.tasks_completed", MetricKind::kCounter},
     {"executor.parallel_loops", MetricKind::kCounter},
-    {"executor.indices_skipped", MetricKind::kCounter},
     {"executor.queue_depth", MetricKind::kGauge},
     {"executor.saturation", MetricKind::kCounter},
     {"executor.task_ns", MetricKind::kSketch},
@@ -110,32 +110,6 @@ constexpr MetricDef kMetricDefs[] = {
 static_assert(std::size(kMetricDefs) == kNumWellKnownMetrics,
               "kMetricDefs must mirror the Metric enum");
 
-constexpr uint32_t kKindShift = 24;
-constexpr uint32_t kSlotMask = (1u << kKindShift) - 1;
-
-constexpr MetricKind KindOfId(MetricsRegistry::MetricId id) {
-  return static_cast<MetricKind>(id >> kKindShift);
-}
-
-constexpr MetricsRegistry::MetricId EncodeId(MetricKind kind, size_t slot) {
-  return (static_cast<uint32_t>(kind) << kKindShift) |
-         static_cast<uint32_t>(slot);
-}
-
-// Precomputed enum -> encoded id table: scalar and sketch slots each
-// count up in enum order.
-constexpr auto kWellKnownIds = [] {
-  std::array<MetricsRegistry::MetricId, kNumWellKnownMetrics> ids{};
-  size_t scalars = 0;
-  size_t sketches = 0;
-  for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
-    const MetricKind kind = kMetricDefs[i].kind;
-    ids[i] = EncodeId(kind,
-                      kind == MetricKind::kSketch ? sketches++ : scalars++);
-  }
-  return ids;
-}();
-
 constexpr size_t CountOfKind(MetricKind kind) {
   size_t n = 0;
   for (const MetricDef& def : kMetricDefs) {
@@ -147,9 +121,18 @@ constexpr size_t CountOfKind(MetricKind kind) {
 constexpr size_t kWellKnownSketches = CountOfKind(MetricKind::kSketch);
 constexpr size_t kWellKnownScalars = kNumWellKnownMetrics - kWellKnownSketches;
 
-// The default capacities must fit every built-in metric with headroom.
-static_assert(kWellKnownScalars <= MetricsOptions{}.max_scalars);
-static_assert(kWellKnownSketches <= MetricsOptions{}.max_sketches);
+// Enum -> shard slot: scalar and sketch slots each count up in enum
+// order, which is also the order `Snapshot` lists them in.
+constexpr auto kSlotOf = [] {
+  std::array<uint32_t, kNumWellKnownMetrics> slots{};
+  uint32_t scalars = 0;
+  uint32_t sketches = 0;
+  for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+    slots[i] = kMetricDefs[i].kind == MetricKind::kSketch ? sketches++
+                                                           : scalars++;
+  }
+  return slots;
+}();
 
 std::atomic<uint64_t> g_next_registry_id{1};
 
@@ -207,10 +190,6 @@ std::string_view MetricName(Metric metric) {
 
 MetricKind MetricKindOf(Metric metric) {
   return kMetricDefs[static_cast<size_t>(metric)].kind;
-}
-
-MetricsRegistry::MetricId WellKnownId(Metric metric) {
-  return kWellKnownIds[static_cast<size_t>(metric)];
 }
 
 const MetricsSnapshot::Entry* MetricsSnapshot::Find(
@@ -286,39 +265,13 @@ struct MetricsRegistry::Shard {
     LatencySketch sketch;
   };
 
-  explicit Shard(const MetricsOptions& options)
-      : scalars(new std::atomic<int64_t>[options.max_scalars]),
-        sketches(new SketchSlot[options.max_sketches]) {
-    for (size_t i = 0; i < options.max_scalars; ++i) {
-      scalars[i].store(0, std::memory_order_relaxed);
-    }
-    for (size_t i = 0; i < options.max_sketches; ++i) {
-      sketches[i].sketch = LatencySketch(options.sketch_alpha);
-    }
-  }
-
-  std::unique_ptr<std::atomic<int64_t>[]> scalars;
-  std::unique_ptr<SketchSlot[]> sketches;
+  std::array<std::atomic<int64_t>, kWellKnownScalars> scalars{};
+  std::array<SketchSlot, kWellKnownSketches> sketches;
 };
 
-MetricsRegistry::MetricsRegistry(const MetricsOptions& options)
+MetricsRegistry::MetricsRegistry()
     : registry_id_(g_next_registry_id.fetch_add(1,
-                                                std::memory_order_relaxed)),
-      options_(options) {
-  assert(options_.max_scalars >= kWellKnownScalars);
-  assert(options_.max_sketches >= kWellKnownSketches);
-  scalar_names_.reserve(options_.max_scalars);
-  scalar_kinds_.reserve(options_.max_scalars);
-  sketch_names_.reserve(options_.max_sketches);
-  for (const MetricDef& def : kMetricDefs) {
-    if (def.kind == MetricKind::kSketch) {
-      sketch_names_.emplace_back(def.name);
-    } else {
-      scalar_names_.emplace_back(def.name);
-      scalar_kinds_.push_back(def.kind);
-    }
-  }
-}
+                                                std::memory_order_relaxed)) {}
 
 MetricsRegistry::~MetricsRegistry() = default;
 
@@ -334,7 +287,7 @@ MetricsRegistry::Shard* MetricsRegistry::LocalShard() const {
   for (const TlsEntry& entry : tls) {
     if (entry.registry_id == registry_id_) return entry.shard;
   }
-  auto owned = std::make_unique<Shard>(options_);
+  auto owned = std::make_unique<Shard>();
   Shard* shard = owned.get();
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -344,151 +297,53 @@ MetricsRegistry::Shard* MetricsRegistry::LocalShard() const {
   return shard;
 }
 
-Result<MetricsRegistry::MetricId> MetricsRegistry::RegisterNamed(
-    std::string_view name, MetricKind kind) {
-  std::lock_guard<std::mutex> lock(mu_);
-  // Each name lives in exactly one of the two slot families; a hit in
-  // the right family with the right kind returns the existing id, a hit
-  // anywhere else is a kind conflict.
-  const auto find_in = [&name](const std::vector<std::string>& names) {
-    for (size_t i = 0; i < names.size(); ++i) {
-      if (names[i] == name) return static_cast<int64_t>(i);
-    }
-    return int64_t{-1};
-  };
-  const int64_t in_scalars = find_in(scalar_names_);
-  const int64_t in_sketches = find_in(sketch_names_);
-  const auto conflict = [&name]() {
-    return Status::AlreadyExists("metric '" + std::string(name) +
-                                 "' exists with a different kind");
-  };
-  const auto exhausted = [&name](std::string_view family, size_t cap) {
-    return Status::ResourceExhausted(
-        "metric capacity exhausted registering '" + std::string(name) +
-        "': " + std::string(family) + " cap " + std::to_string(cap) +
-        " is full (raise MetricsOptions)");
-  };
-  if (kind == MetricKind::kSketch) {
-    if (in_sketches >= 0) {
-      return EncodeId(kind, static_cast<size_t>(in_sketches));
-    }
-    if (in_scalars >= 0) return conflict();
-    if (sketch_names_.size() >= options_.max_sketches) {
-      return exhausted("sketch", options_.max_sketches);
-    }
-    sketch_names_.emplace_back(name);
-    return EncodeId(kind, sketch_names_.size() - 1);
-  }
-  if (in_scalars >= 0) {
-    return scalar_kinds_[static_cast<size_t>(in_scalars)] == kind
-               ? Result<MetricId>(
-                     EncodeId(kind, static_cast<size_t>(in_scalars)))
-               : Result<MetricId>(conflict());
-  }
-  if (in_sketches >= 0) return conflict();
-  if (scalar_names_.size() >= options_.max_scalars) {
-    return exhausted("scalar", options_.max_scalars);
-  }
-  scalar_names_.emplace_back(name);
-  scalar_kinds_.push_back(kind);
-  return EncodeId(kind, scalar_names_.size() - 1);
-}
-
-Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterCounter(
-    std::string_view name) {
-  return RegisterNamed(name, MetricKind::kCounter);
-}
-
-Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterGauge(
-    std::string_view name) {
-  return RegisterNamed(name, MetricKind::kGauge);
-}
-
-Result<MetricsRegistry::MetricId> MetricsRegistry::TryRegisterSketch(
-    std::string_view name) {
-  return RegisterNamed(name, MetricKind::kSketch);
-}
-
-MetricsRegistry::MetricId MetricsRegistry::RegisterCounter(
-    std::string_view name) {
-  return TryRegisterCounter(name).value_or(kInvalidMetricId);
-}
-
-MetricsRegistry::MetricId MetricsRegistry::RegisterGauge(
-    std::string_view name) {
-  return TryRegisterGauge(name).value_or(kInvalidMetricId);
-}
-
-MetricsRegistry::MetricId MetricsRegistry::RegisterSketch(
-    std::string_view name) {
-  return TryRegisterSketch(name).value_or(kInvalidMetricId);
-}
-
-void MetricsRegistry::Add(MetricId id, int64_t delta) {
-  if (id == kInvalidMetricId) return;
-  const size_t slot = id & kSlotMask;
-  const MetricKind kind = KindOfId(id);
-  // A sketch id (or a corrupted slot) must not index the scalar array;
-  // dropping the write is the lock-free path's only safe option.
-  assert(kind == MetricKind::kCounter || kind == MetricKind::kGauge);
-  if (slot >= options_.max_scalars ||
-      (kind != MetricKind::kCounter && kind != MetricKind::kGauge)) {
-    return;
-  }
-  LocalShard()->scalars[slot].fetch_add(delta, std::memory_order_relaxed);
-}
-
 void MetricsRegistry::Add(Metric metric, int64_t delta) {
-  Add(WellKnownId(metric), delta);
-}
-
-void MetricsRegistry::Observe(MetricId id, int64_t value) {
-  if (id == kInvalidMetricId) return;
-  const size_t slot = id & kSlotMask;
-  const MetricKind kind = KindOfId(id);
-  // Observing a counter/gauge id would index the (smaller) sketch array
-  // with a scalar slot — drop it instead of corrupting the shard.
-  assert(kind == MetricKind::kSketch);
-  if (kind != MetricKind::kSketch || slot >= options_.max_sketches) return;
-  Shard::SketchSlot& sketch_slot = LocalShard()->sketches[slot];
-  std::lock_guard<std::mutex> lock(sketch_slot.mu);
-  sketch_slot.sketch.Observe(value);
+  const size_t index = static_cast<size_t>(metric);
+  // A sketch's slot would index the wrong array; drop the write.
+  assert(kMetricDefs[index].kind != MetricKind::kSketch);
+  if (kMetricDefs[index].kind == MetricKind::kSketch) return;
+  LocalShard()->scalars[kSlotOf[index]].fetch_add(delta,
+                                                  std::memory_order_relaxed);
 }
 
 void MetricsRegistry::Observe(Metric metric, int64_t value) {
-  Observe(WellKnownId(metric), value);
+  const size_t index = static_cast<size_t>(metric);
+  // A counter's or gauge's slot would index the wrong array; drop it.
+  assert(kMetricDefs[index].kind == MetricKind::kSketch);
+  if (kMetricDefs[index].kind != MetricKind::kSketch) return;
+  Shard::SketchSlot& slot = LocalShard()->sketches[kSlotOf[index]];
+  std::lock_guard<std::mutex> lock(slot.mu);
+  slot.sketch.Observe(value);
 }
 
 MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
-  MetricsSnapshot snapshot;
-  snapshot.entries.reserve(scalar_names_.size() + sketch_names_.size());
-  std::vector<int64_t> scalars(scalar_names_.size(), 0);
-  std::vector<LatencySketch> sketches(
-      sketch_names_.size(), LatencySketch(options_.sketch_alpha));
+  std::array<int64_t, kWellKnownScalars> scalars{};
+  std::array<LatencySketch, kWellKnownSketches> sketches;
   for (const std::unique_ptr<Shard>& shard : shards_) {
-    for (size_t i = 0; i < scalars.size(); ++i) {
+    for (size_t i = 0; i < kWellKnownScalars; ++i) {
       scalars[i] += shard->scalars[i].load(std::memory_order_relaxed);
     }
-    for (size_t i = 0; i < sketches.size(); ++i) {
+    for (size_t i = 0; i < kWellKnownSketches; ++i) {
       Shard::SketchSlot& slot = shard->sketches[i];
       std::lock_guard<std::mutex> slot_lock(slot.mu);
       sketches[i].Merge(slot.sketch);
     }
   }
-  for (size_t i = 0; i < scalars.size(); ++i) {
-    MetricsSnapshot::Entry entry;
-    entry.name = scalar_names_[i];
-    entry.kind = scalar_kinds_[i];
-    entry.value = scalars[i];
-    snapshot.entries.push_back(std::move(entry));
-  }
-  for (size_t i = 0; i < sketches.size(); ++i) {
-    MetricsSnapshot::Entry entry;
-    entry.name = sketch_names_[i];
-    entry.kind = MetricKind::kSketch;
-    entry.sketch = std::move(sketches[i]);
-    snapshot.entries.push_back(std::move(entry));
+  MetricsSnapshot snapshot;
+  snapshot.entries.resize(kNumWellKnownMetrics);
+  for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+    const MetricDef& def = kMetricDefs[i];
+    const bool sketch = def.kind == MetricKind::kSketch;
+    MetricsSnapshot::Entry& entry =
+        snapshot.entries[sketch ? kWellKnownScalars + kSlotOf[i] : kSlotOf[i]];
+    entry.name = def.name;
+    entry.kind = def.kind;
+    if (sketch) {
+      entry.sketch = std::move(sketches[kSlotOf[i]]);
+    } else {
+      entry.value = scalars[kSlotOf[i]];
+    }
   }
   return snapshot;
 }

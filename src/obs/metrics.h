@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "obs/latency_sketch.h"
-#include "util/result.h"
 
 namespace logmine::obs {
 
@@ -28,9 +27,8 @@ std::string_view MetricKindName(MetricKind kind);
 
 /// Every built-in instrumentation point in the library, one per line of
 /// the naming scheme `<layer>.<what>[_ns]` (DESIGN.md §10). The enum is
-/// the fast path: `Add(Metric::k...)` compiles to an array index with
-/// no name lookup. Dynamic metrics registered at runtime live in the
-/// same registry after these.
+/// the registry's whole schema: `Add(Metric::k...)` compiles to an array
+/// index with no name lookup.
 enum class Metric : uint32_t {
   // --- ingest / decode (log/codec.cc) ---
   kIngestLinesTotal = 0,
@@ -83,7 +81,6 @@ enum class Metric : uint32_t {
   // --- executor (util/executor.cc) ---
   kExecutorTasksCompleted,
   kExecutorParallelLoops,
-  kExecutorIndicesSkipped,
   kExecutorQueueDepth,
   kExecutorSaturation,
   kExecutorTaskNs,
@@ -148,9 +145,9 @@ inline constexpr size_t kNumWellKnownMetrics =
 std::string_view MetricName(Metric metric);
 MetricKind MetricKindOf(Metric metric);
 
-/// Point-in-time merged view of a registry, in registration order
-/// (well-known metrics first), so exports are deterministic for any
-/// thread count.
+/// Point-in-time merged view of a registry: every scalar metric in enum
+/// order, then every sketch in enum order, so exports are deterministic
+/// for any thread count.
 struct MetricsSnapshot {
   struct Entry {
     std::string name;
@@ -175,28 +172,13 @@ struct MetricsSnapshot {
   std::string ToJson() const;
 };
 
-/// Capacity knobs of one registry. Registration past a cap fails with
-/// kResourceExhausted (TryRegister*) instead of silently dropping the
-/// metric; the defaults leave plenty of headroom over the well-known
-/// set. Capacities are fixed at construction — the per-thread shards
-/// never grow mid-flight, which is what keeps the write path free of
-/// locks and resize races.
-struct MetricsOptions {
-  size_t max_scalars = 160;
-  size_t max_sketches = 48;
-  /// Relative accuracy of every sketch metric (see LatencySketch).
-  double sketch_alpha = LatencySketch::kDefaultAlpha;
-};
-
 /// Thread-safe metrics registry with a lock-free fast path: every
 /// thread writes to its own shard of relaxed atomics (the FlatCounter
 /// discipline — contention-free accumulation, merge on read), and
 /// `Snapshot` sums the shards. Sketch metrics take a per-shard,
 /// per-slot mutex instead (their updates are structural); the owning
 /// thread is the only writer, so the lock is uncontended except
-/// against snapshots. Well-known `Metric`s are pre-registered;
-/// `TryRegister*` adds dynamically named metrics until the configured
-/// capacity is exhausted (kResourceExhausted).
+/// against snapshots. The schema is fixed: exactly the `Metric` enum.
 ///
 /// Determinism: addition over int64 commutes (and sketch merge is
 /// associative and order-independent), so a snapshot taken after the
@@ -204,39 +186,15 @@ struct MetricsOptions {
 /// or schedule.
 class MetricsRegistry {
  public:
-  /// Encoded metric handle: kind in the top byte, shard slot below.
-  using MetricId = uint32_t;
-  static constexpr MetricId kInvalidMetricId = 0xffffffffu;
-
-  explicit MetricsRegistry(const MetricsOptions& options = {});
+  MetricsRegistry();
   ~MetricsRegistry();
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
-  const MetricsOptions& options() const { return options_; }
-
-  /// Registers (or finds, by name) a dynamic metric. Thread-safe.
-  /// Fails with kResourceExhausted when the configured capacity is
-  /// full, kAlreadyExists when the name exists with a different kind.
-  Result<MetricId> TryRegisterCounter(std::string_view name);
-  Result<MetricId> TryRegisterGauge(std::string_view name);
-  Result<MetricId> TryRegisterSketch(std::string_view name);
-
-  /// Lenient forms: kInvalidMetricId on any failure (writes to an
-  /// invalid id are dropped) — for callers that prefer losing a metric
-  /// over failing a run.
-  MetricId RegisterCounter(std::string_view name);
-  MetricId RegisterGauge(std::string_view name);
-  MetricId RegisterSketch(std::string_view name);
-
-  /// Adds `delta` to a counter or gauge. Lock-free; invalid ids are
-  /// dropped silently.
-  void Add(MetricId id, int64_t delta);
+  /// Adds `delta` to a counter or gauge. Lock-free.
   void Add(Metric metric, int64_t delta = 1);
 
-  /// Records one observation (latencies: nanoseconds) into a sketch id;
-  /// counter/gauge ids are dropped.
-  void Observe(MetricId id, int64_t value);
+  /// Records one observation (latencies: nanoseconds) into a sketch.
   void Observe(Metric metric, int64_t value);
 
   /// Merged view of all shards. Safe to call concurrently with
@@ -247,21 +205,12 @@ class MetricsRegistry {
   struct Shard;
 
   Shard* LocalShard() const;
-  Result<MetricId> RegisterNamed(std::string_view name, MetricKind kind);
 
   const uint64_t registry_id_;  ///< process-unique, for thread-local lookup
-  const MetricsOptions options_;
 
   mutable std::mutex mu_;
   mutable std::vector<std::unique_ptr<Shard>> shards_;
-  /// Slot -> name/kind tables, pre-filled with the well-known metrics.
-  std::vector<std::string> scalar_names_;
-  std::vector<MetricKind> scalar_kinds_;
-  std::vector<std::string> sketch_names_;
 };
-
-/// The encoded id of a well-known metric (constant-time, no lookup).
-MetricsRegistry::MetricId WellKnownId(Metric metric);
 
 }  // namespace logmine::obs
 

@@ -12,8 +12,6 @@ namespace logmine::obs {
 
 /// Knobs of one observability context.
 struct ObsOptions {
-  /// Registry capacities and sketch accuracy.
-  MetricsOptions metrics;
   /// Event journal; the default (no path) keeps it memory-only, which
   /// still feeds the introspection tail, postmortem bundles and the
   /// Chrome-trace view (JournalToChromeTrace).
@@ -27,7 +25,7 @@ struct ObsOptions {
 class ObsContext {
  public:
   explicit ObsContext(const ObsOptions& options = {})
-      : metrics_(options.metrics), journal_(options.journal, &metrics_) {}
+      : journal_(options.journal, &metrics_) {}
 
   MetricsRegistry& metrics() { return metrics_; }
   const MetricsRegistry& metrics() const { return metrics_; }

@@ -193,12 +193,10 @@ Status SlidingWindowMiner::IngestEpoch(const EpochBatch& batch) {
   return Status::OK();
 }
 
-Result<WindowModelSet> SlidingWindowMiner::MineWindow(
-    const RunOptions& options) const {
+Result<WindowModelSet> SlidingWindowMiner::MineWindow() const {
   if (epochs_.empty()) {
     return Status::FailedPrecondition("no epochs ingested yet");
   }
-  const auto deadline = StopDeadline(options);
   WindowModelSet out;
   out.window_begin = window_begin();
   out.window_end = window_end();
@@ -279,10 +277,6 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
   for (const EpochState& epoch : epochs_) {
     logs_considered += epoch.logs_considered;
     for (const ContextLog& log : epoch.context) {
-      if ((splitter.logs_with_context() & 1023) == 0) {
-        LOGMINE_RETURN_IF_ERROR(
-            CheckStop(options.cancel, deadline, "window session rebuild"));
-      }
       splitter.Add(log.user, core::SessionLogEntry{log.ts, log.source, 0});
     }
   }
@@ -291,8 +285,7 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow(
   core::L2CooccurrenceMiner l2_miner(config_.l2);
   LOGMINE_ASSIGN_OR_RETURN(
       const core::L2Result l2,
-      l2_miner.MineSessions(sources_.size(), sessions,
-                            RemainingOptions(options, deadline)));
+      l2_miner.MineSessions(sources_.size(), sessions));
   out.num_bigrams = l2.num_bigrams;
   out.l2_scores.reserve(l2.scored.size());
   for (const core::L2PairScore& score : l2.scored) {

@@ -13,7 +13,6 @@
 #include "core/l3_text_miner.h"
 #include "log/name_interner.h"
 #include "log/store.h"
-#include "util/executor.h"
 #include "util/result.h"
 #include "util/snapshot.h"
 #include "util/time_util.h"
@@ -147,9 +146,8 @@ class SlidingWindowMiner {
   Status IngestEpoch(const EpochBatch& batch);
 
   /// Aggregates the retained epochs into the window's model set.
-  /// `options.cancel` / `options.deadline` ride into the L2 session
-  /// rebuild and scoring. FailedPrecondition before the first ingest.
-  Result<WindowModelSet> MineWindow(const RunOptions& options = {}) const;
+  /// FailedPrecondition before the first ingest.
+  Result<WindowModelSet> MineWindow() const;
 
   int64_t epochs_ingested() const { return epochs_ingested_; }
   int64_t epochs_aged_out() const { return epochs_aged_out_; }

@@ -10,42 +10,6 @@
 
 namespace logmine {
 
-std::chrono::steady_clock::time_point StopDeadline(
-    const RunOptions& options) {
-  return options.deadline.count() > 0
-             ? std::chrono::steady_clock::now() + options.deadline
-             : std::chrono::steady_clock::time_point::max();
-}
-
-Status CheckStop(const CancelToken* cancel,
-                 std::chrono::steady_clock::time_point deadline,
-                 const char* what) {
-  if (cancel != nullptr && cancel->cancelled()) {
-    return Status::Cancelled(std::string(what) + " cancelled");
-  }
-  if (deadline != std::chrono::steady_clock::time_point::max() &&
-      std::chrono::steady_clock::now() >= deadline) {
-    return Status::DeadlineExceeded(std::string(what) +
-                                    " deadline expired");
-  }
-  return Status::OK();
-}
-
-RunOptions RemainingOptions(
-    const RunOptions& base,
-    std::chrono::steady_clock::time_point deadline) {
-  RunOptions options = base;
-  if (deadline == std::chrono::steady_clock::time_point::max()) {
-    options.deadline = std::chrono::milliseconds{0};
-  } else {
-    options.deadline = std::max(
-        std::chrono::milliseconds{1},
-        std::chrono::duration_cast<std::chrono::milliseconds>(
-            deadline - std::chrono::steady_clock::now()));
-  }
-  return options;
-}
-
 // State shared between the caller of a ParallelFor and the helper tasks
 // it enqueues. Helpers hold a shared_ptr, so stale helpers that wake up
 // after the loop finished (and the caller returned) only touch live
@@ -55,42 +19,20 @@ struct Executor::ForLoop {
   const std::function<void(size_t)>* fn = nullptr;
   std::atomic<size_t> next{0};
   std::atomic<size_t> done{0};
-  std::atomic<size_t> skipped{0};
-  // Cooperative stop controls (null/zero when unused).
-  const CancelToken* cancel = nullptr;
-  bool has_deadline = false;
-  std::chrono::steady_clock::time_point deadline{};
   std::mutex mu;
   std::condition_variable all_done;
   std::exception_ptr error;  // first failure, guarded by mu
 
-  // True once the loop should stop claiming fresh indices. Checked
-  // between indices only — a running fn(i) is never preempted.
-  bool Stopped() const {
-    if (cancel != nullptr && cancel->cancelled()) return true;
-    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
-      return true;
-    }
-    return false;
-  }
-
   // Claims and runs indices until none remain. Returns when the claimed
-  // range is exhausted (other participants may still be running). Once
-  // stopped, remaining indices are claimed and counted as skipped so the
-  // completion count still reaches `count` and waiters wake.
+  // range is exhausted (other participants may still be running).
   void Drain() {
-    const bool stoppable = cancel != nullptr || has_deadline;
     for (size_t i = next.fetch_add(1, std::memory_order_relaxed); i < count;
          i = next.fetch_add(1, std::memory_order_relaxed)) {
-      if (stoppable && Stopped()) {
-        skipped.fetch_add(1, std::memory_order_relaxed);
-      } else {
-        try {
-          (*fn)(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(mu);
-          if (!error) error = std::current_exception();
-        }
+      try {
+        (*fn)(i);
+      } catch (...) {
+        std::lock_guard<std::mutex> lock(mu);
+        if (!error) error = std::current_exception();
       }
       if (done.fetch_add(1, std::memory_order_acq_rel) + 1 == count) {
         std::lock_guard<std::mutex> lock(mu);  // pairs with the wait
@@ -170,33 +112,20 @@ void Executor::WorkerMain() {
 void Executor::ParallelFor(size_t count,
                            const std::function<void(size_t)>& fn,
                            int max_parallelism) const {
-  RunOptions options;
-  options.max_parallelism = max_parallelism;
-  ParallelFor(count, fn, options);  // cannot cancel: status is always OK
-}
-
-Status Executor::ParallelFor(size_t count,
-                             const std::function<void(size_t)>& fn,
-                             const RunOptions& options) const {
-  if (count == 0) return Status::OK();
+  if (count == 0) return;
 
   auto loop = std::make_shared<ForLoop>();
   loop->count = count;
   loop->fn = &fn;
-  loop->cancel = options.cancel;
-  if (options.deadline.count() > 0) {
-    loop->has_deadline = true;
-    loop->deadline = std::chrono::steady_clock::now() + options.deadline;
-  }
 
   obs::Count(obs::Metric::kExecutorParallelLoops);
   int helpers = num_workers();
-  if (options.max_parallelism > 0) {
-    helpers = std::min(helpers, options.max_parallelism - 1);
+  if (max_parallelism > 0) {
+    helpers = std::min(helpers, max_parallelism - 1);
   }
   helpers = std::min<int>(helpers, static_cast<int>(count) - 1);
   if (helpers <= 0) {
-    loop->Drain();  // serial on the caller, same stop/skip semantics
+    loop->Drain();  // serial on the caller
   } else {
     obs::Count(obs::Metric::kExecutorQueueDepth, helpers);
     bool saturated;
@@ -217,18 +146,6 @@ Status Executor::ParallelFor(size_t count,
     });
   }
   if (loop->error) std::rethrow_exception(loop->error);
-  const size_t skipped = loop->skipped.load(std::memory_order_relaxed);
-  if (skipped > 0) {
-    obs::Count(obs::Metric::kExecutorIndicesSkipped,
-               static_cast<int64_t>(skipped));
-    const std::string detail = "skipped " + std::to_string(skipped) + " of " +
-                               std::to_string(count) + " indices";
-    if (options.cancel != nullptr && options.cancel->cancelled()) {
-      return Status::Cancelled("ParallelFor cancelled: " + detail);
-    }
-    return Status::DeadlineExceeded("ParallelFor deadline expired: " + detail);
-  }
-  return Status::OK();
 }
 
 void Executor::ParallelForChunks(

@@ -1,8 +1,6 @@
 #ifndef LOGMINE_UTIL_EXECUTOR_H_
 #define LOGMINE_UTIL_EXECUTOR_H_
 
-#include <atomic>
-#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -12,56 +10,7 @@
 #include <thread>
 #include <vector>
 
-#include "util/status.h"
-
 namespace logmine {
-
-/// Cooperative cancellation flag shared between a controller and the
-/// loops it wants to stop. Thread-safe; cancelling is one-way and sticky.
-/// Loops observe it between work items — a running item is never
-/// preempted, it finishes and then no further items start.
-class CancelToken {
- public:
-  void Cancel() { cancelled_.store(true, std::memory_order_release); }
-  bool cancelled() const {
-    return cancelled_.load(std::memory_order_acquire);
-  }
-
- private:
-  std::atomic<bool> cancelled_{false};
-};
-
-/// Optional controls of one ParallelFor run. Default-constructed options
-/// reproduce the plain overload exactly.
-struct RunOptions {
-  /// 0 = no cap beyond the pool size; 1 = serial on the caller; n = at
-  /// most n threads total (caller included).
-  int max_parallelism = 0;
-  /// When non-null, checked before each index: once cancelled, remaining
-  /// indices are skipped (already-running ones finish).
-  const CancelToken* cancel = nullptr;
-  /// Wall-clock budget for the loop; <= 0 = none. Measured from the call;
-  /// once exhausted, remaining indices are skipped.
-  std::chrono::milliseconds deadline{0};
-};
-
-/// Pins `options`' relative deadline to an absolute instant, for code
-/// that spreads one budget over several sequential phases; the sentinel
-/// time_point::max() means "no deadline".
-std::chrono::steady_clock::time_point StopDeadline(const RunOptions& options);
-
-/// One cooperative checkpoint inside a long serial loop: Cancelled once
-/// `cancel` fired, DeadlineExceeded once `deadline` passed, OK
-/// otherwise. `what` names the loop in the error message.
-Status CheckStop(const CancelToken* cancel,
-                 std::chrono::steady_clock::time_point deadline,
-                 const char* what);
-
-/// `base` with its deadline replaced by whatever budget remains until
-/// the absolute `deadline` (floored at 1 ms so an expired budget still
-/// surfaces as DeadlineExceeded inside the loop, not as a hang).
-RunOptions RemainingOptions(const RunOptions& base,
-                            std::chrono::steady_clock::time_point deadline);
 
 /// Fixed-size shared worker pool: the single place all compute-bound
 /// parallelism in the library runs. Miners no longer spawn raw threads
@@ -108,15 +57,6 @@ class Executor {
   /// after the loop drains; remaining indices still run.
   void ParallelFor(size_t count, const std::function<void(size_t)>& fn,
                    int max_parallelism = 0) const;
-
-  /// Cancellable/deadlined variant. Returns OK when every index ran;
-  /// Cancelled or DeadlineExceeded (naming how many indices were
-  /// skipped) when `options.cancel` fired or `options.deadline` expired
-  /// mid-loop. Always blocks until the indices that did start have
-  /// finished, so shared state the tasks touch stays safe to destroy on
-  /// return. Exceptions propagate as in the plain overload.
-  Status ParallelFor(size_t count, const std::function<void(size_t)>& fn,
-                     const RunOptions& options) const;
 
   /// Chunked variant: fn(begin, end) over consecutive ranges of at most
   /// `grain` indices. Chunk boundaries depend only on (count, grain), so

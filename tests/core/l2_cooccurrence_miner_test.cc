@@ -4,8 +4,6 @@
 
 #include <string>
 
-#include "util/executor.h"
-
 namespace logmine::core {
 namespace {
 
@@ -182,73 +180,6 @@ TEST(L2MinerTest, RejectsBadAlpha) {
   config.alpha = 1.5;
   L2CooccurrenceMiner miner(config);
   EXPECT_FALSE(miner.Mine(store, 0, 100).ok());
-}
-
-// A store big enough that the cancellable overload's cooperative stop
-// checkpoints (session build, bigram count, scoring) actually fire:
-// ten users, thousands of logs each, sources mixed so that nearly
-// every adjacent pair is a distinct scored type.
-LogStore BigMixedStore() {
-  LogStore store;
-  TimeMs t = 0;
-  for (int user = 0; user < 10; ++user) {
-    const std::string name = "u" + std::to_string(user);
-    for (int i = 0; i < 3000; ++i) {
-      const int source = (i * i + 13 * user + i) % 211;
-      EXPECT_TRUE(
-          store.Append(Rec(t, "S" + std::to_string(source), name)).ok());
-      t += 10;
-    }
-  }
-  store.BuildIndex();
-  return store;
-}
-
-TEST(L2MinerTest, PreCancelledTokenStopsTheRun) {
-  const LogStore store = PaperExampleStore();
-  L2CooccurrenceMiner miner(PermissiveConfig(0));
-  CancelToken token;
-  token.Cancel();
-  RunOptions options;
-  options.cancel = &token;
-  auto result = miner.Mine(store, 0, 10000, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kCancelled)
-      << result.status();
-}
-
-TEST(L2MinerTest, TinyDeadlineSurfacesAsDeadlineExceeded) {
-  const LogStore store = BigMixedStore();
-  L2Config config = PermissiveConfig(1000);
-  config.min_cooccurrence = 1;
-  config.num_threads = 1;
-  L2CooccurrenceMiner miner(config);
-  RunOptions options;
-  options.deadline = std::chrono::milliseconds(1);
-  auto result = miner.Mine(store, 0, 10 * 3000 * 10 + 1000, options);
-  ASSERT_FALSE(result.ok());
-  EXPECT_EQ(result.status().code(), StatusCode::kDeadlineExceeded)
-      << result.status();
-}
-
-TEST(L2MinerTest, DefaultOptionsMatchThePlainOverload) {
-  const LogStore store = PaperExampleStore();
-  L2CooccurrenceMiner miner(PermissiveConfig(0));
-  auto plain = miner.Mine(store, 0, 10000);
-  auto optioned = miner.Mine(store, 0, 10000, RunOptions{});
-  ASSERT_TRUE(plain.ok());
-  ASSERT_TRUE(optioned.ok());
-  EXPECT_EQ(plain.value().num_bigrams, optioned.value().num_bigrams);
-  ASSERT_EQ(plain.value().scored.size(), optioned.value().scored.size());
-  for (size_t i = 0; i < plain.value().scored.size(); ++i) {
-    const L2PairScore& a = plain.value().scored[i];
-    const L2PairScore& b = optioned.value().scored[i];
-    EXPECT_EQ(a.a, b.a);
-    EXPECT_EQ(a.b, b.b);
-    EXPECT_EQ(a.table.o11, b.table.o11);
-    EXPECT_DOUBLE_EQ(a.score, b.score);
-    EXPECT_EQ(a.dependent, b.dependent);
-  }
 }
 
 TEST(L2MinerTest, PearsonVariantRuns) {

@@ -36,7 +36,7 @@ std::vector<std::string> JournalOfGlobalRun(obs::ObsContext* context) {
   const LogStore store = TinyStore();
   MiningPipeline pipeline(TinyVocab(), PipelineConfig{});
   obs::ScopedGlobalObs scoped(context);
-  EXPECT_TRUE(pipeline.Run(store, 0, 10000, nullptr, context).ok());
+  EXPECT_TRUE(pipeline.Run(store, 0, 10000, context).ok());
   return context->journal().Tail(context->journal().options().tail_capacity);
 }
 
@@ -141,37 +141,6 @@ TEST(PipelineTest, FailingMinerYieldsPartialResults) {
             result.value().l3_status.code());
 }
 
-TEST(PipelineTest, PreCancelledRunSkipsEveryMiner) {
-  const LogStore store = TinyStore();
-  MiningPipeline pipeline(TinyVocab(), PipelineConfig{});
-  CancelToken token;
-  token.Cancel();
-  auto result = pipeline.Run(store, 0, 10000, &token);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result.value().l1.has_value());
-  EXPECT_FALSE(result.value().l2.has_value());
-  EXPECT_FALSE(result.value().l3.has_value());
-  EXPECT_EQ(result.value().l1_status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(result.value().l2_status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(result.value().l3_status.code(), StatusCode::kCancelled);
-  EXPECT_FALSE(result.value().all_ok());
-}
-
-TEST(PipelineTest, ExpiredDeadlineSkipsEveryMiner) {
-  // A deadline of 0 means "no deadline"; a negative budget has already
-  // expired by the time the miners are scheduled.
-  const LogStore store = TinyStore();
-  PipelineConfig config;
-  config.deadline_ms = -1;
-  MiningPipeline pipeline(TinyVocab(), config);
-  auto result = pipeline.Run(store, 0, 10000);
-  ASSERT_TRUE(result.ok()) << result.status();
-  EXPECT_FALSE(result.value().l1.has_value());
-  EXPECT_EQ(result.value().l1_status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_EQ(result.value().l3_status.code(), StatusCode::kDeadlineExceeded);
-  EXPECT_FALSE(result.value().all_ok());
-}
-
 TEST(PipelineTest, RunWithoutObsContextAttachesNoSnapshot) {
   const LogStore store = TinyStore();
   MiningPipeline pipeline(TinyVocab(), PipelineConfig{});
@@ -195,7 +164,7 @@ TEST(PipelineTest, RunAttachesMetricsSnapshotToResult) {
   // same registry the pipeline snapshots — the way the demo and bench
   // binaries run.
   obs::ScopedGlobalObs scoped(&context);
-  auto result = pipeline.Run(store, 0, 10000, nullptr, &context);
+  auto result = pipeline.Run(store, 0, 10000, &context);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.value().metrics.has_value());
 
@@ -261,7 +230,7 @@ TEST(PipelineTest, ExplicitObsContextWorksWithoutGlobalInstall) {
   MiningPipeline pipeline(TinyVocab(), PipelineConfig{});
   obs::ObsContext context;
   ASSERT_EQ(obs::Global(), nullptr);
-  auto result = pipeline.Run(store, 0, 10000, nullptr, &context);
+  auto result = pipeline.Run(store, 0, 10000, &context);
   ASSERT_TRUE(result.ok());
   ASSERT_TRUE(result.value().metrics.has_value());
   // Pipeline-level counters land in the explicit context even though no

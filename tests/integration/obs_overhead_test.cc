@@ -43,7 +43,7 @@ TEST(ObsOverheadTest, InstrumentationCostsAtMostThreePercent) {
   {
     obs::ObsContext warm;
     obs::ScopedGlobalObs scoped(&warm);
-    ASSERT_TRUE(pipeline.Run(dataset.store, begin, end, nullptr, &warm).ok());
+    ASSERT_TRUE(pipeline.Run(dataset.store, begin, end, &warm).ok());
   }
 
   constexpr int kReps = 5;
@@ -63,7 +63,7 @@ TEST(ObsOverheadTest, InstrumentationCostsAtMostThreePercent) {
       obs::ObsContext context;
       obs::ScopedGlobalObs scoped(&context);
       const int64_t t0 = NowNs();
-      auto result = pipeline.Run(dataset.store, begin, end, nullptr, &context);
+      auto result = pipeline.Run(dataset.store, begin, end, &context);
       const int64_t elapsed = NowNs() - t0;
       ASSERT_TRUE(result.ok()) << result.status();
       ASSERT_TRUE(result.value().metrics.has_value());

@@ -2,8 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
+#include <initializer_list>
 #include <string>
+#include <utility>
 
 #include "obs/metrics.h"
 
@@ -21,27 +24,36 @@ TEST(MangleMetricNameTest, PrefixesLeadingDigit) {
   EXPECT_EQ(MangleMetricName("0"), "_0");
 }
 
-// The golden: a fresh registry with only dynamic metrics touched renders
-// exactly these series (include_zero=false hides the untouched
-// well-known ones). Counter and gauge values are exact by construction;
-// the sketch's quantiles are too here, because each lands on a value
-// the sketch clamps to an observed extreme (1 is the minimum, 100 the
-// maximum).
-TEST(ToOpenMetricsTest, GoldenRendering) {
-  MetricsRegistry registry;
-  const auto requests = registry.RegisterCounter("demo.requests");
-  const auto depth = registry.RegisterGauge("demo.depth");
-  const auto latency = registry.RegisterSketch("demo.latency_ms");
-  registry.Add(requests, 7);
-  registry.Add(depth, 3);
-  registry.Observe(latency, 1);
-  registry.Observe(latency, 1);
-  registry.Observe(latency, 1);
-  registry.Observe(latency, 100);
+MetricsSnapshot::Entry Scalar(std::string name, MetricKind kind,
+                              int64_t value) {
+  MetricsSnapshot::Entry entry;
+  entry.name = std::move(name);
+  entry.kind = kind;
+  entry.value = value;
+  return entry;
+}
 
-  OpenMetricsOptions options;
-  options.include_zero = false;
-  const std::string text = ToOpenMetrics(registry.Snapshot(), options);
+MetricsSnapshot::Entry Sketch(std::string name,
+                              std::initializer_list<int64_t> values) {
+  MetricsSnapshot::Entry entry;
+  entry.name = std::move(name);
+  entry.kind = MetricKind::kSketch;
+  for (const int64_t value : values) entry.sketch.Observe(value);
+  return entry;
+}
+
+// The golden: a hand-built snapshot renders exactly these series.
+// Counter and gauge values are exact by construction; the sketch's
+// quantiles are too here, because each lands on a value the sketch
+// clamps to an observed extreme (1 is the minimum, 100 the maximum).
+TEST(ToOpenMetricsTest, GoldenRendering) {
+  MetricsSnapshot snapshot;
+  snapshot.entries.push_back(
+      Scalar("demo.requests", MetricKind::kCounter, 7));
+  snapshot.entries.push_back(Scalar("demo.depth", MetricKind::kGauge, 3));
+  snapshot.entries.push_back(Sketch("demo.latency_ms", {1, 1, 1, 100}));
+
+  const std::string text = ToOpenMetrics(snapshot);
   const std::string expected =
       "# TYPE logmine_demo_requests counter\n"
       "logmine_demo_requests_total 7\n"
@@ -58,13 +70,12 @@ TEST(ToOpenMetricsTest, GoldenRendering) {
 }
 
 TEST(ToOpenMetricsTest, SketchRendersAsSummaryWithinRelativeError) {
-  MetricsRegistry registry;
-  const auto sketch = registry.RegisterSketch("demo.sketch_ms");
-  for (int i = 0; i < 100; ++i) registry.Observe(sketch, 1000);
+  MetricsSnapshot snapshot;
+  MetricsSnapshot::Entry sketch = Sketch("demo.sketch_ms", {});
+  for (int i = 0; i < 100; ++i) sketch.sketch.Observe(1000);
+  snapshot.entries.push_back(std::move(sketch));
 
-  OpenMetricsOptions options;
-  options.include_zero = false;
-  const std::string text = ToOpenMetrics(registry.Snapshot(), options);
+  const std::string text = ToOpenMetrics(snapshot);
   EXPECT_NE(text.find("# TYPE logmine_demo_sketch_ms summary\n"),
             std::string::npos);
   EXPECT_NE(text.find("logmine_demo_sketch_ms_sum 100000\n"),
@@ -101,25 +112,12 @@ TEST(ToOpenMetricsTest, IncludeZeroRendersWellKnownMetrics) {
 }
 
 TEST(ToOpenMetricsTest, CounterAlreadyNamedTotalIsNotDoubled) {
-  MetricsRegistry registry;
-  const auto id = registry.RegisterCounter("ingest.lines_total");
-  registry.Add(id, 5);
-  OpenMetricsOptions options;
-  options.include_zero = false;
-  EXPECT_EQ(ToOpenMetrics(registry.Snapshot(), options),
+  MetricsSnapshot snapshot;
+  snapshot.entries.push_back(
+      Scalar("ingest.lines_total", MetricKind::kCounter, 5));
+  EXPECT_EQ(ToOpenMetrics(snapshot),
             "# TYPE logmine_ingest_lines counter\n"
             "logmine_ingest_lines_total 5\n");
-}
-
-TEST(ToOpenMetricsTest, CustomPrefix) {
-  MetricsRegistry registry;
-  const auto id = registry.RegisterCounter("x");
-  registry.Add(id, 1);
-  OpenMetricsOptions options;
-  options.prefix = "acme_";
-  options.include_zero = false;
-  EXPECT_EQ(ToOpenMetrics(registry.Snapshot(), options),
-            "# TYPE acme_x counter\nacme_x_total 1\n");
 }
 
 }  // namespace

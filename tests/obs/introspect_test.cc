@@ -6,6 +6,7 @@
 
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "obs/obs.h"
@@ -61,6 +62,37 @@ TEST(IntrospectionServerTest, AnswersEveryCommand) {
   server.value()->Stop();
   // The socket file is gone after Stop, and a second Stop is harmless.
   EXPECT_NE(::access(path.c_str(), F_OK), 0);
+  server.value()->Stop();
+}
+
+// JOURNAL TAIL takes no count or a decimal count (clamped to
+// [1, 4096]); any other spelling is an error, not a guessed count.
+TEST(IntrospectionServerTest, JournalTailParsesItsCountStrictly) {
+  const std::string path = SocketPath("tail");
+  IntrospectionHandlers handlers;
+  handlers.journal_tail = [](size_t n) {
+    return std::vector<std::string>{"n=" + std::to_string(n)};
+  };
+  auto server = IntrospectionServer::Start(path, std::move(handlers));
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  const std::pair<const char*, const char*> cases[] = {
+      {"JOURNAL TAIL", "n=32\n"},
+      {"JOURNAL TAIL 7", "n=7\n"},
+      {"JOURNAL TAIL 0", "n=1\n"},
+      {"JOURNAL TAIL 4097", "n=4096\n"},
+      {"JOURNAL TAIL 99999999999999999999999", "n=4096\n"},
+      {"JOURNAL TAIL -5", "ERR unknown command\n"},
+      {"JOURNAL TAIL abc", "ERR unknown command\n"},
+      {"JOURNAL TAIL12", "ERR unknown command\n"},
+      {"JOURNAL TAILS", "ERR unknown command\n"},
+      {"JOURNAL TAIL ", "ERR unknown command\n"},
+      {"JOURNAL TAIL 5x", "ERR unknown command\n"},
+  };
+  for (const auto& [request, expected] : cases) {
+    Result<std::string> response = IntrospectionQuery(path, request);
+    ASSERT_TRUE(response.ok()) << request;
+    EXPECT_EQ(response.value(), expected) << request;
+  }
   server.value()->Stop();
 }
 

@@ -179,6 +179,41 @@ TEST(JournalToChromeTraceTest, ConvertsEventsAndSkipsTornLines) {
   EXPECT_EQ(trace.find("4000"), std::string::npos);
 }
 
+// Replay reads journal files and bundle tails it did not write itself,
+// so out-of-range integers must neither overflow nor leak into the
+// trace: a 20-digit value and a span whose start falls below INT64_MIN
+// are skipped like torn lines, while INT64_MIN itself parses exactly.
+TEST(JournalToChromeTraceTest, OutOfRangeIntegersAreSkippedNotOverflowed) {
+  std::string jsonl;
+  jsonl +=
+      "{\"ts_ns\":99999999999999999999,\"run\":\"r\",\"span\":\"huge-ts\","
+      "\"event\":\"e\"}\n";
+  jsonl +=
+      "{\"ts_ns\":5000,\"run\":\"r\",\"span\":\"huge-dur\","
+      "\"event\":\"e\",\"dur_ns\":12345678901234567890}\n";
+  jsonl +=
+      "{\"ts_ns\":-9223372036854775808,\"run\":\"r\",\"span\":\"min-ts\","
+      "\"event\":\"e\"}\n";
+  jsonl +=
+      "{\"ts_ns\":-9000000000000000000,\"run\":\"r\",\"span\":\"straddle\","
+      "\"event\":\"e\",\"dur_ns\":9000000000000000000}\n";
+  jsonl +=
+      "{\"ts_ns\":3000,\"run\":\"r\",\"span\":\"ok\","
+      "\"event\":\"e\",\"dur_ns\":2000}\n";
+  const std::string trace = JournalToChromeTrace(jsonl);
+  EXPECT_EQ(trace.find("huge-ts"), std::string::npos) << trace;
+  EXPECT_EQ(trace.find("huge-dur"), std::string::npos) << trace;
+  EXPECT_EQ(trace.find("straddle"), std::string::npos) << trace;
+  EXPECT_NE(trace.find("\"min-ts e\",\"pid\":1,\"tid\":1,"
+                       "\"ts\":-9223372036854775,\"ph\":\"i\""),
+            std::string::npos)
+      << trace;
+  EXPECT_NE(trace.find("\"ok e\",\"pid\":1,\"tid\":2,\"ts\":1,\"ph\":\"X\","
+                       "\"dur\":2}"),
+            std::string::npos)
+      << trace;
+}
+
 TEST(JournalToChromeTraceTest, NestedSpansStayNestedAfterRounding) {
   // Outer [1999, 10000] ns encloses inner [2000, 10000] ns. Truncating
   // start and duration separately would end the inner span at 10 us,

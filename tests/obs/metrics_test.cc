@@ -30,14 +30,27 @@ TEST(MetricsRegistryTest, WellKnownMetricsStartAtZeroAndAdd) {
   EXPECT_EQ(gauge->kind, MetricKind::kGauge);
 }
 
+// The registry's schema is exactly the Metric enum: scalars in enum
+// order, then sketches in enum order. The bench JSON, postmortem bundle
+// metrics sections and the METRICS scrape all rely on this order.
 TEST(MetricsRegistryTest, EveryWellKnownMetricHasANameAndAnEntry) {
   MetricsRegistry registry;
   const MetricsSnapshot snap = registry.Snapshot();
-  ASSERT_GE(snap.entries.size(), kNumWellKnownMetrics);
+  std::vector<Metric> expected;
+  for (const bool sketches : {false, true}) {
+    for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
+      const Metric metric = static_cast<Metric>(i);
+      if ((MetricKindOf(metric) == MetricKind::kSketch) == sketches) {
+        expected.push_back(metric);
+      }
+    }
+  }
+  ASSERT_EQ(snap.entries.size(), kNumWellKnownMetrics);
+  ASSERT_EQ(expected.size(), kNumWellKnownMetrics);
   for (size_t i = 0; i < kNumWellKnownMetrics; ++i) {
-    const Metric metric = static_cast<Metric>(i);
-    EXPECT_FALSE(MetricName(metric).empty()) << i;
-    EXPECT_NE(snap.Find(MetricName(metric)), nullptr) << MetricName(metric);
+    EXPECT_FALSE(MetricName(expected[i]).empty()) << i;
+    EXPECT_EQ(snap.entries[i].name, MetricName(expected[i])) << i;
+    EXPECT_EQ(snap.entries[i].kind, MetricKindOf(expected[i])) << i;
   }
 }
 
@@ -109,63 +122,6 @@ TEST(MetricsRegistryTest, QuantileClampsToObservedMax) {
   EXPECT_EQ(one->sketch.Quantile(0.99), 3);
 }
 
-TEST(MetricsRegistryTest, DynamicRegistrationFindsExistingNames) {
-  MetricsRegistry registry;
-  const auto id1 = registry.RegisterCounter("custom.widgets");
-  const auto id2 = registry.RegisterCounter("custom.widgets");
-  ASSERT_NE(id1, MetricsRegistry::kInvalidMetricId);
-  EXPECT_EQ(id1, id2);
-  // Same name with a different kind is refused.
-  EXPECT_EQ(registry.RegisterSketch("custom.widgets"),
-            MetricsRegistry::kInvalidMetricId);
-
-  registry.Add(id1, 42);
-  EXPECT_EQ(registry.Snapshot().Value("custom.widgets"), 42);
-}
-
-TEST(MetricsRegistryTest, ExhaustedCapacityReportsResourceExhausted) {
-  MetricsRegistry registry;
-  // Fill the scalar family to its configured cap, then one more: the
-  // strict API must say kResourceExhausted (not a silent drop), and the
-  // lenient API must degrade to the invalid id.
-  Result<MetricsRegistry::MetricId> last = MetricsRegistry::kInvalidMetricId;
-  for (size_t i = 0; i < registry.options().max_scalars + 8; ++i) {
-    last = registry.TryRegisterCounter("overflow." + std::to_string(i));
-  }
-  ASSERT_FALSE(last.ok());
-  EXPECT_EQ(last.status().code(), StatusCode::kResourceExhausted);
-  EXPECT_NE(last.status().message().find("scalar"), std::string::npos);
-  EXPECT_EQ(registry.RegisterCounter("overflow.one_more"),
-            MetricsRegistry::kInvalidMetricId);
-  registry.Add(MetricsRegistry::kInvalidMetricId, 999);  // must not crash
-  EXPECT_EQ(registry.Snapshot().Value("overflow.one_more"), 0);
-
-  // Existing names still resolve at capacity (lookup, not insert).
-  const auto again = registry.TryRegisterCounter("overflow.0");
-  EXPECT_TRUE(again.ok());
-}
-
-TEST(MetricsRegistryTest, CapacityIsConfigurablePerRegistry) {
-  MetricsOptions small;
-  small.max_sketches = kNumWellKnownMetrics;  // plenty
-  MetricsOptions large = small;
-  large.max_sketches = small.max_sketches + 64;
-  MetricsRegistry constrained(small);
-  MetricsRegistry roomy(large);
-  // Exhaust `constrained`'s sketch family; `roomy` keeps going.
-  Result<MetricsRegistry::MetricId> last = MetricsRegistry::kInvalidMetricId;
-  for (size_t i = 0; i < small.max_sketches; ++i) {
-    last = constrained.TryRegisterSketch("dyn." + std::to_string(i));
-    roomy.TryRegisterSketch("dyn." + std::to_string(i));
-  }
-  ASSERT_FALSE(last.ok());
-  EXPECT_EQ(last.status().code(), StatusCode::kResourceExhausted);
-  const auto fits = roomy.TryRegisterSketch("dyn.extra");
-  ASSERT_TRUE(fits.ok());
-  roomy.Observe(fits.value(), 42);
-  EXPECT_EQ(roomy.Snapshot().Value("dyn.extra"), 1);
-}
-
 TEST(MetricsRegistryTest, SketchMetricsRecordAndSnapshot) {
   MetricsRegistry registry;
   EXPECT_EQ(MetricKindOf(Metric::kServeQueryNs), MetricKind::kSketch);
@@ -184,23 +140,6 @@ TEST(MetricsRegistryTest, SketchMetricsRecordAndSnapshot) {
               500'000.0 * 0.011);
   EXPECT_NEAR(static_cast<double>(entry->sketch.Quantile(0.99)), 990'000.0,
               990'000.0 * 0.011);
-}
-
-TEST(MetricsRegistryTest, DynamicSketchRegistrationAndKindConflicts) {
-  MetricsRegistry registry;
-  const auto sketch_id = registry.TryRegisterSketch("custom.latency");
-  ASSERT_TRUE(sketch_id.ok());
-  EXPECT_EQ(registry.RegisterSketch("custom.latency"), sketch_id.value());
-  // Same name as a different kind is refused with kAlreadyExists.
-  const auto as_counter = registry.TryRegisterCounter("custom.latency");
-  ASSERT_FALSE(as_counter.ok());
-  EXPECT_EQ(as_counter.status().code(), StatusCode::kAlreadyExists);
-  registry.Observe(sketch_id.value(), 777);
-  const MetricsSnapshot snap = registry.Snapshot();
-  const MetricsSnapshot::Entry* entry = snap.Find("custom.latency");
-  ASSERT_NE(entry, nullptr);
-  EXPECT_EQ(entry->sketch.count(), 1);
-  EXPECT_EQ(entry->sketch.Quantile(0.5), 777);
 }
 
 // Sketch merge across shards is exact and associative, so quantiles —

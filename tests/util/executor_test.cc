@@ -154,93 +154,15 @@ TEST(ExecutorTest, ThrowingTaskDoesNotPoisonSubsequentLoops) {
 TEST(ExecutorTest, SerialLoopAlsoDrainsPastAnException) {
   Executor executor(2);
   std::atomic<size_t> completed{0};
-  RunOptions options;
-  options.max_parallelism = 1;
   EXPECT_THROW(executor.ParallelFor(
                    10,
                    [&](size_t i) {
                      if (i == 3) throw std::runtime_error("serial");
                      completed.fetch_add(1);
                    },
-                   options),
+                   /*max_parallelism=*/1),
                std::runtime_error);
   EXPECT_EQ(completed.load(), 9u);
-}
-
-TEST(ExecutorTest, CancelTokenSkipsRemainingIndices) {
-  Executor executor(2);
-  CancelToken token;
-  std::atomic<size_t> completed{0};
-  RunOptions options;
-  options.max_parallelism = 1;  // serial: the skip point is exact
-  options.cancel = &token;
-  Status status = executor.ParallelFor(
-      100,
-      [&](size_t i) {
-        completed.fetch_add(1);
-        if (i == 9) token.Cancel();
-      },
-      options);
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(completed.load(), 10u);
-  EXPECT_NE(status.message().find("skipped 90 of 100"), std::string::npos)
-      << status;
-}
-
-TEST(ExecutorTest, PreCancelledTokenSkipsEverything) {
-  Executor executor(3);
-  CancelToken token;
-  token.Cancel();
-  std::atomic<size_t> completed{0};
-  RunOptions options;
-  options.cancel = &token;
-  Status status = executor.ParallelFor(
-      50, [&](size_t) { completed.fetch_add(1); }, options);
-  EXPECT_EQ(status.code(), StatusCode::kCancelled);
-  EXPECT_EQ(completed.load(), 0u);
-}
-
-TEST(ExecutorTest, DeadlineStopsClaimingNewIndices) {
-  Executor executor(2);
-  std::atomic<size_t> completed{0};
-  RunOptions options;
-  options.deadline = std::chrono::milliseconds(30);
-  Status status = executor.ParallelFor(
-      10000,
-      [&](size_t) {
-        completed.fetch_add(1);
-        std::this_thread::sleep_for(std::chrono::milliseconds(2));
-      },
-      options);
-  EXPECT_EQ(status.code(), StatusCode::kDeadlineExceeded) << status;
-  // Far fewer than all indices ran, and none were abandoned mid-flight.
-  EXPECT_GT(completed.load(), 0u);
-  EXPECT_LT(completed.load(), 10000u);
-}
-
-TEST(ExecutorTest, OptionsWithNothingFiringReturnOk) {
-  Executor executor(2);
-  CancelToken token;  // never cancelled
-  RunOptions options;
-  options.cancel = &token;
-  options.deadline = std::chrono::minutes(5);
-  std::atomic<size_t> completed{0};
-  Status status = executor.ParallelFor(
-      128, [&](size_t) { completed.fetch_add(1); }, options);
-  EXPECT_TRUE(status.ok()) << status;
-  EXPECT_EQ(completed.load(), 128u);
-}
-
-TEST(ExecutorTest, PoolIsReusableAfterACancelledLoop) {
-  Executor executor(2);
-  CancelToken token;
-  token.Cancel();
-  RunOptions options;
-  options.cancel = &token;
-  (void)executor.ParallelFor(64, [](size_t) {}, options);
-  std::atomic<size_t> visited{0};
-  executor.ParallelFor(64, [&](size_t) { visited.fetch_add(1); });
-  EXPECT_EQ(visited.load(), 64u);
 }
 
 // Regression: a worker's post-task metric writes happen after the task
