@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <bit>
+#include <memory>
 #include <optional>
 #include <span>
 #include <utility>
@@ -42,9 +43,9 @@ bool L1ReachesSupport(const L1Config& config, int slots_total,
 // subsample of the source's own timestamps (its S_b when it is the
 // target), the merged "near set" — the timestamps within distance
 // < lower(CI_r) of some log of this source, as disjoint closed integer
-// intervals (all a test against this reference reads of CI_r), and the
-// upper CI rank for |S_b| (all it reads of CI_b — see the rank-count
-// identity at the phase-1b loop).
+// intervals, with a cell index over them (all a test against this
+// reference reads of CI_r), and the upper CI rank for |S_b| (all it
+// reads of CI_b — see the rank-count identity at the phase-1b loop).
 struct SlotSourceRef {
   std::vector<int64_t> sub_sorted;
   /// The near set's interval boundaries, flattened: strictly increasing
@@ -52,10 +53,16 @@ struct SlotSourceRef {
   /// the disjoint closed intervals [s_i, e_i] cover exactly the
   /// timestamps whose nearest log of this source is closer than the
   /// baseline CI lower endpoint. p is inside iff #{ boundaries <= p }
-  /// is odd — the flat form the phase-1b merge-walk consumes. Empty
-  /// when the endpoint could not be computed (or is <= 1 ms) — every
-  /// test against this reference is negative then.
+  /// is odd. Empty when the endpoint could not be computed (or is
+  /// <= 1 ms) — every test against this reference is negative then.
   std::vector<int64_t> near_bounds;
+  /// The cell index over `near_bounds` (null when it is empty): the
+  /// slot is cut into cells of 2^cell_shift ms from `cell_origin` (the
+  /// slot's begin), and cells[c] = #{ boundaries <= the start of cell
+  /// c }. It points into the Mine call's arena.
+  const uint32_t* cells = nullptr;
+  int64_t cell_origin = 0;
+  int cell_shift = 0;
   /// Total width of the near intervals — a proxy for how likely a test
   /// against this reference is positive. Phase 1b evaluates the
   /// narrower-reference direction first so the short-circuit AND
@@ -63,6 +70,46 @@ struct SlotSourceRef {
   int64_t near_total = 0;
   int test_upper_rank = 0;  ///< upper rank at n = |sub_sorted|; 0 = no CI
 };
+
+// A slot's cell index has at most this many cells; their width is the
+// smallest power of two of milliseconds that fits (4096 ms for a 1-hour
+// slot, 879 cells).
+constexpr uint64_t kMaxCellsPerSlot = 1024;
+
+int CellShift(const TimeSlot& slot) {
+  return std::bit_width(static_cast<uint64_t>(slot.end - slot.begin - 1) /
+                        kMaxCellsPerSlot);
+}
+
+size_t CellCount(const TimeSlot& slot) {
+  return (static_cast<uint64_t>(slot.end - slot.begin - 1) >>
+          CellShift(slot)) + 1;
+}
+
+// Fills `slot`'s cell index over the strictly increasing `bounds`: cell c
+// counts the boundaries at or before its start slot.begin + (c << shift).
+// Boundary k first counts in cell ceil((bounds[k] - slot.begin) / 2^shift),
+// so the table is k over the run of cells before that one — one fill per
+// run, not one step per cell.
+void FillCellIndex(std::span<const int64_t> bounds, const TimeSlot& slot,
+                   uint32_t* cells) {
+  const int shift = CellShift(slot);
+  const size_t num_cells = CellCount(slot);
+  size_t filled = 0;
+  for (size_t k = 0; k < bounds.size() && filled < num_cells; ++k) {
+    const int64_t offset = bounds[k] - slot.begin;
+    const size_t first =
+        offset <= 0 ? 0
+                    : std::min(num_cells,
+                               static_cast<size_t>((offset - 1) >> shift) + 1);
+    if (first > filled) {
+      std::fill(cells + filled, cells + first, static_cast<uint32_t>(k));
+      filled = first;
+    }
+  }
+  std::fill(cells + filled, cells + num_cells,
+            static_cast<uint32_t>(bounds.size()));
+}
 
 // One (slot, pair) test of the fine-grained fan-out.
 struct PairTest {
@@ -291,8 +338,18 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
   // the source's own timestamps (the S_b every test of this target
   // reuses). Distances and the CI endpoint are integral millisecond
   // values, so "distance < lower" is exactly "inside [t-(L-1), t+(L-1)]
-  // for some log t" and the interval form loses nothing.
+  // for some log t" and the interval form loses nothing. Each job with a
+  // near set also fills its cell index; every job's table has a place in
+  // one arena, laid out in job order before the fan-out (pages of jobs
+  // that end up with no near set are never touched).
   std::vector<SlotSourceRef> refs(num_slots * ns);
+  std::vector<size_t> cell_offset(ref_jobs.size() + 1, 0);
+  for (size_t job_idx = 0; job_idx < ref_jobs.size(); ++job_idx) {
+    cell_offset[job_idx + 1] =
+        cell_offset[job_idx] + CellCount(slots[ref_jobs[job_idx].first]);
+  }
+  const auto cell_arena =
+      std::make_unique_for_overwrite<uint32_t[]>(cell_offset.back());
   const Rng master(config_.seed);
   Executor::Shared().ParallelFor(
       ref_jobs.size(),
@@ -363,7 +420,14 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
               ref.near_bounds.push_back(cur_start);
               ref.near_bounds.push_back(cur_end + 1);
               ref.near_total += cur_end + 1 - cur_start;
-              ref.near_bounds.push_back(INT64_MAX);  // merge sentinel
+              uint32_t* cells = cell_arena.get() + cell_offset[job_idx];
+              FillCellIndex(ref.near_bounds, slot, cells);
+              ref.cells = cells;
+              ref.cell_origin = slot.begin;
+              ref.cell_shift = CellShift(slot);
+              // Sentinel for the phase-1b forward scan: every point is
+              // below it, so the scan needs no bounds check.
+              ref.near_bounds.push_back(INT64_MAX);
             }
           }
         }
@@ -376,10 +440,6 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
         if (auto ranks = ranks_for(ref.sub_sorted.size())) {
           ref.test_upper_rank = ranks->upper_rank;
         }
-        // Sentinel for the phase-1b walk: both inner loops terminate on
-        // it without an index bounds check (every interval bound is
-        // below INT64_MAX).
-        ref.sub_sorted.push_back(INT64_MAX);
       },
       config_.num_threads);
 
@@ -392,44 +452,37 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
   // closer to A than the baseline does (upper CI_b < lower CI_r) in
   // *both* directions. The comparison uses the order-statistic identity
   //   x_(r) < L  <=>  #{ x_i < L } >= r,
-  // so each direction is one merge-walk of S_b's points against A's
-  // flattened near intervals — no distance array, no selection, no
-  // touching A's view — that short-circuits the moment the outcome is
-  // decided (`need` hits, or more misses than the budget allows).
+  // so each direction counts S_b's points inside A's near set — no
+  // distance array, no selection, no touching A's view. Each point is
+  // one table lookup: its cell gives the boundaries before the cell, a
+  // short forward scan the boundaries before the point, and that count's
+  // parity whether it is inside, added without a branch. The count stops
+  // the moment the outcome is decided (`need` hits, or more misses than
+  // the budget allows).
   auto direction_positive = [](const SlotSourceRef& target,
                                const SlotSourceRef& reference) {
-    if (reference.near_bounds.empty() || target.test_upper_rank == 0) {
+    if (reference.cells == nullptr || target.test_upper_rank == 0) {
       return false;
     }
-    const int64_t* pts = target.sub_sorted.data();  // sentinel-terminated
     const int64_t* bounds = reference.near_bounds.data();
+    const uint32_t* cells = reference.cells;
+    const size_t n = target.sub_sorted.size();
     const size_t need = static_cast<size_t>(target.test_upper_rank);
-    const size_t n = target.sub_sorted.size() - 1;  // minus the sentinel
-    // Merge-walk points and boundary pairs, each touched once; resolves
-    // as soon as `need` points hit (positive) or more than n - need
-    // points miss (negative) — whichever comes first. Both arrays end
-    // in an INT64_MAX sentinel, so neither inner loop needs an index
-    // bounds check: the point sentinel compares ≥ every bound and the
-    // bound sentinel ends the outer loop.
-    size_t misses_left = n - need;
-    size_t count = 0;
-    size_t i = 0;
-    for (size_t j = 0; bounds[j] != INT64_MAX; j += 2) {
-      const int64_t start = bounds[j];
-      const int64_t past = bounds[j + 1];
-      while (pts[i] < start) {
-        if (misses_left == 0) return false;
-        --misses_left;
-        ++i;
-      }
-      while (pts[i] < past) {
-        ++count;
-        ++i;
-      }
-      if (count >= need) return true;
-      if (pts[i] == INT64_MAX) break;
+    const size_t miss_budget = n - need;
+    size_t hits = 0;
+    for (size_t i = 0; i < n; ++i) {
+      const int64_t p = target.sub_sorted[i];
+      size_t j = cells[static_cast<uint64_t>(p - reference.cell_origin) >>
+                       reference.cell_shift];
+      // A cell usually holds at most one boundary: take that step without
+      // a branch, and scan on only in the rare crowded cell.
+      j += bounds[j] <= p;
+      while (bounds[j] <= p) ++j;
+      hits += j & 1;
+      if (hits >= need) return true;
+      if (i + 1 - hits > miss_budget) return false;
     }
-    return false;  // the points after the last interval are all misses
+    return false;
   };
   std::vector<uint8_t> positive(items.size(), 0);
   Executor::Shared().ParallelForChunks(
@@ -442,7 +495,7 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
           const SlotSourceRef& ref_b = refs[base + item.b];
           // Evaluate the narrower-reference direction first: it is the
           // one more likely negative, so the short-circuit AND usually
-          // skips the other walk. && is commutative here, so the
+          // skips the other direction. && is commutative here, so the
           // outcome (and the result bytes) do not depend on the order.
           const bool positive_both =
               ref_a.near_total <= ref_b.near_total

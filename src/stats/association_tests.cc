@@ -1,6 +1,5 @@
 #include "stats/association_tests.h"
 
-#include <algorithm>
 #include <cmath>
 
 #include "stats/distributions.h"
@@ -36,49 +35,6 @@ double PearsonChiSquare(const Contingency2x2& table) {
   if (e21 > 0) x2 += (table.o21 - e21) * (table.o21 - e21) / e21;
   if (e22 > 0) x2 += (table.o22 - e22) * (table.o22 - e22) / e22;
   return x2;
-}
-
-double PointwiseMutualInformation(const Contingency2x2& table) {
-  if (table.o11 == 0 || table.e11() <= 0.0) return 0.0;
-  return std::log2(static_cast<double>(table.o11) / table.e11());
-}
-
-double FisherExactPValue(const Contingency2x2& table) {
-  const int64_t n = table.n();
-  if (n == 0) return 1.0;
-  const int64_t r1 = table.r1();
-  const int64_t c1 = table.c1();
-  // P(X = k) = C(c1, k) * C(n - c1, r1 - k) / C(n, r1), summed over the
-  // upper tail k = o11 .. min(r1, c1); computed in log space.
-  const int64_t k_max = std::min(r1, c1);
-  const double log_denom = LogChoose(n, r1);
-  double tail = 0.0;
-  for (int64_t k = table.o11; k <= k_max; ++k) {
-    if (r1 - k > n - c1) continue;  // infeasible cell
-    const double log_p =
-        LogChoose(c1, k) + LogChoose(n - c1, r1 - k) - log_denom;
-    tail += std::exp(log_p);
-  }
-  return std::min(tail, 1.0);
-}
-
-double DiceCoefficient(const Contingency2x2& table) {
-  const int64_t denom = table.r1() + table.c1();
-  if (denom == 0) return 0.0;
-  return 2.0 * static_cast<double>(table.o11) /
-         static_cast<double>(denom);
-}
-
-double ZScore(const Contingency2x2& table) {
-  const double e11 = table.e11();
-  if (e11 <= 0.0) return 0.0;
-  return (static_cast<double>(table.o11) - e11) / std::sqrt(e11);
-}
-
-double TScore(const Contingency2x2& table) {
-  if (table.o11 == 0) return 0.0;
-  return (static_cast<double>(table.o11) - table.e11()) /
-         std::sqrt(static_cast<double>(table.o11));
 }
 
 double ChiSquarePValue(double score) { return ChiSquareSf(score, 1.0); }

@@ -17,24 +17,6 @@ double DunningLogLikelihood(const Contingency2x2& table);
 /// classical baseline the paper compares against.
 double PearsonChiSquare(const Contingency2x2& table);
 
-/// Pointwise mutual information log2(o11 / e11); -inf-free: returns 0
-/// when o11 = 0. Reported as a descriptive association measure.
-double PointwiseMutualInformation(const Contingency2x2& table);
-
-/// Fisher's exact one-sided p-value P(X >= o11) under the hypergeometric
-/// null with fixed marginals — the exact reference the asymptotic tests
-/// approximate (UCS provides it alongside log-likelihood).
-double FisherExactPValue(const Contingency2x2& table);
-
-/// Dice coefficient 2*o11 / (r1 + c1) in [0, 1].
-double DiceCoefficient(const Contingency2x2& table);
-
-/// z-score (o11 - e11) / sqrt(e11); 0 when e11 = 0.
-double ZScore(const Contingency2x2& table);
-
-/// t-score (o11 - e11) / sqrt(o11); 0 when o11 = 0.
-double TScore(const Contingency2x2& table);
-
 /// p-value of an association score that is asymptotically chi-square with
 /// one degree of freedom (applies to both tests above).
 double ChiSquarePValue(double score);

@@ -74,38 +74,6 @@ BoxplotStats Boxplot(std::vector<double> xs) {
   return out;
 }
 
-double Skewness(const std::vector<double>& xs) {
-  const size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const double mean = Mean(xs);
-  double m2 = 0.0, m3 = 0.0;
-  for (double x : xs) {
-    const double d = x - mean;
-    m2 += d * d;
-    m3 += d * d * d;
-  }
-  m2 /= static_cast<double>(n);
-  m3 /= static_cast<double>(n);
-  if (m2 <= 0.0) return 0.0;
-  return m3 / std::pow(m2, 1.5);
-}
-
-double ExcessKurtosis(const std::vector<double>& xs) {
-  const size_t n = xs.size();
-  if (n < 2) return 0.0;
-  const double mean = Mean(xs);
-  double m2 = 0.0, m4 = 0.0;
-  for (double x : xs) {
-    const double d = x - mean;
-    m2 += d * d;
-    m4 += d * d * d * d;
-  }
-  m2 /= static_cast<double>(n);
-  m4 /= static_cast<double>(n);
-  if (m2 <= 0.0) return 0.0;
-  return m4 / (m2 * m2) - 3.0;
-}
-
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys) {
   assert(xs.size() == ys.size() && !xs.empty());

@@ -38,12 +38,6 @@ struct BoxplotStats {
 /// Computes `BoxplotStats`. Requires a non-empty sample.
 BoxplotStats Boxplot(std::vector<double> xs);
 
-/// Sample skewness (g1, biased) — used for residual diagnostics.
-double Skewness(const std::vector<double>& xs);
-
-/// Excess kurtosis (g2, biased).
-double ExcessKurtosis(const std::vector<double>& xs);
-
 /// Pearson correlation between paired samples of equal, non-zero size.
 double PearsonCorrelation(const std::vector<double>& xs,
                           const std::vector<double>& ys);

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "util/rng.h"
@@ -291,6 +294,184 @@ TEST(L1MinerTest, FalsePositiveRateOnIndependentLandscapeIsLow) {
   auto result = miner.Mine(store, 0, horizon);
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result.value().Dependencies(store).size(), 0u);
+}
+
+// Renders `result` as an upper-triangular table over the sources that
+// appear in it: one row per source a, with one "supported/positive" cell
+// per later source b ("-/-" for a pair without support).
+std::vector<std::string> RenderPairCounts(const L1Result& result,
+                                          const LogStore& store) {
+  std::vector<LogStore::SourceId> ids;
+  for (const L1PairResult& pair : result.pairs) {
+    ids.push_back(pair.a);
+    ids.push_back(pair.b);
+  }
+  std::sort(ids.begin(), ids.end());
+  ids.erase(std::unique(ids.begin(), ids.end()), ids.end());
+  std::vector<std::string> rows;
+  for (size_t i = 0; i + 1 < ids.size(); ++i) {
+    std::string row = std::string(store.source_name(ids[i])) + ":";
+    for (size_t j = i + 1; j < ids.size(); ++j) {
+      const auto pair = std::find_if(
+          result.pairs.begin(), result.pairs.end(),
+          [&](const L1PairResult& p) { return p.a == ids[i] && p.b == ids[j]; });
+      row += pair == result.pairs.end()
+                 ? " -/-"
+                 : " " + std::to_string(pair->slots_supported) + "/" +
+                       std::to_string(pair->slots_positive);
+    }
+    rows.push_back(row);
+  }
+  return rows;
+}
+
+// A store that drives every edge of the near-set membership test, mined
+// under both baselines and several slot layouts. The expected counts
+// were recorded from the merge-walk implementation that preceded the
+// cell index, so any change to which points count as near shows up here.
+// Hours 5-7, in 1-hour slots (4096 ms cells):
+//  - Dense: a log every 32 ms through the first slot (112 500 logs), so
+//    its near set has ~225 000 boundaries — far more than 16 bits count;
+//    DenseEcho is Dense 4 ms later, inside both near sets;
+//  - Probe: logs at every offset in [-12, 12] ms around Dense logs that
+//    sit on cell starts (and one that does not), so whatever the near
+//    radius r (< 16 at this spacing), some Probe points sit exactly on
+//    s_i = t - r, e_i = t + r and e_i + 1. The first anchor is the
+//    window's begin, so Dense's first interval starts before it;
+//  - Edge: sparse, with logs on each slot's first and last milliseconds,
+//    so its wide intervals start before slot.begin and end after
+//    slot.end; EdgeEcho follows it 30-150 ms later;
+//  - with the intensity-proportional baseline and no jitter, nearly
+//    every baseline point is a Dense or DenseEcho log, so both of their
+//    near sets are empty.
+// Hour 9, in 1-minute slots (64 ms cells): Grid logs every 32 ms, and
+// Shift<d> is Grid moved by d ms. Every point of one grid sits at the
+// same offset from the other's logs, so a pair is positive exactly when
+// that offset is inside both near sets: as d passes a radius, the pair
+// flips on the boundary point e_i, then e_i + 1.
+TEST(L1MinerTest, NearSetMembershipMatchesRecordedCounts) {
+  const TimeMs t0 = 5 * kMillisPerHour;
+  const TimeMs horizon = 3 * kMillisPerHour;
+  constexpr TimeMs kCell = 4096;  // the cell width of a 1-hour slot
+  Rng rng(401);
+  LogStore store;
+  auto add = [&store](const std::string& source, TimeMs ts) {
+    LogRecord record;
+    record.client_ts = ts;
+    record.server_ts = ts;
+    record.source = source;
+    record.message = "x";
+    ASSERT_TRUE(store.Append(record).ok());
+  };
+  for (TimeMs t = t0; t < t0 + kMillisPerHour; t += 32) {
+    add("Dense", t);
+    add("DenseEcho", t + 4);
+  }
+  for (const TimeMs anchor : {t0, t0 + kCell, t0 + 100 * kCell,
+                              t0 + 32 * 3001, t0 + 877 * kCell,
+                              t0 + 878 * kCell}) {
+    for (TimeMs k = -12; k <= 12; ++k) add("Probe", anchor + k);
+  }
+  for (TimeMs slot = t0; slot < t0 + horizon; slot += kMillisPerHour) {
+    for (const TimeMs edge : {slot, slot + 1, slot + kMillisPerHour - 2,
+                              slot + kMillisPerHour - 1}) {
+      add("Edge", edge);
+    }
+    AddUniform(&store, "Edge", slot, slot + kMillisPerHour, 76, &rng);
+  }
+  store.BuildIndex();
+  AddFollower(&store, store, store.FindSource("Edge").value(), "EdgeEcho",
+              &rng);
+  AddUniform(&store, "Loner", t0, t0 + horizon, 750, &rng);
+  store.BuildIndex();
+
+  std::vector<std::pair<std::string, L1Config>> configs;
+  configs.emplace_back("uniform", L1Config{});
+  configs.emplace_back("intensity", L1Config{});
+  configs.back().second.baseline = L1Baseline::kIntensityProportional;
+  configs.back().second.baseline_jitter = 0;
+  configs.emplace_back("adaptive", L1Config{});
+  configs.back().second.adaptive_slots = true;
+
+  const TimeMs t1 = 9 * kMillisPerHour;
+  const TimeMs grid_end = t1 + 2 * kMillisPerMinute;
+  for (TimeMs t = t1; t < grid_end; t += 32) add("Grid", t);
+  for (TimeMs d = 0; d < 12; ++d) {
+    for (TimeMs t = t1; t < grid_end; t += 32) {
+      add("Shift" + std::to_string(d), t + d);
+    }
+  }
+  store.BuildIndex();
+  configs.emplace_back("grid uniform", L1Config{});
+  configs.back().second.slot_length = kMillisPerMinute;
+  configs.emplace_back("grid intensity", configs.back().second);
+  configs.back().second.baseline = L1Baseline::kIntensityProportional;
+
+  const std::vector<std::vector<std::string>> expected = {
+      // uniform
+      {
+          "Dense: 1/1 1/0 1/0 1/0 1/0",
+          "DenseEcho: 1/0 1/0 1/0 1/0",
+          "Probe: 1/0 1/0 1/0",
+          "Edge: 3/3 3/0",
+          "EdgeEcho: 3/0",
+      },
+      // intensity
+      {
+          "Dense: 1/0 1/0 1/0 1/0 1/0",
+          "DenseEcho: 1/0 1/0 1/0 1/0",
+          "Probe: 1/0 1/0 1/0",
+          "Edge: 3/3 3/0",
+          "EdgeEcho: 3/0",
+      },
+      // adaptive
+      {
+          "Dense: 2/2 2/0 2/0 2/0 2/0",
+          "DenseEcho: 2/0 2/0 2/0 2/0",
+          "Probe: 2/0 2/0 2/0",
+          "Edge: 4/4 4/0",
+          "EdgeEcho: 4/0",
+      },
+      // grid uniform
+      {
+          "Grid: 2/2 2/2 2/2 2/2 2/2 2/2 2/1 2/0 2/0 2/0 2/0 2/0",
+          "Shift0: 2/2 2/2 2/2 2/2 2/2 2/2 2/0 2/0 2/0 2/0 2/0",
+          "Shift1: 2/2 2/2 2/2 2/2 2/2 2/0 2/0 2/0 2/0 2/0",
+          "Shift2: 2/2 2/2 2/2 2/2 2/2 2/2 2/0 2/0 2/0",
+          "Shift3: 2/2 2/2 2/2 2/2 2/2 2/1 2/0 2/0",
+          "Shift4: 2/2 2/2 2/2 2/2 2/2 2/1 2/0",
+          "Shift5: 2/2 2/2 2/2 2/2 2/2 2/2",
+          "Shift6: 2/2 2/2 2/2 2/2 2/2",
+          "Shift7: 2/2 2/2 2/2 2/2",
+          "Shift8: 2/2 2/2 2/2",
+          "Shift9: 2/2 2/2",
+          "Shift10: 2/2",
+      },
+      // grid intensity
+      {
+          "Grid: 2/2 2/2 2/2 2/2 2/2 2/2 2/1 2/0 2/0 2/0 2/0 2/0",
+          "Shift0: 2/2 2/2 2/2 2/2 2/2 2/1 2/0 2/0 2/0 2/0 2/0",
+          "Shift1: 2/2 2/2 2/2 2/2 2/2 2/1 2/0 2/0 2/0 2/0",
+          "Shift2: 2/2 2/2 2/2 2/2 2/2 2/1 2/0 2/0 2/0",
+          "Shift3: 2/2 2/2 2/2 2/2 2/2 2/2 2/0 2/0",
+          "Shift4: 2/2 2/2 2/2 2/2 2/2 2/2 2/0",
+          "Shift5: 2/2 2/2 2/2 2/2 2/2 2/0",
+          "Shift6: 2/2 2/2 2/2 2/2 2/2",
+          "Shift7: 2/2 2/2 2/2 2/2",
+          "Shift8: 2/2 2/2 2/2",
+          "Shift9: 2/2 2/2",
+          "Shift10: 2/2",
+      },
+  };
+  ASSERT_EQ(expected.size(), configs.size());
+  for (size_t i = 0; i < configs.size(); ++i) {
+    const auto& [name, config] = configs[i];
+    const bool grid = name.starts_with("grid");
+    auto result = L1ActivityMiner(config).Mine(
+        store, grid ? t1 : t0, grid ? grid_end : t0 + horizon);
+    ASSERT_TRUE(result.ok()) << result.status();
+    EXPECT_EQ(RenderPairCounts(result.value(), store), expected[i]) << name;
+  }
 }
 
 }  // namespace

@@ -78,48 +78,6 @@ TEST(DunningVsPearsonTest, AgreeOnBalancedTablesDivergeOnSkewed) {
   EXPECT_GT(PearsonChiSquare(skewed), 2.0 * DunningLogLikelihood(skewed));
 }
 
-TEST(PmiTest, Basics) {
-  Contingency2x2 t{10, 10, 10, 70};  // e11 = 4
-  EXPECT_NEAR(PointwiseMutualInformation(t), std::log2(10.0 / 4.0), 1e-9);
-  Contingency2x2 zero{0, 5, 5, 5};
-  EXPECT_EQ(PointwiseMutualInformation(zero), 0.0);
-}
-
-TEST(FisherExactTest, KnownHypergeometricTail) {
-  // Table [[3, 1], [1, 3]]: marginals r1=4, c1=4, n=8.
-  // P(X = 3) = C(4,3) C(4,1) / C(8,4) = 16/70; P(X = 4) = 1/70.
-  Contingency2x2 t{3, 1, 1, 3};
-  EXPECT_NEAR(FisherExactPValue(t), 17.0 / 70.0, 1e-10);
-}
-
-TEST(FisherExactTest, ExtremeTableSmallP) {
-  Contingency2x2 t{10, 0, 0, 10};
-  // P(X >= 10) = 1 / C(20,10).
-  EXPECT_NEAR(FisherExactPValue(t), 1.0 / 184756.0, 1e-12);
-}
-
-TEST(FisherExactTest, AgreesWithChiSquareAsymptotically) {
-  Contingency2x2 t{60, 40, 40, 60};
-  const double fisher = FisherExactPValue(t);
-  const double chi = ChiSquarePValue(PearsonChiSquare(t)) / 2.0;  // one-sided
-  EXPECT_NEAR(fisher, chi, 0.01);
-}
-
-TEST(FisherExactTest, EmptyTableIsOne) {
-  EXPECT_EQ(FisherExactPValue(Contingency2x2{}), 1.0);
-}
-
-TEST(DescriptiveMeasuresTest, DiceZAndT) {
-  Contingency2x2 t{10, 10, 10, 70};  // e11 = 4
-  EXPECT_NEAR(DiceCoefficient(t), 2.0 * 10 / (20 + 20), 1e-12);
-  EXPECT_NEAR(ZScore(t), (10.0 - 4.0) / 2.0, 1e-12);
-  EXPECT_NEAR(TScore(t), (10.0 - 4.0) / std::sqrt(10.0), 1e-12);
-  Contingency2x2 zero{0, 0, 0, 0};
-  EXPECT_EQ(DiceCoefficient(zero), 0.0);
-  EXPECT_EQ(ZScore(zero), 0.0);
-  EXPECT_EQ(TScore(zero), 0.0);
-}
-
 TEST(PValueTest, MatchesChiSquareTail) {
   EXPECT_NEAR(ChiSquarePValue(3.841458820694124), 0.05, 1e-9);
   EXPECT_NEAR(ChiSquarePValue(6.6348966010212145), 0.01, 1e-9);

@@ -57,23 +57,6 @@ TEST(BoxplotTest, OutliersBeyondFences) {
   EXPECT_DOUBLE_EQ(box.max, 100);
 }
 
-TEST(SkewnessTest, SymmetricIsZeroRightTailPositive) {
-  EXPECT_NEAR(Skewness({1, 2, 3, 4, 5}), 0.0, 1e-12);
-  EXPECT_GT(Skewness({1, 1, 1, 1, 10}), 1.0);
-  EXPECT_LT(Skewness({-10, 1, 1, 1, 1}), -1.0);
-}
-
-TEST(KurtosisTest, NormalSampleNearZero) {
-  Rng rng(7);
-  std::vector<double> xs;
-  for (int i = 0; i < 50000; ++i) xs.push_back(rng.Normal(0, 1));
-  EXPECT_NEAR(ExcessKurtosis(xs), 0.0, 0.15);
-  // Uniform has excess kurtosis -1.2.
-  std::vector<double> us;
-  for (int i = 0; i < 50000; ++i) us.push_back(rng.Uniform());
-  EXPECT_NEAR(ExcessKurtosis(us), -1.2, 0.1);
-}
-
 TEST(PearsonCorrelationTest, PerfectAndInverse) {
   EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {2, 4, 6}), 1.0, 1e-12);
   EXPECT_NEAR(PearsonCorrelation({1, 2, 3}, {6, 4, 2}), -1.0, 1e-12);
