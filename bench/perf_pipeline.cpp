@@ -387,7 +387,7 @@ int main(int argc, char** argv) {
             << ckpt_overhead_ms / ckpt_off_ms * 100.0 << "%)\n";
 
   // Observability tax on the end-to-end run at 8 threads: a fully wired
-  // context (metrics + journal + probe, installed globally so every
+  // context (metrics + journal, installed globally so every
   // layer reports) against the same run uninstrumented. Off and on run
   // as interleaved pairs, each side keeping its best, so drift hits both
   // sides alike.
@@ -622,8 +622,6 @@ int main(int argc, char** argv) {
       << ", \"on_ms\": " << obs_on_ms
       << ", \"overhead_fraction\": " << obs_overhead_fraction
       << ", \"journal_events\": " << obs_context.journal().events_emitted()
-      << ", \"probe_stages\": " << obs_context.probe().Stages().size()
-      << ",\n  \"probe\": " << obs_context.probe().ToJson()
       << ",\n  \"metrics\": " << obs_metrics_json << "},\n";
   auto emit_ingest_sample = [&](const char* name, double ms, bool last) {
     out << "\"" << name << "\": {\"ms\": " << ms << ", \"ns_per_log\": "

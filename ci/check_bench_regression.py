@@ -20,7 +20,7 @@ to the same normalized-growth tolerance as the L1 hot path.
 
 When the current report carries an ``obs`` section, the telemetry tax
 is additionally held to an absolute budget: the fully instrumented
-end-to-end run (metrics + sketches + journal + probe, globally
+end-to-end run (metrics + sketches + journal, globally
 installed) may cost at most ``--obs-budget`` (default 3%) over the
 uninstrumented run measured in the same report. Unlike the hot-path
 guards this is not baseline-relative — the budget is the contract.

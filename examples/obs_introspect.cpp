@@ -56,8 +56,8 @@ int main(int argc, char** argv) {
   const eval::Dataset dataset = std::move(dataset_or).value();
 
   // 2. A service wearing the full observability kit: an obs context
-  //    (journal + metrics + probe), a postmortem directory, and the
-  //    introspection socket.
+  //    (journal + metrics; each timed event carries its stage record),
+  //    a postmortem directory, and the introspection socket.
   const std::filesystem::path work_dir =
       std::filesystem::temp_directory_path() / "logmine_introspect_example";
   std::filesystem::remove_all(work_dir);

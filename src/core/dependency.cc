@@ -24,15 +24,6 @@ DependencyModel DependencyModel::Union(const DependencyModel& other) const {
   return out;
 }
 
-DependencyModel DependencyModel::Intersect(
-    const DependencyModel& other) const {
-  DependencyModel out;
-  for (const NamePair& p : pairs_) {
-    if (other.Contains(p)) out.Insert(p);
-  }
-  return out;
-}
-
 std::string DependencyModel::ToString() const {
   std::string out;
   for (const NamePair& p : pairs_) {

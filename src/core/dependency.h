@@ -37,9 +37,6 @@ class DependencyModel {
   /// Set union (used to combine per-day models, §4.8).
   DependencyModel Union(const DependencyModel& other) const;
 
-  /// Set intersection.
-  DependencyModel Intersect(const DependencyModel& other) const;
-
   /// Renders "a -- b" lines, sorted; for debugging and examples.
   std::string ToString() const;
 

@@ -33,7 +33,6 @@ void DependencyGraph::AddDependency(const std::string& from,
   if (from == to) return;
   nodes_.insert(from);
   nodes_.insert(to);
-  depends_on_[from].insert(to);
   depended_by_[to].insert(from);
 }
 
@@ -51,14 +50,8 @@ DependencyGraph DependencyGraph::FromAppServiceModel(
 
 size_t DependencyGraph::num_edges() const {
   size_t total = 0;
-  for (const auto& [node, targets] : depends_on_) total += targets.size();
+  for (const auto& [node, sources] : depended_by_) total += sources.size();
   return total;
-}
-
-std::set<std::string> DependencyGraph::DependenciesOf(
-    const std::string& component) const {
-  auto it = depends_on_.find(component);
-  return it == depends_on_.end() ? std::set<std::string>{} : it->second;
 }
 
 std::set<std::string> DependencyGraph::DependentsOf(
@@ -70,27 +63,6 @@ std::set<std::string> DependencyGraph::DependentsOf(
 std::set<std::string> DependencyGraph::ImpactSet(
     const std::string& failed) const {
   return Closure(depended_by_, failed);
-}
-
-std::set<std::string> DependencyGraph::DependencyClosure(
-    const std::string& component) const {
-  return Closure(depends_on_, component);
-}
-
-double DependencyGraph::ImpliedAvailability(
-    const std::string& component,
-    const std::map<std::string, double>& component_availability,
-    double default_availability) const {
-  auto availability_of = [&](const std::string& name) {
-    auto it = component_availability.find(name);
-    return it == component_availability.end() ? default_availability
-                                              : it->second;
-  };
-  double product = availability_of(component);
-  for (const std::string& dependency : DependencyClosure(component)) {
-    product *= availability_of(dependency);
-  }
-  return product;
 }
 
 std::vector<RootCauseCandidate> RankRootCauses(

@@ -33,9 +33,6 @@ class DependencyGraph {
   size_t num_edges() const;
   const std::set<std::string>& nodes() const { return nodes_; }
 
-  /// Direct dependencies of `component` (what it calls).
-  std::set<std::string> DependenciesOf(const std::string& component) const;
-
   /// Direct dependents of `component` (who calls it).
   std::set<std::string> DependentsOf(const std::string& component) const;
 
@@ -44,22 +41,8 @@ class DependencyGraph {
   /// Excludes `failed` itself.
   std::set<std::string> ImpactSet(const std::string& failed) const;
 
-  /// All components `component` transitively depends on (its closure).
-  std::set<std::string> DependencyClosure(const std::string& component) const;
-
-  /// Availability requirements determination: the availability implied
-  /// for `component` if every component in its dependency closure (and
-  /// itself) fails independently with the given per-component
-  /// availability. Components absent from the map use
-  /// `default_availability`.
-  double ImpliedAvailability(
-      const std::string& component,
-      const std::map<std::string, double>& component_availability,
-      double default_availability) const;
-
  private:
   std::set<std::string> nodes_;
-  std::map<std::string, std::set<std::string>> depends_on_;
   std::map<std::string, std::set<std::string>> depended_by_;
 };
 

@@ -94,47 +94,32 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
     slots.push_back(&out.l3_status);
     names.push_back("l3");
   }
-  if (config_.run_agrawal) {
-    tasks.push_back([&]() -> Status {
-      AgrawalDelayMiner miner(config_.agrawal);
-      auto result = miner.Mine(store, begin, end);
-      if (!result.ok()) return result.status();
-      out.agrawal = std::move(result).value();
-      return Status::OK();
-    });
-    slots.push_back(&out.agrawal_status);
-    names.push_back("agrawal");
-  }
 
   {
     LOGMINE_SPAN(ctx, "pipeline/run", obs::Metric::kPipelineRunNs);
     Executor::Shared().ParallelFor(
         tasks.size(),
         [&](size_t i) {
-          const int64_t start_ns = ctx != nullptr ? obs::MonotonicNowNs() : 0;
-          {
-            // Where the machine went, per miner: CPU vs wall vs RSS (the
-            // miner_done event below answers only "how long").
-            obs::ResourceProbe::ScopedStage stage(
-                ctx != nullptr ? &ctx->probe() : nullptr,
-                std::string("pipeline/") + names[i]);
+          if (ctx == nullptr) {
             *slots[i] = RunContained(tasks[i]);
+            return;
           }
-          if (ctx == nullptr) return;
-          // Emitted as the miner ends, so [ts_ns - dur_ns, ts_ns] is the
-          // miner's own interval inside the run span.
-          const Status& status = *slots[i];
+          // cpu_ns is this thread's CPU over the miner: a miner that fans
+          // out to executor workers reports only its own share.
+          const obs::StageClock clock;
+          const Status& status = *slots[i] = RunContained(tasks[i]);
           std::vector<obs::JournalField> fields = {
               obs::JournalField::Str("miner", names[i]),
-              obs::JournalField::Flag("ok", status.ok()),
-              obs::JournalField::Num("dur_ns",
-                                     obs::MonotonicNowNs() - start_ns)};
+              obs::JournalField::Flag("ok", status.ok())};
           if (!status.ok()) {
             fields.push_back(
                 obs::JournalField::Str("code", StatusCodeName(status.code())));
             fields.push_back(obs::JournalField::Str("error", status.message()));
           }
-          ctx->journal().Emit(run_span + "/" + names[i], "miner_done", fields);
+          // Emitted as the miner ends, so [ts_ns - dur_ns, ts_ns] is the
+          // miner's own interval inside the run span.
+          ctx->journal().Emit(run_span + "/" + names[i], "miner_done",
+                              clock.End(), std::move(fields));
         },
         config_.concurrent_miners ? 0 : 1);
   }

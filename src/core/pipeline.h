@@ -3,7 +3,6 @@
 
 #include <optional>
 
-#include "core/agrawal_miner.h"
 #include "core/l1_activity_miner.h"
 #include "core/l2_cooccurrence_miner.h"
 #include "core/l3_text_miner.h"
@@ -18,8 +17,6 @@ struct PipelineConfig {
   bool run_l1 = true;
   bool run_l2 = true;
   bool run_l3 = true;
-  /// The delay-histogram baseline is off by default.
-  bool run_agrawal = false;
   /// Schedule the enabled miners concurrently on the shared `Executor`
   /// (they only read the store, and each is deterministic regardless of
   /// scheduling). Set false to run them strictly in sequence.
@@ -27,7 +24,6 @@ struct PipelineConfig {
   L1Config l1;
   L2Config l2;
   L3Config l3;
-  AgrawalConfig agrawal;
 };
 
 /// Combined output of one pipeline run. Each enabled miner contributes a
@@ -38,12 +34,10 @@ struct PipelineResult {
   std::optional<L1Result> l1;
   std::optional<L2Result> l2;
   std::optional<L3Result> l3;
-  std::optional<AgrawalResult> agrawal;
 
   Status l1_status;
   Status l2_status;
   Status l3_status;
-  Status agrawal_status;
 
   /// Merged metrics of the run's explicit `ObsContext`, taken after the
   /// miners quiesced. Absent when `Run` was not handed a context.
@@ -51,17 +45,15 @@ struct PipelineResult {
 
   /// True when every enabled miner produced a result.
   bool all_ok() const {
-    return l1_status.ok() && l2_status.ok() && l3_status.ok() &&
-           agrawal_status.ok();
+    return l1_status.ok() && l2_status.ok() && l3_status.ok();
   }
 
-  /// First non-OK miner status in L1, L2, L3, Agrawal order (matching
-  /// the historical fail-fast error), or OK when all succeeded.
+  /// First non-OK miner status in L1, L2, L3 order (matching the
+  /// historical fail-fast error), or OK when all succeeded.
   Status first_error() const {
     if (!l1_status.ok()) return l1_status;
     if (!l2_status.ok()) return l2_status;
-    if (!l3_status.ok()) return l3_status;
-    return agrawal_status;
+    return l3_status;
   }
 };
 

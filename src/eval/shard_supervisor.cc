@@ -1,6 +1,5 @@
 #include "eval/shard_supervisor.h"
 
-#include <chrono>
 #include <exception>
 #include <filesystem>
 #include <string>
@@ -12,14 +11,6 @@
 
 namespace logmine::eval {
 namespace {
-
-using Clock = std::chrono::steady_clock;
-
-int64_t ElapsedNs(Clock::time_point since) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(Clock::now() -
-                                                              since)
-      .count();
-}
 
 /// One cell's lifecycle. Only the task mining the cell writes it, so no
 /// lock guards it; ParallelFor's return publishes it to the caller.
@@ -64,6 +55,16 @@ void JournalEmit(const Sweep& sweep, std::string_view span,
   }
 }
 
+/// Appends the event that closes a timed stage; no-op without obs.
+void JournalEmit(const Sweep& sweep, std::string_view span,
+                 std::string_view event, const obs::StageClock& clock,
+                 std::vector<obs::JournalField> fields = {}) {
+  if (sweep.config->obs != nullptr) {
+    sweep.config->obs->journal().Emit(span, event, clock.End(),
+                                      std::move(fields));
+  }
+}
+
 /// Runs the mine function with full containment: a thrown exception
 /// becomes an Internal failure of this attempt instead of escaping into
 /// the executor loop.
@@ -85,10 +86,10 @@ Status AttemptShard(const Sweep& sweep, ShardState* state, ShardOutput* out) {
   const ShardSupervisorConfig& config = *sweep.config;
   const int attempt_no = ++state->attempts;
   obs::Count(config.obs, obs::Metric::kShardAttempts);
-  const Clock::time_point start = Clock::now();
+  const obs::StageClock clock;
   // Per-attempt journal span: "<sweep>/d<day>.r<range>/a<attempt>". The
   // attempt opens with shard_attempt and closes with shard_attempt_failed
-  // or shard_attempt_done, which carry its duration.
+  // or shard_attempt_done, which carry its stage record.
   const std::string attempt_span =
       ShardSpan(sweep, *state) + "/a" + std::to_string(attempt_no);
   JournalEmit(sweep, attempt_span, "shard_attempt");
@@ -97,15 +98,14 @@ Status AttemptShard(const Sweep& sweep, ShardState* state, ShardOutput* out) {
     ++state->failures;
     state->last_error = std::string(status.message());
     obs::Count(config.obs, obs::Metric::kShardFailures);
-    JournalEmit(sweep, attempt_span, "shard_attempt_failed",
+    JournalEmit(sweep, attempt_span, "shard_attempt_failed", clock,
                 {obs::JournalField::Str("code", StatusCodeName(status.code())),
-                 obs::JournalField::Str("error", status.message()),
-                 obs::JournalField::Num("dur_ns", ElapsedNs(start))});
+                 obs::JournalField::Str("error", status.message())});
     return status;
   };
 
   Result<ShardOutput> mined = MineContained(*sweep.mine, state->shard);
-  obs::Observe(config.obs, obs::Metric::kShardAttemptNs, ElapsedNs(start));
+  obs::Observe(config.obs, obs::Metric::kShardAttemptNs, clock.ElapsedNs());
   if (!mined.ok()) return fail(mined.status());
 
   ShardOutput& output = mined.value();
@@ -125,8 +125,7 @@ Status AttemptShard(const Sweep& sweep, ShardState* state, ShardOutput* out) {
   }
 
   *out = std::move(output);
-  JournalEmit(sweep, attempt_span, "shard_attempt_done",
-              {obs::JournalField::Num("dur_ns", ElapsedNs(start))});
+  JournalEmit(sweep, attempt_span, "shard_attempt_done", clock);
   return Status::OK();
 }
 
@@ -253,9 +252,9 @@ Result<ShardedSweepResult> RunShardedSweep(
   if (config.retry.max_attempts < 1) {
     return Status::InvalidArgument("retry.max_attempts must be >= 1");
   }
-  const Clock::time_point sweep_start = Clock::now();
-  obs::ResourceProbe::ScopedStage sweep_stage(
-      config.obs != nullptr ? &config.obs->probe() : nullptr, "eval/sweep");
+  // The sweep's stage record covers the calling thread only: the cells
+  // mined on executor workers report their CPU on their own attempts.
+  const obs::StageClock sweep_clock;
 
   Sweep sweep;
   sweep.grid = grid;
@@ -332,11 +331,10 @@ Result<ShardedSweepResult> RunShardedSweep(
   result.stats = stats;
 
   if (parts.empty()) {
-    JournalEmit(sweep, sweep.span, "sweep_end",
+    JournalEmit(sweep, sweep.span, "sweep_end", sweep_clock,
                 {obs::JournalField::Str("outcome", "failed"),
                  obs::JournalField::Num("shards_poisoned",
-                                        stats.shards_poisoned),
-                 obs::JournalField::Num("dur_ns", ElapsedNs(sweep_start))});
+                                        stats.shards_poisoned)});
     if (config.obs != nullptr) {
       // Best-effort: the sweep's failure status stands regardless of
       // whether the bundle made it to disk.
@@ -357,7 +355,7 @@ Result<ShardedSweepResult> RunShardedSweep(
         obs::Metric::kSweepCoveragePermille,
         static_cast<int64_t>(result.merged.coverage.fraction() * 1000.0));
     JournalEmit(
-        sweep, sweep.span, "sweep_end",
+        sweep, sweep.span, "sweep_end", sweep_clock,
         {obs::JournalField::Str("outcome", SweepOutcomeName(result.outcome)),
          obs::JournalField::Num("shards_completed", stats.shards_completed),
          obs::JournalField::Num("shards_poisoned", stats.shards_poisoned),
@@ -365,8 +363,7 @@ Result<ShardedSweepResult> RunShardedSweep(
          obs::JournalField::Num(
              "coverage_permille",
              static_cast<int64_t>(result.merged.coverage.fraction() *
-                                  1000.0)),
-         obs::JournalField::Num("dur_ns", ElapsedNs(sweep_start))});
+                                  1000.0))});
     if (result.outcome == SweepOutcome::kDegraded) {
       (void)obs::CapturePostmortem(config.postmortem, config.obs,
                                    "sweep_degraded", sweep.span, state_hash);

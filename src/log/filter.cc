@@ -21,17 +21,6 @@ std::vector<uint32_t> IndicesInRange(const LogStore& store, TimeMs begin,
   return {lo, hi};
 }
 
-std::vector<uint32_t> IndicesWhere(
-    const LogStore& store,
-    const std::function<bool(const LogStore&, size_t)>& predicate) {
-  assert(store.index_built());
-  std::vector<uint32_t> out;
-  for (uint32_t idx : store.TimeOrder()) {
-    if (predicate(store, idx)) out.push_back(idx);
-  }
-  return out;
-}
-
 LogStore SliceByTime(const LogStore& store, TimeMs begin, TimeMs end) {
   LogStore::Columns columns;
   NameInterner sources;

@@ -2,7 +2,6 @@
 #define LOGMINE_LOG_FILTER_H_
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "log/store.h"
@@ -14,12 +13,6 @@ namespace logmine {
 /// Pre-condition: store.index_built().
 std::vector<uint32_t> IndicesInRange(const LogStore& store, TimeMs begin,
                                      TimeMs end);
-
-/// Record indices (time-ordered) matching an arbitrary predicate over the
-/// store row. Pre-condition: store.index_built().
-std::vector<uint32_t> IndicesWhere(
-    const LogStore& store,
-    const std::function<bool(const LogStore&, size_t)>& predicate);
 
 /// Copies the records of `store` with client_ts in [begin, end) into a
 /// fresh store, in time order. Columns are copied and dictionary ids

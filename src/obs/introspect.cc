@@ -19,6 +19,8 @@ namespace {
 
 constexpr size_t kMaxRequestBytes = 4096;
 constexpr size_t kMaxJournalTail = 4096;
+// Journal lines STATUSZ scans for its recent stages.
+constexpr size_t kStatuszTail = 64;
 
 // "JOURNAL TAIL" (32 lines) or "JOURNAL TAIL <digits>", the count
 // clamped to [1, kMaxJournalTail]; anything else is not this command.
@@ -207,9 +209,14 @@ IntrospectionHandlers MakeObsHandlers(ObsContext* context,
     std::string page = "run " + context->journal().run_id() + "\n";
     page += "== metrics (non-zero) ==\n";
     page += context->metrics().Snapshot().ToText();
-    page += "== resource usage ==\n";
-    page += context->probe().ToJson();
-    page += '\n';
+    // The journal tail's stage records (the lines carrying dur_ns, each
+    // with cpu_ns and max_rss_kb), verbatim and oldest first.
+    page += "== recent stages ==\n";
+    for (const std::string& line : context->journal().Tail(kStatuszTail)) {
+      if (line.find("\"dur_ns\":") == std::string::npos) continue;
+      page += line;
+      page += '\n';
+    }
     return page;
   };
   handlers.metrics = [context] {

@@ -75,7 +75,8 @@ class IntrospectionServer {
 };
 
 /// Handlers over one ObsContext: STATUSZ renders the non-zero metric
-/// table plus per-stage resource usage, METRICS the OpenMetrics text,
+/// table plus the recent stage records (the journal tail's lines that
+/// carry `dur_ns`, verbatim), METRICS the OpenMetrics text,
 /// JOURNAL TAIL the context's journal. `health` is service-specific;
 /// when null the endpoint reports "ok". The context must outlive the
 /// server.

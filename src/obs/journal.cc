@@ -1,12 +1,13 @@
 #include "obs/journal.h"
 
+#include <sys/resource.h>
+#include <time.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <cstdio>
-#include <map>
 #include <sstream>
 
 #include "obs/metrics.h"
@@ -130,6 +131,12 @@ bool ExtractString(std::string_view line, std::string_view key,
   return at < line.size();  // saw the closing quote
 }
 
+int64_t ThreadCpuNs() {
+  timespec now{};
+  ::clock_gettime(CLOCK_THREAD_CPUTIME_ID, &now);
+  return static_cast<int64_t>(now.tv_sec) * 1000000000 + now.tv_nsec;
+}
+
 }  // namespace
 
 int64_t MonotonicNowNs() {
@@ -143,6 +150,25 @@ uint32_t CurrentTraceThreadId() {
   thread_local const uint32_t tid =
       next.fetch_add(1, std::memory_order_relaxed);
   return tid;
+}
+
+StageClock::StageClock()
+    : start_ns_(MonotonicNowNs()), start_cpu_ns_(ThreadCpuNs()) {}
+
+int64_t StageClock::ElapsedNs() const { return MonotonicNowNs() - start_ns_; }
+
+StageRecord StageClock::End() const {
+  StageRecord record;
+  record.end_ns = MonotonicNowNs();
+  record.dur_ns = record.end_ns - start_ns_;
+  record.cpu_ns = ThreadCpuNs() - start_cpu_ns_;
+  // ru_maxrss is the process's high-water mark (in KiB on Linux) for
+  // every `who`; RUSAGE_THREAD skips summing the other threads' times.
+  rusage usage{};
+  if (::getrusage(RUSAGE_THREAD, &usage) == 0) {
+    record.max_rss_kb = usage.ru_maxrss;
+  }
+  return record;
 }
 
 JournalField JournalField::Str(std::string_view key, std::string_view value) {
@@ -187,10 +213,26 @@ std::string Journal::BeginRootSpan(std::string_view prefix) {
 
 void Journal::Emit(std::string_view span, std::string_view event,
                    const std::vector<JournalField>& fields) {
+  Append(MonotonicNowNs(), span, event, fields);
+}
+
+void Journal::Emit(std::string_view span, std::string_view event,
+                   const StageRecord& stage, std::vector<JournalField> fields) {
+  fields.push_back(JournalField::Num("dur_ns", stage.dur_ns));
+  fields.push_back(JournalField::Num("cpu_ns", stage.cpu_ns));
+  fields.push_back(JournalField::Num("max_rss_kb", stage.max_rss_kb));
+  Append(stage.end_ns, span, event, fields);
+}
+
+void Journal::Append(int64_t ts_ns, std::string_view span,
+                     std::string_view event,
+                     const std::vector<JournalField>& fields) {
   std::string line = "{\"ts_ns\":";
-  line += std::to_string(MonotonicNowNs());
+  line += std::to_string(ts_ns);
   line += ",\"run\":";
   AppendEscaped(run_id_, &line);
+  line += ",\"tid\":";
+  line += std::to_string(CurrentTraceThreadId());
   line += ",\"span\":";
   AppendEscaped(span, &line);
   line += ",\"event\":";
@@ -257,9 +299,6 @@ uint64_t Journal::rotations() const {
 std::string JournalToChromeTrace(std::string_view jsonl) {
   std::string out = "{\"traceEvents\":[";
   bool first = true;
-  // Root spans (the path segment before the first '/') map to trace
-  // "threads" so Perfetto lays concurrent shards out as parallel rows.
-  std::map<std::string, int> root_tids;
   size_t begin = 0;
   while (begin < jsonl.size()) {
     size_t end = jsonl.find('\n', begin);
@@ -284,10 +323,12 @@ std::string JournalToChromeTrace(std::string_view jsonl) {
                      __builtin_sub_overflow(ts_ns, dur_ns, &start_ns))) {
       continue;
     }
-    const std::string root = span.substr(0, span.find('/'));
-    const auto [it, inserted] =
-        root_tids.emplace(root, static_cast<int>(root_tids.size()) + 1);
-    const int tid = it->second;
+    // One row per emitting thread, so concurrent stages (the miners of
+    // one pipeline run, the cells of a sweep) lay out as parallel rows
+    // and each row nests like its thread's call stack. A line without a
+    // tid (an older journal) stays on row 0.
+    int64_t tid = 0;
+    (void)ExtractInt(line, "tid", &tid);
     if (!first) out += ',';
     first = false;
     std::string name;

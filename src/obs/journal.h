@@ -21,7 +21,7 @@ class MetricsRegistry;
 int64_t MonotonicNowNs();
 
 /// Small dense id of the calling thread (assigned on first use, stable
-/// for the thread's lifetime) — the `tid` of every span event.
+/// for the thread's lifetime) — the `tid` of every journal event.
 uint32_t CurrentTraceThreadId();
 
 /// One typed key/value of a journal event. Values are pre-rendered JSON
@@ -34,6 +34,39 @@ struct JournalField {
   static JournalField Str(std::string_view key, std::string_view value);
   static JournalField Num(std::string_view key, int64_t value);
   static JournalField Flag(std::string_view key, bool value);
+};
+
+/// What one timed stage cost, as read by `StageClock::End`.
+struct StageRecord {
+  int64_t end_ns = 0;      ///< MonotonicNowNs at the scope's end
+  int64_t dur_ns = 0;      ///< wall time of the scope
+  int64_t cpu_ns = 0;      ///< the calling thread's CPU time over the scope
+  int64_t max_rss_kb = 0;  ///< the process's peak RSS at the scope's end
+};
+
+/// The one clock of a timed stage: every journal event that closes a
+/// scope (a span, a miner, a shard attempt, a sweep, an epoch ingest, a
+/// publish) takes its stage record from here, through
+/// `Journal::Emit(span, event, stage, fields)`. Starts at construction;
+/// `End` reads the wall clock, the calling thread's CPU clock and one
+/// `getrusage`.
+///
+/// `cpu_ns` is the CPU time of the thread that constructed the clock and
+/// must also end it. A stage that fans out to executor workers reports
+/// only that calling thread's share; the workers' CPU shows up in their
+/// own stages.
+class StageClock {
+ public:
+  StageClock();
+
+  /// Wall nanoseconds since construction.
+  int64_t ElapsedNs() const;
+
+  StageRecord End() const;
+
+ private:
+  int64_t start_ns_;
+  int64_t start_cpu_ns_;
 };
 
 /// Knobs of one journal.
@@ -55,10 +88,12 @@ struct JournalOptions {
 /// / health boundary appends one wide JSONL event carrying the
 /// process-unique `run_id` and a hierarchical span id
 /// ("sweep-1/d0.r2/a1"), flushed line-by-line so the file is truthful
-/// up to the last boundary even after SIGKILL. An event that closes a
-/// timed scope carries `dur_ns` (its `ts_ns` is the scope's end), so the
-/// same stream answers both "what happened, in which attempt of which
-/// shard of which run" and "what was hot" (JournalToChromeTrace).
+/// up to the last boundary even after SIGKILL. Every event carries the
+/// emitting thread's `tid`. An event that closes a timed scope carries
+/// a `StageClock` record — `dur_ns`, `cpu_ns`, `max_rss_kb` — and its
+/// `ts_ns` is the scope's end, so the same stream answers both "what
+/// happened, in which attempt of which shard of which run" and "where
+/// the time and memory went" (JournalToChromeTrace).
 ///
 /// Thread-safe: one short mutex per event; events are boundary-granular
 /// (per stage/epoch, never per log line), so the lock is cold.
@@ -80,10 +115,17 @@ class Journal {
   /// attempt 3 -> "sweep-1/d0.r2/a3".
   std::string BeginRootSpan(std::string_view prefix);
 
-  /// Appends one event: {"ts_ns":..,"run":..,"span":..,"event":..,
-  /// <fields>}. Flushes to disk before returning.
+  /// Appends one event: {"ts_ns":..,"run":..,"tid":..,"span":..,
+  /// "event":..,<fields>}. Flushes to disk before returning.
   void Emit(std::string_view span, std::string_view event,
             const std::vector<JournalField>& fields = {});
+
+  /// Appends the event that closes a timed stage: `fields` followed by
+  /// the record's dur_ns, cpu_ns and max_rss_kb, stamped with the
+  /// stage's end (`stage.end_ns`) rather than the time of the call, so
+  /// [ts_ns - dur_ns, ts_ns] is the scope however late the call runs.
+  void Emit(std::string_view span, std::string_view event,
+            const StageRecord& stage, std::vector<JournalField> fields = {});
 
   /// The most recent `n` rendered lines (oldest first), capped by the
   /// tail capacity.
@@ -96,6 +138,8 @@ class Journal {
   const JournalOptions& options() const { return options_; }
 
  private:
+  void Append(int64_t ts_ns, std::string_view span, std::string_view event,
+              const std::vector<JournalField>& fields);
   void RotateLocked();
 
   const JournalOptions options_;
@@ -114,7 +158,9 @@ class Journal {
 /// Converts journal JSONL (one run's worth) into Chrome/Perfetto
 /// `trace_event` JSON: events carrying a `dur_ns` field become complete
 /// "X" spans covering [ts_ns - dur_ns, ts_ns], all others instant
-/// events, named "span event" and grouped by root span. Lines that do
+/// events, named "span event", one row per emitting thread (`tid`; a
+/// line without one, from an older journal, goes to row 0). Scopes on
+/// one thread nest, so each row reads as a call stack. Lines that do
 /// not parse are skipped (a torn final line after a crash is expected,
 /// not an error).
 std::string JournalToChromeTrace(std::string_view jsonl);

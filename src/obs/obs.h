@@ -6,7 +6,6 @@
 
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/resource_probe.h"
 
 namespace logmine::obs {
 
@@ -18,10 +17,9 @@ struct ObsOptions {
   JournalOptions journal;
 };
 
-/// One metrics registry and one structured event journal (plus the
-/// per-stage resource probe) — the unit a pipeline run (or a whole
-/// process) records into. Thread-safe; cheap to pass by pointer, with
-/// nullptr meaning "observability off".
+/// One metrics registry and one structured event journal — the unit a
+/// pipeline run (or a whole process) records into. Thread-safe; cheap to
+/// pass by pointer, with nullptr meaning "observability off".
 class ObsContext {
  public:
   explicit ObsContext(const ObsOptions& options = {})
@@ -31,13 +29,10 @@ class ObsContext {
   const MetricsRegistry& metrics() const { return metrics_; }
   Journal& journal() { return journal_; }
   const Journal& journal() const { return journal_; }
-  ResourceProbe& probe() { return probe_; }
-  const ResourceProbe& probe() const { return probe_; }
 
  private:
   MetricsRegistry metrics_;
   Journal journal_;
-  ResourceProbe probe_;
 };
 
 /// The ambient process-wide context low-level layers (codec, store,
@@ -97,31 +92,28 @@ inline void Observe(Metric metric, int64_t value) {
   Observe(Global(), metric, value);
 }
 
-/// RAII span: starts timing at construction and, at scope exit, observes
-/// the duration into `latency` (when given) and journals one event
-/// {"span": name, "event": "span", "dur_ns", "tid"} — stamped at the
-/// scope's end, so it covers [ts_ns - dur_ns, ts_ns]. A null context
+/// RAII span: starts a `StageClock` at construction and, at scope exit,
+/// observes the duration into `latency` (when given) and journals one
+/// event {"span": name, "event": "span", <stage record>} — stamped at
+/// the scope's end, so it covers [ts_ns - dur_ns, ts_ns]. A null context
 /// makes the whole object a no-op. Call sites that already journal the
-/// same boundary put `dur_ns` on that event instead of opening a span.
+/// same boundary put a stage record on that event instead of opening a
+/// span.
 class TraceSpan {
  public:
   TraceSpan(ObsContext* context, const char* name,
             std::optional<Metric> latency = std::nullopt)
-      : context_(context),
-        name_(name),
-        latency_(latency),
-        start_ns_(context != nullptr ? MonotonicNowNs() : 0) {}
+      : context_(context), name_(name), latency_(latency) {
+    if (context_ != nullptr) clock_.emplace();
+  }
 
   ~TraceSpan() {
     if (context_ == nullptr) return;
-    const int64_t dur_ns = MonotonicNowNs() - start_ns_;
+    const StageRecord stage = clock_->End();
     if (latency_.has_value()) {
-      context_->metrics().Observe(*latency_, dur_ns);
+      context_->metrics().Observe(*latency_, stage.dur_ns);
     }
-    context_->journal().Emit(
-        name_, "span",
-        {JournalField::Num("dur_ns", dur_ns),
-         JournalField::Num("tid", CurrentTraceThreadId())});
+    context_->journal().Emit(name_, "span", stage);
   }
 
   TraceSpan(const TraceSpan&) = delete;
@@ -131,7 +123,7 @@ class TraceSpan {
   ObsContext* context_;
   const char* name_;
   std::optional<Metric> latency_;
-  int64_t start_ns_;
+  std::optional<StageClock> clock_;
 };
 
 // Scoped span over the rest of the enclosing block. Usage:

@@ -34,9 +34,6 @@ Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
   writer.BeginSection("metrics");
   writer.PutString(bundle.metrics_json);
   writer.EndSection();
-  writer.BeginSection("probe");
-  writer.PutString(bundle.probe_json);
-  writer.EndSection();
   writer.BeginSection("journal");
   writer.PutU64(bundle.journal_tail.size());
   for (const std::string& line : bundle.journal_tail) {
@@ -73,8 +70,6 @@ Result<PostmortemBundle> ReadPostmortemBundle(const std::string& path) {
   LOGMINE_RETURN_IF_ERROR(meta.ExpectEnd());
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor metrics, reader.Section("metrics"));
   LOGMINE_ASSIGN_OR_RETURN(bundle.metrics_json, metrics.ReadString());
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor probe, reader.Section("probe"));
-  LOGMINE_ASSIGN_OR_RETURN(bundle.probe_json, probe.ReadString());
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor journal, reader.Section("journal"));
   // Every line costs at least its 8-byte length prefix.
   LOGMINE_ASSIGN_OR_RETURN(const uint64_t lines, journal.ReadCount(8));
@@ -103,7 +98,6 @@ Result<std::string> CapturePostmortem(const PostmortemOptions& options,
   if (context != nullptr) {
     bundle.run_id = context->journal().run_id();
     bundle.metrics_json = context->metrics().Snapshot().ToJson();
-    bundle.probe_json = context->probe().ToJson();
     bundle.journal_tail = context->journal().Tail(options.journal_tail);
   } else {
     bundle.run_id = "no-context";

@@ -22,14 +22,15 @@ struct PostmortemOptions {
 };
 
 /// Everything needed to debug a failure after the process is gone: the
-/// journal tail (whose spans carry `dur_ns`, so JournalToChromeTrace
-/// over it is the bundle's timeline view), the merged metrics snapshot,
-/// per-stage resource usage, and the config fingerprint of the run —
-/// one CRC-protected snapshot-container file per trigger.
+/// journal tail (whose stage records carry `dur_ns`, `cpu_ns` and
+/// `max_rss_kb`, so JournalToChromeTrace over it is the bundle's
+/// timeline view), the merged metrics snapshot, and the config
+/// fingerprint of the run — one CRC-protected snapshot-container file
+/// per trigger.
 struct PostmortemBundle {
   /// Container payload version (bundles, like checkpoints, refuse to
   /// parse across incompatible layouts).
-  static constexpr uint32_t kVersion = 2;
+  static constexpr uint32_t kVersion = 3;
 
   std::string run_id;
   /// Machine-readable trigger, e.g. "sweep_degraded", "sweep_failed",
@@ -43,7 +44,6 @@ struct PostmortemBundle {
   int64_t captured_at_ns = 0;
 
   std::string metrics_json;           ///< MetricsSnapshot::ToJson
-  std::string probe_json;             ///< ResourceProbe::ToJson
   std::vector<std::string> journal_tail;  ///< rendered JSONL lines
 };
 
@@ -56,7 +56,7 @@ Result<std::string> WritePostmortemBundle(const PostmortemOptions& options,
 /// Parses a bundle file; CRC or layout damage is a ParseError.
 Result<PostmortemBundle> ReadPostmortemBundle(const std::string& path);
 
-/// Captures a bundle from a live context (metrics, probe, journal tail)
+/// Captures a bundle from a live context (metrics, journal tail)
 /// and writes it. The convenience entry point every
 /// trigger site uses; returns the path, or NotFound when bundling is
 /// disabled (empty dir). Also journals a "postmortem" event and bumps

@@ -193,7 +193,7 @@ Result<StepOutcome> StreamingMiningService::Step() {
       journal_span_ + "/e" + std::to_string(work.index);
 
   const int64_t aged_before = miner_->epochs_aged_out();
-  const int64_t ingest_start_ns = obs_ != nullptr ? obs::MonotonicNowNs() : 0;
+  const obs::StageClock ingest_clock;
   // A malformed batch (an unindexed store, a record outside its epoch) is
   // quarantined: count it, drop it, keep serving the current generation.
   if (!miner_->IngestEpoch(work.batch).ok()) {
@@ -220,20 +220,18 @@ Result<StepOutcome> StreamingMiningService::Step() {
   const int64_t aged = miner_->epochs_aged_out() - aged_before;
   if (aged > 0) obs::Count(obs_, obs::Metric::kServeEpochsAgedOut, aged);
   if (obs_ != nullptr) {
-    const int64_t ingest_ns = obs::MonotonicNowNs() - ingest_start_ns;
-    obs_->metrics().Observe(obs::Metric::kServeIngestNs, ingest_ns);
+    const obs::StageRecord ingest = ingest_clock.End();
+    obs_->metrics().Observe(obs::Metric::kServeIngestNs, ingest.dur_ns);
     obs_->journal().Emit(
-        epoch_span, "epoch_ingested",
+        epoch_span, "epoch_ingested", ingest,
         {obs::JournalField::Num("begin_ms", work.batch.begin),
-         obs::JournalField::Num("aged_out", aged),
-         obs::JournalField::Num("dur_ns", ingest_ns)});
+         obs::JournalField::Num("aged_out", aged)});
   }
 
   const bool publish_due =
       epochs_since_publish_ >= config_.publish_every_epochs;
   std::shared_ptr<ModelGeneration> generation;
-  const int64_t publish_start_ns =
-      obs_ != nullptr ? obs::MonotonicNowNs() : 0;
+  const obs::StageClock publish_clock;
   if (publish_due) {
     LOGMINE_ASSIGN_OR_RETURN(WindowModelSet models, miner_->MineWindow());
     tracker_.Observe(models.combined);
@@ -254,7 +252,7 @@ Result<StepOutcome> StreamingMiningService::Step() {
     epochs_since_publish_ = 0;
     if (obs_ != nullptr) {
       obs_->metrics().Observe(obs::Metric::kServePublishNs,
-                              obs::MonotonicNowNs() - publish_start_ns);
+                              publish_clock.ElapsedNs());
     }
   }
 
@@ -275,12 +273,10 @@ Result<StepOutcome> StreamingMiningService::Step() {
       // The event's span runs from mining the window to the swap, so it
       // covers the persist that serve.publish_ns leaves out.
       obs_->journal().Emit(
-          epoch_span, "generation_published",
+          epoch_span, "generation_published", publish_clock.End(),
           {obs::JournalField::Num("generation", generation->number),
            obs::JournalField::Num("epochs_ingested",
-                                  generation->epochs_ingested),
-           obs::JournalField::Num("dur_ns",
-                                  obs::MonotonicNowNs() - publish_start_ns)});
+                                  generation->epochs_ingested)});
     }
     return StepOutcome::kPublished;
   }

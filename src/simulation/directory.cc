@@ -1,29 +1,8 @@
 #include "simulation/directory.h"
 
-#include <cstdlib>
-
 #include "util/string_util.h"
 
 namespace logmine::sim {
-namespace {
-
-// Extracts the value of `attr="..."` from an element body; NotFound when
-// the attribute is absent.
-Result<std::string> Attribute(std::string_view element, std::string_view attr) {
-  const std::string needle = std::string(attr) + "=\"";
-  const size_t pos = element.find(needle);
-  if (pos == std::string_view::npos) {
-    return Status::NotFound("missing attribute: " + std::string(attr));
-  }
-  const size_t begin = pos + needle.size();
-  const size_t end = element.find('"', begin);
-  if (end == std::string_view::npos) {
-    return Status::ParseError("unterminated attribute: " + std::string(attr));
-  }
-  return std::string(element.substr(begin, end - begin));
-}
-
-}  // namespace
 
 Status ServiceDirectory::Add(ServiceEntry entry) {
   if (entry.id.empty()) {
@@ -52,49 +31,6 @@ std::string ServiceDirectory::ToXml() const {
   }
   out += "</directory>\n";
   return out;
-}
-
-Result<ServiceDirectory> ServiceDirectory::FromXml(std::string_view xml) {
-  ServiceDirectory dir;
-  size_t pos = 0;
-  bool saw_root = false;
-  while (pos < xml.size()) {
-    size_t open = xml.find('<', pos);
-    if (open == std::string_view::npos) break;
-    size_t close = xml.find('>', open);
-    if (close == std::string_view::npos) {
-      return Status::ParseError("unterminated element");
-    }
-    std::string_view element = xml.substr(open + 1, close - open - 1);
-    pos = close + 1;
-    std::string_view trimmed = Trim(element);
-    if (trimmed == "directory") {
-      saw_root = true;
-      continue;
-    }
-    if (trimmed == "/directory") continue;
-    if (trimmed.substr(0, 5) == "group") {
-      ServiceEntry entry;
-      auto id = Attribute(trimmed, "id");
-      if (!id.ok()) return id.status();
-      entry.id = id.value();
-      auto url = Attribute(trimmed, "url");
-      if (!url.ok()) return url.status();
-      entry.root_url = url.value();
-      auto server = Attribute(trimmed, "server");
-      if (!server.ok()) return server.status();
-      entry.server_host = server.value();
-      auto replicas = Attribute(trimmed, "replicas");
-      if (!replicas.ok()) return replicas.status();
-      entry.num_replicas = std::atoi(replicas.value().c_str());
-      LOGMINE_RETURN_IF_ERROR(dir.Add(std::move(entry)));
-      continue;
-    }
-    return Status::ParseError("unexpected element: <" + std::string(trimmed) +
-                              ">");
-  }
-  if (!saw_root) return Status::ParseError("missing <directory> root");
-  return dir;
 }
 
 }  // namespace logmine::sim

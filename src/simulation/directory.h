@@ -43,10 +43,6 @@ class ServiceDirectory {
   ///   </directory>
   std::string ToXml() const;
 
-  /// Parses the output of `ToXml`. Tolerates whitespace variations only;
-  /// anything else is a ParseError.
-  static Result<ServiceDirectory> FromXml(std::string_view xml);
-
  private:
   std::vector<ServiceEntry> entries_;
 };

@@ -19,12 +19,11 @@ TEST(DependencyGraphTest, NodesAndEdges) {
   const DependencyGraph graph = ChainGraph();
   EXPECT_EQ(graph.num_nodes(), 5u);
   EXPECT_EQ(graph.num_edges(), 4u);
-  EXPECT_EQ(graph.DependenciesOf("Api"),
-            (std::set<std::string>{"Db", "Cache"}));
   EXPECT_EQ(graph.DependentsOf("Db"),
             (std::set<std::string>{"Api", "Batch"}));
-  EXPECT_TRUE(graph.DependenciesOf("Db").empty());
-  EXPECT_TRUE(graph.DependenciesOf("Unknown").empty());
+  EXPECT_EQ(graph.DependentsOf("Cache"), (std::set<std::string>{"Api"}));
+  EXPECT_TRUE(graph.DependentsOf("Web").empty());
+  EXPECT_TRUE(graph.DependentsOf("Unknown").empty());
 }
 
 TEST(DependencyGraphTest, SelfEdgesDropped) {
@@ -42,19 +41,12 @@ TEST(DependencyGraphTest, ImpactSetIsTransitive) {
   EXPECT_TRUE(graph.ImpactSet("Web").empty());
 }
 
-TEST(DependencyGraphTest, DependencyClosure) {
-  const DependencyGraph graph = ChainGraph();
-  EXPECT_EQ(graph.DependencyClosure("Web"),
-            (std::set<std::string>{"Api", "Db", "Cache"}));
-  EXPECT_TRUE(graph.DependencyClosure("Db").empty());
-}
-
 TEST(DependencyGraphTest, HandlesCycles) {
   DependencyGraph graph;
   graph.AddDependency("A", "B");
   graph.AddDependency("B", "A");  // mutual dependency
   EXPECT_EQ(graph.ImpactSet("A"), (std::set<std::string>{"B"}));
-  EXPECT_EQ(graph.DependencyClosure("A"), (std::set<std::string>{"B"}));
+  EXPECT_EQ(graph.ImpactSet("B"), (std::set<std::string>{"A"}));
 }
 
 TEST(DependencyGraphTest, FromAppServiceModel) {
@@ -66,22 +58,7 @@ TEST(DependencyGraphTest, FromAppServiceModel) {
   const DependencyGraph graph =
       DependencyGraph::FromAppServiceModel(model, owner);
   EXPECT_EQ(graph.num_edges(), 1u);
-  EXPECT_EQ(graph.DependenciesOf("Web"), (std::set<std::string>{"Api"}));
-}
-
-TEST(DependencyGraphTest, ImpliedAvailability) {
-  const DependencyGraph graph = ChainGraph();
-  const std::map<std::string, double> availability = {
-      {"Web", 0.99}, {"Api", 0.99}, {"Db", 0.9}, {"Cache", 1.0}};
-  // Web needs itself, Api, Db, Cache: 0.99 * 0.99 * 0.9 * 1.0.
-  EXPECT_NEAR(graph.ImpliedAvailability("Web", availability, 1.0),
-              0.99 * 0.99 * 0.9, 1e-12);
-  // Db stands alone.
-  EXPECT_NEAR(graph.ImpliedAvailability("Db", availability, 1.0), 0.9,
-              1e-12);
-  // Missing entries use the default.
-  EXPECT_NEAR(graph.ImpliedAvailability("Batch", {}, 0.95), 0.95 * 0.95,
-              1e-12);
+  EXPECT_EQ(graph.DependentsOf("Api"), (std::set<std::string>{"Web"}));
 }
 
 TEST(RankRootCausesTest, DirectCauseWinsOverBystanders) {

@@ -261,28 +261,33 @@ TEST(ParallelDeterminismTest, FullPipelineIdenticalAcrossThreadCounts) {
   const LogStore store = SimulatedCorpus();
   const ServiceVocabulary vocabulary = Vocab();
   std::vector<PipelineResult> results;
+  std::vector<AgrawalResult> agrawal_results;
   for (int num_threads : kThreadCounts) {
     PipelineConfig config;
-    config.run_agrawal = true;
     config.concurrent_miners = num_threads != 1;
     config.l1.minlogs = 20;
     config.l1.test.sample_size = 100;
     config.l1.num_threads = num_threads;
     config.l2.num_threads = num_threads;
     config.l3.num_threads = num_threads;
-    config.agrawal.minlogs = 20;
-    config.agrawal.sample_size = 100;
-    config.agrawal.num_threads = num_threads;
     MiningPipeline pipeline(vocabulary, config);
     auto run = pipeline.Run(store, 0, kHorizon);
     ASSERT_TRUE(run.ok()) << run.status();
     results.push_back(std::move(run).value());
+    // The delay-histogram baseline runs beside the pipeline, at the same
+    // thread count.
+    AgrawalConfig agrawal_config;
+    agrawal_config.minlogs = 20;
+    agrawal_config.sample_size = 100;
+    agrawal_config.num_threads = num_threads;
+    auto agrawal = AgrawalDelayMiner(agrawal_config).Mine(store, 0, kHorizon);
+    ASSERT_TRUE(agrawal.ok()) << agrawal.status();
+    agrawal_results.push_back(std::move(agrawal).value());
   }
   const PipelineResult& reference = results.front();
-  ASSERT_TRUE(reference.l1 && reference.l2 && reference.l3 &&
-              reference.agrawal);
+  ASSERT_TRUE(reference.l1 && reference.l2 && reference.l3);
   for (const PipelineResult& other : results) {
-    ASSERT_TRUE(other.l1 && other.l2 && other.l3 && other.agrawal);
+    ASSERT_TRUE(other.l1 && other.l2 && other.l3);
     // Dependency models are the user-visible contract; per-pair
     // statistics are covered by the per-miner tests above.
     EXPECT_EQ(other.l1->Dependencies(store).pairs(),
@@ -291,13 +296,16 @@ TEST(ParallelDeterminismTest, FullPipelineIdenticalAcrossThreadCounts) {
               reference.l2->Dependencies(store).pairs());
     EXPECT_EQ(other.l3->Dependencies(store, vocabulary).pairs(),
               reference.l3->Dependencies(store, vocabulary).pairs());
-    EXPECT_EQ(other.agrawal->Dependencies(store).pairs(),
-              reference.agrawal->Dependencies(store).pairs());
     // And the raw counts must line up exactly as well.
     ASSERT_EQ(other.l1->pairs.size(), reference.l1->pairs.size());
     EXPECT_EQ(other.l2->num_bigrams, reference.l2->num_bigrams);
     EXPECT_EQ(other.l3->logs_scanned, reference.l3->logs_scanned);
-    ASSERT_EQ(other.agrawal->pairs.size(), reference.agrawal->pairs.size());
+  }
+  const AgrawalResult& agrawal_reference = agrawal_results.front();
+  for (const AgrawalResult& other : agrawal_results) {
+    EXPECT_EQ(other.Dependencies(store).pairs(),
+              agrawal_reference.Dependencies(store).pairs());
+    ASSERT_EQ(other.pairs.size(), agrawal_reference.pairs.size());
   }
 }
 

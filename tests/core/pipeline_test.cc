@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <regex>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,10 @@ std::vector<std::string> JournalOfGlobalRun(obs::ObsContext* context) {
   return context->journal().Tail(context->journal().options().tail_capacity);
 }
 
+// A stage record closes the event: dur_ns and cpu_ns >= 0, max_rss_kb > 0.
+const std::regex kStageRecord(
+    R"("dur_ns":\d+,"cpu_ns":\d+,"max_rss_kb":[1-9]\d*\}$)");
+
 /// Start and duration (us) of the Chrome trace event named `name`.
 bool FindTraceSpan(const std::string& trace, const std::string& name,
                    int64_t* ts, int64_t* dur) {
@@ -71,24 +76,6 @@ TEST(PipelineTest, RunsAllThreeTechniques) {
   // The L3 citation must surface.
   EXPECT_TRUE(result.value().l3->Dependencies(store, TinyVocab())
                   .Contains({"A", "SRVX"}));
-}
-
-TEST(PipelineTest, AgrawalBaselineOptIn) {
-  const LogStore store = TinyStore();
-  PipelineConfig config;
-  config.run_l1 = config.run_l2 = config.run_l3 = false;
-  config.run_agrawal = true;
-  config.agrawal.minlogs = 1;
-  MiningPipeline pipeline(TinyVocab(), config);
-  auto result = pipeline.Run(store, 0, 10000);
-  ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result.value().agrawal.has_value());
-  EXPECT_FALSE(result.value().l1.has_value());
-  // Default config leaves the baseline off.
-  MiningPipeline default_pipeline(TinyVocab(), PipelineConfig{});
-  auto default_result = default_pipeline.Run(store, 0, 10000);
-  ASSERT_TRUE(default_result.ok());
-  EXPECT_FALSE(default_result.value().agrawal.has_value());
 }
 
 TEST(PipelineTest, SelectiveExecution) {
@@ -184,7 +171,7 @@ TEST(PipelineTest, RunAttachesMetricsSnapshotToResult) {
 }
 
 // Each miner's boundary is recorded once: exactly one journal event
-// under "<run>/<miner>", and it carries the miner's duration.
+// under "<run>/<miner>", and it carries the miner's stage record.
 TEST(PipelineTest, GlobalRunJournalsOneDurationEventPerMiner) {
   obs::ObsContext context;
   const std::vector<std::string> lines = JournalOfGlobalRun(&context);
@@ -196,9 +183,24 @@ TEST(PipelineTest, GlobalRunJournalsOneDurationEventPerMiner) {
       if (line.find(needle) == std::string::npos) continue;
       ++events;
       EXPECT_NE(line.find("\"event\":\"miner_done\""), std::string::npos);
-      EXPECT_NE(line.find("\"dur_ns\":"), std::string::npos) << line;
+      EXPECT_TRUE(std::regex_search(line, kStageRecord)) << line;
     }
     EXPECT_EQ(events, 1) << miner;
+  }
+}
+
+// Across a whole run, from the pipeline down to the store and executor
+// layers: every event names its thread, and every timed one carries the
+// full stage record.
+TEST(PipelineTest, EveryTimedEventCarriesAStageRecord) {
+  obs::ObsContext context;
+  const std::vector<std::string> lines = JournalOfGlobalRun(&context);
+  ASSERT_FALSE(lines.empty());
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find("\"tid\":"), std::string::npos) << line;
+    if (line.find("\"dur_ns\":") != std::string::npos) {
+      EXPECT_TRUE(std::regex_search(line, kStageRecord)) << line;
+    }
   }
 }
 

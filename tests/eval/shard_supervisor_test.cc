@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <regex>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -407,6 +408,37 @@ TEST(ShardSupervisorTest, MetricsMirrorTheSweepStats) {
   EXPECT_EQ(resumed.Value("shard.completed"), stats.shards_completed);
   EXPECT_EQ(stats.attempts, FastConfig().retry.max_attempts);
   EXPECT_EQ(stats.shards_completed, 0);
+}
+
+// The events that close a timed scope — an attempt that failed, one that
+// succeeded, the sweep — each carry a full stage record.
+TEST(ShardSupervisorTest, JournalClosesAttemptsAndTheSweepWithStageRecords) {
+  const std::regex stage_record(
+      R"("dur_ns":\d+,"cpu_ns":\d+,"max_rss_kb":[1-9]\d*\}$)");
+  obs::ObsContext obs;
+  auto log = std::make_shared<AttemptLog>();
+  ShardMineFn flaky = [log](ShardId shard) -> Result<ShardOutput> {
+    if (log->Record(shard) == 1) return Status::Internal("one flake");
+    return CellOutput(shard);
+  };
+  ShardSupervisorConfig config = FastConfig();
+  config.obs = &obs;
+  ASSERT_TRUE(RunShardedSweep(ShardGrid{1, 1}, flaky, config, 7).ok());
+  std::map<std::string, int> closed;
+  for (const std::string& line : obs.journal().Tail(64)) {
+    for (const char* event :
+         {"shard_attempt_failed", "shard_attempt_done", "sweep_end"}) {
+      if (line.find("\"event\":\"" + std::string(event) + "\"") ==
+          std::string::npos) {
+        continue;
+      }
+      ++closed[event];
+      EXPECT_TRUE(std::regex_search(line, stage_record)) << line;
+    }
+  }
+  EXPECT_EQ(closed["shard_attempt_failed"], 1);
+  EXPECT_EQ(closed["shard_attempt_done"], 1);
+  EXPECT_EQ(closed["sweep_end"], 1);
 }
 
 TEST(ShardSupervisorTest, CreatesAMissingPartialDirAtStart) {

@@ -47,14 +47,6 @@ TEST_F(FilterTest, IndicesInRangeEmptyWindow) {
   EXPECT_TRUE(IndicesInRange(store_, 11, 11).empty());
 }
 
-TEST_F(FilterTest, IndicesWherePredicate) {
-  const auto with_user = IndicesWhere(
-      store_, [](const LogStore& s, size_t i) {
-        return s.user_id(i) != LogStore::kNoUser;
-      });
-  EXPECT_EQ(with_user.size(), 3u);
-}
-
 TEST_F(FilterTest, SliceByTimeCopiesWindow) {
   const LogStore slice = SliceByTime(store_, 10, 21);
   EXPECT_EQ(slice.size(), 3u);

@@ -34,7 +34,6 @@ TEST(PostmortemBundleTest, WriteReadRoundTrip) {
   bundle.config_fingerprint = 0xDEADBEEFCAFEBABEull;
   bundle.captured_at_ns = 12345;
   bundle.metrics_json = "{\"metrics\":[]}";
-  bundle.probe_json = "{\"stages\":[]}";
   bundle.journal_tail = {"{\"event\":\"a\"}", "{\"event\":\"b\"}"};
 
   Result<std::string> path = WritePostmortemBundle(options, bundle);
@@ -49,7 +48,6 @@ TEST(PostmortemBundleTest, WriteReadRoundTrip) {
   EXPECT_EQ(read.value().config_fingerprint, bundle.config_fingerprint);
   EXPECT_EQ(read.value().captured_at_ns, bundle.captured_at_ns);
   EXPECT_EQ(read.value().metrics_json, bundle.metrics_json);
-  EXPECT_EQ(read.value().probe_json, bundle.probe_json);
   EXPECT_EQ(read.value().journal_tail, bundle.journal_tail);
 }
 
@@ -107,9 +105,6 @@ TEST(PostmortemBundleTest, HugeJournalLineCountIsParseError) {
   writer.BeginSection("metrics");
   writer.PutString("{}");
   writer.EndSection();
-  writer.BeginSection("probe");
-  writer.PutString("{}");
-  writer.EndSection();
   writer.BeginSection("journal");
   writer.PutU64(uint64_t{1} << 62);
   writer.PutString("{\"event\":\"only\"}");
@@ -120,6 +115,43 @@ TEST(PostmortemBundleTest, HugeJournalLineCountIsParseError) {
   const Result<PostmortemBundle> read = ReadPostmortemBundle(path);
   ASSERT_FALSE(read.ok());
   EXPECT_EQ(read.status().code(), StatusCode::kParseError);
+}
+
+// Version 2 bundles carried a separate "probe" section of per-stage
+// resource usage; version 3 keeps stage records in the journal tail
+// only. A version-2 file is refused with an error, with or without that
+// section.
+TEST(PostmortemBundleTest, VersionTwoBundleIsRefused) {
+  const std::string dir = TempDir("logmine_pm_v2");
+  for (const bool with_probe : {true, false}) {
+    SnapshotWriter writer;
+    writer.BeginSection("meta");
+    writer.PutU32(2);
+    writer.PutString("run-v2");
+    writer.PutString("reason");
+    writer.PutString("span");
+    writer.PutU64(0);
+    writer.PutI64(0);
+    writer.EndSection();
+    writer.BeginSection("metrics");
+    writer.PutString("{}");
+    writer.EndSection();
+    if (with_probe) {
+      writer.BeginSection("probe");
+      writer.PutString("{\"stages\":[]}");
+      writer.EndSection();
+    }
+    writer.BeginSection("journal");
+    writer.PutU64(0);
+    writer.EndSection();
+    const std::string path =
+        dir + (with_probe ? "/with_probe.lmpm" : "/without_probe.lmpm");
+    ASSERT_TRUE(WriteSnapshotFile(path, std::move(writer).Finish()).ok());
+
+    const Result<PostmortemBundle> read = ReadPostmortemBundle(path);
+    ASSERT_FALSE(read.ok()) << path;
+    EXPECT_EQ(read.status().code(), StatusCode::kFailedPrecondition) << path;
+  }
 }
 
 TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
@@ -137,9 +169,6 @@ TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
   {
     TraceSpan span(&context, "unit/stage");
   }
-  {
-    ResourceProbe::ScopedStage stage(&context.probe(), "unit/stage");
-  }
 
   Result<std::string> path =
       CapturePostmortem(options, &context, "health_regression", "serve-1",
@@ -154,12 +183,15 @@ TEST(CapturePostmortemTest, CapturesLiveContextAndJournalsTheBundle) {
   EXPECT_EQ(bundle.trigger_span, "serve-1");
   EXPECT_EQ(bundle.config_fingerprint, 42u);
   EXPECT_NE(bundle.metrics_json.find("pipeline.runs"), std::string::npos);
-  EXPECT_NE(bundle.probe_json.find("unit/stage"), std::string::npos);
   // The tail is capped at the configured depth and holds the newest
   // lines: the last epochs, then the span, which closed last.
   ASSERT_EQ(bundle.journal_tail.size(), 4u);
   EXPECT_NE(bundle.journal_tail[2].find("\"epoch\":9"), std::string::npos);
   EXPECT_NE(bundle.journal_tail.back().find("\"span\":\"unit/stage\""),
+            std::string::npos);
+  // The span's stage record is the bundle's per-stage resource usage.
+  EXPECT_NE(bundle.journal_tail.back().find("\"cpu_ns\":"), std::string::npos);
+  EXPECT_NE(bundle.journal_tail.back().find("\"max_rss_kb\":"),
             std::string::npos);
   // The bundle's timeline view is the journal tail, converted.
   std::string jsonl;

@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <functional>
 #include <memory>
+#include <regex>
 #include <string>
 #include <utility>
 #include <vector>
@@ -476,6 +477,33 @@ TEST(StreamingServiceTest, StatsMirrorTheServeMetrics) {
   EXPECT_EQ(service.stats().epochs_ingested, 1);
   ExpectStatsMirrorMetrics(service.stats(), context);
   EXPECT_EQ(context.metrics().Snapshot().Value("serve.recoveries"), 1);
+}
+
+// An epoch's ingest and a generation's publish are timed stages: their
+// events carry a full stage record.
+TEST(StreamingServiceTest, IngestAndPublishEventsCarryStageRecords) {
+  const std::regex stage_record(
+      R"("dur_ns":\d+,"cpu_ns":\d+,"max_rss_kb":[1-9]\d*\}$)");
+  auto clock = std::make_shared<int64_t>(0);
+  ServiceConfig config = TinyConfig(clock);
+  config.state_path = FreshStatePath("stage_records");
+  obs::ObsContext context;
+  config.obs = &context;
+  auto created = StreamingMiningService::Create(config);
+  ASSERT_TRUE(created.ok()) << created.status();
+  created.value()->SubmitBatch(Batch(0));
+  ASSERT_TRUE(created.value()->Step().ok());
+  int stages = 0;
+  for (const std::string& line : context.journal().Tail(64)) {
+    if (line.find("\"event\":\"epoch_ingested\"") == std::string::npos &&
+        line.find("\"event\":\"generation_published\"") ==
+            std::string::npos) {
+      continue;
+    }
+    ++stages;
+    EXPECT_TRUE(std::regex_search(line, stage_record)) << line;
+  }
+  EXPECT_EQ(stages, 2);
 }
 
 TEST(StreamingServiceTest, RecoveryRefusesAForeignConfigFingerprint) {
