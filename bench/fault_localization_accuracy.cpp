@@ -66,7 +66,7 @@ Trial RunTrial(const sim::HugScenario& scenario, int victim, double scale,
   // Symptom detection by error-rate spike vs the morning baseline.
   std::map<LogStore::SourceId, std::pair<int64_t, int64_t>> window_counts;
   std::map<LogStore::SourceId, std::pair<int64_t, int64_t>> base_counts;
-  for (uint32_t idx :
+  for (size_t idx :
        IndicesInRange(store, start + 8 * kMillisPerHour, outage_begin)) {
     auto& [errors, total] = base_counts[store.source_id(idx)];
     errors += store.severity(idx) == Severity::kError;

@@ -140,7 +140,7 @@ int64_t ReferenceL3(const eval::Dataset& dataset, TimeMs begin, TimeMs end) {
   }
   std::map<std::pair<uint32_t, size_t>, int64_t> citations;
   int64_t stopped = 0;
-  for (uint32_t idx : IndicesInRange(dataset.store, begin, end)) {
+  for (size_t idx : IndicesInRange(dataset.store, begin, end)) {
     const std::string_view message = dataset.store.message(idx);
     bool is_stopped = false;
     for (const std::string& pattern : stop_patterns) {

@@ -86,13 +86,13 @@ int main(int argc, char** argv) {
   // window relative to the morning baseline.
   std::map<LogStore::SourceId, std::pair<int64_t, int64_t>> window_counts;
   std::map<LogStore::SourceId, std::pair<int64_t, int64_t>> base_counts;
-  for (uint32_t idx : IndicesInRange(store, start + 8 * kMillisPerHour,
-                                     outage_begin)) {
+  for (size_t idx : IndicesInRange(store, start + 8 * kMillisPerHour,
+                                   outage_begin)) {
     auto& [errors, total] = base_counts[store.source_id(idx)];
     errors += store.severity(idx) == Severity::kError;
     ++total;
   }
-  for (uint32_t idx : IndicesInRange(store, outage_begin, outage_end)) {
+  for (size_t idx : IndicesInRange(store, outage_begin, outage_end)) {
     auto& [errors, total] = window_counts[store.source_id(idx)];
     errors += store.severity(idx) == Severity::kError;
     ++total;

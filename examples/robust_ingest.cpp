@@ -37,12 +37,8 @@ int main(int argc, char** argv) {
     return 1;
   }
   eval::Dataset dataset = std::move(dataset_or).value();
-  std::vector<LogRecord> records;
-  records.reserve(dataset.store.size());
-  for (uint32_t idx : dataset.store.TimeOrder()) {
-    records.push_back(dataset.store.GetRecord(idx));
-  }
-  const std::string clean_text = LineCodec::EncodeAll(records);
+  // The simulator's store is indexed, so its records are in time order.
+  const std::string clean_text = LineCodec::EncodeAll(dataset.store.Records());
   std::cout << "Clean corpus: " << dataset.store.size() << " logs\n";
 
   // 2. Damage it, deterministically.

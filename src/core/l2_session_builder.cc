@@ -31,13 +31,12 @@ std::vector<Session> SessionBuilder::Build(const LogStore& store,
   LOGMINE_SPAN_GLOBAL("l2/build_sessions", obs::Metric::kL2SessionBuildNs);
   SessionSplitter splitter(config_);
   int64_t logs_considered = 0;
-  for (uint32_t idx : IndicesInRange(store, begin, end)) {
+  for (size_t idx : IndicesInRange(store, begin, end)) {
     ++logs_considered;
     const LogStore::UserId user = store.user_id(idx);
     if (user == LogStore::kNoUser) continue;
     splitter.Add(user,
-                 SessionLogEntry{store.client_ts(idx), store.source_id(idx),
-                                 idx});
+                 SessionLogEntry{store.client_ts(idx), store.source_id(idx)});
   }
   SessionBuildStats local;
   std::vector<Session> sessions =

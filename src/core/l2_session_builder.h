@@ -17,7 +17,6 @@ namespace logmine::core {
 struct SessionLogEntry {
   TimeMs ts = 0;
   LogStore::SourceId source = 0;
-  uint32_t record_index = 0;
 };
 
 /// A reconstructed user session.

@@ -370,7 +370,7 @@ Result<L3Result> L3TextMiner::Mine(const LogStore& store, TimeMs begin,
   LOGMINE_SPAN_GLOBAL("l3/mine", obs::Metric::kL3MineNs);
   obs::Count(obs::Metric::kL3Runs);
   L3Result result;
-  const std::vector<uint32_t> indices = IndicesInRange(store, begin, end);
+  const RecordRange records = IndicesInRange(store, begin, end);
 
   // Sharded scan on the shared executor: each shard counts citations
   // into its own flat table; shard boundaries depend only on the log
@@ -382,17 +382,17 @@ Result<L3Result> L3TextMiner::Mine(const LogStore& store, TimeMs begin,
     int64_t stopped = 0;
   };
   const size_t num_shards =
-      (indices.size() + kLogsPerShard - 1) / kLogsPerShard;
+      (records.size() + kLogsPerShard - 1) / kLogsPerShard;
   std::vector<ShardCounts> shards(num_shards);
   Executor::Shared().ParallelForChunks(
-      indices.size(), kLogsPerShard,
+      records.size(), kLogsPerShard,
       [&](size_t shard_begin, size_t shard_end) {
         ShardCounts& shard = shards[shard_begin / kLogsPerShard];
         ScanScratch scratch;
         std::vector<size_t> cited;
         const bool fused = fused_scan_ok();
         for (size_t i = shard_begin; i < shard_end; ++i) {
-          const uint32_t idx = indices[i];
+          const size_t idx = records.first + i;
           ++shard.scanned;
           const std::string_view message = store.message(idx);
           cited.clear();

@@ -109,15 +109,6 @@ Result<stats::MedianCi> DailyRunResult::TpRatioCi(double level) const {
   return stats::MedianConfidenceInterval(series.TpRatios(), level);
 }
 
-core::ModelTracker DailyRunResult::Track(
-    const core::ModelTrackerConfig& config) const {
-  core::ModelTracker tracker(config);
-  for (const core::DependencyModel& model : merged.daily) {
-    tracker.Observe(model);
-  }
-  return tracker;
-}
-
 Result<DailyRunResult> RunL1Daily(const Dataset& dataset,
                                   const core::L1Config& config) {
   return RunL1(dataset, config, PlainSupervisor());

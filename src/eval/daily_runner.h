@@ -8,7 +8,6 @@
 #include "core/l1_activity_miner.h"
 #include "core/l2_cooccurrence_miner.h"
 #include "core/l3_text_miner.h"
-#include "core/model_tracker.h"
 #include "eval/dataset.h"
 #include "eval/shard_supervisor.h"
 #include "stats/order_stats_ci.h"
@@ -41,10 +40,6 @@ struct DailyRunResult {
 
   /// Union of the daily models (the basis of §4.8's error taxonomy).
   const core::DependencyModel& UnionModel() const { return merged.model; }
-
-  /// The moving-landscape tracker after observing every day's model in
-  /// day order.
-  core::ModelTracker Track(const core::ModelTrackerConfig& config) const;
 };
 
 /// Runs L1 per day against the app-pair reference.

@@ -32,7 +32,10 @@ class Fingerprinter {
   uint64_t hash_ = 0xCBF29CE484222325ull;
 };
 
-constexpr uint32_t kCacheVersion = 1;
+// Version 2: the corpus is written from the indexed store, so it is in
+// time order and its load skips the index's sort. A version-1 cache
+// (emission order) is rebuilt once.
+constexpr uint32_t kCacheVersion = 2;
 
 // Cache sections ride in one snapshot container next to the columnar
 // corpus sections: "dsmeta" (version + fingerprint) and "dssum" (the

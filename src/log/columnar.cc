@@ -76,6 +76,17 @@ Result<uint32_t> DecodeOptionalId(uint64_t encoded) {
   return static_cast<uint32_t>(encoded - 1);
 }
 
+// The bytes PutDictionary writes.
+size_t DictionaryBytes(size_t count,
+                       std::string_view (LogStore::*name)(uint32_t) const,
+                       const LogStore& store) {
+  size_t bytes = 0;
+  for (size_t i = 0; i < count; ++i) {
+    bytes += 8 + (store.*name)(static_cast<uint32_t>(i)).size();
+  }
+  return bytes;
+}
+
 void PutDictionary(SnapshotWriter* writer, size_t count,
                    std::string_view (LogStore::*name)(uint32_t) const,
                    const LogStore& store) {
@@ -94,6 +105,44 @@ bool LooksColumnar(std::string_view bytes) {
 void AppendColumnarSections(const LogStore& store, SnapshotWriter* writer) {
   const size_t n = store.size();
 
+  // The varint columns first, so the output's size is known and the
+  // writer grows once; the message arena goes in as the text blob as
+  // it is, since it is the concatenation of the messages in record
+  // order.
+  std::string times;
+  times.reserve(n * 4);
+  TimeMs prev_client = 0;
+  for (size_t i = 0; i < n; ++i) {
+    PutZigzag(&times, store.client_ts(i) - prev_client);
+    PutZigzag(&times, store.server_ts(i) - store.client_ts(i));
+    prev_client = store.client_ts(i);
+  }
+  std::string ids;
+  ids.reserve(n * 4);
+  for (size_t i = 0; i < n; ++i) {
+    PutVarint(&ids, static_cast<uint64_t>(store.severity(i)));
+    PutVarint(&ids, store.source_id(i));
+    PutVarint(&ids, EncodeOptionalId(store.host_id(i)));
+    PutVarint(&ids, EncodeOptionalId(store.user_id(i)));
+  }
+  std::string lengths;
+  lengths.reserve(n);
+  for (size_t i = 0; i < n; ++i) PutVarint(&lengths, store.message(i).size());
+  const std::string_view blob = store.messages(0, n);
+
+  // Five sections of a u32 name length, a name of at most five bytes
+  // and a u64 payload length; every string its u64 length prefix.
+  size_t bytes = 5 * (4 + 5 + 8) + 4 + 8 + 3 * 4;
+  for (const std::string_view column : {std::string_view(times),
+                                        std::string_view(ids),
+                                        std::string_view(lengths), blob}) {
+    bytes += 8 + column.size();
+  }
+  bytes += DictionaryBytes(store.num_sources(), &LogStore::source_name, store) +
+           DictionaryBytes(store.num_hosts(), &LogStore::host_name, store) +
+           DictionaryBytes(store.num_users(), &LogStore::user_name, store);
+  writer->Reserve(bytes);
+
   writer->BeginSection("cmeta");
   writer->PutU32(kColumnarVersion);
   writer->PutU64(n);
@@ -102,27 +151,12 @@ void AppendColumnarSections(const LogStore& store, SnapshotWriter* writer) {
   writer->PutU32(static_cast<uint32_t>(store.num_users()));
   writer->EndSection();
 
-  std::string column;
-  column.reserve(n * 4);
-  TimeMs prev_client = 0;
-  for (size_t i = 0; i < n; ++i) {
-    PutZigzag(&column, store.client_ts(i) - prev_client);
-    PutZigzag(&column, store.server_ts(i) - store.client_ts(i));
-    prev_client = store.client_ts(i);
-  }
   writer->BeginSection("ctime");
-  writer->PutString(column);
+  writer->PutString(times);
   writer->EndSection();
 
-  column.clear();
-  for (size_t i = 0; i < n; ++i) {
-    PutVarint(&column, static_cast<uint64_t>(store.severity(i)));
-    PutVarint(&column, store.source_id(i));
-    PutVarint(&column, EncodeOptionalId(store.host_id(i)));
-    PutVarint(&column, EncodeOptionalId(store.user_id(i)));
-  }
   writer->BeginSection("cids");
-  writer->PutString(column);
+  writer->PutString(ids);
   writer->EndSection();
 
   writer->BeginSection("cdict");
@@ -131,17 +165,8 @@ void AppendColumnarSections(const LogStore& store, SnapshotWriter* writer) {
   PutDictionary(writer, store.num_users(), &LogStore::user_name, store);
   writer->EndSection();
 
-  column.clear();
-  size_t blob_size = 0;
-  for (size_t i = 0; i < n; ++i) {
-    PutVarint(&column, store.message(i).size());
-    blob_size += store.message(i).size();
-  }
   writer->BeginSection("ctext");
-  writer->PutString(column);
-  std::string blob;
-  blob.reserve(blob_size);
-  for (size_t i = 0; i < n; ++i) blob += store.message(i);
+  writer->PutString(lengths);
   writer->PutString(blob);
   writer->EndSection();
 }

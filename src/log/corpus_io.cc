@@ -11,14 +11,9 @@ namespace logmine {
 
 Status WriteCorpusFile(const LogStore& store, const std::string& path) {
   std::string out;
-  auto write_record = [&out, &store](size_t i) {
+  for (size_t i = 0; i < store.size(); ++i) {
     out += LineCodec::Encode(store.GetRecord(i));
     out += '\n';
-  };
-  if (store.index_built()) {
-    for (uint32_t idx : store.TimeOrder()) write_record(idx);
-  } else {
-    for (size_t i = 0; i < store.size(); ++i) write_record(i);
   }
   return WriteFileAtomic(path, out);
 }

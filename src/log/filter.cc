@@ -2,23 +2,20 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstddef>
+#include <ranges>
 #include <utility>
 
 namespace logmine {
 
-std::vector<uint32_t> IndicesInRange(const LogStore& store, TimeMs begin,
-                                     TimeMs end) {
+RecordRange IndicesInRange(const LogStore& store, TimeMs begin, TimeMs end) {
   assert(store.index_built());
-  const std::vector<uint32_t>& order = store.TimeOrder();
-  auto lo = std::lower_bound(order.begin(), order.end(), begin,
-                             [&store](uint32_t idx, TimeMs t) {
-                               return store.client_ts(idx) < t;
-                             });
-  auto hi = std::lower_bound(lo, order.end(), end,
-                             [&store](uint32_t idx, TimeMs t) {
-                               return store.client_ts(idx) < t;
-                             });
-  return {lo, hi};
+  const auto all = std::views::iota(size_t{0}, store.size());
+  auto ts = [&store](size_t idx) { return store.client_ts(idx); };
+  const size_t first = *std::ranges::lower_bound(all, begin, {}, ts);
+  const size_t last = *std::ranges::lower_bound(
+      std::views::iota(first, store.size()), end, {}, ts);
+  return {first, last};
 }
 
 LogStore SliceByTime(const LogStore& store, TimeMs begin, TimeMs end) {
@@ -29,7 +26,17 @@ LogStore SliceByTime(const LogStore& store, TimeMs begin, TimeMs end) {
   IdRemap source_ids(store.num_sources(), &sources);
   IdRemap host_ids(store.num_hosts(), &hosts);
   IdRemap user_ids(store.num_users(), &users);
-  for (uint32_t idx : IndicesInRange(store, begin, end)) {
+  const RecordRange records = IndicesInRange(store, begin, end);
+  const size_t n = records.size();
+  columns.client_ts.reserve(n);
+  columns.server_ts.reserve(n);
+  columns.severity.reserve(n);
+  columns.source_ids.reserve(n);
+  columns.host_ids.reserve(n);
+  columns.user_ids.reserve(n);
+  columns.message_ends.reserve(n);
+  size_t message_end = 0;
+  for (size_t idx : records) {
     columns.client_ts.push_back(store.client_ts(idx));
     columns.server_ts.push_back(store.server_ts(idx));
     columns.severity.push_back(store.severity(idx));
@@ -44,9 +51,10 @@ LogStore SliceByTime(const LogStore& store, TimeMs begin, TimeMs end) {
     columns.user_ids.push_back(user == LogStore::kNoUser
                                    ? user
                                    : user_ids.Map(user, store.user_name(user)));
-    columns.message_data += store.message(idx);
-    columns.message_ends.push_back(columns.message_data.size());
+    message_end += store.message(idx).size();
+    columns.message_ends.push_back(message_end);
   }
+  columns.message_data = store.messages(records.first, records.last);
   columns.source_names = sources.TakeNames();
   columns.host_names = hosts.TakeNames();
   columns.user_names = users.TakeNames();

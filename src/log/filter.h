@@ -1,7 +1,9 @@
 #ifndef LOGMINE_LOG_FILTER_H_
 #define LOGMINE_LOG_FILTER_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <vector>
 
 #include "log/store.h"
@@ -9,13 +11,27 @@
 
 namespace logmine {
 
-/// Record indices with client_ts in [begin, end), in time order.
-/// Pre-condition: store.index_built().
-std::vector<uint32_t> IndicesInRange(const LogStore& store, TimeMs begin,
-                                     TimeMs end);
+/// A contiguous run of record indices [first, last) of an indexed store:
+/// iterable (`for (size_t idx : range)`), free to copy, no allocation.
+/// Valid until the store's next Append or BuildIndex.
+struct RecordRange {
+  size_t first = 0;
+  size_t last = 0;
+
+  size_t size() const { return last - first; }
+  bool empty() const { return first == last; }
+  auto begin() const { return std::views::iota(first, last).begin(); }
+  auto end() const { return std::views::iota(first, last).end(); }
+};
+
+/// The records with client_ts in [begin, end): an indexed store is in
+/// time order, so they are one contiguous range, found by two binary
+/// searches on client_ts. Pre-condition: store.index_built().
+RecordRange IndicesInRange(const LogStore& store, TimeMs begin, TimeMs end);
 
 /// Copies the records of `store` with client_ts in [begin, end) into a
-/// fresh store, in time order. Columns are copied and dictionary ids
+/// fresh store, in time order. Columns are copied in one pass over the
+/// range, the messages as one substring of the arena, and dictionary ids
 /// remapped through one table entry per dictionary entry, so the
 /// slice's ids are first-seen in time order and it equals a store built
 /// by appending the same records one by one. The slice holds only the

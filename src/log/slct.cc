@@ -91,7 +91,7 @@ SlctResult SlctClusterer::ClusterSource(const LogStore& store,
                                         LogStore::SourceId source,
                                         TimeMs begin, TimeMs end) const {
   std::vector<std::string_view> messages;
-  for (uint32_t idx : IndicesInRange(store, begin, end)) {
+  for (size_t idx : IndicesInRange(store, begin, end)) {
     if (store.source_id(idx) == source) {
       messages.push_back(store.message(idx));
     }

@@ -6,6 +6,7 @@
 #include <memory>
 #include <numeric>
 #include <tuple>
+#include <utility>
 
 #include "obs/obs.h"
 
@@ -15,20 +16,15 @@ namespace {
 constexpr int kDigitBits = 16;
 constexpr size_t kBuckets = size_t{1} << kDigitBits;
 
-// Fills `order` with the indices of `ts` sorted by (ts, index): a stable
-// LSD radix sort over 16-bit digits of ts - min(ts), computed in uint64
-// so negative timestamps and a span as wide as INT64_MIN..INT64_MAX sort
-// right. A span below 2^16 ms takes one pass, below 2^32 ms (49 days)
-// two. Already sorted input — a text corpus written by WriteCorpusFile —
-// is the identity and costs one compare per record.
-void RadixTimeOrder(const std::vector<TimeMs>& ts,
-                    std::vector<uint32_t>* order) {
+// The indices of `ts` sorted by (ts, index): a stable LSD radix sort
+// over 16-bit digits of ts - min(ts), computed in uint64 so negative
+// timestamps and a span as wide as INT64_MIN..INT64_MAX sort right. A
+// span below 2^16 ms takes one pass, below 2^32 ms (49 days) two.
+// Pre-condition: `ts` is not sorted, so its span is positive and at
+// least one pass runs.
+std::vector<uint32_t> RadixTimeOrder(const std::vector<TimeMs>& ts) {
   const size_t n = ts.size();
-  order->resize(n);
-  if (std::is_sorted(ts.begin(), ts.end())) {
-    std::iota(order->begin(), order->end(), 0u);
-    return;
-  }
+  std::vector<uint32_t> order(n);
   const auto [lo, hi] = std::minmax_element(ts.begin(), ts.end());
   const auto min = static_cast<uint64_t>(*lo);
   const int digits =
@@ -64,7 +60,7 @@ void RadixTimeOrder(const std::vector<TimeMs>& ts,
       ids[(p + 1) % 2] = std::make_unique_for_overwrite<uint32_t[]>(n);
     }
     uint64_t* out_keys = last ? nullptr : keys[(p + 1) % 2].get();
-    uint32_t* out_ids = last ? order->data() : ids[(p + 1) % 2].get();
+    uint32_t* out_ids = last ? order.data() : ids[(p + 1) % 2].get();
     for (size_t i = 0; i < n; ++i) {
       const uint64_t key =
           first ? static_cast<uint64_t>(ts[i]) - min : in_keys[i];
@@ -73,6 +69,16 @@ void RadixTimeOrder(const std::vector<TimeMs>& ts,
       if (!last) out_keys[pos] = key;
     }
   }
+  return order;
+}
+
+// Replaces `column` by its entries in `order`.
+template <typename T>
+void Gather(const std::vector<uint32_t>& order, std::vector<T>* column) {
+  std::vector<T> out;
+  out.reserve(order.size());
+  for (uint32_t i : order) out.push_back((*column)[i]);
+  *column = std::move(out);
 }
 
 }  // namespace
@@ -207,16 +213,37 @@ void LogStore::BuildIndex() {
   LOGMINE_SPAN_GLOBAL("store/build_index", obs::Metric::kStoreIndexBuildNs);
   obs::Count(obs::Metric::kStoreIndexBuilds);
   obs::Count(obs::Metric::kStoreRecordsIndexed, static_cast<int64_t>(size()));
-  RadixTimeOrder(client_ts_, &time_order_);
-  // CSR per-source column: count, prefix-sum, then scatter in time
-  // order, which leaves every source's slice sorted without a sort.
+  if (!std::is_sorted(client_ts_.begin(), client_ts_.end())) {
+    // A text corpus written by WriteCorpusFile, and every columnar file
+    // written from an indexed store, is already sorted and skips this.
+    const std::vector<uint32_t> order = RadixTimeOrder(client_ts_);
+    Gather(order, &client_ts_);
+    Gather(order, &server_ts_);
+    Gather(order, &severity_);
+    Gather(order, &source_ids_);
+    Gather(order, &host_ids_);
+    Gather(order, &user_ids_);
+    std::string data;
+    data.reserve(message_data_.size());
+    std::vector<size_t> ends;
+    ends.reserve(order.size());
+    for (uint32_t i : order) {
+      data += message(i);
+      ends.push_back(data.size());
+    }
+    message_data_ = std::move(data);
+    message_ends_ = std::move(ends);
+  }
+  // CSR per-source column: count, prefix-sum, then scatter the records
+  // in their (time) order, which leaves every source's slice sorted
+  // without a sort.
   source_begin_.assign(sources_.size() + 1, 0);
   for (SourceId s : source_ids_) ++source_begin_[s + 1];
   std::partial_sum(source_begin_.begin(), source_begin_.end(),
                    source_begin_.begin());
   source_ts_.resize(size());
   std::vector<size_t> fill(source_begin_.begin(), source_begin_.end() - 1);
-  for (uint32_t i : time_order_) {
+  for (size_t i = 0; i < size(); ++i) {
     source_ts_[fill[source_ids_[i]]++] = client_ts_[i];
   }
   index_built_ = true;
@@ -226,11 +253,6 @@ std::span<const TimeMs> LogStore::SourceTimestamps(SourceId source) const {
   assert(index_built_);
   return std::span<const TimeMs>(source_ts_).subspan(
       source_begin_[source], source_begin_[source + 1] - source_begin_[source]);
-}
-
-const std::vector<uint32_t>& LogStore::TimeOrder() const {
-  assert(index_built_);
-  return time_order_;
 }
 
 std::span<const TimeMs> LogStore::SourceTimestampsInRange(SourceId source,
@@ -251,13 +273,13 @@ int64_t LogStore::CountInRange(SourceId source, TimeMs begin,
 
 TimeMs LogStore::min_ts() const {
   if (empty()) return 0;
-  if (index_built_) return client_ts_[time_order_.front()];
+  if (index_built_) return client_ts_.front();
   return *std::min_element(client_ts_.begin(), client_ts_.end());
 }
 
 TimeMs LogStore::max_ts() const {
   if (empty()) return 0;
-  if (index_built_) return client_ts_[time_order_.back()];
+  if (index_built_) return client_ts_.back();
   return *std::max_element(client_ts_.begin(), client_ts_.end());
 }
 

@@ -17,17 +17,21 @@ namespace logmine {
 /// Columnar, append-only store for a log corpus.
 ///
 /// Source, host and user strings are interned into dense ids; timestamps
-/// and ids live in flat columns. `BuildIndex` materializes a sorted
-/// per-source timestamp index (the access path of the L1 miner) and a
-/// global time order (the access path of the session builder). Records
-/// may be appended in any order — the simulator emits slightly out of
-/// order because of clock skew, exactly like the real system.
+/// and ids live in flat columns. Records may be appended in any order —
+/// the simulator emits slightly out of order because of clock skew,
+/// exactly like the real system. `BuildIndex` puts the store in time
+/// order: afterwards record i is the i-th log by (client_ts, append
+/// order), so any time range is one contiguous run of records (the
+/// access path of L2, L3 and every slice). It also materializes a
+/// sorted per-source timestamp index (the access path of the L1 miner).
 ///
-/// Both indexes are built in time linear in the record count: the time
-/// order by a stable LSD radix sort (16-bit digits of client_ts - min_ts;
-/// the identity when client_ts is already non-decreasing), the
-/// per-source timestamps as one flat CSR column filled by scattering
-/// the records in time order, so every source's slice is born sorted.
+/// Both steps take time linear in the record count: the order comes
+/// from a stable LSD radix sort (16-bit digits of client_ts - min_ts)
+/// and is applied with one gather per column, message arena included;
+/// a store whose client_ts is already non-decreasing skips both. The
+/// per-source timestamps are one flat CSR column filled by scattering
+/// the (now time-ordered) records, so every source's slice is born
+/// sorted.
 ///
 /// Not thread-safe; build once, then mine.
 class LogStore {
@@ -96,11 +100,18 @@ class LogStore {
     return std::string_view(message_data_)
         .substr(begin, message_ends_[i] - begin);
   }
+  /// The messages of records [first, last), concatenated: one view of
+  /// the arena.
+  std::string_view messages(size_t first, size_t last) const {
+    const size_t begin = first == 0 ? 0 : message_ends_[first - 1];
+    const size_t end = last == 0 ? 0 : message_ends_[last - 1];
+    return std::string_view(message_data_).substr(begin, end - begin);
+  }
 
   /// Reassembles a full record (copying strings).
   LogRecord GetRecord(size_t i) const;
 
-  /// Every record in insertion order, reassembled as by `GetRecord`.
+  /// Every record in store order, reassembled as by `GetRecord`.
   std::vector<LogRecord> Records() const;
 
   /// Equal when the record columns, the message arena and the
@@ -122,8 +133,12 @@ class LogStore {
 
   // --- indexes ---
 
-  /// Builds (or rebuilds) the per-source sorted timestamp index and the
-  /// global time order. Idempotent until the next Append.
+  /// Reorders the records into (client_ts, append order) — a stable
+  /// sort, so records with equal timestamps keep their relative order —
+  /// and builds the per-source sorted timestamp index. Record indices
+  /// taken before the call are invalid after it; dictionaries and ids
+  /// are untouched. Idempotent until the next Append, which appends
+  /// after the sorted records and clears the index.
   void BuildIndex();
   bool index_built() const { return index_built_; }
 
@@ -140,15 +155,12 @@ class LogStore {
                                                   TimeMs begin,
                                                   TimeMs end) const;
 
-  /// Record indices sorted by (client_ts, insertion order).
-  /// Pre-condition: BuildIndex() has run.
-  const std::vector<uint32_t>& TimeOrder() const;
-
   /// Number of logs of `source` with client_ts in [begin, end).
   /// Pre-condition: BuildIndex() has run.
   int64_t CountInRange(SourceId source, TimeMs begin, TimeMs end) const;
 
-  /// Earliest / latest client timestamp; 0 on an empty store.
+  /// Earliest / latest client timestamp; 0 on an empty store. O(1) on
+  /// an indexed store (its first and last record).
   TimeMs min_ts() const;
   TimeMs max_ts() const;
 
@@ -174,7 +186,6 @@ class LogStore {
   // source_ts_[source_begin_[s], source_begin_[s + 1]), sorted.
   std::vector<size_t> source_begin_;
   std::vector<TimeMs> source_ts_;
-  std::vector<uint32_t> time_order_;
 };
 
 }  // namespace logmine

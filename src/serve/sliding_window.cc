@@ -167,9 +167,9 @@ Status SlidingWindowMiner::IngestEpoch(const EpochBatch& batch) {
     // A braced list evaluates in order: a's id is mapped before b's.
     epoch.l1_pairs.push_back({source(a), source(b), pr.slots_positive > 0});
   }
-  // L2: the compact columns session rebuild needs, in the store's time
+  // L2: the compact columns session rebuild needs, in the store's (time)
   // order (ties broken by insertion order, same as a batch mine sees).
-  for (uint32_t idx : store.TimeOrder()) {
+  for (size_t idx = 0; idx < store.size(); ++idx) {
     const LogStore::UserId user = store.user_id(idx);
     if (user == LogStore::kNoUser) continue;
     epoch.context.push_back({store.client_ts(idx),
@@ -277,7 +277,7 @@ Result<WindowModelSet> SlidingWindowMiner::MineWindow() const {
   for (const EpochState& epoch : epochs_) {
     logs_considered += epoch.logs_considered;
     for (const ContextLog& log : epoch.context) {
-      splitter.Add(log.user, core::SessionLogEntry{log.ts, log.source, 0});
+      splitter.Add(log.user, core::SessionLogEntry{log.ts, log.source});
     }
   }
   const std::vector<core::Session> sessions =

@@ -149,6 +149,10 @@ void SnapshotWriter::PutString(std::string_view s) {
   out_.append(s);
 }
 
+void SnapshotWriter::Reserve(size_t bytes) {
+  out_.reserve(out_.size() + bytes + 8);  // + the footer's two u32s
+}
+
 std::string SnapshotWriter::Finish() && {
   assert(!in_section_ && "Finish with an open section");
   AppendU32(&out_, kFooterMagic);

@@ -54,6 +54,11 @@ class SnapshotWriter {
   /// Length-prefixed (u64) byte string.
   void PutString(std::string_view s);
 
+  /// Makes room for `bytes` more bytes of sections and for the footer,
+  /// so that writing that much and `Finish` do not reallocate. Output
+  /// bytes do not depend on it.
+  void Reserve(size_t bytes);
+
   /// Appends the CRC footer and returns the finished snapshot. The
   /// writer is spent afterwards. Pre-condition: no open section.
   std::string Finish() &&;

@@ -10,7 +10,7 @@ Session MakeSession(const std::vector<std::pair<TimeMs, uint32_t>>& entries) {
   Session session;
   session.user = 0;
   for (const auto& [ts, source] : entries) {
-    session.entries.push_back(SessionLogEntry{ts, source, 0});
+    session.entries.push_back(SessionLogEntry{ts, source});
   }
   return session;
 }

@@ -27,6 +27,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_tracker.h"
 #include "core/serialization.h"
 #include "eval/daily_runner.h"
 #include "eval/dataset.h"
@@ -586,6 +587,17 @@ class ResumableRunnerTest : public ::testing::Test {
 
 Dataset* ResumableRunnerTest::dataset_ = nullptr;
 
+/// The moving-landscape tracker after observing every day's model of
+/// `run` in day order.
+core::ModelTracker TrackDays(const DailyRunResult& run,
+                             const core::ModelTrackerConfig& config) {
+  core::ModelTracker tracker(config);
+  for (const core::DependencyModel& model : run.merged.daily) {
+    tracker.Observe(model);
+  }
+  return tracker;
+}
+
 std::string TrackerBytes(const core::ModelTracker& tracker) {
   SnapshotWriter w;
   w.BeginSection("tracker");
@@ -743,9 +755,9 @@ TEST_F(ResumableRunnerTest, ResumeUnderNewTrackerConfigEqualsFreshRun) {
   core::ModelTrackerConfig tracker;
   tracker.confirm_after += 1;
   tracker.retire_after += 2;
-  EXPECT_EQ(TrackerBytes(resumed.value().l3->Track(tracker)),
-            TrackerBytes(fresh.value().Track(tracker)));
-  EXPECT_EQ(resumed.value().l3->Track(tracker).num_observations(),
+  EXPECT_EQ(TrackerBytes(TrackDays(*resumed.value().l3, tracker)),
+            TrackerBytes(TrackDays(fresh.value(), tracker)));
+  EXPECT_EQ(TrackDays(*resumed.value().l3, tracker).num_observations(),
             dataset_->num_days());
 }
 

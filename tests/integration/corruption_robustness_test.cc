@@ -46,12 +46,10 @@ class CorruptionRobustnessTest : public ::testing::Test {
     ASSERT_TRUE(built.ok()) << built.status();
     dataset_ = new Dataset(std::move(built).value());
 
-    std::vector<LogRecord> records;
-    records.reserve(dataset_->store.size());
-    for (uint32_t idx : dataset_->store.TimeOrder()) {
-      records.push_back(dataset_->store.GetRecord(idx));
-    }
-    clean_text_ = new std::string(LineCodec::EncodeAll(records));
+    // The simulator's store is indexed, so its records are in time order.
+    ASSERT_TRUE(dataset_->store.index_built());
+    clean_text_ =
+        new std::string(LineCodec::EncodeAll(dataset_->store.Records()));
 
     clean_scores_ = new MiningScores(Mine(dataset_->store));
   }

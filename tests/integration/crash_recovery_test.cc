@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include "core/model_tracker.h"
 #include "core/serialization.h"
 #include "eval/daily_runner.h"
 #include "eval/dataset.h"
@@ -134,7 +135,11 @@ class CrashRecoveryTest : public ::testing::Test {
     }
     w.EndSection();
     w.BeginSection("tracker");
-    core::EncodeModelTracker(run.Track(core::ModelTrackerConfig{}), &w);
+    core::ModelTracker tracker{core::ModelTrackerConfig{}};
+    for (const core::DependencyModel& model : run.merged.daily) {
+      tracker.Observe(model);
+    }
+    core::EncodeModelTracker(tracker, &w);
     w.EndSection();
     return std::move(w).Finish();
   }

@@ -1,9 +1,11 @@
 #include "log/columnar.h"
 
 #include <cstdint>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +120,61 @@ TEST(ColumnarTest, FuzzRoundTripRandomCorpora) {
   }
 }
 
+// FNV-1a 64 of `bytes`, as 16 hex digits.
+std::string Fnv1aHex(std::string_view bytes) {
+  uint64_t hash = 0xCBF29CE484222325ULL;
+  for (char c : bytes) {
+    hash = (hash ^ static_cast<unsigned char>(c)) * 0x100000001B3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(hash));
+  return buf;
+}
+
+TEST(ColumnarTest, EncodingOfAnUnindexedStoreIsPinned) {
+  // The encoder must write the same bytes for the same store however it
+  // assembles them. The digests were recorded with the encoder that
+  // re-concatenated the message text and grew its buffer as it went.
+  LogStore empty;
+  const std::string empty_bytes = EncodeColumnar(empty);
+  EXPECT_EQ(empty_bytes.size(), size_t{156});
+  EXPECT_EQ(Fnv1aHex(empty_bytes), "be1dc03baa0a4559");
+
+  // Out-of-order timestamps with small and multi-byte deltas, negative
+  // server skew, absent hosts and users, empty and long messages.
+  Rng rng(424242);
+  LogStore store;
+  TimeMs ts = 1'700'000'000'000;
+  for (int i = 0; i < 3000; ++i) {
+    ts += rng.Bernoulli(0.05) ? rng.UniformInt(-90'000'000, 90'000'000)
+                              : rng.UniformInt(-2000, 5000);
+    LogRecord record;
+    record.client_ts = ts;
+    record.server_ts = ts + rng.UniformInt(-300, 3000);
+    record.severity = static_cast<Severity>(rng.UniformInt(0, 3));
+    record.source = "src" + std::to_string(rng.UniformInt(0, 40));
+    if (rng.Bernoulli(0.6)) {
+      record.host = "host" + std::to_string(rng.UniformInt(0, 200));
+    }
+    if (rng.Bernoulli(0.4)) {
+      record.user = "user" + std::to_string(rng.UniformInt(0, 500));
+    }
+    const int len = static_cast<int>(rng.UniformInt(0, 300));
+    for (int c = 0; c < len; ++c) {
+      record.message += static_cast<char>(rng.UniformInt(32, 126));
+    }
+    ASSERT_TRUE(store.Append(record).ok());
+  }
+  ASSERT_FALSE(store.index_built());
+  const std::string bytes = EncodeColumnar(store);
+  EXPECT_EQ(bytes.size(), size_t{493965});
+  EXPECT_EQ(Fnv1aHex(bytes), "d69afb76e7ddc09d");
+  auto loaded = DecodeColumnar(bytes);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded.value() == store);
+}
+
 TEST(ColumnarTest, QuarantinedCorpusSurvivesTheColumnarHop) {
   // A dirty text corpus ingested leniently, then rewritten columnar:
   // the *surviving* records round-trip; the quarantined line is gone in
@@ -199,12 +256,22 @@ TEST(ColumnarTest, FileRoundTripAndCorpusAutodetection) {
   ExpectStoresEqual(store, direct.value());
 
   // The generic corpus reader autodetects the binary format by magic
-  // bytes and returns an indexed store, like any text corpus.
+  // bytes and returns an indexed store, like any text corpus: in time
+  // order, with the file's dictionary ids.
   auto detected = ReadCorpusFile(path);
   ASSERT_TRUE(detected.ok()) << detected.status();
   EXPECT_TRUE(detected.value().index_built());
   EXPECT_EQ(detected.value().size(), 2u);
-  EXPECT_EQ(detected.value().GetRecord(0).source, "B");  // insertion order
+  EXPECT_EQ(detected.value().GetRecord(0), store.GetRecord(1));
+  EXPECT_EQ(detected.value().GetRecord(1), store.GetRecord(0));
+  EXPECT_EQ(detected.value().source_id(0), store.source_id(1));
+
+  // An indexed store writes its records in time order, so its file reads
+  // back equal to it.
+  ASSERT_TRUE(WriteColumnarFile(path, detected.value()).ok());
+  auto reread = ReadColumnarFile(path);
+  ASSERT_TRUE(reread.ok()) << reread.status();
+  EXPECT_TRUE(reread.value() == detected.value());
 
   std::filesystem::remove_all(dir);
 }

@@ -92,13 +92,21 @@ TEST(LogStoreTest, SourceTimestampsSortedEvenWithSkewedAppends) {
             (std::vector<TimeMs>{10, 20, 50}));
 }
 
-TEST(LogStoreTest, TimeOrderIsStable) {
+TEST(LogStoreTest, BuildIndexSortsRecordsStably) {
   LogStore store;
-  ASSERT_TRUE(store.Append(Rec(10, "A")).ok());  // index 0
+  ASSERT_TRUE(store.Append(Rec(10, "A", "u1", "h1")).ok());  // index 0
   ASSERT_TRUE(store.Append(Rec(10, "B")).ok());  // index 1, same ts
-  ASSERT_TRUE(store.Append(Rec(5, "C")).ok());   // index 2
+  ASSERT_TRUE(store.Append(Rec(5, "C", "u2")).ok());  // index 2
+  const std::vector<LogRecord> appended = store.Records();
   store.BuildIndex();
-  EXPECT_EQ(store.TimeOrder(), (std::vector<uint32_t>{2, 0, 1}));
+  // Records now sit in (client_ts, append order): 2, 0, 1.
+  EXPECT_EQ(store.Records(),
+            (std::vector<LogRecord>{appended[2], appended[0], appended[1]}));
+  // Ids and dictionaries are untouched: "A" is still source 0.
+  EXPECT_EQ(store.source_id(1), 0u);
+  EXPECT_EQ(store.source_name(0), "A");
+  EXPECT_EQ(store.user_name(store.user_id(0)), "u2");
+  EXPECT_EQ(store.user_name(0), "u1");
 }
 
 TEST(LogStoreTest, CountInRangeHalfOpen) {
@@ -168,38 +176,54 @@ TEST(LogStoreTest, AppendInvalidatesIndex) {
 TEST(LogStoreTest, BuildIndexIsIdempotent) {
   LogStore store;
   ASSERT_TRUE(store.Append(Rec(1, "A")).ok());
+  ASSERT_TRUE(store.Append(Rec(0, "B")).ok());
   store.BuildIndex();
+  const std::vector<LogRecord> once = store.Records();
   store.BuildIndex();
-  EXPECT_EQ(store.TimeOrder().size(), 1u);
+  EXPECT_EQ(store.Records(), once);
+  EXPECT_EQ(store.client_ts(0), 0);
+}
+
+// The record columns of `store` gathered in `order` (every record in
+// store order when empty), with its dictionaries as they are.
+LogStore::Columns ColumnsOf(const LogStore& store,
+                            std::vector<size_t> order = {}) {
+  if (order.empty()) {
+    order.resize(store.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+  }
+  LogStore::Columns columns;
+  for (size_t i : order) {
+    columns.client_ts.push_back(store.client_ts(i));
+    columns.server_ts.push_back(store.server_ts(i));
+    columns.severity.push_back(store.severity(i));
+    columns.source_ids.push_back(store.source_id(i));
+    columns.host_ids.push_back(store.host_id(i));
+    columns.user_ids.push_back(store.user_id(i));
+    columns.message_data += store.message(i);
+    columns.message_ends.push_back(columns.message_data.size());
+  }
+  for (size_t i = 0; i < store.num_sources(); ++i)
+    columns.source_names.emplace_back(
+        store.source_name(static_cast<uint32_t>(i)));
+  for (size_t i = 0; i < store.num_hosts(); ++i)
+    columns.host_names.emplace_back(store.host_name(static_cast<uint32_t>(i)));
+  for (size_t i = 0; i < store.num_users(); ++i)
+    columns.user_names.emplace_back(store.user_name(static_cast<uint32_t>(i)));
+  return columns;
+}
+
+// An unindexed copy of `store`, records in store order.
+LogStore CopyOf(const LogStore& store) {
+  return LogStore::FromColumns(ColumnsOf(store)).value();
 }
 
 TEST(LogStoreTest, FromColumnsRoundTripsAndValidates) {
   LogStore original;
   ASSERT_TRUE(original.Append(Rec(100, "A", "u1", "h1")).ok());
   ASSERT_TRUE(original.Append(Rec(200, "B", "", "")).ok());
-
-  auto columns_of = [](const LogStore& store) {
-    LogStore::Columns columns;
-    for (size_t i = 0; i < store.size(); ++i) {
-      columns.client_ts.push_back(store.client_ts(i));
-      columns.server_ts.push_back(store.server_ts(i));
-      columns.severity.push_back(store.severity(i));
-      columns.source_ids.push_back(store.source_id(i));
-      columns.host_ids.push_back(store.host_id(i));
-      columns.user_ids.push_back(store.user_id(i));
-      columns.message_data += store.message(i);
-      columns.message_ends.push_back(columns.message_data.size());
-    }
-    for (size_t i = 0; i < store.num_sources(); ++i)
-      columns.source_names.emplace_back(
-          store.source_name(static_cast<uint32_t>(i)));
-    for (size_t i = 0; i < store.num_hosts(); ++i)
-      columns.host_names.emplace_back(
-          store.host_name(static_cast<uint32_t>(i)));
-    for (size_t i = 0; i < store.num_users(); ++i)
-      columns.user_names.emplace_back(
-          store.user_name(static_cast<uint32_t>(i)));
-    return columns;
+  const auto columns_of = [](const LogStore& store) {
+    return ColumnsOf(store);
   };
 
   auto rebuilt = LogStore::FromColumns(columns_of(original));
@@ -238,30 +262,47 @@ TEST(LogStoreTest, FromColumnsRoundTripsAndValidates) {
 
 // --- index property tests --------------------------------------------
 //
-// BuildIndex against a reference: a std::stable_sort of the record
-// indices by client_ts, and a sorted copy of each source's timestamps.
+// BuildIndex against a reference: the records of the store before the
+// call, gathered in the order of a std::stable_sort of their indices by
+// client_ts — every column, every message and the dictionaries — and a
+// sorted copy of each source's timestamps.
 
 void ExpectIndexMatchesReference(LogStore* store) {
-  store->BuildIndex();
-  std::vector<uint32_t> order(store->size());
-  std::iota(order.begin(), order.end(), 0u);
-  std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
-    return store->client_ts(a) < store->client_ts(b);
+  const LogStore before = CopyOf(*store);
+  std::vector<size_t> order(before.size());
+  std::iota(order.begin(), order.end(), size_t{0});
+  std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+    return before.client_ts(a) < before.client_ts(b);
   });
-  EXPECT_EQ(store->TimeOrder(), order);
-  for (LogStore::SourceId s = 0; s < store->num_sources(); ++s) {
-    std::vector<TimeMs> expected;
-    for (size_t i = 0; i < store->size(); ++i) {
-      if (store->source_id(i) == s) expected.push_back(store->client_ts(i));
+  store->BuildIndex();
+  ASSERT_TRUE(store->index_built());
+  const LogStore expected =
+      LogStore::FromColumns(ColumnsOf(before, order)).value();
+  EXPECT_TRUE(*store == expected);
+  ASSERT_EQ(store->size(), before.size());
+  for (size_t i = 0; i < store->size(); ++i) {
+    if (!(store->GetRecord(i) == before.GetRecord(order[i])) ||
+        store->source_id(i) != before.source_id(order[i]) ||
+        store->host_id(i) != before.host_id(order[i]) ||
+        store->user_id(i) != before.user_id(order[i])) {
+      ADD_FAILURE() << "record " << i << " is not appended record "
+                    << order[i];
+      break;
     }
-    std::sort(expected.begin(), expected.end());
+  }
+  for (LogStore::SourceId s = 0; s < before.num_sources(); ++s) {
+    std::vector<TimeMs> expected_ts;
+    for (size_t i = 0; i < before.size(); ++i) {
+      if (before.source_id(i) == s) expected_ts.push_back(before.client_ts(i));
+    }
+    std::sort(expected_ts.begin(), expected_ts.end());
     const std::span<const TimeMs> got = store->SourceTimestamps(s);
-    EXPECT_EQ(std::vector<TimeMs>(got.begin(), got.end()), expected)
+    EXPECT_EQ(std::vector<TimeMs>(got.begin(), got.end()), expected_ts)
         << "source " << s;
   }
   if (!store->empty()) {
-    EXPECT_EQ(store->min_ts(), store->client_ts(order.front()));
-    EXPECT_EQ(store->max_ts(), store->client_ts(order.back()));
+    EXPECT_EQ(store->min_ts(), before.client_ts(order.front()));
+    EXPECT_EQ(store->max_ts(), before.client_ts(order.back()));
   }
 }
 
@@ -290,12 +331,14 @@ void AppendRandom(LogStore* store, Rng* rng, size_t n, TimeMs lo, TimeMs hi,
 TEST(LogStoreIndexPropertyTest, EmptyAndOneRecordStores) {
   LogStore empty;
   ExpectIndexMatchesReference(&empty);
-  EXPECT_TRUE(empty.TimeOrder().empty());
+  EXPECT_TRUE(empty.empty());
+  EXPECT_TRUE(empty == LogStore{});
 
   LogStore one;
   ASSERT_TRUE(one.Append(Rec(-42, "A")).ok());
   ExpectIndexMatchesReference(&one);
-  EXPECT_EQ(one.TimeOrder(), (std::vector<uint32_t>{0}));
+  ASSERT_EQ(one.size(), 1u);
+  EXPECT_EQ(one.GetRecord(0), Rec(-42, "A"));
 }
 
 TEST(LogStoreIndexPropertyTest, DictionarySourceWithoutRecords) {
@@ -372,10 +415,10 @@ TEST(LogStoreIndexPropertyTest, SortedAndReverseSortedInput) {
   for (size_t i = 0; i < ts.size(); ++i) {
     ASSERT_TRUE(sorted.Append(Rec(ts[i], "S" + std::to_string(i % 4))).ok());
   }
+  // An already-sorted store is left exactly as it was.
+  const LogStore sorted_before = CopyOf(sorted);
   ExpectIndexMatchesReference(&sorted);
-  std::vector<uint32_t> identity(ts.size());
-  std::iota(identity.begin(), identity.end(), 0u);
-  EXPECT_EQ(sorted.TimeOrder(), identity);
+  EXPECT_TRUE(sorted == sorted_before);
 
   LogStore reversed;
   for (size_t i = ts.size(); i-- > 0;) {
