@@ -63,11 +63,12 @@ struct ColumnarReadOptions {
 /// records (each takes two varints) and cdict bytes / 8 names (each
 /// takes its 8-byte length prefix).
 ///
-/// The index is not stored; ReadCorpusFile rebuilds it after the decode
-/// in time linear in the record count (LogStore::BuildIndex): a stable
-/// LSD radix sort gives the time order, the identity when client_ts is
-/// already non-decreasing, and one flat CSR column holds each source's
-/// sorted timestamps.
+/// Records are written in store order, so a file written from an
+/// indexed store is in time order. The index is not stored;
+/// ReadCorpusFile rebuilds it after the decode (LogStore::BuildIndex),
+/// which on such a file skips the sort and only fills the per-source
+/// timestamp column. An out-of-order file is sorted there, in time
+/// linear in the record count.
 
 /// Serializes `store`'s columns (records + dictionaries; indexes are
 /// rebuilt on load) into a finished snapshot container.

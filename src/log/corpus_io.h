@@ -10,8 +10,8 @@
 namespace logmine {
 
 /// Writes all records of `store` to `path` in the line format
-/// (LineCodec), one record per line, in time order when the index is
-/// built (insertion order otherwise).
+/// (LineCodec), one record per line, in store order: time order once the
+/// index is built, append order before.
 ///
 /// Crash-safe and durable (util/snapshot's WriteFileAtomic): the data
 /// goes to a sibling tmp file, is fsynced, renamed into place, and the
