@@ -1,233 +1,172 @@
 #!/usr/bin/env python3
-"""Fails CI when the L1 hot path regresses against the checked-in baseline.
+"""Fails CI when a perf_e2e cost regresses against ci/bench_baseline.json.
 
-Compares ``l1.ns_per_log`` at 8 threads from a fresh ``perf_pipeline``
-report against ``ci/bench_baseline.json``. Raw ns/log is machine
-dependent, so the comparison is normalized by the seed-style serial
-reference time measured in the *same* run on both sides: a runner that
-is 2x slower overall is 2x slower on the reference too, and the ratio
-cancels the machine out. The guard trips only when the normalized L1
-cost grew by more than ``--tolerance`` (default 20%).
+    python3 ci/check_bench_regression.py RUN_DIR [--baseline FILE]
+    python3 ci/check_bench_regression.py RUN_DIR... --write-baseline FILE
 
-Also asserts the correctness flags the bench computes:
-``results_match_seed_reference`` and
-``l1_pruning.pruned_matches_unpruned`` must both be true — a fast but
-wrong hot path must never pass. When both reports carry a ``sweep``
-section (the sharded-sweep supervisor bench), the fault-free sweep must
-additionally be complete (coverage 1.0) and byte-equivalent to the
-unsliced mine (``model_matches_unsharded``), and its wall time is held
-to the same normalized-growth tolerance as the L1 hot path.
+RUN_DIR holds the runs of ci/bench_e2e_runs.sh: per run, `<name>.json`
+from perf_e2e --out and `<name>.trace.json` from --trace. The per-layer
+metrics come from bench/e2e/layers.py, which scales each layer time by
+the run's reference factor, as perf_e2e scales its end-to-end metrics,
+so a slower runner cancels out. One run cannot hold a layer to 20 %, so
+each workload keeps the best (lowest) value of its runs. L1's span comes
+from the attribution pass, which mines the same day 0 in every workload,
+so its runs are pooled across workloads. Given several run directories,
+each metric is the median of their bests; a baseline written that way
+does not rest on one lucky run.
 
-When the current report carries an ``obs`` section, the telemetry tax
-is additionally held to an absolute budget: the fully instrumented
-end-to-end run (metrics + sketches + journal, globally
-installed) may cost at most ``--obs-budget`` (default 3%) over the
-uninstrumented run measured in the same report. Unlike the hot-path
-guards this is not baseline-relative — the budget is the contract.
+The guards:
+  * every run's own correctness checks passed, and its trace is its own;
+  * each GUARDED metric grew at most --tolerance (default 20 %) over the
+    baseline;
+  * the text read costs at least --min-columnar-read-speedup (default
+    2x) the columnar read, both measured in the same job.
 
-When the current report carries an ``ingest`` section (the mmap +
-chunked-decode + columnar corpus bench), four more guards apply:
-
-* correctness flags ``parallel_matches_serial``,
-  ``columnar_roundtrip_ok`` and ``autodetect_ok`` must all be true —
-  a fast decode that produces different records must never pass;
-* the columnar re-read must beat the serial text decode of the same
-  corpus by ``--min-columnar-read-speedup`` (default 2x). Both sides
-  are measured in the same run, so the ratio is machine independent.
-  The floor sits at about 5/8 of the ratio the checked-in baseline
-  measured (3.65x), the margin the chunked floor below leaves under
-  its 8-core ideal. A same-run ratio against text decode stands in
-  for a columnar regression only as long as text decode is steady;
-  the reference-normalized ``columnar_read`` cost guard below catches
-  that regression directly;
-* the chunked decode must beat serial by ``--min-chunked-speedup``
-  (default 5x) — but only when the report's
-  ``hardware_concurrency`` is at least ``--multicore-threshold``
-  (default 8) cores, since parallel speedup is physically unobservable
-  on the 1–2-core CI runners. The ratio guards above still hold there;
-* when the baseline also has an ``ingest`` section, the
-  reference-normalized text-decode and columnar-read costs are held to
-  the same ``--tolerance`` growth as the L1 hot path.
-
-Usage: check_bench_regression.py --current BENCH_pipeline.json \
-           [--baseline ci/bench_baseline.json] [--tolerance 0.20] \
-           [--obs-budget 0.03] [--min-columnar-read-speedup 2] \
-           [--min-chunked-speedup 5] [--multicore-threshold 8]
+A summary file (such as the baseline) can stand in for RUN_DIR: the
+bench_baseline_self_check ctest holds the checked-in baseline to its own
+guards. --write-baseline saves the summary instead of comparing.
 """
 
 import argparse
 import json
+import statistics
 import sys
+from pathlib import Path
+
+sys.dont_write_bytecode = True  # import layers.py without writing to bench/
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench" / "e2e"))
+import layers  # noqa: E402
+
+# Group -> metrics held to the baseline, all lower-is-better times. A
+# group is a workload, or ALL for the runs of every workload pooled.
+# cpu_ns_per_log is the end-to-end metric of perf_e2e's --out report; the
+# dotted names are layers.py's per-layer metrics.
+ALL = "all"
+GUARDED = {
+    "text-1d": ["cpu_ns_per_log", "log.read.cpu_ns_per_log"],
+    "columnar-7d": ["cpu_ns_per_log", "log.read.cpu_ns_per_log"],
+    "stream-7d": ["cpu_ns_per_log"],
+    ALL: ["core.l1.ns_per_log"],
+}
+READ = "log.read.cpu_ns_per_log"
+# The run shape a comparison needs to share with the baseline.
+SHAPE = ("scale", "seconds", "executor_threads", "traced")
 
 
-def l1_cost(report: dict) -> float:
-    """Normalized L1 cost: ns/log at 8 threads over the serial reference."""
-    ns_per_log = report["l1"]["8"]["ns_per_log"]
-    reference_ms = report["seed_reference_serial"]["l2_plus_l3_ms"]
-    if reference_ms <= 0:
-        raise SystemExit("baseline reference time is not positive")
-    return ns_per_log / reference_ms
+def read_run(out_path):
+    """(stamp, {metric: value}) of one run; raises on a broken run."""
+    with open(out_path) as f:
+        report = json.load(f)
+    trace_path = out_path.with_name(out_path.stem + ".trace.json")
+    other, _ = layers.load(trace_path)
+    if other.get("stamp") != report["stamp"]:
+        raise ValueError(f"{trace_path} is not the trace of {out_path}")
+    if not report["correct"]:
+        failed = [name for name, ok in report["checks"].items() if not ok]
+        raise ValueError(f"{out_path}: failed checks {failed}")
+    values = {name: metric["value"]
+              for name, metric in layers.per_layer_metrics(trace_path).items()}
+    values["cpu_ns_per_log"] = report["metrics"]["cpu_ns_per_log"]["value"]
+    return report["stamp"], values
 
 
-def sweep_cost(report: dict) -> float:
-    """Normalized sharded-sweep cost: sweep ms over the serial reference."""
-    reference_ms = report["seed_reference_serial"]["l2_plus_l3_ms"]
-    if reference_ms <= 0:
-        raise SystemExit("baseline reference time is not positive")
-    return report["sweep"]["ms"] / reference_ms
+def summarize(run_dir):
+    """The best value of every guarded metric over each group's runs."""
+    runs = sorted(p for p in run_dir.glob("*.json")
+                  if not p.name.endswith(".trace.json"))
+    shape, best, counts = None, {}, {}
+    for path in runs:
+        stamp, values = read_run(path)
+        run_shape = {key: stamp[key] for key in SHAPE}
+        if shape not in (None, run_shape):
+            raise ValueError(f"{path}: shape {run_shape}, others {shape}")
+        shape = run_shape
+        for group in (stamp["workload"], ALL):
+            counts[group] = counts.get(group, 0) + 1
+            row = best.setdefault(group, {})
+            for name in GUARDED.get(group, []):
+                row[name] = min(row.get(name, float("inf")), values[name])
+    return {"shape": shape, "runs": counts, "best": best}
 
 
-def ingest_cost(report: dict, sample: str) -> float:
-    """Normalized ingest cost: ns/log of one sample over the reference."""
-    reference_ms = report["seed_reference_serial"]["l2_plus_l3_ms"]
-    if reference_ms <= 0:
-        raise SystemExit("baseline reference time is not positive")
-    return report["ingest"][sample]["ns_per_log"] / reference_ms
+def load(path):
+    if path.is_dir():
+        return summarize(path)
+    with open(path) as f:
+        return json.load(f)
 
 
-def main() -> int:
-    parser = argparse.ArgumentParser()
-    parser.add_argument("--current", required=True)
-    parser.add_argument("--baseline", default="ci/bench_baseline.json")
+def median_of(summaries):
+    """One summary whose every metric is the median of `summaries`'."""
+    if len(summaries) == 1:
+        return summaries[0]
+    shapes = [s["shape"] for s in summaries]
+    if any(shape != shapes[0] for shape in shapes):
+        raise ValueError(f"run directories of different shapes: {shapes}")
+    best = {group: {name: statistics.median(s["best"][group][name]
+                                            for s in summaries)
+                    for name in names}
+            for group, names in GUARDED.items()}
+    runs = {group: min(s["runs"][group] for s in summaries)
+            for group in GUARDED}
+    return {"shape": shapes[0], "jobs": len(summaries), "runs": runs,
+            "best": best}
+
+
+def check(current, baseline, tolerance, min_speedup):
+    """Prints one line per guard; returns the failures."""
+    failures = []
+    if current["shape"] != baseline["shape"]:
+        failures.append(f"run shape {current['shape']} differs from the "
+                        f"baseline's {baseline['shape']}")
+    for group, names in GUARDED.items():
+        row = current["best"].get(group)
+        if row is None:
+            failures.append(f"no {group} run")
+            continue
+        for name in names:
+            base = baseline["best"][group][name]
+            growth = row[name] / base - 1
+            print(f"{group} {name}: best of {current['runs'][group]} "
+                  f"{row[name]:.1f}, baseline {base:.1f}, growth "
+                  f"{growth * 100:+.1f}% (tolerance {tolerance * 100:.0f}%)")
+            if growth > tolerance:
+                failures.append(f"{group} {name} grew {growth * 100:.1f}%")
+    text = current["best"].get("text-1d", {}).get(READ)
+    columnar = current["best"].get("columnar-7d", {}).get(READ)
+    if text and columnar:
+        speedup = text / columnar
+        print(f"columnar read speedup over text: {speedup:.2f}x "
+              f"(minimum {min_speedup:.0f}x)")
+        if speedup < min_speedup:
+            failures.append(f"columnar read only {speedup:.2f}x faster "
+                            f"than text")
+    return failures
+
+
+def main():
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("current", type=Path, nargs="+",
+                        help="run directories, or a summary file")
+    parser.add_argument("--baseline", type=Path,
+                        default=Path("ci/bench_baseline.json"))
+    parser.add_argument("--write-baseline", type=Path)
     parser.add_argument("--tolerance", type=float, default=0.20)
-    parser.add_argument("--obs-budget", type=float, default=0.03)
-    parser.add_argument("--min-columnar-read-speedup", type=float, default=2.0)
-    parser.add_argument("--min-chunked-speedup", type=float, default=5.0)
-    parser.add_argument("--multicore-threshold", type=int, default=8)
+    parser.add_argument("--min-columnar-read-speedup", type=float,
+                        default=2.0)
     args = parser.parse_args()
 
+    current = median_of([load(path) for path in args.current])
+    if args.write_baseline:
+        with open(args.write_baseline, "w") as f:
+            json.dump(current, f, indent=1, sort_keys=True)
+            f.write("\n")
+        print(f"wrote {args.write_baseline}")
+        return 0
     with open(args.baseline) as f:
         baseline = json.load(f)
-    with open(args.current) as f:
-        current = json.load(f)
-
-    failures = []
-    if not current.get("results_match_seed_reference"):
-        failures.append("results_match_seed_reference is false")
-    pruning = current.get("l1_pruning", {})
-    if not pruning.get("pruned_matches_unpruned"):
-        failures.append("l1_pruning.pruned_matches_unpruned is false")
-
-    base = l1_cost(baseline)
-    cur = l1_cost(current)
-    growth = cur / base - 1.0
-    print(
-        f"l1.ns_per_log@8 (reference-normalized): baseline {base:.4f}, "
-        f"current {cur:.4f}, growth {growth * 100.0:+.1f}% "
-        f"(tolerance {args.tolerance * 100.0:.0f}%)"
-    )
-    if growth > args.tolerance:
-        failures.append(
-            f"normalized l1.ns_per_log at 8 threads regressed "
-            f"{growth * 100.0:.1f}% > {args.tolerance * 100.0:.0f}%"
-        )
-
-    # Sharded-sweep supervisor section: only checked when both sides
-    # have it, so an old baseline stays comparable.
-    sweep = current.get("sweep")
-    if sweep is not None:
-        if not sweep.get("model_matches_unsharded"):
-            failures.append("sweep.model_matches_unsharded is false")
-        if sweep.get("coverage") != 1.0:
-            failures.append(
-                f"fault-free sweep coverage is {sweep.get('coverage')}, "
-                f"expected 1.0"
-            )
-        if "sweep" in baseline:
-            sweep_base = sweep_cost(baseline)
-            sweep_cur = sweep_cost(current)
-            sweep_growth = sweep_cur / sweep_base - 1.0
-            print(
-                f"sweep.ms (reference-normalized): baseline "
-                f"{sweep_base:.4f}, current {sweep_cur:.4f}, growth "
-                f"{sweep_growth * 100.0:+.1f}% "
-                f"(tolerance {args.tolerance * 100.0:.0f}%)"
-            )
-            if sweep_growth > args.tolerance:
-                failures.append(
-                    f"normalized sharded-sweep time regressed "
-                    f"{sweep_growth * 100.0:.1f}% > "
-                    f"{args.tolerance * 100.0:.0f}%"
-                )
-
-    # Telemetry budget: the instrumented run in the current report must
-    # stay within the absolute overhead budget. Negative fractions
-    # (instrumented run measured faster — noise) are fine.
-    obs = current.get("obs")
-    if obs is not None:
-        overhead = obs.get("overhead_fraction")
-        if overhead is None:
-            failures.append("obs section has no overhead_fraction")
-        else:
-            print(
-                f"obs.overhead_fraction: {overhead * 100.0:+.2f}% "
-                f"(budget {args.obs_budget * 100.0:.0f}%)"
-            )
-            if overhead > args.obs_budget:
-                failures.append(
-                    f"telemetry overhead {overhead * 100.0:.2f}% exceeds "
-                    f"the {args.obs_budget * 100.0:.0f}% budget"
-                )
-
-    # Ingest section: correctness flags, machine-independent speedup
-    # ratios, and baseline-relative normalized throughput.
-    ingest = current.get("ingest")
-    if ingest is not None:
-        for flag in ("parallel_matches_serial", "columnar_roundtrip_ok",
-                     "autodetect_ok"):
-            if not ingest.get(flag):
-                failures.append(f"ingest.{flag} is false")
-
-        columnar_speedup = ingest.get("columnar_read_speedup_vs_text", 0.0)
-        print(
-            f"ingest.columnar_read_speedup_vs_text: {columnar_speedup:.1f}x "
-            f"(minimum {args.min_columnar_read_speedup:.0f}x)"
-        )
-        if columnar_speedup < args.min_columnar_read_speedup:
-            failures.append(
-                f"columnar re-read is only {columnar_speedup:.1f}x faster "
-                f"than the serial text decode, expected >= "
-                f"{args.min_columnar_read_speedup:.0f}x"
-            )
-
-        cores = ingest.get("hardware_concurrency", 1)
-        chunked_speedup = ingest.get("chunked_speedup", 0.0)
-        if cores >= args.multicore_threshold:
-            print(
-                f"ingest.chunked_speedup: {chunked_speedup:.1f}x on {cores} "
-                f"cores (minimum {args.min_chunked_speedup:.0f}x)"
-            )
-            if chunked_speedup < args.min_chunked_speedup:
-                failures.append(
-                    f"chunked decode is only {chunked_speedup:.1f}x faster "
-                    f"than serial on {cores} cores, expected >= "
-                    f"{args.min_chunked_speedup:.0f}x"
-                )
-        else:
-            print(
-                f"ingest.chunked_speedup: {chunked_speedup:.1f}x on {cores} "
-                f"core(s) — below the {args.multicore_threshold}-core "
-                f"threshold, speedup floor not enforced"
-            )
-
-        if "ingest" in baseline:
-            for sample in ("text_decode_serial", "columnar_read"):
-                base_cost = ingest_cost(baseline, sample)
-                cur_cost = ingest_cost(current, sample)
-                sample_growth = cur_cost / base_cost - 1.0
-                print(
-                    f"ingest.{sample}.ns_per_log (reference-normalized): "
-                    f"baseline {base_cost:.4f}, current {cur_cost:.4f}, "
-                    f"growth {sample_growth * 100.0:+.1f}% "
-                    f"(tolerance {args.tolerance * 100.0:.0f}%)"
-                )
-                if sample_growth > args.tolerance:
-                    failures.append(
-                        f"normalized ingest.{sample} cost regressed "
-                        f"{sample_growth * 100.0:.1f}% > "
-                        f"{args.tolerance * 100.0:.0f}%"
-                    )
-
+    failures = check(current, baseline, args.tolerance,
+                     args.min_columnar_read_speedup)
     for failure in failures:
         print(f"FAIL: {failure}", file=sys.stderr)
     if not failures:
@@ -236,4 +175,8 @@ def main() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    try:
+        sys.exit(main())
+    except (OSError, ValueError, KeyError) as error:
+        print(f"FAIL: {error}", file=sys.stderr)
+        sys.exit(1)

@@ -9,22 +9,56 @@
 //
 //   ./streaming_service [--scale=0.05] [--seed=7]
 
+#include <cstdint>
 #include <filesystem>
 #include <iostream>
 #include <memory>
 #include <set>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "eval/dataset.h"
-#include "eval/stream_replay.h"
 #include "log/filter.h"
 #include "serve/streaming_service.h"
 #include "util/cli.h"
 
-int main(int argc, char** argv) {
-  using namespace logmine;
+namespace {
 
+using namespace logmine;
+
+struct ReplayCounts {
+  int64_t rejected = 0;   ///< clock regressions: hours already ingested
+  int64_t processed = 0;  ///< batches the service worked through
+};
+
+/// Feeds the dataset to `service` as a deployment would see it: split on
+/// the service's epoch grid and submitted hour by hour in time order,
+/// draining after each submission.
+Result<ReplayCounts> Replay(const eval::Dataset& dataset,
+                            serve::StreamingMiningService* service) {
+  ReplayCounts counts;
+  const TimeMs epoch_length = service->config().window.epoch_length;
+  for (int day = 0; day < dataset.num_days(); ++day) {
+    LOGMINE_ASSIGN_OR_RETURN(
+        std::vector<serve::EpochBatch> batches,
+        serve::SplitIntoEpochBatches(dataset.store, dataset.day_begin(day),
+                                     dataset.day_end(day), epoch_length));
+    for (serve::EpochBatch& batch : batches) {
+      if (service->SubmitBatch(std::move(batch)).outcome ==
+          serve::SubmitOutcome::kRejectedClockRegression) {
+        ++counts.rejected;
+      }
+      LOGMINE_ASSIGN_OR_RETURN(const int processed, service->Drain());
+      counts.processed += processed;
+    }
+  }
+  return counts;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
   CliFlags flags;
   if (Status s = flags.Parse(argc, argv); !s.ok()) {
     std::cerr << s << "\n";
@@ -66,7 +100,7 @@ int main(int argc, char** argv) {
       return 1;
     }
     serve::StreamingMiningService& service = *service_or.value();
-    auto replay = eval::ReplayDatasetStream(dataset, &service);
+    auto replay = Replay(dataset, &service);
     if (!replay.ok()) {
       std::cerr << replay.status() << "\n";
       return 1;
@@ -166,7 +200,7 @@ int main(int argc, char** argv) {
   std::cout << "Recovered from snapshot: " << std::boolalpha
             << recovered.recovered() << ", serving generation "
             << recovered.Health().generation << " again\n";
-  auto resumed = eval::ReplayDatasetStream(dataset, &recovered);
+  auto resumed = Replay(dataset, &recovered);
   if (!resumed.ok()) {
     std::cerr << resumed.status() << "\n";
     return 1;

@@ -54,7 +54,7 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
 
   // One (closure, status slot) pair per enabled technique. The store is
   // read-only during mining and each miner is internally deterministic,
-  // so the miners can run concurrently on the shared executor. Each
+  // so the miners run concurrently on the shared executor. Each
   // status lands in its own slot, so one failing or throwing miner never
   // discards a sibling's model: callers get partial results plus a
   // per-miner Status.
@@ -120,8 +120,7 @@ Result<PipelineResult> MiningPipeline::Run(const LogStore& store, TimeMs begin,
           // miner's own interval inside the run span.
           ctx->journal().Emit(run_span + "/" + names[i], "miner_done",
                               clock.End(), std::move(fields));
-        },
-        config_.concurrent_miners ? 0 : 1);
+        });
   }
   for (const Status* slot : slots) {
     obs::Count(ctx, slot->ok() ? obs::Metric::kPipelineMinersOk

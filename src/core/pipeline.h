@@ -17,10 +17,6 @@ struct PipelineConfig {
   bool run_l1 = true;
   bool run_l2 = true;
   bool run_l3 = true;
-  /// Schedule the enabled miners concurrently on the shared `Executor`
-  /// (they only read the store, and each is deterministic regardless of
-  /// scheduling). Set false to run them strictly in sequence.
-  bool concurrent_miners = true;
   L1Config l1;
   L2Config l2;
   L3Config l3;

@@ -264,7 +264,6 @@ TEST(ParallelDeterminismTest, FullPipelineIdenticalAcrossThreadCounts) {
   std::vector<AgrawalResult> agrawal_results;
   for (int num_threads : kThreadCounts) {
     PipelineConfig config;
-    config.concurrent_miners = num_threads != 1;
     config.l1.minlogs = 20;
     config.l1.test.sample_size = 100;
     config.l1.num_threads = num_threads;
