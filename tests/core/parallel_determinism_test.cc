@@ -262,10 +262,10 @@ TEST(ParallelDeterminismTest, FullPipelineIdenticalAcrossThreadCounts) {
   const ServiceVocabulary vocabulary = Vocab();
   std::vector<PipelineResult> results;
   std::vector<AgrawalResult> agrawal_results;
+  PipelineConfig config;
+  config.l1.minlogs = 20;
+  config.l1.test.sample_size = 100;
   for (int num_threads : kThreadCounts) {
-    PipelineConfig config;
-    config.l1.minlogs = 20;
-    config.l1.test.sample_size = 100;
     config.l1.num_threads = num_threads;
     config.l2.num_threads = num_threads;
     config.l3.num_threads = num_threads;
@@ -300,6 +300,25 @@ TEST(ParallelDeterminismTest, FullPipelineIdenticalAcrossThreadCounts) {
     EXPECT_EQ(other.l2->num_bigrams, reference.l2->num_bigrams);
     EXPECT_EQ(other.l3->logs_scanned, reference.l3->logs_scanned);
   }
+  // The pipeline always runs its miners side by side; mined one after
+  // another on one thread, each alone, they must give the same models.
+  config.l1.num_threads = config.l2.num_threads = config.l3.num_threads = 1;
+  auto l1_run = L1ActivityMiner(config.l1).Mine(store, 0, kHorizon);
+  auto l2_run = L2CooccurrenceMiner(config.l2).Mine(store, 0, kHorizon);
+  auto l3_run = L3TextMiner(vocabulary, config.l3).Mine(store, 0, kHorizon);
+  ASSERT_TRUE(l1_run.ok() && l2_run.ok() && l3_run.ok());
+  const L1Result& l1 = l1_run.value();
+  const L2Result& l2 = l2_run.value();
+  const L3Result& l3 = l3_run.value();
+  EXPECT_EQ(l1.Dependencies(store).pairs(),
+            reference.l1->Dependencies(store).pairs());
+  EXPECT_EQ(l1.pairs.size(), reference.l1->pairs.size());
+  EXPECT_EQ(l2.Dependencies(store).pairs(),
+            reference.l2->Dependencies(store).pairs());
+  EXPECT_EQ(l2.num_bigrams, reference.l2->num_bigrams);
+  EXPECT_EQ(l3.Dependencies(store, vocabulary).pairs(),
+            reference.l3->Dependencies(store, vocabulary).pairs());
+  EXPECT_EQ(l3.logs_scanned, reference.l3->logs_scanned);
   const AgrawalResult& agrawal_reference = agrawal_results.front();
   for (const AgrawalResult& other : agrawal_results) {
     EXPECT_EQ(other.Dependencies(store).pairs(),
