@@ -2,8 +2,10 @@
 # Checks that two builds print byte-identical paper figures: fig5 (L1
 # daily), fig6 (L2 daily), fig8 (L3 daily) and fig9 (load influence,
 # which mines L1 once per hour), each run with its default arguments
-# (the 7-day corpus at scale 1). A change that must not move any mined
-# result passes it.
+# (the 7-day corpus at scale 1), plus fault_localization_accuracy, the
+# one figure that ranks root causes on a mined dependency graph. A
+# change that must not move any mined result or any answer on the
+# mined graph passes it.
 #
 # Usage: ci/figures_identical.sh BASE_BUILD NEW_BUILD
 #   BASE_BUILD, NEW_BUILD  CMake build directories of the two trees,
@@ -22,7 +24,8 @@ out=$(mktemp -d)
 trap 'rm -rf "$out"' EXIT
 
 status=0
-for fig in fig5_l1_daily fig6_l2_daily fig8_l3_daily fig9_load_influence; do
+for fig in fig5_l1_daily fig6_l2_daily fig8_l3_daily fig9_load_influence \
+    fault_localization_accuracy; do
   for side in base new; do
     dir=${!side}
     if ! "$dir/bench/$fig" >"$out/$fig.$side" 2>"$out/$fig.$side.err"; then

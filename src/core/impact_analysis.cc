@@ -1,39 +1,21 @@
 #include "core/impact_analysis.h"
 
 #include <algorithm>
-#include <deque>
+#include <optional>
 
 namespace logmine::core {
-namespace {
-
-// Breadth-first closure over an adjacency map, excluding the start node.
-std::set<std::string> Closure(
-    const std::map<std::string, std::set<std::string>>& adjacency,
-    const std::string& start) {
-  std::set<std::string> visited;
-  std::deque<std::string> frontier = {start};
-  while (!frontier.empty()) {
-    const std::string current = frontier.front();
-    frontier.pop_front();
-    auto it = adjacency.find(current);
-    if (it == adjacency.end()) continue;
-    for (const std::string& next : it->second) {
-      if (next != start && visited.insert(next).second) {
-        frontier.push_back(next);
-      }
-    }
-  }
-  return visited;
-}
-
-}  // namespace
 
 void DependencyGraph::AddDependency(const std::string& from,
                                     const std::string& to) {
   if (from == to) return;
-  nodes_.insert(from);
-  nodes_.insert(to);
-  depended_by_[to].insert(from);
+  const uint32_t from_id = names_.Intern(from);
+  const uint32_t to_id = names_.Intern(to);
+  dependents_.resize(names_.size());
+  std::vector<uint32_t>& dependents = dependents_[to_id];
+  auto it = std::lower_bound(dependents.begin(), dependents.end(), from_id);
+  if (it != dependents.end() && *it == from_id) return;
+  dependents.insert(it, from_id);
+  ++num_edges_;
 }
 
 DependencyGraph DependencyGraph::FromAppServiceModel(
@@ -48,46 +30,76 @@ DependencyGraph DependencyGraph::FromAppServiceModel(
   return graph;
 }
 
-size_t DependencyGraph::num_edges() const {
-  size_t total = 0;
-  for (const auto& [node, sources] : depended_by_) total += sources.size();
-  return total;
+void DependencyGraph::Closure(uint32_t start, std::vector<uint8_t>* visited,
+                              std::vector<uint32_t>* reached) const {
+  reached->clear();
+  (*visited)[start] = 1;
+  auto expand = [&](uint32_t id) {
+    for (uint32_t next : dependents_[id]) {
+      if (!(*visited)[next]) {
+        (*visited)[next] = 1;
+        reached->push_back(next);
+      }
+    }
+  };
+  expand(start);
+  for (size_t i = 0; i < reached->size(); ++i) expand((*reached)[i]);
+  (*visited)[start] = 0;
+  for (uint32_t id : *reached) (*visited)[id] = 0;
+}
+
+std::set<std::string> DependencyGraph::NamesOf(
+    const std::vector<uint32_t>& ids) const {
+  std::set<std::string> names;
+  for (uint32_t id : ids) names.insert(names_.name(id));
+  return names;
 }
 
 std::set<std::string> DependencyGraph::DependentsOf(
     const std::string& component) const {
-  auto it = depended_by_.find(component);
-  return it == depended_by_.end() ? std::set<std::string>{} : it->second;
+  const std::optional<uint32_t> id = names_.Find(component);
+  return id ? NamesOf(dependents_[*id]) : std::set<std::string>{};
 }
 
 std::set<std::string> DependencyGraph::ImpactSet(
     const std::string& failed) const {
-  return Closure(depended_by_, failed);
+  const std::optional<uint32_t> id = names_.Find(failed);
+  if (!id) return {};
+  std::vector<uint8_t> visited(num_nodes(), 0);
+  std::vector<uint32_t> reached;
+  Closure(*id, &visited, &reached);
+  return NamesOf(reached);
 }
 
 std::vector<RootCauseCandidate> RankRootCauses(
     const DependencyGraph& graph, const std::set<std::string>& symptomatic) {
   std::vector<RootCauseCandidate> candidates;
   if (symptomatic.empty()) return candidates;
-  for (const std::string& component : graph.nodes()) {
-    RootCauseCandidate candidate;
-    candidate.component = component;
-    candidate.symptomatic = symptomatic.count(component) > 0;
-    const std::set<std::string> impact = graph.ImpactSet(component);
-    const std::set<std::string> direct = graph.DependentsOf(component);
-    candidate.blast_radius = static_cast<int64_t>(impact.size());
-    int64_t covered = 0, covered_directly = 0;
-    for (const std::string& symptom : symptomatic) {
-      if (symptom == component || impact.count(symptom)) ++covered;
-      if (symptom == component || direct.count(symptom)) {
-        ++covered_directly;
-      }
+  // Symptoms the graph does not hold count in the denominator only.
+  std::vector<uint8_t> is_symptom(graph.num_nodes(), 0);
+  for (const std::string& symptom : symptomatic) {
+    if (auto id = graph.names_.Find(symptom)) is_symptom[*id] = 1;
+  }
+  const auto symptoms = static_cast<double>(symptomatic.size());
+  std::vector<uint8_t> visited(graph.num_nodes(), 0);
+  std::vector<uint32_t> impact;
+  for (uint32_t id = 0; id < graph.num_nodes(); ++id) {
+    graph.Closure(id, &visited, &impact);
+    // The closure and the direct dependents both exclude `id` itself.
+    int64_t covered = is_symptom[id], covered_directly = is_symptom[id];
+    for (uint32_t reached : impact) covered += is_symptom[reached];
+    if (covered == 0) continue;
+    for (uint32_t dependent : graph.dependents_[id]) {
+      covered_directly += is_symptom[dependent];
     }
-    candidate.coverage = static_cast<double>(covered) /
-                         static_cast<double>(symptomatic.size());
-    candidate.direct_coverage = static_cast<double>(covered_directly) /
-                                static_cast<double>(symptomatic.size());
-    if (covered > 0) candidates.push_back(std::move(candidate));
+    RootCauseCandidate candidate;
+    candidate.component = graph.names_.name(id);
+    candidate.symptomatic = is_symptom[id] != 0;
+    candidate.blast_radius = static_cast<int64_t>(impact.size());
+    candidate.coverage = static_cast<double>(covered) / symptoms;
+    candidate.direct_coverage =
+        static_cast<double>(covered_directly) / symptoms;
+    candidates.push_back(std::move(candidate));
   }
   std::sort(candidates.begin(), candidates.end(),
             [](const RootCauseCandidate& a, const RootCauseCandidate& b) {

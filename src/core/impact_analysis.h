@@ -1,20 +1,29 @@
 #ifndef LOGMINE_CORE_IMPACT_ANALYSIS_H_
 #define LOGMINE_CORE_IMPACT_ANALYSIS_H_
 
+#include <cstdint>
 #include <map>
 #include <set>
 #include <string>
 #include <vector>
 
 #include "core/dependency.h"
+#include "log/name_interner.h"
 
 namespace logmine::core {
+
+struct RootCauseCandidate;
 
 /// A *directed* dependency graph over component names: an edge A -> B
 /// means "A depends on B" (A calls B, A breaks when B breaks). This is
 /// the artifact the paper's §1.1 motivates mining in the first place —
 /// the substrate for root cause analysis, fault detection, impact
 /// prediction and availability requirements determination.
+///
+/// Each name is interned once to a dense id, and each id keeps the
+/// sorted ids of its dependents, so a query walks integers and touches
+/// names only to look up its argument and to spell its answer. A graph
+/// holds no scratch state: once built, concurrent readers may share it.
 class DependencyGraph {
  public:
   DependencyGraph() = default;
@@ -29,9 +38,8 @@ class DependencyGraph {
       const DependencyModel& model,
       const std::map<std::string, std::string>& entry_owner);
 
-  size_t num_nodes() const { return nodes_.size(); }
-  size_t num_edges() const;
-  const std::set<std::string>& nodes() const { return nodes_; }
+  size_t num_nodes() const { return names_.size(); }
+  size_t num_edges() const { return num_edges_; }
 
   /// Direct dependents of `component` (who calls it).
   std::set<std::string> DependentsOf(const std::string& component) const;
@@ -42,8 +50,20 @@ class DependencyGraph {
   std::set<std::string> ImpactSet(const std::string& failed) const;
 
  private:
-  std::set<std::string> nodes_;
-  std::map<std::string, std::set<std::string>> depended_by_;
+  friend std::vector<RootCauseCandidate> RankRootCauses(
+      const DependencyGraph& graph, const std::set<std::string>& symptomatic);
+
+  /// Fills `reached` with every id transitively dependent on `start`,
+  /// excluding `start`, in breadth-first order. `visited` has one entry
+  /// per node, all zero on entry and on return.
+  void Closure(uint32_t start, std::vector<uint8_t>* visited,
+               std::vector<uint32_t>* reached) const;
+  std::set<std::string> NamesOf(const std::vector<uint32_t>& ids) const;
+
+  NameInterner names_;
+  /// Per id: the sorted, unique ids of the components that depend on it.
+  std::vector<std::vector<uint32_t>> dependents_;
+  size_t num_edges_ = 0;
 };
 
 /// One root-cause candidate with its evidence.

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <filesystem>
 #include <functional>
 #include <memory>
 #include <regex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -310,6 +312,57 @@ TEST(StreamingServiceTest, QueriesObserveLatencyButAddNoJournalLines) {
   }
   EXPECT_EQ(context.journal().events_emitted(), journaled);
   EXPECT_EQ(context.metrics().Snapshot().Value("serve.query_ns"), kQueries);
+}
+
+// Readers query while the writer ingests and publishes: each answer
+// comes whole from one generation, and generations only move forward.
+// Under tsan this also checks that the query path shares no mutable
+// state between readers or with the writer.
+TEST(StreamingServiceTest, ConcurrentReadersSeeWholeGenerations) {
+  auto clock = std::make_shared<int64_t>(0);
+  auto created = StreamingMiningService::Create(QueryConfig(clock));
+  ASSERT_TRUE(created.ok()) << created.status();
+  StreamingMiningService& service = *created.value();
+
+  std::atomic<bool> done{false};
+  // Per reader: the generation of its latest answer.
+  std::atomic<int64_t> seen[2] = {0, 0};
+  // Each reader alternates the two queries, out of step with the other,
+  // so both query paths also run against each other.
+  auto reader = [&](int index) {
+    std::atomic<int64_t>& last = seen[index];
+    for (int i = index; !done.load(); ++i) {
+      auto answer = i % 2 == 0 ? service.ImpactOf("appB")
+                               : service.WhatDependsOn("appB");
+      if (!answer.ok()) {
+        // Only before the first publish.
+        EXPECT_EQ(answer.status().code(), StatusCode::kFailedPrecondition);
+        EXPECT_EQ(last.load(), 0);
+        continue;
+      }
+      EXPECT_GE(answer.value().generation, last.load());
+      EXPECT_EQ(answer.value().components, std::set<std::string>{"appA"});
+      last = answer.value().generation;
+    }
+  };
+  std::thread first(reader, 0);
+  std::thread second(reader, 1);
+  constexpr int kEpochs = 12;
+  for (int epoch = 0; epoch < kEpochs; ++epoch) {
+    service.SubmitBatch(Batch(epoch, CitingRecords(epoch)));
+    auto drained = service.Drain();
+    EXPECT_TRUE(drained.ok()) << drained.status();
+  }
+  const int64_t final_generation = service.CurrentModel()->number;
+  // Both readers must have answered from the last generation.
+  while (seen[0].load() < final_generation ||
+         seen[1].load() < final_generation) {
+    std::this_thread::yield();
+  }
+  done = true;
+  first.join();
+  second.join();
+  EXPECT_EQ(final_generation, kEpochs);
 }
 
 /// A batch whose records were never indexed: the poison IngestEpoch
