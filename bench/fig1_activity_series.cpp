@@ -11,7 +11,7 @@
 
 #include "bench/bench_common.h"
 #include "stats/descriptive.h"
-#include "stats/histogram.h"
+#include "stats/point_process.h"
 #include "util/string_util.h"
 
 namespace {

@@ -265,120 +265,6 @@ Result<MergedPartialModel> ParseMergedModelBytes(std::string bytes) {
   return merged;
 }
 
-void EncodeL1Config(const L1Config& config, SnapshotWriter* w) {
-  w->PutI64(config.slot_length);
-  w->PutBool(config.adaptive_slots);
-  w->PutI64(config.adaptive.min_slot);
-  w->PutI64(config.adaptive.max_slot);
-  w->PutDouble(config.adaptive.alpha);
-  w->PutU32(static_cast<uint32_t>(config.adaptive.probe_bins));
-  w->PutI64(config.adaptive.min_events);
-  w->PutU32(static_cast<uint32_t>(config.baseline));
-  w->PutI64(config.baseline_jitter);
-  w->PutI64(config.minlogs);
-  w->PutDouble(config.th_pr);
-  w->PutDouble(config.th_s);
-  w->PutU64(config.test.sample_size);
-  w->PutDouble(config.test.level);
-  w->PutU64(config.seed);
-  w->PutU32(static_cast<uint32_t>(config.num_threads));
-  w->PutBool(config.prune_support);
-  w->PutU64(config.pair_chunk);
-  w->PutI64(config.salt_anchor);
-}
-
-Result<L1Config> DecodeL1Config(SectionCursor* c) {
-  L1Config config;
-  LOGMINE_ASSIGN_OR_RETURN(config.slot_length, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(config.adaptive_slots, c->ReadBool());
-  LOGMINE_ASSIGN_OR_RETURN(config.adaptive.min_slot, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(config.adaptive.max_slot, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(config.adaptive.alpha, c->ReadDouble());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t probe_bins, c->ReadU32());
-  config.adaptive.probe_bins = static_cast<int>(probe_bins);
-  LOGMINE_ASSIGN_OR_RETURN(config.adaptive.min_events, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t baseline, c->ReadU32());
-  if (baseline > static_cast<uint32_t>(L1Baseline::kIntensityProportional)) {
-    return Status::ParseError("L1 baseline out of range: " +
-                              std::to_string(baseline));
-  }
-  config.baseline = static_cast<L1Baseline>(baseline);
-  LOGMINE_ASSIGN_OR_RETURN(config.baseline_jitter, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(config.minlogs, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(config.th_pr, c->ReadDouble());
-  LOGMINE_ASSIGN_OR_RETURN(config.th_s, c->ReadDouble());
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t sample_size, c->ReadU64());
-  config.test.sample_size = static_cast<size_t>(sample_size);
-  LOGMINE_ASSIGN_OR_RETURN(config.test.level, c->ReadDouble());
-  LOGMINE_ASSIGN_OR_RETURN(config.seed, c->ReadU64());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t num_threads, c->ReadU32());
-  config.num_threads = static_cast<int>(num_threads);
-  LOGMINE_ASSIGN_OR_RETURN(config.prune_support, c->ReadBool());
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t pair_chunk, c->ReadU64());
-  config.pair_chunk = static_cast<size_t>(pair_chunk);
-  LOGMINE_ASSIGN_OR_RETURN(config.salt_anchor, c->ReadI64());
-  return config;
-}
-
-void EncodeL2Config(const L2Config& config, SnapshotWriter* w) {
-  w->PutI64(config.session.max_gap);
-  w->PutU64(config.session.min_logs);
-  w->PutI64(config.timeout);
-  w->PutU32(static_cast<uint32_t>(config.test));
-  w->PutDouble(config.alpha);
-  w->PutI64(config.min_cooccurrence);
-  w->PutDouble(config.min_cooccurrence_per_session);
-  w->PutU32(static_cast<uint32_t>(config.num_threads));
-}
-
-Result<L2Config> DecodeL2Config(SectionCursor* c) {
-  L2Config config;
-  LOGMINE_ASSIGN_OR_RETURN(config.session.max_gap, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t min_logs, c->ReadU64());
-  config.session.min_logs = static_cast<size_t>(min_logs);
-  LOGMINE_ASSIGN_OR_RETURN(config.timeout, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t test, c->ReadU32());
-  if (test > static_cast<uint32_t>(AssociationTest::kPearson)) {
-    return Status::ParseError("L2 association test out of range: " +
-                              std::to_string(test));
-  }
-  config.test = static_cast<AssociationTest>(test);
-  LOGMINE_ASSIGN_OR_RETURN(config.alpha, c->ReadDouble());
-  LOGMINE_ASSIGN_OR_RETURN(config.min_cooccurrence, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(config.min_cooccurrence_per_session,
-                           c->ReadDouble());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t num_threads, c->ReadU32());
-  config.num_threads = static_cast<int>(num_threads);
-  return config;
-}
-
-void EncodeL3Config(const L3Config& config, SnapshotWriter* w) {
-  w->PutU64(config.stop_patterns.size());
-  for (const std::string& pattern : config.stop_patterns) {
-    w->PutString(pattern);
-  }
-  w->PutBool(config.use_stop_patterns);
-  w->PutI64(config.min_citations);
-  w->PutU32(static_cast<uint32_t>(config.num_threads));
-}
-
-Result<L3Config> DecodeL3Config(SectionCursor* c) {
-  L3Config config;
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t count, c->ReadU64());
-  LOGMINE_RETURN_IF_ERROR(CheckCount(count, 1u << 16, "stop pattern"));
-  config.stop_patterns.clear();
-  config.stop_patterns.reserve(count);
-  for (uint64_t i = 0; i < count; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(std::string pattern, c->ReadString());
-    config.stop_patterns.push_back(std::move(pattern));
-  }
-  LOGMINE_ASSIGN_OR_RETURN(config.use_stop_patterns, c->ReadBool());
-  LOGMINE_ASSIGN_OR_RETURN(config.min_citations, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t num_threads, c->ReadU32());
-  config.num_threads = static_cast<int>(num_threads);
-  return config;
-}
-
 void Fingerprinter::MixU64(uint64_t v) {
   for (int i = 0; i < 8; ++i) {
     hash_ ^= (v >> (8 * i)) & 0xFF;

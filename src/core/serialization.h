@@ -47,15 +47,6 @@ Result<SessionBuildStats> DecodeSessionBuildStats(SectionCursor* c);
 void EncodeModelTracker(const ModelTracker& tracker, SnapshotWriter* w);
 Result<ModelTracker> DecodeModelTracker(SectionCursor* c);
 
-void EncodeL1Config(const L1Config& config, SnapshotWriter* w);
-Result<L1Config> DecodeL1Config(SectionCursor* c);
-
-void EncodeL2Config(const L2Config& config, SnapshotWriter* w);
-Result<L2Config> DecodeL2Config(SectionCursor* c);
-
-void EncodeL3Config(const L3Config& config, SnapshotWriter* w);
-Result<L3Config> DecodeL3Config(SectionCursor* c);
-
 void EncodeCoverageReport(const CoverageReport& report, SnapshotWriter* w);
 Result<CoverageReport> DecodeCoverageReport(SectionCursor* c);
 

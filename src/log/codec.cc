@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <cctype>
 #include <cstring>
 
 #include "log/name_interner.h"
@@ -101,6 +102,118 @@ Status ScanFields(std::string_view line, std::string* scratch,
   return Status::OK();
 }
 
+// A timestamp column's memory of its last canonical stamp: the 17-byte
+// "YYYY-MM-DD hh:mm:" prefix of the last 23-byte "YYYY-MM-DD
+// hh:mm:ss.mmm" stamp that `ParseTime` accepted, and that minute's time.
+// Lines arrive nearly in time order, so most stamps share the prefix of
+// the one before and only their "ss.mmm" needs reading. Anything else —
+// another minute, another length or layout, a suffix the fast path
+// cannot vouch for — goes through `ParseTime`, so the value or the error
+// is always `ParseTime`'s.
+class MinuteCache {
+ public:
+  Result<TimeMs> Parse(std::string_view text) {
+    if (text.size() == kStampSize && primed_ &&
+        std::memcmp(text.data(), prefix_.data(), kPrefixSize) == 0) {
+      if (const int64_t into = MillisIntoMinute(text); into >= 0) {
+        return minute_ + into;
+      }
+    }
+    Result<TimeMs> parsed = ParseTime(text);
+    if (parsed.ok() && text.size() == kStampSize && IsCanonicalPrefix(text)) {
+      if (const int64_t into = MillisIntoMinute(text); into >= 0) {
+        std::memcpy(prefix_.data(), text.data(), kPrefixSize);
+        minute_ = parsed.value() - into;
+        primed_ = true;
+      }
+    }
+    return parsed;
+  }
+
+ private:
+  static constexpr size_t kStampSize = 23;
+  static constexpr size_t kPrefixSize = 17;
+
+  static bool IsDigit(char c) { return c >= '0' && c <= '9'; }
+
+  // "YYYY-MM-DD hh:mm:": four-digit year, two-digit fields, and the
+  // separators FormatTime writes, so the prefix pins every field.
+  static bool IsCanonicalPrefix(std::string_view text) {
+    static constexpr char kLayout[kPrefixSize + 1] = "0000-00-00 00:00:";
+    for (size_t i = 0; i < kPrefixSize; ++i) {
+      if (kLayout[i] == '0' ? !IsDigit(text[i]) : text[i] != kLayout[i]) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  // The "ss.mmm" after the prefix as milliseconds into the minute, or -1
+  // unless it is two digits of at most 59, a '.', and three digits.
+  static int64_t MillisIntoMinute(std::string_view text) {
+    const char* s = text.data() + kPrefixSize;
+    if (!IsDigit(s[0]) || !IsDigit(s[1]) || s[2] != '.' || !IsDigit(s[3]) ||
+        !IsDigit(s[4]) || !IsDigit(s[5])) {
+      return -1;
+    }
+    const int64_t second = (s[0] - '0') * 10 + (s[1] - '0');
+    if (second > 59) return -1;
+    return second * kMillisPerSecond + (s[3] - '0') * 100 +
+           (s[4] - '0') * 10 + (s[5] - '0');
+  }
+
+  std::array<char, kPrefixSize> prefix_{};
+  bool primed_ = false;
+  TimeMs minute_ = 0;
+};
+
+// What the line decoder carries from one line to the next: the minute
+// of each timestamp column. A fresh one makes every stamp a full parse.
+struct LineState {
+  MinuteCache client;
+  MinuteCache server;
+  std::string scratch;  ///< unescaped fields of the current line
+};
+
+// The split of a line that opens with two 23-byte stamps: true when the
+// line holds no backslash and exactly six '|', of which the first two
+// are bytes 23 and 47, and both stamps parse. Then `fields` and the two
+// times are exactly what `ScanFields` and the stamp parses would give,
+// though the first 48 bytes were never searched: a stamp that parses is
+// digits and separators only, so it hides no '|' or '\'. Anything else
+// is left to the general path, which finds the line's first fault.
+bool SplitCanonical(std::string_view line, LineState* state,
+                    LineFields* fields, TimeMs* client_ts,
+                    TimeMs* server_ts) {
+  constexpr size_t kStamp = 23;
+  constexpr size_t kRest = 2 * kStamp + 2;
+  if (line.size() < kRest || line[kStamp] != '|' ||
+      line[kRest - 1] != '|') {
+    return false;
+  }
+  const char* p = line.data() + kRest;
+  const char* const end = line.data() + line.size();
+  if (std::memchr(p, '\\', end - p) != nullptr) return false;
+  fields->field[0] = line.substr(0, kStamp);
+  fields->field[1] = line.substr(kStamp + 1, kStamp);
+  for (size_t f = 2; f < 6; ++f) {
+    const auto* bar = static_cast<const char*>(std::memchr(p, '|', end - p));
+    if (bar == nullptr) return false;
+    fields->field[f] = std::string_view(p, bar - p);
+    p = bar + 1;
+  }
+  if (std::memchr(p, '|', end - p) != nullptr) return false;
+  fields->field[6] = std::string_view(p, end - p);
+  fields->count = 7;
+  Result<TimeMs> client = state->client.Parse(fields->field[0]);
+  if (!client.ok()) return false;
+  Result<TimeMs> server = state->server.Parse(fields->field[1]);
+  if (!server.ok()) return false;
+  *client_ts = client.value();
+  *server_ts = server.value();
+  return true;
+}
+
 Result<Severity> ParseSeverity(std::string_view name) {
   static constexpr std::array<Severity, 4> kAll = {
       Severity::kDebug, Severity::kInfo, Severity::kWarning,
@@ -126,28 +239,34 @@ struct DecodedLine {
 // The single-line decoder behind both `LineCodec::Decode` and the bulk
 // decode. Checks run in a fixed order — escapes, field count, client and
 // server timestamp, severity, empty source — and the first failure sets
-// `*error_class` and is returned.
-Status DecodeLine(std::string_view line, std::string* scratch,
-                  DecodedLine* out, IngestErrorClass* error_class) {
+// `*error_class` and is returned. A line `SplitCanonical` takes has
+// passed the first four.
+Status DecodeLine(std::string_view line, LineState* state, DecodedLine* out,
+                  IngestErrorClass* error_class) {
   LineFields fields;
-  if (Status s = ScanFields(line, scratch, &fields); !s.ok()) {
-    *error_class = IngestErrorClass::kBadEscape;
-    return s;
-  }
-  if (fields.count != 7) {
-    *error_class = IngestErrorClass::kFieldCount;
-    return Status::ParseError("expected 7 fields, got " +
-                              std::to_string(fields.count));
-  }
-  auto client = ParseTime(fields.field[0]);
-  if (!client.ok()) {
-    *error_class = IngestErrorClass::kBadTimestamp;
-    return client.status();
-  }
-  auto server = ParseTime(fields.field[1]);
-  if (!server.ok()) {
-    *error_class = IngestErrorClass::kBadTimestamp;
-    return server.status();
+  if (!SplitCanonical(line, state, &fields, &out->client_ts,
+                      &out->server_ts)) {
+    if (Status s = ScanFields(line, &state->scratch, &fields); !s.ok()) {
+      *error_class = IngestErrorClass::kBadEscape;
+      return s;
+    }
+    if (fields.count != 7) {
+      *error_class = IngestErrorClass::kFieldCount;
+      return Status::ParseError("expected 7 fields, got " +
+                                std::to_string(fields.count));
+    }
+    auto client = state->client.Parse(fields.field[0]);
+    if (!client.ok()) {
+      *error_class = IngestErrorClass::kBadTimestamp;
+      return client.status();
+    }
+    auto server = state->server.Parse(fields.field[1]);
+    if (!server.ok()) {
+      *error_class = IngestErrorClass::kBadTimestamp;
+      return server.status();
+    }
+    out->client_ts = client.value();
+    out->server_ts = server.value();
   }
   auto severity = ParseSeverity(fields.field[2]);
   if (!severity.ok()) {
@@ -158,8 +277,6 @@ Status DecodeLine(std::string_view line, std::string* scratch,
     *error_class = IngestErrorClass::kEmptySource;
     return Status::ParseError("empty source field");
   }
-  out->client_ts = client.value();
-  out->server_ts = server.value();
   out->severity = severity.value();
   out->source = fields.field[3];
   out->host = fields.field[4];
@@ -288,10 +405,10 @@ Result<LogRecord> LineCodec::Decode(std::string_view line) {
 
 Result<LogRecord> LineCodec::Decode(std::string_view line,
                                     IngestErrorClass* error_class) {
-  std::string scratch;
+  LineState state;
   DecodedLine decoded;
   IngestErrorClass line_class = IngestErrorClass::kFieldCount;
-  if (Status s = DecodeLine(line, &scratch, &decoded, &line_class); !s.ok()) {
+  if (Status s = DecodeLine(line, &state, &decoded, &line_class); !s.ok()) {
     if (error_class != nullptr) *error_class = line_class;
     return s;
   }
@@ -335,24 +452,54 @@ struct ChunkOutcome {
   std::string fail_message;  ///< the per-line decode error
 };
 
+void ReserveColumns(size_t records, size_t message_bytes,
+                    LogStore::Columns* columns) {
+  columns->client_ts.reserve(records);
+  columns->server_ts.reserve(records);
+  columns->severity.reserve(records);
+  columns->source_ids.reserve(records);
+  columns->host_ids.reserve(records);
+  columns->user_ids.reserve(records);
+  columns->message_ends.reserve(records);
+  columns->message_data.reserve(message_bytes);
+}
+
+// Reserves the columns for the records in `bytes` of text, a count
+// extrapolated from the newlines in the first few KiB of `sample`, with
+// an eighth to spare, and the message arena for all `bytes` (messages
+// are a subset of them). The reservation costs address space only:
+// pages are touched as records land, and each once, where growing by
+// doubling would copy them.
+void ReserveForText(std::string_view sample, size_t bytes,
+                    LogStore::Columns* columns) {
+  constexpr size_t kSampleBytes = 8192;
+  sample = sample.substr(0, kSampleBytes);
+  if (sample.empty()) return;
+  const auto newlines =
+      static_cast<size_t>(std::count(sample.begin(), sample.end(), '\n'));
+  ReserveColumns((newlines + newlines / 8 + 1) * bytes / sample.size(),
+                 bytes, columns);
+}
+
 // The decode loop proper over one chunk: one pass per line that finds
 // the fields, parses the timestamps and severity, and interns source,
-// host and user straight into the chunk's columns. `allow_truncated_tail`
-// is the lenient-tail option scoped to the chunk holding the buffer's
-// final bytes — interior chunks always end at a newline so the condition
-// could not fire there anyway, but scoping it keeps that an invariant
-// rather than a coincidence. No budget judgement here: the budget is a
-// whole-buffer property, applied once after the merge.
-void DecodeChunk(std::string_view text, const DecodeOptions& options,
-                 bool allow_truncated_tail, ChunkOutcome* out) {
+// host and user straight into the chunk's columns, reserved for
+// `reserve_bytes` of text (the whole buffer for chunk 0, which the merge
+// extends). `allow_truncated_tail` is the lenient-tail option scoped to
+// the chunk holding the buffer's final bytes — interior chunks always
+// end at a newline so the condition could not fire there anyway, but
+// scoping it keeps that an invariant rather than a coincidence. No
+// budget judgement here: the budget is a whole-buffer property, applied
+// once after the merge.
+void DecodeChunk(std::string_view text, size_t reserve_bytes,
+                 const DecodeOptions& options, bool allow_truncated_tail,
+                 ChunkOutcome* out) {
   LogStore::Columns& columns = out->columns;
-  // Messages are a subset of the chunk's bytes; the reservation costs
-  // address space only, pages are touched as messages land.
-  columns.message_data.reserve(text.size());
+  ReserveForText(text, reserve_bytes, &columns);
   NameInterner sources;
   NameInterner hosts;
   NameInterner users;
-  std::string scratch;
+  LineState state;
   IngestStats* tally = &out->tally;
   size_t line_no = 0;
   size_t start = 0;
@@ -372,11 +519,16 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
     // numbers.
     if (start < text.size()) ++out->physical_lines;
     ++line_no;
-    if (!Trim(line).empty()) {
+    // A line is blank when Trim empties it; nearly every line shows
+    // that it is not on its first byte.
+    const bool blank =
+        line.empty() || (std::isspace(static_cast<unsigned char>(line[0])) &&
+                         Trim(line).empty());
+    if (!blank) {
       ++tally->lines_total;
       IngestErrorClass error_class = IngestErrorClass::kFieldCount;
       DecodedLine decoded;
-      Status status = DecodeLine(line, &scratch, &decoded, &error_class);
+      Status status = DecodeLine(line, &state, &decoded, &error_class);
       if (status.ok()) {
         ++tally->records_decoded;
         columns.client_ts.push_back(decoded.client_ts);
@@ -422,50 +574,46 @@ void DecodeChunk(std::string_view text, const DecodeOptions& options,
   columns.user_names = users.TakeNames();
 }
 
-// Concatenates the chunks' columns in index order, remapping ids to
-// global ones. A name gets its global id the first time the merge meets
-// it, walking chunks in index order and each chunk's dictionary in its
-// own first-seen order — the order a serial scan first sees the names,
-// so ids and dictionaries come out identical to a one-chunk decode. Each
-// chunk's columns are freed once copied, so the merge holds little more
-// than one copy of the corpus.
+// Appends chunks 1.. to chunk 0's columns in index order, remapping
+// their ids to global ones. Chunk 0's ids already are global: a serial
+// scan meets its names first, in the same order. Each later chunk's
+// names get their global ids through an `IdRemap` in the order its
+// records first use them — its own first-seen order — so ids and
+// dictionaries come out identical to a one-chunk decode. Chunk 0 was
+// reserved for the whole buffer, so it is extended in place, and each
+// later chunk's columns are freed once copied.
 LogStore::Columns MergeColumns(std::vector<ChunkOutcome>* outcomes) {
-  if (outcomes->size() == 1) return std::move((*outcomes)[0].columns);
-  LogStore::Columns merged;
-  size_t records = 0;
-  size_t message_bytes = 0;
-  for (const ChunkOutcome& outcome : *outcomes) {
-    records += outcome.columns.client_ts.size();
-    message_bytes += outcome.columns.message_data.size();
+  LogStore::Columns merged = std::move((*outcomes)[0].columns);
+  if (outcomes->size() == 1) return merged;
+  size_t records = merged.client_ts.size();
+  size_t message_bytes = merged.message_data.size();
+  for (size_t i = 1; i < outcomes->size(); ++i) {
+    records += (*outcomes)[i].columns.client_ts.size();
+    message_bytes += (*outcomes)[i].columns.message_data.size();
   }
-  merged.client_ts.reserve(records);
-  merged.server_ts.reserve(records);
-  merged.severity.reserve(records);
-  merged.source_ids.reserve(records);
-  merged.host_ids.reserve(records);
-  merged.user_ids.reserve(records);
-  merged.message_ends.reserve(records);
-  merged.message_data.reserve(message_bytes);
-  NameInterner sources;
-  NameInterner hosts;
-  NameInterner users;
+  ReserveColumns(records, message_bytes, &merged);
+  auto seeded = [](std::vector<std::string>* names) {
+    NameInterner interner;
+    for (const std::string& name : *names) interner.Intern(name);
+    names->clear();
+    return interner;
+  };
+  NameInterner sources = seeded(&merged.source_names);
+  NameInterner hosts = seeded(&merged.host_names);
+  NameInterner users = seeded(&merged.user_names);
   // kNoHost and kNoUser pass through; no source id ever equals them.
   static_assert(LogStore::kNoHost == LogStore::kNoUser);
   auto append_remapped = [](NameInterner* interner,
                             const std::vector<std::string>& names,
                             const std::vector<uint32_t>& ids,
                             std::vector<uint32_t>* out) {
-    std::vector<uint32_t> global;
-    global.reserve(names.size());
-    for (const std::string& name : names) {
-      global.push_back(interner->Intern(name));
-    }
+    IdRemap remap(names.size(), interner);
     for (uint32_t id : ids) {
-      out->push_back(id == LogStore::kNoHost ? id : global[id]);
+      out->push_back(id == LogStore::kNoHost ? id : remap.Map(id, names[id]));
     }
   };
-  for (ChunkOutcome& outcome : *outcomes) {
-    LogStore::Columns chunk = std::move(outcome.columns);
+  for (size_t i = 1; i < outcomes->size(); ++i) {
+    LogStore::Columns chunk = std::move((*outcomes)[i].columns);
     merged.client_ts.insert(merged.client_ts.end(), chunk.client_ts.begin(),
                             chunk.client_ts.end());
     merged.server_ts.insert(merged.server_ts.end(), chunk.server_ts.begin(),
@@ -538,12 +686,12 @@ Result<LogStore> DecodeAllImpl(std::string_view text,
       SplitAtLineBoundaries(text, target);
   std::vector<ChunkOutcome> outcomes(chunks.size());
   if (chunks.size() == 1) {
-    DecodeChunk(chunks[0], options, options.lenient_truncated_tail,
-                &outcomes[0]);
+    DecodeChunk(chunks[0], chunks[0].size(), options,
+                options.lenient_truncated_tail, &outcomes[0]);
   } else {
     obs::Count(obs::Metric::kIngestParallelDecodes);
     Executor::Shared().ParallelFor(chunks.size(), [&](size_t i) {
-      DecodeChunk(chunks[i], options,
+      DecodeChunk(chunks[i], i == 0 ? text.size() : chunks[i].size(), options,
                   options.lenient_truncated_tail && i + 1 == chunks.size(),
                   &outcomes[i]);
     });

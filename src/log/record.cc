@@ -2,20 +2,6 @@
 
 namespace logmine {
 
-std::string_view SeverityName(Severity severity) {
-  switch (severity) {
-    case Severity::kDebug:
-      return "DEBUG";
-    case Severity::kInfo:
-      return "INFO";
-    case Severity::kWarning:
-      return "WARN";
-    case Severity::kError:
-      return "ERROR";
-  }
-  return "INFO";
-}
-
 bool operator==(const LogRecord& a, const LogRecord& b) {
   return a.client_ts == b.client_ts && a.server_ts == b.server_ts &&
          a.severity == b.severity && a.source == b.source &&

@@ -17,7 +17,19 @@ enum class Severity {
   kError,
 };
 
-std::string_view SeverityName(Severity severity);
+constexpr std::string_view SeverityName(Severity severity) {
+  switch (severity) {
+    case Severity::kDebug:
+      return "DEBUG";
+    case Severity::kInfo:
+      return "INFO";
+    case Severity::kWarning:
+      return "WARN";
+    case Severity::kError:
+      return "ERROR";
+  }
+  return "INFO";
+}
 
 /// A single entry of the centralized logging system.
 ///

@@ -193,4 +193,18 @@ MedianDistanceTestResult MedianDistanceTestWithBaseline(
   return FinishTest(a, b_sample, reference, config);
 }
 
+std::vector<int64_t> BinCountSeries(const std::vector<int64_t>& events,
+                                    int64_t begin, int64_t end,
+                                    int64_t bin_width) {
+  assert(begin < end && bin_width > 0);
+  const auto num_bins =
+      static_cast<size_t>((end - begin + bin_width - 1) / bin_width);
+  std::vector<int64_t> counts(num_bins, 0);
+  for (int64_t t : events) {
+    if (t < begin || t >= end) continue;
+    counts[static_cast<size_t>((t - begin) / bin_width)] += 1;
+  }
+  return counts;
+}
+
 }  // namespace logmine::stats

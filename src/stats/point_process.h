@@ -100,6 +100,13 @@ MedianDistanceTestResult MedianDistanceTestWithBaseline(
     std::span<const int64_t> baseline_points, int64_t baseline_jitter,
     const MedianDistanceTestConfig& config, logmine::Rng* rng);
 
+/// Counts events per fixed-width time bin over [begin, end): the series
+/// behind the paper's figure 1 ("number of logs per second"). Events
+/// outside the window are ignored. `bin_width` must be positive.
+std::vector<int64_t> BinCountSeries(const std::vector<int64_t>& events,
+                                    int64_t begin, int64_t end,
+                                    int64_t bin_width);
+
 }  // namespace logmine::stats
 
 #endif  // LOGMINE_STATS_POINT_PROCESS_H_

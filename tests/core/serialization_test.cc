@@ -174,88 +174,6 @@ TEST(SerializationTest, ModelTrackerRoundTripsMidStream) {
   }
 }
 
-TEST(SerializationTest, L1ConfigRoundTrip) {
-  L1Config config;
-  config.slot_length = 30 * kMillisPerMinute;
-  config.adaptive_slots = true;
-  config.adaptive.alpha = 0.02;
-  config.adaptive.probe_bins = 12;
-  config.baseline = L1Baseline::kIntensityProportional;
-  config.baseline_jitter = 777;
-  config.minlogs = 55;
-  config.th_pr = 0.7;
-  config.th_s = 0.2;
-  config.test.sample_size = 300;
-  config.test.level = 0.99;
-  config.seed = 1234;
-  config.num_threads = 4;
-  config.prune_support = false;
-  config.pair_chunk = 64;
-  const L1Config decoded = RoundTrip<L1Config>(
-      [&](SnapshotWriter* w) { EncodeL1Config(config, w); },
-      [](SectionCursor* c) { return DecodeL1Config(c); });
-  EXPECT_EQ(decoded.slot_length, config.slot_length);
-  EXPECT_EQ(decoded.adaptive_slots, config.adaptive_slots);
-  EXPECT_EQ(decoded.adaptive.min_slot, config.adaptive.min_slot);
-  EXPECT_EQ(decoded.adaptive.max_slot, config.adaptive.max_slot);
-  EXPECT_EQ(decoded.adaptive.alpha, config.adaptive.alpha);
-  EXPECT_EQ(decoded.adaptive.probe_bins, config.adaptive.probe_bins);
-  EXPECT_EQ(decoded.adaptive.min_events, config.adaptive.min_events);
-  EXPECT_EQ(decoded.baseline, config.baseline);
-  EXPECT_EQ(decoded.baseline_jitter, config.baseline_jitter);
-  EXPECT_EQ(decoded.minlogs, config.minlogs);
-  EXPECT_EQ(decoded.th_pr, config.th_pr);
-  EXPECT_EQ(decoded.th_s, config.th_s);
-  EXPECT_EQ(decoded.test.sample_size, config.test.sample_size);
-  EXPECT_EQ(decoded.test.level, config.test.level);
-  EXPECT_EQ(decoded.seed, config.seed);
-  EXPECT_EQ(decoded.num_threads, config.num_threads);
-  EXPECT_EQ(decoded.prune_support, config.prune_support);
-  EXPECT_EQ(decoded.pair_chunk, config.pair_chunk);
-  EXPECT_EQ(ConfigFingerprint(decoded), ConfigFingerprint(config));
-}
-
-TEST(SerializationTest, L2ConfigRoundTrip) {
-  L2Config config;
-  config.session.max_gap = 10 * kMillisPerMinute;
-  config.session.min_logs = 3;
-  config.timeout = 2500;
-  config.test = AssociationTest::kPearson;
-  config.alpha = 0.01;
-  config.min_cooccurrence = 9;
-  config.min_cooccurrence_per_session = 0.125;
-  config.num_threads = 2;
-  const L2Config decoded = RoundTrip<L2Config>(
-      [&](SnapshotWriter* w) { EncodeL2Config(config, w); },
-      [](SectionCursor* c) { return DecodeL2Config(c); });
-  EXPECT_EQ(decoded.session.max_gap, config.session.max_gap);
-  EXPECT_EQ(decoded.session.min_logs, config.session.min_logs);
-  EXPECT_EQ(decoded.timeout, config.timeout);
-  EXPECT_EQ(decoded.test, config.test);
-  EXPECT_EQ(decoded.alpha, config.alpha);
-  EXPECT_EQ(decoded.min_cooccurrence, config.min_cooccurrence);
-  EXPECT_EQ(decoded.min_cooccurrence_per_session,
-            config.min_cooccurrence_per_session);
-  EXPECT_EQ(decoded.num_threads, config.num_threads);
-  EXPECT_EQ(ConfigFingerprint(decoded), ConfigFingerprint(config));
-}
-
-TEST(SerializationTest, L3ConfigRoundTrip) {
-  L3Config config;
-  config.stop_patterns = {"received * from *", "incoming ?", ""};
-  config.use_stop_patterns = false;
-  config.min_citations = 3;
-  config.num_threads = 8;
-  const L3Config decoded = RoundTrip<L3Config>(
-      [&](SnapshotWriter* w) { EncodeL3Config(config, w); },
-      [](SectionCursor* c) { return DecodeL3Config(c); });
-  EXPECT_EQ(decoded.stop_patterns, config.stop_patterns);
-  EXPECT_EQ(decoded.use_stop_patterns, config.use_stop_patterns);
-  EXPECT_EQ(decoded.min_citations, config.min_citations);
-  EXPECT_EQ(decoded.num_threads, config.num_threads);
-  EXPECT_EQ(ConfigFingerprint(decoded), ConfigFingerprint(config));
-}
-
 TEST(SerializationTest, FingerprintSeesEveryResultRelevantField) {
   // Each single-field tweak must move the fingerprint...
   const L1Config l1;

@@ -1,4 +1,5 @@
-// Differential test of LineCodec::Decode against the decoder it replaced
+// Differential test of LineCodec::Decode, and of the bulk
+// LineCodec::DecodeAll, against the decoder they replaced
 // (tests/log/reference_line_decoder.h). On every input the two must
 // return the same record, or the same error class and message — except
 // for the deliberate differences named below, where the new decoder is
@@ -20,6 +21,7 @@
 #include "simulation/hug_scenario.h"
 #include "simulation/simulator.h"
 #include "util/rng.h"
+#include "util/string_util.h"
 
 namespace logmine {
 namespace {
@@ -88,11 +90,18 @@ std::string DisagreeingTimestamp(std::string_view line) {
 class Differential {
  public:
   void Check(std::string_view line) {
+    IngestErrorClass actual_class = IngestErrorClass::kFieldCount;
+    auto actual = LineCodec::Decode(line, &actual_class);
+    Compare(line, actual, actual_class);
+  }
+
+  // Checks one line's outcome from either path of the decoder: its
+  // record, or its error class (`actual_class`) and message.
+  void Compare(std::string_view line, const Result<LogRecord>& actual,
+               IngestErrorClass actual_class) {
     ++lines_;
     IngestErrorClass expected_class = IngestErrorClass::kFieldCount;
-    IngestErrorClass actual_class = IngestErrorClass::kFieldCount;
     auto expected = reference::Decode(line, &expected_class);
-    auto actual = LineCodec::Decode(line, &actual_class);
     if (actual.ok()) {
       // Never more lenient: whatever the new decoder accepts, the old
       // one accepted as the very same record.
@@ -151,25 +160,31 @@ std::vector<std::string_view> Lines(std::string_view text) {
   return lines;
 }
 
+// The simulated corpus with half its lines damaged by one corruptor
+// fault kind, seeded per kind.
+std::string CorruptedCorpus(const std::string& clean, size_t kind) {
+  sim::CorruptorConfig config;
+  config.rate = 0.5;
+  std::array<double*, sim::kNumCorruptionKinds> weights = {
+      &config.truncate_weight,  &config.mangle_escape_weight,
+      &config.garbage_weight,   &config.reorder_weight,
+      &config.duplicate_weight, &config.clock_jump_weight,
+      &config.blank_context_weight};
+  for (size_t w = 0; w < weights.size(); ++w) *weights[w] = w == kind ? 1 : 0;
+  Rng rng(1000 + kind);
+  sim::CorruptionReport report;
+  std::string corrupted = sim::CorruptCorpusText(clean, config, &rng, &report);
+  EXPECT_GT(report.by_kind[kind], 100u);
+  return corrupted;
+}
+
 TEST(LineDecoderOracleTest, AgreesOnEveryCorruptorFaultKind) {
   const std::string clean = SimulatedCorpus();
   ASSERT_GT(clean.size(), 100'000u);
   for (size_t k = 0; k < sim::kNumCorruptionKinds; ++k) {
     const auto kind = static_cast<sim::CorruptionKind>(k);
     SCOPED_TRACE(std::string(sim::CorruptionKindName(kind)));
-    sim::CorruptorConfig config;
-    config.rate = 0.5;
-    std::array<double*, sim::kNumCorruptionKinds> weights = {
-        &config.truncate_weight,  &config.mangle_escape_weight,
-        &config.garbage_weight,   &config.reorder_weight,
-        &config.duplicate_weight, &config.clock_jump_weight,
-        &config.blank_context_weight};
-    for (size_t w = 0; w < weights.size(); ++w) *weights[w] = w == k ? 1 : 0;
-    Rng rng(1000 + k);
-    sim::CorruptionReport report;
-    const std::string corrupted =
-        sim::CorruptCorpusText(clean, config, &rng, &report);
-    EXPECT_GT(report.by_kind[k], 100u);
+    const std::string corrupted = CorruptedCorpus(clean, k);
     Differential differential;
     for (std::string_view line : Lines(corrupted)) {
       differential.Check(line);
@@ -229,6 +244,104 @@ TEST(LineDecoderOracleTest, AgreesOnThePinnedTimestampForms) {
   auto five_ms = LineCodec::Decode("2005-12-06 08:00:01.5|2005-12-06" + tail);
   ASSERT_TRUE(five_ms.ok());
   EXPECT_EQ(five_ms.value().client_ts % 1000, 5);
+}
+
+// Decodes `text` in bulk under the quarantine policy with every
+// quarantined line sampled, and checks each non-blank line's outcome —
+// the next record in the store, or its sample's class and message —
+// against the reference, as `Differential` does for single lines. The
+// bulk decode carries state from line to line (each timestamp column's
+// last minute), which the single-line checks never reach.
+void CheckBulk(std::string_view text, int num_chunks,
+               Differential* differential) {
+  SCOPED_TRACE("num_chunks=" + std::to_string(num_chunks));
+  const std::vector<std::string_view> lines = Lines(text);
+  DecodeOptions options;
+  options.policy = DecodePolicy::kQuarantine;
+  options.max_bad_fraction = 1.0;
+  options.max_samples = lines.size();
+  options.num_chunks = num_chunks;
+  IngestStats stats;
+  auto store = LineCodec::DecodeAll(text, options, &stats);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  const std::vector<LogRecord> records = store.value().Records();
+  ASSERT_EQ(stats.samples.size(), stats.lines_quarantined);
+  size_t next_record = 0;
+  size_t next_sample = 0;
+  for (size_t i = 0; i < lines.size(); ++i) {
+    const std::string_view line = lines[i];
+    if (Trim(line).empty()) continue;
+    if (next_sample < stats.samples.size() &&
+        stats.samples[next_sample].line_number == i + 1) {
+      const QuarantinedLine& sample = stats.samples[next_sample++];
+      ASSERT_EQ(sample.text, line);
+      differential->Compare(line, Status::ParseError(sample.error),
+                            sample.error_class);
+    } else {
+      ASSERT_LT(next_record, records.size()) << line;
+      differential->Compare(line, records[next_record++],
+                            IngestErrorClass::kFieldCount);
+    }
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(next_record, records.size());
+  EXPECT_EQ(next_sample, stats.samples.size());
+  EXPECT_EQ(next_record + next_sample, stats.lines_total);
+}
+
+const std::vector<int> kBulkChunkCounts = {1, 3, 7};
+
+TEST(LineDecoderOracleTest, BulkDecodeAgreesOnEveryCorruptorFaultKind) {
+  const std::string clean = SimulatedCorpus();
+  ASSERT_GT(clean.size(), 100'000u);
+  for (size_t k = 0; k < sim::kNumCorruptionKinds; ++k) {
+    SCOPED_TRACE(std::string(
+        sim::CorruptionKindName(static_cast<sim::CorruptionKind>(k))));
+    const std::string corrupted = CorruptedCorpus(clean, k);
+    for (int num_chunks : kBulkChunkCounts) {
+      Differential differential;
+      CheckBulk(corrupted, num_chunks, &differential);
+      ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    }
+  }
+}
+
+TEST(LineDecoderOracleTest, BulkDecodeAgreesAfterAPrimedMinute) {
+  // Each stamp follows a valid line of the same minute, so a decoder
+  // that reuses the last minute reads it against that minute's prefix:
+  // first in the client column, then in the server column.
+  const std::string valid = "2005-12-06 08:30:01.250";
+  const std::string tail = "|INFO|src|host|user|message";
+  std::string text;
+  for (const std::string stamp :
+       {"2005-12-06 08:30:59.999", "2005-12-06 08:30:60.000",
+        "2005-12-06 08:30:99.000", "2005-12-06 08:30:5x.000",
+        "2005-12-06 08:30:-1.000", "2005-12-06 08:30:01.2a0",
+        "2005-12-06 08:30:01:250", "2005-12-06 08:30:01.25",
+        "2005-12-06 08:30:01.2500", "2005-12-06 08:30:01.250x",
+        "2005-12-06 08:30:1.2500", "-005-12-06 08:30:01.250",
+        "2005-02-31 08:30:01.250", "2005-02-31 08:30:02.000",
+        "2005-12-06 08:31:00.000", "2005-12-06 08:30:00.000"}) {
+    text += valid + "|" + valid + tail + "\n";
+    text += stamp + "|" + valid + tail + "\n";
+    text += valid + "|" + valid + tail + "\n";
+    text += valid + "|" + stamp + tail + "\n";
+    text += stamp + "|" + stamp + tail + "\n";
+  }
+  for (int num_chunks : kBulkChunkCounts) {
+    Differential differential;
+    CheckBulk(text, num_chunks, &differential);
+    ASSERT_FALSE(::testing::Test::HasFatalFailure());
+    EXPECT_EQ(differential.lines(), 80u);
+    // Only the stamps with trailing bytes and with second -1, where
+    // sscanf differed.
+    std::vector<std::string> names;
+    for (const auto& [name, count] : differential.differences()) {
+      names.push_back(name);
+    }
+    EXPECT_EQ(names, (std::vector<std::string>{std::string(kSignedLaterField),
+                                               std::string(kTrailingBytes)}));
+  }
 }
 
 // --- The deliberate differences, one pinned example each. ---

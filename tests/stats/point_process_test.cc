@@ -232,5 +232,25 @@ TEST(MedianDistanceTestTest, SamplesExposedForDiagnostics) {
   EXPECT_EQ(result.sample_target.size(), 50u);
 }
 
+TEST(BinCountSeriesTest, OneSecondBins) {
+  // Figure 1's transformation: events -> logs per second.
+  const std::vector<int64_t> events = {0, 500, 999, 1000, 2500, 5999};
+  const auto counts = BinCountSeries(events, 0, 6000, 1000);
+  EXPECT_EQ(counts, (std::vector<int64_t>{3, 1, 1, 0, 0, 1}));
+}
+
+TEST(BinCountSeriesTest, IgnoresOutOfWindowEvents) {
+  // -5 is before the window; 200 and 999 are at/after the exclusive end.
+  const std::vector<int64_t> events = {-5, 0, 100, 200, 999};
+  const auto counts = BinCountSeries(events, 0, 200, 100);
+  EXPECT_EQ(counts, (std::vector<int64_t>{1, 1}));
+}
+
+TEST(BinCountSeriesTest, PartialLastBin) {
+  const auto counts = BinCountSeries({240}, 0, 250, 100);
+  ASSERT_EQ(counts.size(), 3u);
+  EXPECT_EQ(counts[2], 1);
+}
+
 }  // namespace
 }  // namespace logmine::stats
