@@ -30,6 +30,8 @@ struct ConfusionCounts {
   /// Classification error among the *unrelated* pairs (§4.5 discusses 25
   /// FP over 1253 unrelated pairs ~ 2%).
   double false_positive_rate() const;
+
+  bool operator==(const ConfusionCounts&) const = default;
 };
 
 /// Compares `predicted` to `reference`. When `universe` is 0 it defaults
@@ -45,6 +47,8 @@ struct DailySeries {
   std::vector<double> TpRatios() const;
   std::vector<double> TruePositives() const;
   std::vector<double> FalsePositives() const;
+
+  bool operator==(const DailySeries&) const = default;
 };
 
 }  // namespace logmine::core

@@ -171,11 +171,6 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
         "pair range " + std::to_string(range.index) + " outside [0, " +
         std::to_string(range.count) + ")");
   }
-  const bool anchored = config_.salt_anchor != L1Config::kNoSaltAnchor;
-  if (anchored && config_.adaptive_slots) {
-    return Status::InvalidArgument(
-        "salt_anchor requires the fixed slot grid (adaptive_slots=false)");
-  }
   LOGMINE_SPAN_GLOBAL("l1/mine", obs::Metric::kL1MineNs);
   obs::Count(obs::Metric::kL1Runs);
   // All-source timestamps in the window, needed by both the adaptive
@@ -327,7 +322,7 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
   };
 
   // Phase 1a — per-(slot, source) precompute on the shared executor:
-  // each job draws from an RNG stream keyed by (seed, slot, source) via
+  // each job draws from an RNG stream keyed by (seed, source name, slot) via
   // Rng::Fork, so its products are independent of scheduling, thread
   // count, and of which *other* jobs pruning kept. Per job: the
   // baseline points (uniform, or a jittered subsample of the slot's
@@ -358,17 +353,15 @@ Result<L1Result> L1ActivityMiner::Mine(const LogStore& store, TimeMs begin,
         const TimeSlot& slot = slots[slot_idx];
         const std::span<const int64_t> view = views[slot_idx * ns + s];
         SlotSourceRef& ref = refs[slot_idx * ns + s];
-        // Anchored: key the stream by (source name, absolute slot) so
-        // the draw is invariant under window position and store
-        // composition; otherwise the historic (relative slot, dense id)
-        // key, which keeps seed-reference results byte-identical.
-        Rng rng =
-            anchored
-                ? master.Fork(store.source_name(s))
-                      .Fork(static_cast<uint64_t>(
-                          (slot.begin - config_.salt_anchor) /
-                          config_.slot_length))
-                : master.Fork(static_cast<uint64_t>(slot_idx) * ns + s);
+        // Keyed by (source name, absolute slot), so the draw depends on
+        // neither the window's start nor the store's dense ids. Adaptive
+        // slots have no fixed grid; their begin is their number.
+        const TimeMs abs_slot =
+            config_.adaptive_slots
+                ? slot.begin
+                : (slot.begin - config_.salt_anchor) / config_.slot_length;
+        Rng rng = master.Fork(store.source_name(s))
+                      .Fork(static_cast<uint64_t>(abs_slot));
         std::vector<int64_t> baseline;
         if (config_.baseline == L1Baseline::kIntensityProportional) {
           baseline =

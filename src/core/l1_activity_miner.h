@@ -48,7 +48,7 @@ struct L1Config {
   /// Parallelism cap for the mining fan-out, which runs on the shared
   /// `Executor` pool. Results are bit-identical for any thread count:
   /// every random draw comes from an RNG stream keyed by
-  /// (seed, slot, source), never by thread or schedule.
+  /// (seed, source name, slot), never by thread or schedule.
   /// 1 = serial on the calling thread; 0 = use the whole pool.
   int num_threads = 1;
   /// Support pruning (DESIGN.md §11): pairs whose maximum attainable
@@ -64,20 +64,17 @@ struct L1Config {
   /// depend only on the test count and this grain, so results stay
   /// deterministic for any thread count.
   size_t pair_chunk = 16;
-  /// Sentinel for `salt_anchor`: RNG streams keyed by window-relative
-  /// slot index and dense source id (the historic behavior).
-  static constexpr TimeMs kNoSaltAnchor = INT64_MIN;
-  /// When set (any value != kNoSaltAnchor), the per-(slot, source) RNG
-  /// streams are keyed by the source *name* and the slot's absolute
-  /// number on the `slot_length` grid anchored here:
-  ///   abs_slot = (slot.begin - salt_anchor) / slot_length.
-  /// Per-slot outcomes then no longer depend on where the mining window
-  /// starts or which other sources the store happens to contain — the
-  /// property the sliding-window miner (src/serve) needs so that
-  /// ingesting one epoch at a time reproduces a batch mine over the
-  /// same window byte-for-byte. Incompatible with `adaptive_slots`
-  /// (adaptive boundaries are window-dependent by construction).
-  TimeMs salt_anchor = kNoSaltAnchor;
+  /// Origin of the absolute slot numbering that keys L1's randomness.
+  /// Each (slot, source) draws from an RNG stream keyed by the source
+  /// *name* and the slot's absolute number on the `slot_length` grid:
+  ///   abs_slot = (slot.begin - salt_anchor) / slot_length
+  /// (adaptive slots, which have no fixed grid, use `slot.begin`). A
+  /// slot's outcomes thus depend on its own logs only: not on where the
+  /// mining window starts, nor on which other sources the store holds
+  /// or in what order it met them. That is what lets the sliding-window
+  /// miner (src/serve), which mines one epoch at a time, reproduce a
+  /// batch mine over the same window byte for byte.
+  TimeMs salt_anchor = 0;
 };
 
 /// Per-pair outcome of L1.
@@ -148,7 +145,7 @@ class L1ActivityMiner {
   /// Pair-range-sharded variant: tests only the pairs in `range`'s
   /// slice, skipping every other pair's precompute and testing work.
   /// Per-pair outcomes are byte-identical to the unsliced run — all
-  /// randomness is keyed by (seed, slot, source), never by which pairs
+  /// randomness is keyed by (seed, source name, slot), never by which pairs
   /// share the shard — so the slices of one day partition its full
   /// result exactly.
   Result<L1Result> Mine(const LogStore& store, TimeMs begin, TimeMs end,

@@ -42,30 +42,6 @@ Result<DependencyModel> DecodeDependencyModel(SectionCursor* c) {
   return DependencyModel(std::move(pairs));
 }
 
-void EncodeConfusionCounts(const ConfusionCounts& counts, SnapshotWriter* w) {
-  w->PutI64(counts.true_positives);
-  w->PutI64(counts.false_positives);
-  w->PutI64(counts.false_negatives);
-  w->PutI64(counts.universe);
-}
-
-Result<ConfusionCounts> DecodeConfusionCounts(SectionCursor* c) {
-  ConfusionCounts counts;
-  LOGMINE_ASSIGN_OR_RETURN(counts.true_positives, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(counts.false_positives, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(counts.false_negatives, c->ReadI64());
-  LOGMINE_ASSIGN_OR_RETURN(counts.universe, c->ReadI64());
-  return counts;
-}
-
-void EncodeDailySeries(const DailySeries& series, SnapshotWriter* w) {
-  w->PutU64(series.days.size());
-  for (size_t i = 0; i < series.days.size(); ++i) {
-    w->PutString(i < series.day_labels.size() ? series.day_labels[i] : "");
-    EncodeConfusionCounts(series.days[i], w);
-  }
-}
-
 void EncodeSessionBuildStats(const SessionBuildStats& stats,
                              SnapshotWriter* w) {
   w->PutU64(stats.num_sessions);
@@ -139,33 +115,6 @@ void EncodeCoverageReport(const CoverageReport& report, SnapshotWriter* w) {
   for (uint8_t cell : report.covered) w->PutBool(cell != 0);
 }
 
-Result<CoverageReport> DecodeCoverageReport(SectionCursor* c) {
-  CoverageReport report;
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t num_days, c->ReadU32());
-  LOGMINE_ASSIGN_OR_RETURN(uint32_t num_ranges, c->ReadU32());
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t cells, c->ReadU64());
-  LOGMINE_RETURN_IF_ERROR(CheckCount(cells, 1u << 26, "coverage cell"));
-  if (num_days > INT32_MAX || num_ranges > INT32_MAX) {
-    return Status::ParseError("coverage grid " + std::to_string(num_days) +
-                              " x " + std::to_string(num_ranges) +
-                              " has a negative dimension");
-  }
-  report.num_days = static_cast<int32_t>(num_days);
-  report.num_ranges = static_cast<int32_t>(num_ranges);
-  if (cells != static_cast<uint64_t>(num_days) * num_ranges) {
-    return Status::ParseError(
-        "coverage bitmap holds " + std::to_string(cells) + " cells for a " +
-        std::to_string(num_days) + " x " + std::to_string(num_ranges) +
-        " grid");
-  }
-  report.covered.reserve(cells);
-  for (uint64_t i = 0; i < cells; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(bool covered, c->ReadBool());
-    report.covered.push_back(covered ? 1 : 0);
-  }
-  return report;
-}
-
 void EncodePartialModel(const PartialModel& partial, SnapshotWriter* w) {
   w->PutU32(static_cast<uint32_t>(partial.shard.day));
   w->PutU32(static_cast<uint32_t>(partial.shard.range_index));
@@ -235,34 +184,6 @@ std::string MergedModelBytes(const MergedPartialModel& merged) {
   EncodeCoverageReport(merged.coverage, &w);
   w.EndSection();
   return std::move(w).Finish();
-}
-
-Result<MergedPartialModel> ParseMergedModelBytes(std::string bytes) {
-  LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(bytes));
-  MergedPartialModel merged;
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor model_cursor,
-                           reader.Section("model"));
-  LOGMINE_ASSIGN_OR_RETURN(merged.model,
-                           DecodeDependencyModel(&model_cursor));
-  LOGMINE_RETURN_IF_ERROR(model_cursor.ExpectEnd());
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor daily_cursor,
-                           reader.Section("daily"));
-  LOGMINE_ASSIGN_OR_RETURN(uint64_t num_daily, daily_cursor.ReadU64());
-  LOGMINE_RETURN_IF_ERROR(CheckCount(num_daily, 1u << 20, "daily model"));
-  merged.daily.reserve(num_daily);
-  for (uint64_t i = 0; i < num_daily; ++i) {
-    LOGMINE_ASSIGN_OR_RETURN(DependencyModel model,
-                             DecodeDependencyModel(&daily_cursor));
-    merged.daily.push_back(std::move(model));
-  }
-  LOGMINE_RETURN_IF_ERROR(daily_cursor.ExpectEnd());
-  LOGMINE_ASSIGN_OR_RETURN(SectionCursor coverage_cursor,
-                           reader.Section("coverage"));
-  LOGMINE_ASSIGN_OR_RETURN(merged.coverage,
-                           DecodeCoverageReport(&coverage_cursor));
-  LOGMINE_RETURN_IF_ERROR(coverage_cursor.ExpectEnd());
-  return merged;
 }
 
 void Fingerprinter::MixU64(uint64_t v) {

@@ -5,7 +5,6 @@
 #include <string_view>
 
 #include "core/dependency.h"
-#include "core/evaluation.h"
 #include "core/l1_activity_miner.h"
 #include "core/l2_cooccurrence_miner.h"
 #include "core/l2_session_builder.h"
@@ -30,14 +29,6 @@ namespace logmine::core {
 void EncodeDependencyModel(const DependencyModel& model, SnapshotWriter* w);
 Result<DependencyModel> DecodeDependencyModel(SectionCursor* c);
 
-void EncodeConfusionCounts(const ConfusionCounts& counts, SnapshotWriter* w);
-Result<ConfusionCounts> DecodeConfusionCounts(SectionCursor* c);
-
-/// Encode-only: a sweep recomputes its series from the merged per-day
-/// models, so this is a fingerprint (the byte string the crash-recovery
-/// tests compare), never a persisted state.
-void EncodeDailySeries(const DailySeries& series, SnapshotWriter* w);
-
 void EncodeSessionBuildStats(const SessionBuildStats& stats,
                              SnapshotWriter* w);
 Result<SessionBuildStats> DecodeSessionBuildStats(SectionCursor* c);
@@ -48,7 +39,6 @@ void EncodeModelTracker(const ModelTracker& tracker, SnapshotWriter* w);
 Result<ModelTracker> DecodeModelTracker(SectionCursor* c);
 
 void EncodeCoverageReport(const CoverageReport& report, SnapshotWriter* w);
-Result<CoverageReport> DecodeCoverageReport(SectionCursor* c);
 
 void EncodePartialModel(const PartialModel& partial, SnapshotWriter* w);
 Result<PartialModel> DecodePartialModel(SectionCursor* c);
@@ -64,9 +54,8 @@ Result<PartialModel> ParsePartialModelBytes(std::string bytes);
 /// Canonical serialized form of a merged, coverage-annotated model
 /// (sections "model", "daily", "coverage") — the byte string the chaos
 /// harness compares for its byte-identity and coverage-accounting
-/// assertions.
+/// assertions. Encode-only: nothing reloads it.
 std::string MergedModelBytes(const MergedPartialModel& merged);
-Result<MergedPartialModel> ParseMergedModelBytes(std::string bytes);
 
 /// Order-sensitive FNV-1a accumulator for config fingerprints.
 class Fingerprinter {

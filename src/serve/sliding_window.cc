@@ -68,13 +68,10 @@ Result<SlidingWindowMiner> SlidingWindowMiner::Create(
   if (config.l1.th_s > 1.0) {
     return Status::InvalidArgument("l1.th_s must be a fraction in [0, 1]");
   }
-  // One epoch = one L1 slot, and per-(slot, source) randomness keyed by
-  // the absolute grid so each epoch's outcome is independent of the
+  // One epoch = one L1 slot. L1 keys each slot's randomness by source
+  // name and absolute slot, so an epoch's outcome does not depend on the
   // window position it is later aggregated under.
   config.l1.slot_length = config.epoch_length;
-  if (config.l1.salt_anchor == core::L1Config::kNoSaltAnchor) {
-    config.l1.salt_anchor = 0;
-  }
   return SlidingWindowMiner(std::move(config));
 }
 

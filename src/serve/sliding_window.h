@@ -43,10 +43,11 @@ Result<std::vector<EpochBatch>> SplitIntoEpochBatches(const LogStore& store,
                                                       TimeMs begin, TimeMs end,
                                                       TimeMs epoch_length);
 
-/// Configuration of the sliding-window miner. `Create` normalizes the
-/// L1 config: `l1.slot_length` is forced to `epoch_length` (one epoch =
-/// one L1 slot) and an unset `l1.salt_anchor` becomes 0, so per-epoch
-/// L1 outcomes are window-position-invariant (see L1Config).
+/// Configuration of the sliding-window miner. `Create` forces
+/// `l1.slot_length` to `epoch_length` (one epoch = one L1 slot). Epochs
+/// sit on the grid anchored at `l1.salt_anchor`, whose absolute slot
+/// numbers key L1's randomness (see L1Config), so per-epoch L1 outcomes
+/// do not depend on the window's position.
 struct SlidingWindowConfig {
   /// Epoch (= L1 slot) length; the paper's hourly grid.
   TimeMs epoch_length = kMillisPerHour;

@@ -195,24 +195,6 @@ TEST(PartialModelSerializationTest, NegativeShardIdsAndGridSizesAreParseErrors) 
   EXPECT_EQ(parse_code({0, 0}, 0, 1), StatusCode::kParseError);
 }
 
-TEST(PartialModelSerializationTest, CoverageGridAboveInt32MaxIsParseError) {
-  // A 0x80000000 x 0 grid has an empty bitmap, so the cell-count check
-  // alone would accept it with num_days == INT32_MIN.
-  SnapshotWriter w;
-  w.BeginSection("coverage");
-  w.PutU32(0x80000000u);
-  w.PutU32(0);
-  w.PutU64(0);
-  w.EndSection();
-  const std::string bytes = std::move(w).Finish();
-  auto reader = SnapshotReader::Parse(bytes);
-  ASSERT_TRUE(reader.ok()) << reader.status();
-  auto cursor = reader.value().Section("coverage");
-  ASSERT_TRUE(cursor.ok()) << cursor.status();
-  EXPECT_EQ(DecodeCoverageReport(&cursor.value()).status().code(),
-            StatusCode::kParseError);
-}
-
 TEST(PartialModelSerializationTest, CorruptPartialBytesFailToParse) {
   PartialModel part;
   part.shard = {0, 0};
@@ -224,25 +206,6 @@ TEST(PartialModelSerializationTest, CorruptPartialBytesFailToParse) {
   // Flip a byte in the middle: the container CRC must catch it.
   bytes[bytes.size() / 2] ^= 0x5A;
   EXPECT_FALSE(ParsePartialModelBytes(std::move(bytes)).ok());
-}
-
-TEST(PartialModelSerializationTest, MergedModelBytesRoundTrip) {
-  Rng rng(99);
-  std::vector<PartialModel> parts = RandomCorpus(&rng, 2, 3, 4);
-  parts.erase(parts.begin() + 4);  // one missing cell
-  auto merged = MergePartialModels(2, 3, parts);
-  ASSERT_TRUE(merged.ok());
-  auto parsed = ParseMergedModelBytes(MergedModelBytes(merged.value()));
-  ASSERT_TRUE(parsed.ok()) << parsed.status();
-  EXPECT_EQ(parsed.value().model.pairs(), merged.value().model.pairs());
-  ASSERT_EQ(parsed.value().daily.size(), merged.value().daily.size());
-  for (size_t i = 0; i < parsed.value().daily.size(); ++i) {
-    EXPECT_EQ(parsed.value().daily[i].pairs(),
-              merged.value().daily[i].pairs());
-  }
-  EXPECT_EQ(parsed.value().coverage.covered, merged.value().coverage.covered);
-  EXPECT_EQ(MergedModelBytes(parsed.value()),
-            MergedModelBytes(merged.value()));
 }
 
 TEST(CoverageReportTest, JsonNamesTheMissingCells) {

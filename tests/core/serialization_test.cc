@@ -30,15 +30,6 @@ DependencyModel RandomModel(Rng* rng, int max_pairs) {
   return model;
 }
 
-ConfusionCounts RandomCounts(Rng* rng) {
-  ConfusionCounts counts;
-  counts.true_positives = rng->UniformInt(0, 500);
-  counts.false_positives = rng->UniformInt(0, 100);
-  counts.false_negatives = rng->UniformInt(0, 100);
-  counts.universe = rng->UniformInt(1000, 5000);
-  return counts;
-}
-
 /// Encodes via one writer section, reparses, returns the cursor payload
 /// round-trip through the full container (header/CRC included).
 template <typename EncodeFn>
@@ -71,46 +62,6 @@ TEST(SerializationTest, DependencyModelRoundTripsRandomInstances) {
         [&](SnapshotWriter* w) { EncodeDependencyModel(model, w); },
         [](SectionCursor* c) { return DecodeDependencyModel(c); });
     EXPECT_EQ(decoded.pairs(), model.pairs());
-  }
-}
-
-TEST(SerializationTest, ConfusionCountsAndDailySeriesRoundTrip) {
-  Rng rng(11);
-  for (int trial = 0; trial < 50; ++trial) {
-    DailySeries series;
-    const int64_t days = rng.UniformInt(0, 9);
-    for (int64_t d = 0; d < days; ++d) {
-      series.day_labels.push_back("2005-12-" + std::to_string(6 + d));
-      series.days.push_back(RandomCounts(&rng));
-    }
-    // The series is encode-only (a fingerprint, never reloaded), so the
-    // layout — a row count, then label + counts per row — is read back
-    // by hand through the counts decoder.
-    const DailySeries decoded = RoundTrip<DailySeries>(
-        [&](SnapshotWriter* w) { EncodeDailySeries(series, w); },
-        [](SectionCursor* c) -> Result<DailySeries> {
-          LOGMINE_ASSIGN_OR_RETURN(uint64_t rows, c->ReadU64());
-          DailySeries out;
-          for (uint64_t i = 0; i < rows; ++i) {
-            LOGMINE_ASSIGN_OR_RETURN(std::string label, c->ReadString());
-            LOGMINE_ASSIGN_OR_RETURN(ConfusionCounts counts,
-                                     DecodeConfusionCounts(c));
-            out.day_labels.push_back(std::move(label));
-            out.days.push_back(counts);
-          }
-          return out;
-        });
-    EXPECT_EQ(decoded.day_labels, series.day_labels);
-    ASSERT_EQ(decoded.days.size(), series.days.size());
-    for (size_t d = 0; d < series.days.size(); ++d) {
-      EXPECT_EQ(decoded.days[d].true_positives,
-                series.days[d].true_positives);
-      EXPECT_EQ(decoded.days[d].false_positives,
-                series.days[d].false_positives);
-      EXPECT_EQ(decoded.days[d].false_negatives,
-                series.days[d].false_negatives);
-      EXPECT_EQ(decoded.days[d].universe, series.days[d].universe);
-    }
   }
 }
 

@@ -6,8 +6,8 @@
 // partials from appearing (each is written tmp+rename), so every
 // post-crash state is built here directly from a clean run's partials
 // instead of killing a process. Identity covers MergedModelBytes, the
-// encoded daily series, the L2 session stats and the folded tracker, so
-// drift anywhere in the stack fails the test.
+// daily series, the L2 session stats and the folded tracker, so drift
+// anywhere in the stack fails the test.
 
 #include <unistd.h>
 
@@ -47,7 +47,7 @@ class CrashRecoveryTest : public ::testing::Test {
     reference_dir_ = new std::string(FreshDir("crash_reference"));
     auto reference = RunSweep(*dataset_, Config(), Supervisor(*reference_dir_));
     ASSERT_TRUE(reference.ok()) << reference.status();
-    reference_ = new std::vector<std::string>(
+    reference_ = new std::vector<RunFingerprint>(
         {Fingerprint(*reference.value().l1), Fingerprint(*reference.value().l2),
          Fingerprint(*reference.value().l3)});
   }
@@ -117,16 +117,19 @@ class CrashRecoveryTest : public ::testing::Test {
     }
   }
 
-  /// The byte string whose equality the resume promises for one
-  /// technique: merged model, series, session stats and the tracker
-  /// folded over the per-day models.
-  static std::string Fingerprint(const DailyRunResult& run) {
+  /// What the resume promises to reproduce for one technique: the bytes
+  /// of the merged model, session stats and the tracker folded over the
+  /// per-day models, and the daily series.
+  struct RunFingerprint {
+    std::string bytes;
+    core::DailySeries series;
+    bool operator==(const RunFingerprint&) const = default;
+  };
+
+  static RunFingerprint Fingerprint(const DailyRunResult& run) {
     SnapshotWriter w;
     w.BeginSection("merged");
     w.PutString(core::MergedModelBytes(run.merged));
-    w.EndSection();
-    w.BeginSection("series");
-    core::EncodeDailySeries(run.series, &w);
     w.EndSection();
     w.BeginSection("sessions");
     w.PutU64(run.session_stats.size());
@@ -141,7 +144,7 @@ class CrashRecoveryTest : public ::testing::Test {
     }
     core::EncodeModelTracker(tracker, &w);
     w.EndSection();
-    return std::move(w).Finish();
+    return {std::move(w).Finish(), run.series};
   }
 
   /// Re-runs the sweep over the post-crash `dir` and asserts every
@@ -163,12 +166,13 @@ class CrashRecoveryTest : public ::testing::Test {
   }
 
   static Dataset* dataset_;
-  static std::vector<std::string>* reference_;  // per technique
-  static std::string* reference_dir_;           // the clean run's partials
+  static std::vector<RunFingerprint>* reference_;  // per technique
+  static std::string* reference_dir_;              // the clean run's partials
 };
 
 Dataset* CrashRecoveryTest::dataset_ = nullptr;
-std::vector<std::string>* CrashRecoveryTest::reference_ = nullptr;
+std::vector<CrashRecoveryTest::RunFingerprint>* CrashRecoveryTest::reference_ =
+    nullptr;
 std::string* CrashRecoveryTest::reference_dir_ = nullptr;
 
 TEST_F(CrashRecoveryTest, EveryKillPointRecoversToIdenticalBytes) {

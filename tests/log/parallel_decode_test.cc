@@ -163,8 +163,8 @@ TEST(ParallelDecodeTest, MoreChunksThanLinesIsFine) {
 }
 
 TEST(ParallelDecodeTest, EmptyAndBlankOnlyBuffers) {
-  for (const std::string text : {std::string(), std::string("\n\n\n"),
-                                 std::string("   \n\t\n")}) {
+  for (const std::string& text : {std::string(), std::string("\n\n\n"),
+                                  std::string("   \n\t\n")}) {
     ExpectChunkCountInvariant(text, DecodeOptions{});
     DecodeOptions options;
     options.num_chunks = 7;

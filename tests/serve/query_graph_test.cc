@@ -129,10 +129,8 @@ TEST(QueryGraphGoldenTest, WeekOfGraphsAnswersMatchTheRecordedDigests) {
   ASSERT_TRUE(built.ok()) << built.status();
   const eval::Dataset& dataset = built.value();
 
-  // perf_e2e's miner configuration: L1 baselines keyed by source name.
-  core::PipelineConfig pipeline_config;
-  pipeline_config.l1.salt_anchor = 0;
-  const core::MiningPipeline pipeline(dataset.vocabulary, pipeline_config);
+  const core::MiningPipeline pipeline(dataset.vocabulary,
+                                     core::PipelineConfig{});
   core::ModelTracker tracker(core::ModelTrackerConfig{});
 
   // Every name a query can meet: the landscape's applications, the

@@ -363,8 +363,6 @@ TEST(SlidingWindowTest, CreateValidatesAndNormalizesTheConfig) {
   auto miner = SlidingWindowMiner::Create(good);
   ASSERT_TRUE(miner.ok()) << miner.status();
   EXPECT_EQ(miner.value().config().l1.slot_length, 1000);
-  EXPECT_NE(miner.value().config().l1.salt_anchor,
-            core::L1Config::kNoSaltAnchor);
 }
 
 TEST(SlidingWindowTest, IngestRejectsPoisonBatchesAndKeepsState) {
