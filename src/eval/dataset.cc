@@ -3,6 +3,7 @@
 #include <cstring>
 
 #include "log/columnar.h"
+#include "util/mmap_file.h"
 #include "util/snapshot.h"
 
 namespace logmine::eval {
@@ -68,9 +69,11 @@ struct CachedCorpus {
 
 Result<CachedCorpus> DecodeCache(const std::string& path,
                                  uint64_t fingerprint) {
-  LOGMINE_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  // Decoded straight from a mapping of the file, as `ReadCorpusFile`
+  // reads a columnar corpus; the store copies what it keeps.
+  LOGMINE_ASSIGN_OR_RETURN(MmapFile file, MmapFile::Open(path));
   LOGMINE_ASSIGN_OR_RETURN(SnapshotReader reader,
-                           SnapshotReader::Parse(bytes));
+                           SnapshotReader::Parse(file.view()));
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor meta, reader.Section("dsmeta"));
   LOGMINE_ASSIGN_OR_RETURN(uint32_t version, meta.ReadU32());
   LOGMINE_ASSIGN_OR_RETURN(uint64_t cached_fingerprint, meta.ReadU64());

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "obs/obs.h"
+#include "util/huge_pages.h"
 #include "util/mmap_file.h"
 
 namespace logmine {
@@ -93,6 +94,17 @@ void PutDictionary(SnapshotWriter* writer, size_t count,
   for (size_t i = 0; i < count; ++i) {
     writer->PutString((store.*name)(static_cast<uint32_t>(i)));
   }
+}
+
+// Sizes an output column to `n` elements, advising its buffer for huge
+// pages before the first write. The decode writes ~71 bytes per record
+// into fresh memory, and faulting that in 4 KiB pages cost more than
+// the varint decode itself.
+template <typename T>
+void ResizeAdvised(std::vector<T>* column, size_t n) {
+  column->reserve(n);
+  AdviseHugePages(column->data(), n * sizeof(T));
+  column->resize(n);
 }
 
 }  // namespace
@@ -203,8 +215,8 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
   const auto n = static_cast<size_t>(n64);
 
   LogStore::Columns columns;
-  columns.client_ts.resize(n);
-  columns.server_ts.resize(n);
+  ResizeAdvised(&columns.client_ts, n);
+  ResizeAdvised(&columns.server_ts, n);
   const unsigned char* tp = ColumnBegin(time_column);
   const unsigned char* tend = tp + time_column.size();
   TimeMs prev_client = 0;
@@ -226,10 +238,10 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
   LOGMINE_ASSIGN_OR_RETURN(SectionCursor id_section, reader.Section("cids"));
   LOGMINE_ASSIGN_OR_RETURN(std::string_view id_column, id_section.ReadBytes());
   if (Status s = id_section.ExpectEnd(); !s.ok()) return s;
-  columns.severity.resize(n);
-  columns.source_ids.resize(n);
-  columns.host_ids.resize(n);
-  columns.user_ids.resize(n);
+  ResizeAdvised(&columns.severity, n);
+  ResizeAdvised(&columns.source_ids, n);
+  ResizeAdvised(&columns.host_ids, n);
+  ResizeAdvised(&columns.user_ids, n);
   const unsigned char* ip = ColumnBegin(id_column);
   const unsigned char* iend = ip + id_column.size();
   for (size_t i = 0; i < n; ++i) {
@@ -286,7 +298,7 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
     const unsigned char* lp = ColumnBegin(lengths);
     const unsigned char* lend = lp + lengths.size();
     size_t blob_pos = 0;
-    columns.message_ends.resize(n);
+    ResizeAdvised(&columns.message_ends, n);
     for (size_t i = 0; i < n; ++i) {
       uint64_t len;
       if (!GetVarint(&lp, lend, &len)) {
@@ -305,6 +317,8 @@ Result<LogStore> DecodeColumnarSections(const SnapshotReader& reader,
     if (blob_pos != blob.size()) {
       return Status::ParseError("columnar text blob has trailing bytes");
     }
+    columns.message_data.reserve(blob.size());
+    AdviseHugePages(columns.message_data.data(), blob.size());
     columns.message_data.assign(blob);
   }
 

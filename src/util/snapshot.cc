@@ -13,6 +13,11 @@
 #include <fstream>
 #include <sstream>
 
+#if defined(__x86_64__)
+#include <immintrin.h>
+#define LOGMINE_CRC_FOLD 1
+#endif
+
 #include "obs/obs.h"
 
 namespace logmine {
@@ -24,8 +29,8 @@ constexpr uint32_t kFooterMagic = 0x534E4150;  // "PANS" little-endian
 // Slice-by-16 CRC-32: sixteen derived tables let the hot loop fold
 // sixteen input bytes per iteration instead of one. Same polynomial,
 // identical output to the classic byte-at-a-time form — only the speed
-// changes (the container CRC is paid on every snapshot, checkpoint and
-// columnar-corpus read, so it sits on the ingest hot path).
+// changes. It is the fallback for CPUs without carry-less multiply, and
+// the head and tail around the folded bulk.
 std::array<std::array<uint32_t, 256>, 16> MakeCrcTables() {
   std::array<std::array<uint32_t, 256>, 16> tables{};
   for (uint32_t i = 0; i < 256; ++i) {
@@ -44,6 +49,93 @@ std::array<std::array<uint32_t, 256>, 16> MakeCrcTables() {
   }
   return tables;
 }
+
+// Advances the running (pre-inverted) CRC `c` over `n` bytes at `p`.
+uint32_t CrcTableUpdate(uint32_t c, const char* p, size_t n) {
+  static const std::array<std::array<uint32_t, 256>, 16> tables =
+      MakeCrcTables();
+  while (std::endian::native == std::endian::little && n >= 16) {
+    uint64_t lo, hi;
+    std::memcpy(&lo, p, 8);
+    std::memcpy(&hi, p + 8, 8);
+    lo ^= c;  // little-endian: the CRC folds into the low four bytes
+    c = tables[15][lo & 0xFF] ^ tables[14][(lo >> 8) & 0xFF] ^
+        tables[13][(lo >> 16) & 0xFF] ^ tables[12][(lo >> 24) & 0xFF] ^
+        tables[11][(lo >> 32) & 0xFF] ^ tables[10][(lo >> 40) & 0xFF] ^
+        tables[9][(lo >> 48) & 0xFF] ^ tables[8][(lo >> 56) & 0xFF] ^
+        tables[7][hi & 0xFF] ^ tables[6][(hi >> 8) & 0xFF] ^
+        tables[5][(hi >> 16) & 0xFF] ^ tables[4][(hi >> 24) & 0xFF] ^
+        tables[3][(hi >> 32) & 0xFF] ^ tables[2][(hi >> 40) & 0xFF] ^
+        tables[1][(hi >> 48) & 0xFF] ^ tables[0][(hi >> 56) & 0xFF];
+    p += 16;
+    n -= 16;
+  }
+  for (; n > 0; ++p, --n) {
+    c = tables[0][(c ^ static_cast<unsigned char>(*p)) & 0xFF] ^ (c >> 8);
+  }
+  return c;
+}
+
+#ifdef LOGMINE_CRC_FOLD
+// One fold step: carries the 128 bits of `x` forward by the distance
+// that `k` encodes (k1:k2 for 64 bytes, k3:k4 for 16) and adds the
+// `data` found there.
+__attribute__((target("pclmul,sse4.1"))) inline __m128i Fold(__m128i x,
+                                                             __m128i k,
+                                                             __m128i data) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(x, k, 0x00),
+                                     _mm_clmulepi64_si128(x, k, 0x11)),
+                       data);
+}
+
+// Carry-less-multiply CRC-32 (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ Instruction", Intel, 2009), with
+// the constants of Linux's crc32-pclmul for the reflected polynomial
+// 0xEDB88320. Advances the running CRC `c` over `n` bytes at `p`;
+// n >= 64 and a multiple of 16. Four 16-byte lanes fold 64 bytes a
+// step, are reduced to one lane, which takes any 16-byte remainder;
+// the 128 bits left are then folded to 64 and Barrett-reduced to 32.
+__attribute__((target("pclmul,sse4.1"))) uint32_t CrcFoldUpdate(
+    uint32_t c, const char* p, size_t n) {
+  const __m128i k1k2 = _mm_set_epi64x(0x1c6e41596, 0x154442bd4);
+  const __m128i k3k4 = _mm_set_epi64x(0x0ccaa009e, 0x1751997d0);
+  const __m128i k5 = _mm_set_epi64x(0, 0x163cd6124);
+  const __m128i poly_mu = _mm_set_epi64x(0x1f7011641, 0x1db710641);
+  const __m128i mask32 = _mm_set_epi32(0, 0, 0, -1);
+  const auto load = [](const char* at) {
+    return _mm_loadu_si128(reinterpret_cast<const __m128i*>(at));
+  };
+
+  __m128i x1 = _mm_xor_si128(load(p), _mm_cvtsi32_si128(static_cast<int>(c)));
+  __m128i x2 = load(p + 16);
+  __m128i x3 = load(p + 32);
+  __m128i x4 = load(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    x1 = Fold(x1, k1k2, load(p));
+    x2 = Fold(x2, k1k2, load(p + 16));
+    x3 = Fold(x3, k1k2, load(p + 32));
+    x4 = Fold(x4, k1k2, load(p + 48));
+  }
+  x1 = Fold(x1, k3k4, x2);
+  x1 = Fold(x1, k3k4, x3);
+  x1 = Fold(x1, k3k4, x4);
+  for (; n >= 16; p += 16, n -= 16) x1 = Fold(x1, k3k4, load(p));
+
+  // 128 -> 64 bits, appending 32 zero bits to the message.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 8),
+                     _mm_clmulepi64_si128(k3k4, x1, 0x01));
+  // 64 -> 32 bits.
+  x1 = _mm_xor_si128(_mm_srli_si128(x1, 4),
+                     _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), k5,
+                                          0x00));
+  // Barrett reduction to the 32-bit remainder.
+  __m128i t = _mm_clmulepi64_si128(_mm_and_si128(x1, mask32), poly_mu, 0x10);
+  t = _mm_clmulepi64_si128(_mm_and_si128(t, mask32), poly_mu, 0x00);
+  return static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(x1, t), 1));
+}
+#endif
 
 void AppendU32(std::string* out, uint32_t v) {
   char buf[4];
@@ -71,32 +163,46 @@ uint64_t LoadU64(const char* p) {
 
 }  // namespace
 
-uint32_t Crc32(std::string_view bytes) {
-  static const std::array<std::array<uint32_t, 256>, 16> tables =
-      MakeCrcTables();
+namespace internal {
+
+uint32_t Crc32Table(std::string_view bytes) {
+  return CrcTableUpdate(0xFFFFFFFFu, bytes.data(), bytes.size()) ^
+         0xFFFFFFFFu;
+}
+
+bool Crc32FoldSupported() {
+#ifdef LOGMINE_CRC_FOLD
+  __builtin_cpu_init();  // in case this runs before libgcc's constructor
+  return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+#else
+  return false;
+#endif
+}
+
+uint32_t Crc32Fold(std::string_view bytes) {
   uint32_t c = 0xFFFFFFFFu;
   const char* p = bytes.data();
   size_t n = bytes.size();
-  while (std::endian::native == std::endian::little && n >= 16) {
-    uint64_t lo, hi;
-    std::memcpy(&lo, p, 8);
-    std::memcpy(&hi, p + 8, 8);
-    lo ^= c;  // little-endian: the CRC folds into the low four bytes
-    c = tables[15][lo & 0xFF] ^ tables[14][(lo >> 8) & 0xFF] ^
-        tables[13][(lo >> 16) & 0xFF] ^ tables[12][(lo >> 24) & 0xFF] ^
-        tables[11][(lo >> 32) & 0xFF] ^ tables[10][(lo >> 40) & 0xFF] ^
-        tables[9][(lo >> 48) & 0xFF] ^ tables[8][(lo >> 56) & 0xFF] ^
-        tables[7][hi & 0xFF] ^ tables[6][(hi >> 8) & 0xFF] ^
-        tables[5][(hi >> 16) & 0xFF] ^ tables[4][(hi >> 24) & 0xFF] ^
-        tables[3][(hi >> 32) & 0xFF] ^ tables[2][(hi >> 40) & 0xFF] ^
-        tables[1][(hi >> 48) & 0xFF] ^ tables[0][(hi >> 56) & 0xFF];
-    p += 16;
-    n -= 16;
+#ifdef LOGMINE_CRC_FOLD
+  // The table takes the bytes up to a 16-byte boundary, the fold the
+  // whole 16-byte blocks from there, the table again the rest.
+  const size_t head = -reinterpret_cast<uintptr_t>(p) & 15;
+  if (n >= head + 64) {
+    c = CrcTableUpdate(c, p, head);
+    const size_t bulk = (n - head) & ~size_t{15};
+    c = CrcFoldUpdate(c, p + head, bulk);
+    p += head + bulk;
+    n -= head + bulk;
   }
-  for (; n > 0; ++p, --n) {
-    c = tables[0][(c ^ static_cast<unsigned char>(*p)) & 0xFF] ^ (c >> 8);
-  }
-  return c ^ 0xFFFFFFFFu;
+#endif
+  return CrcTableUpdate(c, p, n) ^ 0xFFFFFFFFu;
+}
+
+}  // namespace internal
+
+uint32_t Crc32(std::string_view bytes) {
+  static const bool fold = internal::Crc32FoldSupported();
+  return fold ? internal::Crc32Fold(bytes) : internal::Crc32Table(bytes);
 }
 
 SnapshotWriter::SnapshotWriter(uint32_t version) {

@@ -12,7 +12,18 @@
 namespace logmine {
 
 /// CRC-32 (IEEE 802.3 polynomial, the zlib variant) of `bytes`.
+/// Folds the bulk with carry-less multiplies where the CPU has
+/// PCLMULQDQ and SSE4.1 (checked once), else runs slice-by-16 tables.
 uint32_t Crc32(std::string_view bytes);
+
+namespace internal {
+/// The two paths `Crc32` picks between, exposed only so that tests can
+/// run both on the same input. Each returns `Crc32(bytes)`.
+uint32_t Crc32Table(std::string_view bytes);
+/// Pre-condition: `Crc32FoldSupported()`.
+uint32_t Crc32Fold(std::string_view bytes);
+bool Crc32FoldSupported();
+}  // namespace internal
 
 /// Current version of the snapshot container format. Bump when the
 /// *container* layout changes; section payload layouts are versioned by

@@ -120,6 +120,34 @@ TEST(ColumnarTest, FuzzRoundTripRandomCorpora) {
   }
 }
 
+// Large enough that the 8-byte columns and the message arena span
+// whole 2 MiB pages, so the decode's huge-page advice takes effect on
+// them; the decoded store must still equal the encoded one.
+TEST(ColumnarTest, RoundTripOfAStoreSpanningHugePages) {
+  Rng rng(20261020);
+  LogStore store;
+  TimeMs ts = 1'000'000;
+  for (int i = 0; i < 300'000; ++i) {
+    ts += rng.UniformInt(-20, 200);
+    LogRecord record;
+    record.client_ts = ts;
+    record.server_ts = ts + rng.UniformInt(-50, 50);
+    record.severity = static_cast<Severity>(rng.UniformInt(0, 3));
+    record.source = "src" + std::to_string(rng.UniformInt(0, 40));
+    if (rng.Bernoulli(0.7)) {
+      record.host = "host" + std::to_string(rng.UniformInt(0, 30));
+    }
+    if (rng.Bernoulli(0.5)) {
+      record.user = "user" + std::to_string(rng.UniformInt(0, 200));
+    }
+    record.message = "event " + std::to_string(rng.Next());
+    ASSERT_TRUE(store.Append(record).ok());
+  }
+  auto loaded = DecodeColumnar(EncodeColumnar(store));
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  EXPECT_TRUE(loaded.value() == store);
+}
+
 // FNV-1a 64 of `bytes`, as 16 hex digits.
 std::string Fnv1aHex(std::string_view bytes) {
   uint64_t hash = 0xCBF29CE484222325ULL;

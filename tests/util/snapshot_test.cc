@@ -1,11 +1,16 @@
 #include "util/snapshot.h"
 
+#include <algorithm>
+#include <array>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include <gtest/gtest.h>
+
+#include "util/rng.h"
 
 namespace logmine {
 namespace {
@@ -19,6 +24,58 @@ TEST(Crc32Test, KnownVectors) {
   EXPECT_EQ(Crc32("123456789"), 0xCBF43926u);
   EXPECT_EQ(Crc32(""), 0x00000000u);
   EXPECT_NE(Crc32("abc"), Crc32("abd"));
+}
+
+// `Crc32` takes one of two paths by CPU; each must give the same value.
+// The slice-by-16 table path runs everywhere, the carry-less-multiply
+// fold only where the CPU has PCLMULQDQ and SSE4.1.
+TEST(Crc32Test, TablePathMatchesTheKnownVectors) {
+  EXPECT_EQ(internal::Crc32Table("123456789"), 0xCBF43926u);
+  EXPECT_EQ(internal::Crc32Table(""), 0x00000000u);
+}
+
+TEST(Crc32Test, FoldedPathMatchesTheKnownVectors) {
+  if (!internal::Crc32FoldSupported()) {
+    GTEST_SKIP() << "CPU without PCLMULQDQ/SSE4.1";
+  }
+  EXPECT_EQ(internal::Crc32Fold("123456789"), 0xCBF43926u);
+  EXPECT_EQ(internal::Crc32Fold(""), 0x00000000u);
+}
+
+std::string RandomBytes(uint64_t seed, size_t n) {
+  Rng rng(seed);
+  std::string bytes(n, '\0');
+  for (char& c : bytes) c = static_cast<char>(rng.Next());
+  return bytes;
+}
+
+// Every length from 0 through 1024 at every offset from a 16-byte
+// boundary: the fold's aligned head, its 64- and 16-byte steps and the
+// table tail each start and stop at every position.
+TEST(Crc32Test, FoldedPathMatchesTheTableAtEveryLengthAndOffset) {
+  if (!internal::Crc32FoldSupported()) {
+    GTEST_SKIP() << "CPU without PCLMULQDQ/SSE4.1";
+  }
+  alignas(16) std::array<char, 1024 + 16> buffer;
+  const std::string random = RandomBytes(28, buffer.size());
+  std::copy(random.begin(), random.end(), buffer.begin());
+  for (size_t offset = 0; offset < 16; ++offset) {
+    for (size_t length = 0; length <= 1024; ++length) {
+      const std::string_view bytes(buffer.data() + offset, length);
+      ASSERT_EQ(internal::Crc32Fold(bytes), internal::Crc32Table(bytes))
+          << "offset " << offset << ", length " << length;
+    }
+  }
+}
+
+TEST(Crc32Test, BothPathsAgreeOnALargeRandomBuffer) {
+  const std::string bytes = RandomBytes(20261020, 5 << 20);
+  const uint32_t table = internal::Crc32Table(bytes);
+  EXPECT_EQ(Crc32(bytes), table);
+  if (!internal::Crc32FoldSupported()) {
+    GTEST_SKIP() << "CPU without PCLMULQDQ/SSE4.1";
+  }
+  EXPECT_EQ(internal::Crc32Fold(bytes), table);
 }
 
 TEST(SnapshotTest, RoundTripsEveryPrimitive) {
